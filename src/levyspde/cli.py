@@ -18,8 +18,9 @@ import numpy as np
 
 from . import estimates, models, noise, wellposedness
 from .coefficients import admissible_p_range
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, checked_seed, load_config
 from .parallel import worker_count
+from .rng import path_seed
 from .solver import StoppingTimeRule, apply_stopping, solve_path
 
 #: inequality/estimate anchor named in each artifact's header comment row
@@ -202,9 +203,11 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     )
     ok = all(np.isfinite(v) for vals in ratios.values() for v in vals)
     spread = 1.0
-    if len(m_list) > 1:
+    if not ok:
+        spread = float("nan")
+    elif len(m_list) > 1:
         spread = max(max(v) / min(v) for v in ratios.values() if min(v) > 0)
-        ok = ok and spread <= 2.0
+        ok = spread <= 2.0
     _write_sidecar(out / "energy_meta.json", exp, "energy", ok, {"ratio_spread": spread})
     return ok, f"levels {m_list}, ratio spread {spread:.3f} (uniformity threshold 2.0)"
 
@@ -220,9 +223,12 @@ def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
         cfg = replace(exp.solver, dt=dt)
         totals = np.empty(n_paths)
         for i in range(n_paths):
-            ps = noise._path_seed(exp.master_seed, i)
+            ps = path_seed(exp.master_seed, i)
             real = noise.sample_noise(cfg.level, cfg.T, dt, bundle.mark_space, ps)
             rec = solve_path(bundle, triple, x0, cfg, bundle.mark_space, seed=ps, realization=real)
+            if rec.truncated_at is not None:
+                totals[i] = np.nan  # no balance to replay: the slope fails
+                continue
             series = estimates.discrete_energy_residual(rec, bundle, real, bundle.mark_space, cfg)
             totals[i] = series.total
         means.append(abs(totals.mean()))
@@ -245,7 +251,7 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     bundle, triple = exp.model.bundle, exp.model.triple
     paths = [
         solve_path(bundle, triple, exp.initial_state(), exp.solver, bundle.mark_space,
-                   seed=noise._path_seed(exp.master_seed, i))
+                   seed=path_seed(exp.master_seed, i))
         for i in range(n_paths)
     ]
     result = estimates.modulus_of_continuity(paths, deltas, beta)
@@ -432,7 +438,7 @@ def main(argv=None) -> int:
     try:
         exp = load_config(args.config)
         if args.seed is not None:
-            exp.master_seed = args.seed
+            exp.master_seed = checked_seed(args.seed, "--seed")
         out = Path(args.out) if args.out else exp.output_dir
         out.mkdir(parents=True, exist_ok=True)
         workers = worker_count(args.workers)

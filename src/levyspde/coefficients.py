@@ -34,7 +34,7 @@ import numpy as np
 
 from .noise import MarkSpace
 from .rng import derive_rng
-from .spaces import GalerkinState, GelfandTriple
+from .spaces import GalerkinState, GelfandTriple, unchecked_state
 
 __all__ = [
     "CoefficientBundle",
@@ -87,15 +87,25 @@ class CoefficientBundle:
     * ``v_norm``: scalar functional replacing the diagonal V-norm in
       estimates when the model's V is not the weighted l2 space (beta != 2).
     * ``drift_jacobian``: analytic Jacobian of the drift for Newton solves.
-    * ``drift_implicit_solve``: exact solver y = x + dt A(t, y) for models
-      where backward Euler has a closed form (diagonal linear drifts).
-    * ``diffusion_matvec``: B(t, u) ΔW without materializing the matrix.
-    * ``jump_weighted_sum``: Σ_i lam_i γ(t, u, z_i), the compensator
+    * ``drift_implicit_solve(t, x, dt)``: exact solver y = x + dt A(t, y)
+      for models where backward Euler has a closed form (diagonal linear
+      drifts).
+    * ``diffusion_matvec(t, u, dw)``: B(t, u) ΔW without materializing the
+      matrix.
+    * ``jump_weighted_sum(t, u)``: Σ_i lam_i γ(t, u, z_i), the compensator
       density, in closed form.
 
-    The matvec/weighted-sum hooks are solver fast paths; audits always go
-    through ``diffusion`` and ``jump`` so a lying hook cannot mask a
-    hypothesis violation.
+    Batch contract of the three closed-form hooks: they take and return
+    plain coefficient arrays with any leading batch axes, ``x``, ``u`` and
+    ``dw`` of shape (..., m), and act on each row exactly as on that row
+    alone, so the solver advances a whole ensemble (P, m) with one call per
+    step.  A bundle that lacks a hook falls back row by row: damped Newton
+    on ``drift`` (with its halved-drift retry and truncation), ``diffusion``
+    times ΔW, and the mark loop over ``jump``.
+
+    The hooks are solver fast paths only.  Audits always evaluate the full
+    ``drift``, ``diffusion`` matrix and ``jump``, so a wrong fast path cannot
+    hide a hypothesis violation.
     """
 
     drift: Callable[[float, GalerkinState], np.ndarray]
@@ -108,27 +118,36 @@ class CoefficientBundle:
     v_norm: Callable[[GalerkinState], float] | None = None
     drift_jacobian: Callable[[float, GalerkinState], np.ndarray] | None = None
     drift_implicit_solve: Callable[[float, np.ndarray, float], np.ndarray] | None = None
-    diffusion_matvec: Callable[[float, GalerkinState, np.ndarray], np.ndarray] | None = None
-    jump_weighted_sum: Callable[[float, GalerkinState], np.ndarray] | None = None
+    diffusion_matvec: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
+    jump_weighted_sum: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def v_norm_of(self, triple: GelfandTriple, state: GalerkinState) -> float:
         if self.v_norm is not None:
             return float(self.v_norm(state))
         return triple.norm_v(state.coeffs)
 
-    def apply_diffusion(self, t: float, state: GalerkinState, dw: np.ndarray) -> np.ndarray:
+    def apply_diffusion(self, t: float, u: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """B(t, u) ΔW for each row of ``u`` and ``dw``, shape (..., m)."""
         if self.diffusion_matvec is not None:
-            return np.asarray(self.diffusion_matvec(t, state, dw), dtype=float)
-        return np.asarray(self.diffusion(t, state), dtype=float) @ dw
+            return np.asarray(self.diffusion_matvec(t, u, dw), dtype=float)
+        m = u.shape[-1]
+        rows = [
+            np.asarray(self.diffusion(t, unchecked_state(m, row, t)), dtype=float) @ d
+            for row, d in zip(u.reshape(-1, m), dw.reshape(-1, m))
+        ]
+        return np.reshape(rows, u.shape)
 
-    def compensator_density(self, t: float, state: GalerkinState) -> np.ndarray:
-        """Σ_i lam_i γ(t, u, z_i); zero for the empty mark space."""
+    def compensator_density(self, t: float, u: np.ndarray) -> np.ndarray:
+        """Σ_i lam_i γ(t, u, z_i) for each row of ``u``; zero for the empty mark space."""
         if self.jump_weighted_sum is not None:
-            return np.asarray(self.jump_weighted_sum(t, state), dtype=float)
-        total = np.zeros(state.level)
+            return np.asarray(self.jump_weighted_sum(t, u), dtype=float)
+        m = u.shape[-1]
+        total = np.zeros(u.shape)
         ms = self.mark_space
-        for z, lam in zip(ms.marks, ms.weights):
-            total += lam * np.asarray(self.jump(t, state, float(z)), dtype=float)
+        for acc, row in zip(total.reshape(-1, m), u.reshape(-1, m)):
+            state = unchecked_state(m, row, t)
+            for z, lam in zip(ms.marks, ms.weights):
+                acc += lam * np.asarray(self.jump(t, state, float(z)), dtype=float)
         return total
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .models import ModelSpec, resolve
 from .solver import SolverConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "checked_seed"]
 
 SCHEMA_VERSION = 1
 
@@ -37,6 +37,17 @@ class ExperimentConfig:
 
     def initial_state(self) -> np.ndarray:
         return self.x0 if self.x0 is not None else self.model.default_x0
+
+
+def checked_seed(value, field_name: str) -> int:
+    """A master seed: an integer in [0, 2**64), the range the RNG streams use.
+
+    Larger or negative values would be folded into that range and silently
+    alias another seed's run.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ConfigError(field_name, "expected an integer in [0, 2**64)")
+    return value
 
 
 def _require(cfg: dict, name: str, kind, where: str):
@@ -94,9 +105,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"exceeds the model's dimension_cap {model.triple.dimension_cap}",
         )
 
-    seed = raw.get("master_seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("master_seed", "expected a nonnegative integer")
+    seed = checked_seed(raw.get("master_seed", 0), "master_seed")
 
     study = raw.get("study", {})
     if not isinstance(study, dict):

@@ -19,9 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import CoefficientBundle
-from .noise import MarkSpace, NoiseRealization, _path_seed
+from .noise import MarkSpace, NoiseRealization, ci99
 from .parallel import map_indexed
-from .solver import PathRecord, SolverConfig, _drift_only_update, solve_path
+from .rng import path_seed
+from .solver import PathRecord, SolverConfig, _drift_only_update, solve_paths
 from .spaces import GalerkinState, GelfandTriple
 
 __all__ = [
@@ -34,13 +35,8 @@ __all__ = [
     "modulus_of_continuity",
 ]
 
-Z99 = 2.576  # two-sided 99% normal quantile
-
-
-def _ci99(values: np.ndarray) -> float:
-    if values.size < 2:
-        return float("inf")
-    return Z99 * float(values.std(ddof=1)) / np.sqrt(values.size)
+#: paths per energy task; fixed, so the batches never depend on the workers
+ENERGY_BATCH = 25
 
 
 @dataclass
@@ -59,29 +55,35 @@ class EnergyStats:
     ratio: float  # r_m, the uniformity-in-level diagnostic
 
 
+def _energy_parts(record: PathRecord, p_list, beta: float):
+    """(sup_t ‖Y‖_H, ∫‖Y‖_V^β dt, [∫‖Y‖_V^β ‖Y‖_H^{p-2} dt for p in p_list])."""
+    dts = np.diff(record.times)
+    vb = record.norm_v[:-1] ** beta
+    mixed = [float(np.dot(vb * record.norm_h[:-1] ** (p - 2.0), dts)) for p in p_list]
+    return float(record.norm_h.max()), float(np.dot(vb, dts)), mixed
+
+
 def path_energy_functionals(record: PathRecord, p: float, beta: float):
     """(sup_t ‖Y‖_H^p, (∫‖Y‖_V^β dt)^{p/2}, ∫‖Y‖_V^β ‖Y‖_H^{p-2} dt).
 
     The sup runs over every recorded entry including jump post-values; the
     integrals are left-Riemann sums over the record's time partition.
     """
-    sup_h = float(record.norm_h.max())
-    dts = np.diff(record.times)
-    vb = record.norm_v[:-1] ** beta
-    int_v = float(np.dot(vb, dts))
-    mixed = float(np.dot(vb * record.norm_h[:-1] ** (p - 2.0), dts))
+    sup_h, int_v, (mixed,) = _energy_parts(record, [p], beta)
     return sup_h**p, int_v ** (p / 2.0), mixed
 
 
-def _energy_worker(ctx, i: int):
-    bundle, triple, x0, config, mark_space, seed, p_list, beta = ctx
-    record = solve_path(bundle, triple, x0, config, mark_space, seed=_path_seed(seed, i))
-    sup_h = float(record.norm_h.max())
-    dts = np.diff(record.times)
-    vb = record.norm_v[:-1] ** beta
-    int_v = float(np.dot(vb, dts))
-    mixed = [float(np.dot(vb * record.norm_h[:-1] ** (p - 2.0), dts)) for p in p_list]
-    return sup_h, int_v, mixed
+def _energy_batch_worker(ctx, b: int):
+    # a truncated path has no estimate of its own: it turns the ensemble's
+    # figures into NaN, so the study fails instead of averaging a prefix
+    bundle, triple, x0, config, seed, n_paths, p_list, beta, batch = ctx
+    seeds = [path_seed(seed, i) for i in range(b * batch, min((b + 1) * batch, n_paths))]
+    records = solve_paths(bundle, triple, x0, config, bundle.mark_space, seeds, keep_states=False)
+    nan = float("nan")
+    return [
+        _energy_parts(rec, p_list, beta) if rec.truncated_at is None else (nan, nan, [nan] * len(p_list))
+        for rec in records
+    ]
 
 
 def energy_table(
@@ -102,8 +104,9 @@ def energy_table(
     if any(p < 2.0 for p in p_list):
         raise ValueError("moment orders must satisfy p >= 2")
     x0 = np.asarray(x0, dtype=float)
-    ctx = (bundle, triple, x0, config, mark_space_of(bundle), seed, p_list, beta)
-    rows = map_indexed(_energy_worker, ctx, n_paths, workers)
+    ctx = (bundle, triple, x0, config, seed, n_paths, p_list, beta, ENERGY_BATCH)
+    batches = map_indexed(_energy_batch_worker, ctx, -(-n_paths // ENERGY_BATCH), workers)
+    rows = [row for batch in batches for row in batch]
     sup_h = np.array([r[0] for r in rows])
     int_v = np.array([r[1] for r in rows])
     mixed = np.array([r[2] for r in rows])  # (n_paths, len(p_list))
@@ -126,9 +129,9 @@ def energy_table(
             int_v_beta_p2=est_int,
             mixed=est_mix,
             ci99={
-                "sup_h_p": _ci99(sup_pow),
-                "int_v_beta_p2": _ci99(int_pow),
-                "mixed": _ci99(mix),
+                "sup_h_p": ci99(sup_pow),
+                "int_v_beta_p2": ci99(int_pow),
+                "mixed": ci99(mix),
             },
             medians=(
                 {
@@ -158,10 +161,6 @@ def energy_estimate_mc(
 ) -> EnergyStats:
     """Ensemble estimates of the energy functionals at moment order p."""
     return energy_table(bundle, triple, x0, [p], config, n_paths, seed, beta, workers)[0]
-
-
-def mark_space_of(bundle: CoefficientBundle) -> MarkSpace:
-    return bundle.mark_space
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +330,17 @@ def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:
     """
     if not paths:
         raise ValueError("need at least one path")
+    if any(rec.truncated_at is not None for rec in paths):
+        # a truncated path has no increments over the whole horizon
+        undefined = np.full(len(delta_list), np.nan)
+        return ModulusResult(
+            deltas=np.asarray(sorted(float(d) for d in delta_list)),
+            values=undefined,
+            ci99=undefined.copy(),
+            beta=beta_exp,
+            consistent_with_tightness=False,
+            label="undefined: a path was truncated (diagnostic, not a proof)",
+        )
     grids = [rec.step_grid_view() for rec in paths]
     times0 = grids[0][0]
     dt = paths[0].dt
@@ -356,7 +366,7 @@ def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:
         # left-Riemann over t in [0, T - δ): nodes 0 .. K - steps - 1
         per_path = (norms[:, :-1] ** beta_exp).sum(axis=1) * dt if norms.shape[1] > 1 else np.zeros(n_paths)
         values[i] = float(per_path.mean())
-        ci[i] = _ci99(per_path)
+        ci[i] = ci99(per_path)
 
     ok = True
     for i in range(deltas.size - 1):

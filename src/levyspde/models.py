@@ -139,8 +139,8 @@ def _multiplicative_diffusion(c: float):
 
 
 def _multiplicative_diffusion_matvec(c: float):
-    def matvec(t, state, dw):
-        return c * state.coeffs * dw
+    def matvec(t, u, dw):
+        return c * u * dw
 
     return matvec
 
@@ -155,8 +155,8 @@ def _multiplicative_jump(sigma: float):
 def _multiplicative_jump_weighted_sum(sigma: float, marks: MarkSpace):
     scale = sigma * float(np.sum(marks.weights * marks.marks))
 
-    def weighted_sum(t, state):
-        return scale * state.coeffs
+    def weighted_sum(t, u):
+        return scale * u
 
     return weighted_sum
 
@@ -183,7 +183,7 @@ def _heat(cap: int = 48, c_wiener: float = 0.25, sigma_jump: float = 0.2,
         return -np.diag(w[: state.level])
 
     def implicit_solve(t_next, x, dt):
-        return x / (1.0 + dt * w[: x.shape[0]])
+        return x / (1.0 + dt * w[: x.shape[-1]])
 
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
@@ -232,7 +232,7 @@ def _grad_noise_linear(cap: int = 32, c_b: float = 0.1, c_gamma: float = 0.05,
         return -np.diag(w[: state.level])
 
     def implicit_solve(t_next, x, dt):
-        return x / (1.0 + dt * w[: x.shape[0]])
+        return x / (1.0 + dt * w[: x.shape[-1]])
 
     def diffusion(t, state):
         return c_b * np.diag(sqrt_w[: state.level] * state.coeffs)
@@ -240,13 +240,13 @@ def _grad_noise_linear(cap: int = 32, c_b: float = 0.1, c_gamma: float = 0.05,
     def jump(t, state, z):
         return c_gamma * z * sqrt_w[: state.level] * state.coeffs
 
-    def diffusion_matvec(t, state, dw):
-        return c_b * sqrt_w[: state.level] * state.coeffs * dw
+    def diffusion_matvec(t, u, dw):
+        return c_b * sqrt_w[: u.shape[-1]] * u * dw
 
     gamma_scale = c_gamma * float(np.sum(marks.weights * marks.marks))
 
-    def jump_weighted_sum(t, state):
-        return gamma_scale * sqrt_w[: state.level] * state.coeffs
+    def jump_weighted_sum(t, u):
+        return gamma_scale * sqrt_w[: u.shape[-1]] * u
 
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
@@ -592,7 +592,7 @@ def from_config(cfg: dict) -> ModelSpec:
             return -np.diag(spectrum[: state.level])
 
         def implicit_solve(t_next, x, dt):
-            return x / (1.0 + dt * spectrum[: x.shape[0]])
+            return x / (1.0 + dt * spectrum[: x.shape[-1]])
     else:
         dpoly = np.polyder(np.poly1d(poly[::-1]))
 

@@ -16,22 +16,34 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .rng import derive_rng
+from .rng import derive_rng, path_seed
 
 __all__ = [
     "MarkSpace",
     "JumpEvent",
     "NoiseRealization",
     "sample_noise",
+    "sample_jumps",
+    "wiener_chunks",
+    "ci99",
     "compensated_integral",
     "ito_isometry_check",
     "dump_jsonl",
     "load_jsonl",
 ]
+
+Z99 = 2.576  # two-sided 99% normal quantile
+
+
+def ci99(values: np.ndarray) -> float:
+    """Normal-approximation 99% half-width of the mean of ``values``."""
+    if values.size < 2:
+        return float("inf")
+    return Z99 * float(values.std(ddof=1)) / np.sqrt(values.size)
 
 
 class JumpEvent(NamedTuple):
@@ -124,7 +136,12 @@ def sample_noise(m: int, T: float, dt: float, mark_space: MarkSpace, seed: int) 
 
     rng_w = derive_rng(seed, "wiener")
     wiener = rng_w.normal(0.0, np.sqrt(dt), size=(n_steps, m))
+    jumps = sample_jumps(T, mark_space, seed)
+    return NoiseRealization(wiener=wiener, jumps=jumps, seed=seed, m=m, dt=dt, T=T)
 
+
+def sample_jumps(T: float, mark_space: MarkSpace, seed: int) -> tuple[JumpEvent, ...]:
+    """The jump events on [0, T] of ``sample_noise(..., seed)``, alone."""
     jumps: list[JumpEvent] = []
     lam = mark_space.total_intensity
     if not mark_space.is_zero and lam > 0:
@@ -137,8 +154,22 @@ def sample_noise(m: int, T: float, dt: float, mark_space: MarkSpace, seed: int) 
                 break
             idx = int(rng_j.choice(mark_space.marks.size, p=probs))
             jumps.append(JumpEvent(time=t, mark_index=idx))
+    return tuple(jumps)
 
-    return NoiseRealization(wiener=wiener, jumps=tuple(jumps), seed=seed, m=m, dt=dt, T=T)
+
+def wiener_chunks(seeds, m: int, n_steps: int, dt: float, chunk: int) -> Iterator[np.ndarray]:
+    """Wiener increments of several paths, ``chunk`` steps at a time.
+
+    Yields arrays of shape (steps, len(seeds), m) covering ``n_steps`` steps.
+    Column p continues the ``"wiener"`` stream of ``seeds[p]``, so stacking
+    the chunks reproduces ``sample_noise(m, ..., seeds[p]).wiener`` bit for
+    bit while holding only ``chunk`` rows of it at a time.
+    """
+    rngs = [derive_rng(s, "wiener") for s in seeds]
+    scale = np.sqrt(dt)
+    for k0 in range(0, n_steps, chunk):
+        rows = min(chunk, n_steps - k0)
+        yield np.stack([r.normal(0.0, scale, size=(rows, m)) for r in rngs], axis=1)
 
 
 def _event_sum(
@@ -220,7 +251,7 @@ def ito_isometry_check(
     comp = _compensator_grid(integrand, mark_space, dt, T)
     sq_norms = np.empty(n_paths)
     for i in range(n_paths):
-        real = sample_noise(1, T, dt, mark_space, seed=_path_seed(seed, i))
+        real = sample_noise(1, T, dt, mark_space, seed=path_seed(seed, i))
         events = _event_sum(integrand, real, mark_space, T)
         if events is None and comp is None:
             value = np.zeros(1)
@@ -233,7 +264,6 @@ def ito_isometry_check(
         value = np.atleast_1d(value)
         sq_norms[i] = float(np.dot(value, value))
     lhs = float(sq_norms.mean())
-    ci99 = 2.576 * float(sq_norms.std(ddof=1)) / np.sqrt(n_paths)
 
     # dense trapezoid; the rhs is deterministic so quadrature error should
     # stay well below the MC half-width
@@ -246,13 +276,7 @@ def ito_isometry_check(
     rhs = float(np.trapezoid(dens, t_grid))
 
     denom = max(abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_err": abs(lhs - rhs) / denom, "ci99": ci99}
-
-
-def _path_seed(seed: int, index: int) -> int:
-    # fold path index into the master seed; rng.derive_rng does the real work,
-    # this just keeps a distinct integer per path for reporting
-    return (int(seed) * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 1) & 0x7FFFFFFFFFFFFFFF
+    return {"lhs": lhs, "rhs": rhs, "rel_err": abs(lhs - rhs) / denom, "ci99": ci99(sq_norms)}
 
 
 def dump_jsonl(realization: NoiseRealization, path) -> None:

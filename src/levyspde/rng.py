@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed_sequence"]
+__all__ = ["derive_rng", "derive_seed_sequence", "path_seed"]
 
 
 def _encode_key(key) -> int:
@@ -34,3 +34,12 @@ def derive_seed_sequence(seed: int, *keys) -> np.random.SeedSequence:
 def derive_rng(seed: int, *keys) -> np.random.Generator:
     """Generator for the sub-stream (seed, *keys); independent across keys."""
     return np.random.Generator(np.random.PCG64(derive_seed_sequence(seed, *keys)))
+
+
+def path_seed(seed: int, index: int) -> int:
+    """Seed of path ``index`` of an ensemble under the master ``seed``.
+
+    ``derive_rng`` separates the streams; this fold only gives each path a
+    distinct integer, which its record and noise realization carry.
+    """
+    return (int(seed) * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 1) & 0x7FFFFFFFFFFFFFFF

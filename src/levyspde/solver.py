@@ -14,6 +14,11 @@ One step on [t, t+dt] splits the dynamics as
 Jump times are never aligned to the grid; each one contributes a doubled
 time entry (pre value, post value) to the path record, which keeps the
 recorded trajectory an explicit cadlag skeleton.
+
+One stepping core advances an ensemble of P paths as a (P, m) array
+(``solve_paths``); a single path (``solve_path``) is its P = 1 case.  Every
+row does exactly the arithmetic it would do alone, so a path's record does
+not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientBundle
-from .noise import MarkSpace, NoiseRealization, sample_noise
+from .noise import MarkSpace, NoiseRealization, sample_jumps, sample_noise, wiener_chunks
 from .spaces import GalerkinState, GelfandTriple, unchecked_state
 
 __all__ = [
@@ -33,8 +38,12 @@ __all__ = [
     "StepFailure",
     "step",
     "solve_path",
+    "solve_paths",
     "apply_stopping",
 ]
+
+#: Wiener steps an ensemble solve draws and holds at a time
+WIENER_CHUNK = 64
 
 
 class StepFailure(RuntimeError):
@@ -93,12 +102,17 @@ class PathRecord:
     """Cadlag discrete trajectory with jump markers and per-time norms.
 
     Jump times appear twice (pre and post value); between consecutive jump
-    entries times strictly increase.  ``stopped_at`` is set by
-    ``apply_stopping``; ``truncated_at`` marks a propagated step failure.
+    entries times strictly increase.  ``is_grid`` marks the rows on the
+    uniform step grid, as the solver recorded them; a hand-built record may
+    omit it when its only off-grid rows are the pre/post pairs.
+    ``stopped_at`` is set by ``apply_stopping``.  ``truncated_at`` marks a
+    step whose drift solve failed (the record ends at that step's start) or
+    the first non-finite state or norm (the record ends just before it).
+    ``states`` is None for an ensemble solve that kept only the norms.
     """
 
     times: np.ndarray
-    states: np.ndarray  # (n_entries, level)
+    states: np.ndarray | None  # (n_entries, level)
     is_jump_post: np.ndarray
     norm_h: np.ndarray
     norm_v: np.ndarray
@@ -108,6 +122,14 @@ class PathRecord:
     seed: int | None = None
     stopped_at: float | None = None
     truncated_at: float | None = None
+    is_grid: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.is_grid is None:
+            # a pre-jump row is the row just before its post row
+            pre = np.zeros_like(self.is_jump_post)
+            pre[:-1] = self.is_jump_post[1:]
+            self.is_grid = ~(self.is_jump_post | pre)
 
     @property
     def n_jump_entries(self) -> int:
@@ -118,16 +140,7 @@ class PathRecord:
 
     def step_grid_view(self):
         """(times, states) restricted to the uniform step grid (no jump rows)."""
-        mask = ~self.is_jump_post
-        keep = []
-        for k in np.nonzero(mask)[0]:
-            # drop the pre-jump duplicate rows: keep entries whose time is a
-            # grid multiple
-            ratio = self.times[k] / self.dt
-            if abs(ratio - round(ratio)) < 1e-9:
-                keep.append(k)
-        idx = np.array(keep, dtype=int)
-        return self.times[idx], self.states[idx]
+        return self.times[self.is_grid], self.states[self.is_grid]
 
 
 def _drift_only_update(
@@ -206,52 +219,56 @@ def _fd_jacobian(bundle: CoefficientBundle, y: np.ndarray, t: float) -> np.ndarr
     return jac
 
 
-def _compensator(bundle: CoefficientBundle, x_state: GalerkinState, t: float, dt: float) -> np.ndarray:
-    if bundle.mark_space.is_zero:
-        return np.zeros(x_state.level)
-    return dt * bundle.compensator_density(t, x_state)
+def _drift_rows(bundle, triple, x, t, dt, config, dead):
+    """Drift substep of every row of x (P, m); returns (y, {row: StepFailure}).
 
-
-def _step_events(
-    x: np.ndarray,
-    t: float,
-    dt: float,
-    bundle: CoefficientBundle,
-    triple: GelfandTriple,
-    wiener_increment: np.ndarray,
-    jumps_in_step,
-    mark_space: MarkSpace,
-    config: SolverConfig,
-    halve_drift: bool = False,
-):
-    """One step; returns (end state, [(tau, pre, post), ...]).
-
-    ``halve_drift`` composes two implicit half steps for the drift substep
-    only; the noise parts are unchanged.  Used as the single retry after an
-    implicit-solve failure.
+    The closed-form implicit solve takes the whole batch.  Otherwise each
+    live row is solved on its own, with one retry that composes two halved
+    drift substeps; a row that fails both is reported and left unchanged.
     """
-    m = x.size
-    x_state = unchecked_state(m, x, t)
-    if halve_drift:
-        y = _drift_only_update(bundle, triple, x, t, dt / 2.0, config)
-        y = _drift_only_update(bundle, triple, y, t + dt / 2.0, dt / 2.0, config)
-    else:
-        y = _drift_only_update(bundle, triple, x, t, dt, config)
+    if config.scheme == "drift_implicit" and bundle.drift_implicit_solve is not None:
+        return np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float), {}
+    y = x.copy()
+    failed = {}
+    for p in range(x.shape[0]):
+        if p in dead:
+            continue
+        try:
+            y[p] = _drift_only_update(bundle, triple, x[p], t, dt, config)
+        except StepFailure:
+            try:
+                half = _drift_only_update(bundle, triple, x[p], t, dt / 2.0, config)
+                y[p] = _drift_only_update(bundle, triple, half, t + dt / 2.0, dt / 2.0, config)
+            except StepFailure as exc:
+                failed[p] = exc
+    return y, failed
 
-    y = y + bundle.apply_diffusion(t, x_state, np.asarray(wiener_increment, dtype=float))
 
+def _step_rows(x, t, dt, bundle, triple, dw, events, mark_space, config, dead=frozenset()):
+    """One step of every row of x (P, m) over [t, t+dt].
+
+    ``dw`` holds the rows' Wiener increments (P, m); ``events`` lists
+    (row, JumpEvent) pairs, in time order within each row.  Rows in ``dead``
+    and rows whose drift solve failed get no jumps, and their end states are
+    meaningless.  Returns (end states, [(row, tau, pre, post), ...], failed).
+    """
+    y, failed = _drift_rows(bundle, triple, x, t, dt, config, dead)
+    y = y + bundle.apply_diffusion(t, x, dw)
+    m = x.shape[1]
     entries = []
-    for ev in jumps_in_step:
+    for p, ev in events:
         if not (t < ev.time <= t + dt + 1e-12 * max(1.0, t + dt)):
             raise ValueError(f"jump at {ev.time} outside step ({t}, {t + dt}]")
+        if p in dead or p in failed:
+            continue
         z = float(mark_space.marks[ev.mark_index])
-        pre = y
+        pre = y[p].copy()
         g = np.asarray(bundle.jump(ev.time, unchecked_state(m, pre, ev.time), z), dtype=float)
-        y = pre + g
-        entries.append((ev.time, pre, y))
-
-    y = y - _compensator(bundle, x_state, t, dt)
-    return y, entries
+        y[p] = pre + g
+        entries.append((p, ev.time, pre, y[p].copy()))
+    if not bundle.mark_space.is_zero:
+        y = y - dt * bundle.compensator_density(t, x)
+    return y, entries, failed
 
 
 def step(
@@ -268,10 +285,145 @@ def step(
     """Advance one step; ``jumps_in_step`` must have times in (t, t+dt]."""
     if config is None:
         config = SolverConfig(dt=dt, T=max(2 * dt, dt + 1.0), level=state.level)
-    y, _ = _step_events(
-        state.coeffs, t, dt, bundle, triple, wiener_increment, jumps_in_step, mark_space, config
+    y, _, failed = _step_rows(
+        state.coeffs[None, :], t, dt, bundle, triple,
+        np.asarray(wiener_increment, dtype=float)[None, :],
+        [(0, ev) for ev in jumps_in_step], mark_space, config,
     )
-    return GalerkinState(level=state.level, coeffs=y, time=t + dt)
+    if failed:
+        raise failed[0]
+    return GalerkinState(level=state.level, coeffs=y[0], time=t + dt)
+
+
+def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray, times):
+    """(‖u‖_H, ‖u‖_V) of each row of ``states`` (..., m) at ``times`` (...)."""
+    shape, m = states.shape[:-1], states.shape[-1]
+    flat = states.reshape(-1, m)
+    norm_h = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    if bundle.v_norm is None:
+        w = triple.v_weights[:m]
+        norm_v = np.sqrt(np.einsum("ij,ij->i", flat * w, flat))
+    else:
+        ts = np.broadcast_to(times, shape).reshape(-1)
+        norm_v = np.array(
+            [bundle.v_norm(unchecked_state(m, s, float(tt))) for s, tt in zip(flat, ts)], dtype=float
+        )
+    return norm_h.reshape(shape), norm_v.reshape(shape)
+
+
+def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_states):
+    """The stepping core: P = len(seeds) paths from x0 as one (P, m) array.
+
+    ``chunks`` yields the Wiener increments in time chunks of shape
+    (steps, P, m); ``jumps[p]`` is path p's time-sorted event list.
+    """
+    m, dt, n_steps = config.level, config.dt, config.n_steps
+    if m > triple.dimension_cap:
+        raise ValueError(f"level {m} exceeds dimension_cap {triple.dimension_cap}")
+    n_paths = len(seeds)
+    init = triple.project(np.asarray(x0, dtype=float), m).coeffs
+    x = np.repeat(init[None, :], n_paths, axis=0)
+
+    # grid times; step k covers (grid[k], grid[k + 1]] and takes the events
+    # up to its end (plus rounding slack)
+    grid = np.arange(n_steps + 1) * dt
+    grid[-1] = config.T
+    step_ends = grid[1:] + 1e-15
+    events_at: dict[int, list] = {}
+    for p, evs in enumerate(jumps):
+        ks = np.searchsorted(step_ends, [ev.time for ev in evs])
+        for k, ev in zip(ks.tolist(), evs):
+            events_at.setdefault(k, []).append((p, ev))
+
+    norms = [_norms(bundle, triple, x[None], grid[:1])]
+    grid_states = [x[None].copy()] if keep_states else None
+    entries = [[] for _ in range(n_paths)]
+    steps_done = [n_steps] * n_paths
+    dead: set[int] = set()
+    k = 0
+    for chunk in chunks:
+        block = np.empty((len(chunk), n_paths, m))
+        for i, dw in enumerate(chunk):
+            y, step_entries, failed = _step_rows(
+                x, k * dt, dt, bundle, triple, dw, events_at.get(k, ()), mark_space, config, dead
+            )
+            for p, tau, pre, post in step_entries:
+                entries[p].append((k, tau, pre, post))
+            for p in failed:
+                steps_done[p] = k
+                dead.add(p)
+                y[p] = x[p]
+            block[i] = y
+            x = y
+            k += 1
+        norms.append(_norms(bundle, triple, block, grid[k - len(block) + 1 : k + 1, None]))
+        if keep_states:
+            grid_states.append(block)
+    norm_h = np.concatenate([nh for nh, _ in norms])
+    norm_v = np.concatenate([nv for _, nv in norms])
+    states = np.concatenate(grid_states) if keep_states else None
+    return [
+        _record(bundle, triple, config, seeds[p], grid, norm_h[:, p], norm_v[:, p],
+                None if states is None else states[:, p], entries[p], steps_done[p])
+        for p in range(n_paths)
+    ]
+
+
+def _record(bundle, triple, config, seed, grid, grid_h, grid_v, grid_states, entries, steps_done):
+    """Interleave one path's grid rows and jump rows into its PathRecord."""
+    rows = steps_done + 1
+    n_jumps = len(entries)
+    ks = np.array([e[0] for e in entries], dtype=int)
+    taus = np.repeat([e[1] for e in entries], 2)
+    jump_states = np.array([s for e in entries for s in e[2:]]).reshape(2 * n_jumps, config.level)
+    # grid row r follows the jumps of steps before r; step k's jumps follow
+    # grid row k, each as a (pre, post) pair
+    at_grid = np.arange(rows) + 2 * np.searchsorted(ks, np.arange(rows))
+    at_pre = ks + 1 + 2 * np.arange(n_jumps)
+    at_jump = np.stack([at_pre, at_pre + 1], axis=1).reshape(-1)
+    n = rows + 2 * n_jumps
+
+    times = np.empty(n)
+    times[at_grid] = grid[:rows]
+    times[at_jump] = taus
+    jump_h, jump_v = _norms(bundle, triple, jump_states, taus)
+    norm_h = np.empty(n)
+    norm_h[at_grid] = grid_h[:rows]
+    norm_h[at_jump] = jump_h
+    norm_v = np.empty(n)
+    norm_v[at_grid] = grid_v[:rows]
+    norm_v[at_jump] = jump_v
+    is_grid = np.zeros(n, dtype=bool)
+    is_grid[at_grid] = True
+    is_jump_post = np.zeros(n, dtype=bool)
+    is_jump_post[at_pre + 1] = True
+    states = None
+    if grid_states is not None:
+        states = np.empty((n, config.level))
+        states[at_grid] = grid_states[:rows]
+        states[at_jump] = jump_states
+
+    truncated_at = float(grid[steps_done]) if steps_done < config.n_steps else None
+    finite = np.isfinite(norm_h) & np.isfinite(norm_v)
+    if not finite.all():
+        cut = int(np.argmin(finite))
+        truncated_at = float(times[cut])
+        times, norm_h, norm_v = times[:cut], norm_h[:cut], norm_v[:cut]
+        is_grid, is_jump_post = is_grid[:cut], is_jump_post[:cut]
+        states = None if states is None else states[:cut]
+    return PathRecord(
+        times=times,
+        states=states,
+        is_jump_post=is_jump_post,
+        norm_h=norm_h,
+        norm_v=norm_v,
+        level=config.level,
+        dt=config.dt,
+        T=config.T,
+        seed=seed,
+        truncated_at=truncated_at,
+        is_grid=is_grid,
+    )
 
 
 def solve_path(
@@ -290,79 +442,37 @@ def solve_path(
     noise coupling used by the Galerkin-convergence study.
     """
     m = config.level
-    if m > triple.dimension_cap:
-        raise ValueError(f"level {m} exceeds dimension_cap {triple.dimension_cap}")
     if realization is None:
         realization = sample_noise(m, config.T, config.dt, mark_space, seed)
     if realization.m < m:
         raise ValueError(f"realization has {realization.m} Wiener modes, need {m}")
     if abs(realization.dt - config.dt) > 1e-12 or realization.T < config.T - 1e-12:
         raise ValueError("realization grid does not match the solver config")
+    jumps = tuple(ev for ev in realization.jumps if ev.time <= config.T)
+    wiener = realization.wiener[: config.n_steps, None, :m]
+    return _solve(bundle, triple, x0, config, mark_space, [seed], [wiener], [jumps], True)[0]
 
-    init = triple.project(np.asarray(x0, dtype=float), m)
-    dt, n_steps = config.dt, config.n_steps
 
-    times = [0.0]
-    states = [init.coeffs.copy()]
-    flags = [False]
-    truncated_at = None
+def solve_paths(
+    bundle: CoefficientBundle,
+    triple: GelfandTriple,
+    x0,
+    config: SolverConfig,
+    mark_space: MarkSpace,
+    seeds,
+    keep_states: bool = True,
+) -> list[PathRecord]:
+    """``[solve_path(..., seed=s) for s in seeds]``, advanced as one batch.
 
-    jumps = [ev for ev in realization.jumps if ev.time <= config.T]
-    j_ptr = 0
-    x = init.coeffs.copy()
-    for k in range(n_steps):
-        t = k * dt
-        t_next = (k + 1) * dt if k + 1 < n_steps else config.T
-        dW = realization.wiener[k, :m]
-        step_jumps = []
-        while j_ptr < len(jumps) and jumps[j_ptr].time <= t_next + 1e-15:
-            step_jumps.append(jumps[j_ptr])
-            j_ptr += 1
-        try:
-            y, entries = _step_events(
-                x, t, dt, bundle, triple, dW, step_jumps, mark_space, config
-            )
-        except StepFailure:
-            # one retry with the drift substep halved before propagating
-            try:
-                y, entries = _step_events(
-                    x, t, dt, bundle, triple, dW, step_jumps, mark_space, config,
-                    halve_drift=True,
-                )
-            except StepFailure:
-                truncated_at = t
-                break
-        for tau, pre, post in entries:
-            times.extend([tau, tau])
-            states.extend([pre.copy(), post.copy()])
-            flags.extend([False, True])
-        times.append(t_next)
-        states.append(y.copy())
-        flags.append(False)
-        x = y
-
-    states_arr = np.asarray(states)
-    times_arr = np.asarray(times)
-    norm_h = np.sqrt(np.einsum("ij,ij->i", states_arr, states_arr))
-    if bundle.v_norm is None:
-        w = triple.v_weights[:m]
-        norm_v = np.sqrt(np.einsum("ij,ij->i", states_arr * w, states_arr))
-    else:
-        norm_v = np.array(
-            [bundle.v_norm(unchecked_state(m, s, float(tt))) for s, tt in zip(states_arr, times_arr)]
-        )
-    return PathRecord(
-        times=times_arr,
-        states=states_arr,
-        is_jump_post=np.asarray(flags, dtype=bool),
-        norm_h=norm_h,
-        norm_v=norm_v,
-        level=m,
-        dt=dt,
-        T=config.T,
-        seed=seed,
-        truncated_at=truncated_at,
-    )
+    Record p equals ``solve_path(..., seed=seeds[p])`` bit for bit.  Each
+    path draws its Wiener increments from its own sub-stream, in chunks of
+    ``WIENER_CHUNK`` steps, so the whole-horizon noise is never held.  With
+    ``keep_states=False`` the records carry times and norms only.
+    """
+    seeds = [int(s) for s in seeds]
+    chunks = wiener_chunks(seeds, config.level, config.n_steps, config.dt, WIENER_CHUNK)
+    jumps = [sample_jumps(config.T, mark_space, s) for s in seeds]
+    return _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_states)
 
 
 def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0):
@@ -387,6 +497,7 @@ def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0
         times=record.times[sl].copy(),
         states=record.states[sl].copy(),
         is_jump_post=record.is_jump_post[sl].copy(),
+        is_grid=record.is_grid[sl].copy(),
         norm_h=record.norm_h[sl].copy(),
         norm_v=record.norm_v[sl].copy(),
         level=record.level,

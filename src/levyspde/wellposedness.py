@@ -5,7 +5,8 @@ All studies couple their comparisons through shared noise: the same
 realization drives both members of a pair, and in the level study the
 level-m solve consumes the first m Wiener modes of the reference
 realization together with the identical jump event list, mirroring the
-nesting of the truncated noise projections.
+nesting of the truncated noise projections.  A path whose record was
+truncated yields NaN, so the study fails instead of comparing a prefix.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import CoefficientBundle, HypothesisConstants
-from .noise import JumpEvent, MarkSpace, NoiseRealization, _path_seed, sample_noise
+from .noise import JumpEvent, MarkSpace, NoiseRealization, ci99, sample_noise
 from .parallel import map_indexed
+from .rng import path_seed
 from .solver import SolverConfig, solve_path
 from .spaces import GalerkinState, GelfandTriple
 
@@ -31,15 +33,6 @@ __all__ = [
     "continuous_dependence_study",
     "galerkin_convergence",
 ]
-
-Z99 = 2.576
-
-
-def _ci99(values: np.ndarray) -> float:
-    if values.size < 2:
-        return float("inf")
-    return Z99 * float(values.std(ddof=1)) / np.sqrt(values.size)
-
 
 class StabilityWeight:
     """Accumulator for φ(t) = exp(−∫_0^t [f + ρ(Y1) + η(Y2)] ds).
@@ -95,13 +88,15 @@ def _reorder_same_step_marks(realization: NoiseRealization, dt: float) -> NoiseR
 
 def _uniqueness_worker(ctx, i: int):
     bundle, triple, x0, config, mark_space, seed, stress = ctx
-    ps = _path_seed(seed, i)
+    ps = path_seed(seed, i)
     realization = sample_noise(config.level, config.T, config.dt, mark_space, ps)
     rec1 = solve_path(bundle, triple, x0, config, mark_space, seed=ps, realization=realization)
     second = (
         _reorder_same_step_marks(realization, config.dt) if stress else realization
     )
     rec2 = solve_path(bundle, triple, x0, config, mark_space, seed=ps, realization=second)
+    if rec1.truncated_at is not None or rec2.truncated_at is not None:
+        return float("nan")
     # compare on the step grid: within-step jump sequencing is an artifact
     # of the splitting, the path itself is its end-of-step skeleton
     _, s1 = rec1.step_grid_view()
@@ -129,7 +124,7 @@ def pathwise_uniqueness_test(
     """
     ctx = (bundle, triple, np.asarray(x0, dtype=float), config, mark_space, seed, stress)
     sups = map_indexed(_uniqueness_worker, ctx, n_paths, workers)
-    return float(max(sups))
+    return float(np.max(sups))
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +146,12 @@ class StabilityResult:
 
 def _stability_worker(ctx, i: int):
     bundle, triple, constants, x0_a, x0_b, config, mark_space, seed = ctx
-    ps = _path_seed(seed, i)
+    ps = path_seed(seed, i)
     realization = sample_noise(config.level, config.T, config.dt, mark_space, ps)
     rec_a = solve_path(bundle, triple, x0_a, config, mark_space, seed=ps, realization=realization)
     rec_b = solve_path(bundle, triple, x0_b, config, mark_space, seed=ps, realization=realization)
+    if rec_a.truncated_at is not None or rec_b.truncated_at is not None:
+        return np.full(config.n_steps + 1, np.nan)
     t_a, s_a = rec_a.step_grid_view()
     _, s_b = rec_b.step_grid_view()
     weight = StabilityWeight(constants.f_at, bundle.rho, bundle.eta)
@@ -200,7 +197,7 @@ def weighted_stability_mc(
     ctx = (bundle, triple, constants, x0_a, x0_b, config, mark_space, seed)
     curves = np.stack(map_indexed(_stability_worker, ctx, n_paths, workers))
     lhs = curves.mean(axis=0)
-    ci = np.array([_ci99(curves[:, k]) for k in range(curves.shape[1])])
+    ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
     n_nodes = lhs.size
     times = np.arange(n_nodes) * config.dt
     pad = max(x0_a.size, x0_b.size)
@@ -244,7 +241,7 @@ class DependenceTable:
 
 def _dependence_worker(ctx, i: int):
     bundle, triple, x0, deltas, direction, p, config, mark_space, seed = ctx
-    ps = _path_seed(seed, i)
+    ps = path_seed(seed, i)
     realization = sample_noise(config.level, config.T, config.dt, mark_space, ps)
     base = solve_path(bundle, triple, x0, config, mark_space, seed=ps, realization=realization)
     out = np.empty(len(deltas))
@@ -256,6 +253,9 @@ def _dependence_worker(ctx, i: int):
             bundle, triple, x0 + d * direction, config, mark_space, seed=ps,
             realization=realization,
         )
+        if base.truncated_at is not None or pert.truncated_at is not None:
+            out[j] = np.nan
+            continue
         diff = pert.states - base.states
         sup = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max())
         out[j] = sup**p
@@ -288,7 +288,7 @@ def continuous_dependence_study(
     return DependenceTable(
         deltas=np.asarray(deltas),
         values=rows.mean(axis=0),
-        ci99=np.array([_ci99(rows[:, j]) for j in range(rows.shape[1])]),
+        ci99=np.array([ci99(rows[:, j]) for j in range(rows.shape[1])]),
         p=float(p),
     )
 
@@ -310,7 +310,7 @@ class ConvergenceTable:
 def _convergence_worker(ctx, i: int):
     bundle, triple, x0, levels, config, mark_space, seed, beta = ctx
     m_ref = max(levels)
-    ps = _path_seed(seed, i)
+    ps = path_seed(seed, i)
     realization = sample_noise(m_ref, config.T, config.dt, mark_space, ps)
     records = {}
     for m in levels:
@@ -318,6 +318,8 @@ def _convergence_worker(ctx, i: int):
         records[m] = solve_path(
             bundle, triple, x0, cfg, mark_space, seed=ps, realization=realization
         )
+    if any(rec.truncated_at is not None for rec in records.values()):
+        return np.full(len(levels), np.nan)
     ref = records[m_ref]
     dts = np.diff(ref.times)
     out = np.empty(len(levels))
@@ -358,7 +360,7 @@ def galerkin_convergence(
     return ConvergenceTable(
         levels=np.asarray(levels),
         distances=rows.mean(axis=0),
-        ci99=np.array([_ci99(rows[:, j]) for j in range(rows.shape[1])]),
+        ci99=np.array([ci99(rows[:, j]) for j in range(rows.shape[1])]),
         beta=float(beta),
         reference_level=levels[-1],
     )

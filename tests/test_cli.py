@@ -239,3 +239,32 @@ def test_check_detects_broken_model(tmp_path, capsys):
     )
     assert main(["check", "--config", str(path)]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "energy", "residual", "modulus", "stability", "converge", "uniqueness"]
+)
+def test_non_finite_initial_norm_fails(tmp_path, command):
+    # ‖x0‖_H overflows to inf: every path is truncated and the study fails
+    study = {"n_paths": 4, "p_list": [2.0], "m_list": [2, 4], "delta_list": [0.02, 0.04]}
+    path = _write_config(tmp_path, x0=[1e308, 1e308], study=study)
+    assert main([command, "--config", str(path)]) == 2
+    if command == "simulate":
+        body = (tmp_path / "out" / "path.csv").read_text()
+        assert "inf" not in body and "nan" not in body
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5, True])
+def test_config_seed_outside_64_bits_rejected(tmp_path, capsys, seed):
+    # the RNG folds seeds into 64 bits, so 2**64 + 5 would alias seed 5
+    path = _write_config(tmp_path, master_seed=seed)
+    assert main(["uniqueness", "--config", str(path)]) == 1
+    assert "master_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
+    path = _write_config(tmp_path)
+    assert main(["uniqueness", "--config", str(path), "--seed", seed]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert main(["uniqueness", "--config", str(path), "--seed", str(2**64 - 1)]) == 0

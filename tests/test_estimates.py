@@ -1,11 +1,15 @@
 """Energy statistics, the squared-norm balance replay, and the modulus table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from levyspde import estimates
 from levyspde.estimates import (
     discrete_energy_residual,
     energy_estimate_mc,
+    energy_table,
     modulus_of_continuity,
     path_energy_functionals,
 )
@@ -122,6 +126,22 @@ def test_medians_reported_for_heavy_tails(heat_spec):
     stats2 = energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
                                 2.0, cfg, n_paths=50, seed=0)
     assert stats2.medians is None
+
+
+def test_energy_table_independent_of_workers_and_batches(heat_spec, monkeypatch):
+    cfg = SolverConfig(dt=0.01, T=0.5, level=4)
+
+    def run(workers):
+        stats = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                             [2.0, 4.0], cfg, n_paths=30, seed=4, workers=workers)
+        return [dataclasses.asdict(st) for st in stats]
+
+    reference = run(1)
+    assert run(2) == reference
+    assert run(4) == reference
+    monkeypatch.setattr(estimates, "ENERGY_BATCH", 1)
+    assert run(1) == reference
+    assert run(2) == reference
 
 
 # ---------------------------------------------------------------------------

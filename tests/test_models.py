@@ -157,26 +157,39 @@ def test_reaction_requires_grid():
 
 @pytest.mark.parametrize("model_id", BUILTIN_IDS)
 def test_fast_path_hooks_match_reference_forms(model_id):
-    # the solver's matvec/compensator hooks agree with the audited matrix
-    # and per-mark forms on random states
+    # the solver's closed-form hooks agree with the audited matrix, the
+    # per-mark forms and the implicit equation on random states, and a
+    # (P, m) batch gives each row exactly its single-row result
     spec = builtin(model_id)
     bundle = spec.bundle
+    marks = bundle.mark_space
     rng = np.random.default_rng(77)
     for _ in range(10):
-        state = GalerkinState(6, rng.standard_normal(6) * rng.choice([0.1, 1.0, 10.0]))
-        dw = rng.standard_normal(6)
-        reference = np.asarray(bundle.diffusion(0.3, state)) @ dw
-        np.testing.assert_allclose(
-            bundle.apply_diffusion(0.3, state, dw), reference, atol=1e-13, rtol=1e-13
-        )
-        if not bundle.mark_space.is_zero:
-            loop = sum(
-                lam * np.asarray(bundle.jump(0.3, state, float(z)))
-                for z, lam in zip(bundle.mark_space.marks, bundle.mark_space.weights)
-            )
-            np.testing.assert_allclose(
-                bundle.compensator_density(0.3, state), loop, atol=1e-13, rtol=1e-13
-            )
+        u = rng.standard_normal((3, 6)) * rng.choice([0.1, 1.0, 10.0], size=(3, 1))
+        dw = rng.standard_normal((3, 6))
+        batch = bundle.apply_diffusion(0.3, u, dw)
+        assert batch.shape == u.shape
+        density = None if marks.is_zero else bundle.compensator_density(0.3, u)
+        for p in range(3):
+            state = GalerkinState(6, u[p])
+            reference = np.asarray(bundle.diffusion(0.3, state)) @ dw[p]
+            np.testing.assert_allclose(batch[p], reference, atol=1e-13, rtol=1e-13)
+            np.testing.assert_array_equal(batch[p], bundle.apply_diffusion(0.3, u[p], dw[p]))
+            if density is not None:
+                loop = sum(
+                    lam * np.asarray(bundle.jump(0.3, state, float(z)))
+                    for z, lam in zip(marks.marks, marks.weights)
+                )
+                np.testing.assert_allclose(density[p], loop, atol=1e-13, rtol=1e-13)
+                np.testing.assert_array_equal(density[p], bundle.compensator_density(0.3, u[p]))
+        if bundle.drift_implicit_solve is not None:
+            dt = 0.01
+            y = bundle.drift_implicit_solve(0.3, u, dt)
+            assert y.shape == u.shape
+            for p in range(3):
+                a = np.asarray(bundle.drift(0.3, GalerkinState(6, y[p])))
+                np.testing.assert_allclose(y[p] - dt * a, u[p], atol=1e-12, rtol=1e-12)
+                np.testing.assert_array_equal(y[p], bundle.drift_implicit_solve(0.3, u[p], dt))
 
 
 def test_resolve_dispatch():

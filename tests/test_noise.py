@@ -11,7 +11,9 @@ from levyspde.noise import (
     dump_jsonl,
     ito_isometry_check,
     load_jsonl,
+    sample_jumps,
     sample_noise,
+    wiener_chunks,
 )
 from levyspde.rng import derive_rng
 
@@ -188,3 +190,16 @@ def test_substream_independence_keys():
     c = derive_rng(5, "wiener").standard_normal(4)
     np.testing.assert_array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+def test_chunked_draws_match_one_shot_realization():
+    # ensemble solves draw each path's increments a chunk at a time from its
+    # own stream; stacked, they are sample_noise's one-shot draw bit for bit
+    seeds = [3, 17, 2**63 + 5]
+    chunks = list(wiener_chunks(seeds, 4, 150, 0.01, 64))
+    assert [c.shape for c in chunks] == [(64, 3, 4), (64, 3, 4), (22, 3, 4)]
+    stacked = np.concatenate(chunks)
+    for p, seed in enumerate(seeds):
+        real = sample_noise(4, 1.5, 0.01, TWO_MARKS, seed)
+        np.testing.assert_array_equal(stacked[:, p], real.wiener)
+        assert sample_jumps(1.5, TWO_MARKS, seed) == real.jumps

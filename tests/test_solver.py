@@ -5,15 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from levyspde.coefficients import CoefficientBundle
+from levyspde.models import builtin
 from levyspde.noise import JumpEvent, MarkSpace, NoiseRealization, sample_noise
+from levyspde.rng import path_seed
 from levyspde.solver import (
     SolverConfig,
     StoppingTimeRule,
     apply_stopping,
     solve_path,
+    solve_paths,
     step,
 )
-from levyspde.spaces import GalerkinState
+from levyspde.spaces import GalerkinState, GelfandTriple
 
 from conftest import make_pure_jump, make_scalar_linear
 
@@ -317,3 +321,77 @@ def test_tamed_explicit_scheme_runs(allen_cahn_spec):
                      allen_cahn_spec.default_x0, cfg, allen_cahn_spec.bundle.mark_space, seed=9)
     assert rec.truncated_at is None
     assert np.all(np.isfinite(rec.states))
+
+
+def test_grid_view_excludes_pre_jump_rows_near_grid_times(heat_spec):
+    # jumps at a grid time and 1e-13 before it: their pre-jump rows lie
+    # within float tolerance of the grid but are not grid rows
+    real = NoiseRealization(
+        wiener=np.zeros((10, 2)),
+        jumps=(JumpEvent(0.03 - 1e-13, 0), JumpEvent(0.03, 1)),
+        seed=0, m=2, dt=0.01, T=0.1,
+    )
+    cfg = SolverConfig(dt=0.01, T=0.1, level=2)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
+                     heat_spec.bundle.mark_space, seed=0, realization=real)
+    assert rec.n_jump_entries == 2
+    times, states = rec.step_grid_view()
+    np.testing.assert_array_equal(times, np.arange(11) * 0.01)
+    np.testing.assert_array_equal(states[-1], rec.final_state())
+    # the grid row at 0.03 ends the step, after both jumps and the compensator
+    np.testing.assert_array_equal(states[3], rec.states[7])
+
+
+PATH_FIELDS = ("times", "is_jump_post", "is_grid", "norm_h", "norm_v", "truncated_at", "seed")
+
+
+def _assert_same_record(got, want, states=True):
+    for field in PATH_FIELDS + (("states",) if states else ()):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
+@pytest.mark.parametrize("model_id", ["heat", "grad_noise_linear", "p_laplacian"])
+def test_batch_rows_equal_single_path_solves(model_id):
+    # p_laplacian: Newton rows one at a time and the v_norm functional
+    spec = builtin(model_id)
+    cfg = SolverConfig(dt=0.01, T=1.0, level=5)  # 100 steps: two Wiener chunks
+    seeds = [path_seed(3, i) for i in range(6)]
+    args = (spec.bundle, spec.triple, spec.default_x0, cfg, spec.bundle.mark_space)
+    batch = solve_paths(*args, seeds)
+    norms_only = solve_paths(*args, seeds, keep_states=False)
+    assert spec.bundle.mark_space.is_zero or sum(rec.n_jump_entries > 0 for rec in batch) >= 3
+    for seed, rec, light in zip(seeds, batch, norms_only):
+        reference = solve_path(*args, seed=seed)
+        _assert_same_record(rec, reference)
+        _assert_same_record(light, reference, states=False)
+        assert light.states is None
+
+
+def test_batch_newton_rows_truncate_independently():
+    # past u = 1.0100003 the implicit equation y - dt(-y + 1e8 (y-1)_+^2) = u
+    # has no root, so a path that gets there is truncated; the others go on
+    marks = MarkSpace(marks=np.array([0.5]), weights=np.array([1.0]))
+    bundle = CoefficientBundle(
+        drift=lambda t, s: -s.coeffs + 1e8 * np.maximum(s.coeffs - 1.0, 0.0) ** 2,
+        diffusion=lambda t, s: np.diag(0.8 * s.coeffs),
+        jump=lambda t, s, z: z * s.coeffs,
+        mark_space=marks,
+    )
+    triple = GelfandTriple(dimension_cap=1, v_weights=np.ones(1))
+    cfg = SolverConfig(dt=0.01, T=1.0, level=1, newton_max_iter=20)
+    seeds = list(range(8))
+    batch = solve_paths(bundle, triple, np.array([0.8]), cfg, marks, seeds)
+    truncated = [rec.truncated_at is not None for rec in batch]
+    assert any(truncated) and not all(truncated)
+    for seed, rec in zip(seeds, batch):
+        _assert_same_record(rec, solve_path(bundle, triple, np.array([0.8]), cfg, marks, seed=seed))
+
+
+def test_non_finite_norm_truncates_the_record(heat_spec):
+    cfg = SolverConfig(dt=0.1, T=1.0, level=2)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, np.array([1e308, 1e308]), cfg,
+                     heat_spec.bundle.mark_space, seed=0)
+    assert rec.truncated_at == 0.0 and rec.times.size == 0
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, np.array([1e154, 0.0]), cfg,
+                     heat_spec.bundle.mark_space, seed=0)
+    assert rec.truncated_at is None and np.all(np.isfinite(rec.norm_v))

@@ -188,12 +188,12 @@ def test_galerkin_heat_distance_equals_reference_tail_oracle(heat_spec):
         heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, levels, cfg,
         heat_spec.bundle.mark_space, n_paths=n_paths, seed=7,
     )
-    from levyspde.noise import _path_seed
+    from levyspde.rng import path_seed
 
     for j, m in enumerate(levels[:-1]):
         oracle_vals = []
         for i in range(n_paths):
-            ps = _path_seed(7, i)
+            ps = path_seed(7, i)
             real = sample_noise(8, 0.5, 0.01, heat_spec.bundle.mark_space, ps)
             ref = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
                              dataclasses.replace(cfg, level=8), heat_spec.bundle.mark_space,
