@@ -309,6 +309,8 @@ def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     deltas = _study_floats(exp, "perturbations", [1e-1, 1e-2, 1e-3])
+    if sum(d > 0.0 for d in deltas) < 2:
+        raise ConfigError("study.perturbations", "the slope fit needs at least two positive entries")
     p = float(exp.study.get("p", 2.0))
     _check_p_admissibility(exp, [p])
     n_paths = _study_int(exp, "n_paths", 200)
@@ -320,10 +322,11 @@ def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     _write_table(out / "depend.csv", ANCHORS["depend"],
                  ("delta", "sup_difference_p_moment", "ci99"), rows, fmt)
     order = np.argsort(table.deltas)
-    decreasing = bool(np.all(np.diff(table.values[order]) >= 0.0))
-    _write_sidecar(out / "depend_meta.json", exp, "depend", decreasing,
-                   {"log_slope": table.log_slope(), "p": p})
-    return decreasing, f"table log-log slope {table.log_slope():.3f} at p={p:g}"
+    slope = table.log_slope()
+    # a truncated path makes the table NaN, which fails the comparisons too
+    ok = bool(np.all(np.diff(table.values[order]) >= 0.0) and np.isfinite(slope))
+    _write_sidecar(out / "depend_meta.json", exp, "depend", ok, {"log_slope": slope, "p": p})
+    return ok, f"table log-log slope {slope:.3f} at p={p:g}"
 
 
 def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):

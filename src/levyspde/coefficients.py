@@ -34,7 +34,7 @@ import numpy as np
 
 from .noise import MarkSpace
 from .rng import derive_rng
-from .spaces import GalerkinState, GelfandTriple, unchecked_state
+from .spaces import GelfandTriple
 
 __all__ = [
     "CoefficientBundle",
@@ -72,82 +72,73 @@ class AuditFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class CoefficientBundle:
-    """The coefficient triple (A, B, gamma) on Galerkin states.
+    """The coefficients (A, B, gamma) of the Galerkin system, on coefficient arrays.
 
-    ``drift(t, state)`` returns the dual-space coordinate vector of length
-    ``state.level``; ``diffusion(t, state)`` the level x level matrix mapping
-    truncated Wiener modes into H_m; ``jump(t, state, z)`` the H_m jump
-    vector for mark z.
+    A state of H_m is its coefficient vector, so every callable takes the
+    array ``u`` of shape (..., m): one state is a 1-D array, and leading
+    axes hold a batch of states.  Each result keeps those leading axes:
 
-    Optional hooks:
+    * ``drift(t, u)`` -> (..., m): the dual-space coordinates of A(t, u);
+    * ``diffusion(t, u)`` -> (..., m, m): B(t, u) on the first m Wiener modes;
+    * ``jump(t, u, z)`` -> (..., m): gamma(t, u, z) for the mark z.
 
-    * ``rho`` / ``eta``: the local-monotonicity functionals, required by the
-      H2/H2star audits and the weighted stability study.
-    * ``local_bound``: M_t(r) for the H2prime audit.
-    * ``v_norm``: scalar functional replacing the diagonal V-norm in
-      estimates when the model's V is not the weighted l2 space (beta != 2).
-    * ``drift_jacobian``: analytic Jacobian of the drift for Newton solves.
-    * ``drift_implicit_solve(t, x, dt)``: exact solver y = x + dt A(t, y)
-      for models where backward Euler has a closed form (diagonal linear
-      drifts).
-    * ``diffusion_matvec(t, u, dw)``: B(t, u) ΔW without materializing the
-      matrix.
-    * ``jump_weighted_sum(t, u)``: Σ_i lam_i γ(t, u, z_i), the compensator
-      density, in closed form.
+    Optional fields:
 
-    Batch contract of the three closed-form hooks: they take and return
-    plain coefficient arrays with any leading batch axes, ``x``, ``u`` and
-    ``dw`` of shape (..., m), and act on each row exactly as on that row
-    alone, so the solver advances a whole ensemble (P, m) with one call per
-    step.  A bundle that lacks a hook falls back row by row: damped Newton
-    on ``drift`` (with its halved-drift retry and truncation), ``diffusion``
-    times ΔW, and the mark loop over ``jump``.
+    * ``rho(u)`` / ``eta(u)`` -> (...): the local-monotonicity functionals,
+      required by the H2/H2star audits and the weighted stability study.
+    * ``local_bound(t, r)``: M_t(r) for the H2prime audit (scalars).
+    * ``v_norm(u)`` -> (...): the V-norm, when the model's V is not the
+      diagonal weighted l2 space (beta != 2).
+    * ``drift_jacobian(t, u)`` -> (..., m, m): dA/du for the Newton solves;
+      finite differences of ``drift`` stand in without it.
+    * Closed forms the solver uses in place of the general ones:
+      ``drift_implicit_solve(t, x, dt)`` the y with y - dt A(t, y) = x,
+      ``diffusion_matvec(t, u, dw)`` B(t, u) dw without the matrix, and
+      ``jump_weighted_sum(t, u)`` the compensator density
+      sum_i lam_i gamma(t, u, z_i); ``x``, ``u`` and ``dw`` are (..., m).
 
-    The hooks are solver fast paths only.  Audits always evaluate the full
-    ``drift``, ``diffusion`` matrix and ``jump``, so a wrong fast path cannot
-    hide a hypothesis violation.
+    A batch row's result must equal that row's 1-D call bit for bit, so a
+    path's record does not depend on the batch it ran in.  On a grid the
+    stacked product ``phi @ u[..., None]`` keeps that rule for every batch
+    size; ``u @ phi.T`` and ``einsum`` change last bits with the batch size.
+
+    The closed forms are solver fast paths only.  Audits always evaluate the
+    full ``drift``, ``diffusion`` matrix and ``jump``, so a wrong closed form
+    cannot hide a hypothesis violation.
     """
 
-    drift: Callable[[float, GalerkinState], np.ndarray]
-    diffusion: Callable[[float, GalerkinState], np.ndarray]
-    jump: Callable[[float, GalerkinState, float], np.ndarray]
+    drift: Callable[[float, np.ndarray], np.ndarray]
+    diffusion: Callable[[float, np.ndarray], np.ndarray]
+    jump: Callable[[float, np.ndarray, float], np.ndarray]
     mark_space: MarkSpace
-    rho: Callable[[GalerkinState], float] | None = None
-    eta: Callable[[GalerkinState], float] | None = None
+    rho: Callable[[np.ndarray], np.ndarray] | None = None
+    eta: Callable[[np.ndarray], np.ndarray] | None = None
     local_bound: Callable[[float, float], float] | None = None
-    v_norm: Callable[[GalerkinState], float] | None = None
-    drift_jacobian: Callable[[float, GalerkinState], np.ndarray] | None = None
+    v_norm: Callable[[np.ndarray], np.ndarray] | None = None
+    drift_jacobian: Callable[[float, np.ndarray], np.ndarray] | None = None
     drift_implicit_solve: Callable[[float, np.ndarray, float], np.ndarray] | None = None
     diffusion_matvec: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     jump_weighted_sum: Callable[[float, np.ndarray], np.ndarray] | None = None
 
-    def v_norm_of(self, triple: GelfandTriple, state: GalerkinState) -> float:
+    def v_norm_of(self, triple: GelfandTriple, u: np.ndarray) -> float:
+        """‖u‖_V of one state u (m,)."""
         if self.v_norm is not None:
-            return float(self.v_norm(state))
-        return triple.norm_v(state.coeffs)
+            return float(self.v_norm(u))
+        return triple.norm_v(u)
 
     def apply_diffusion(self, t: float, u: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """B(t, u) ΔW for each row of ``u`` and ``dw``, shape (..., m)."""
         if self.diffusion_matvec is not None:
             return np.asarray(self.diffusion_matvec(t, u, dw), dtype=float)
-        m = u.shape[-1]
-        rows = [
-            np.asarray(self.diffusion(t, unchecked_state(m, row, t)), dtype=float) @ d
-            for row, d in zip(u.reshape(-1, m), dw.reshape(-1, m))
-        ]
-        return np.reshape(rows, u.shape)
+        return (np.asarray(self.diffusion(t, u), dtype=float) @ dw[..., None])[..., 0]
 
     def compensator_density(self, t: float, u: np.ndarray) -> np.ndarray:
         """Σ_i lam_i γ(t, u, z_i) for each row of ``u``; zero for the empty mark space."""
         if self.jump_weighted_sum is not None:
             return np.asarray(self.jump_weighted_sum(t, u), dtype=float)
-        m = u.shape[-1]
         total = np.zeros(u.shape)
-        ms = self.mark_space
-        for acc, row in zip(total.reshape(-1, m), u.reshape(-1, m)):
-            state = unchecked_state(m, row, t)
-            for z, lam in zip(ms.marks, ms.weights):
-                acc += lam * np.asarray(self.jump(t, state, float(z)), dtype=float)
+        for z, lam in zip(self.mark_space.marks, self.mark_space.weights):
+            total += lam * np.asarray(self.jump(t, u, float(z)), dtype=float)
         return total
 
 
@@ -278,7 +269,7 @@ def _sample_states(triple: GelfandTriple, level: int, seed: int, name: str, coun
         rng = derive_rng(seed, f"audit-{name}", "state", i)
         s = AUDIT_SCALES[i % len(AUDIT_SCALES)]
         out.append(s * rng.standard_normal(level))
-    return [GalerkinState(level=level, coeffs=c) for c in out]
+    return out
 
 
 def _descend(margin_fn, t: float, u: np.ndarray, v: np.ndarray | None, rounds: int = 4):
@@ -331,11 +322,8 @@ def hemicontinuity_jump_estimate(bundle, triple, t, u, v, w, s_lo=-1.0, s_hi=1.5
     Richardson extrapolation; what survives is the jump size.
     Returns (jump_estimate, s_witness, value_range).
     """
-    level = u.shape[0]
-
     def f(s):
-        state = GalerkinState(level=level, coeffs=u + s * v, time=t)
-        a = _finite_or_raise(bundle.drift(t, state), "drift", {"t": t, "s": s})
+        a = _finite_or_raise(bundle.drift(t, u + s * v), "drift", {"t": t, "s": s})
         return float(np.dot(a, w))
 
     values = {}
@@ -387,17 +375,17 @@ def audit_hemicontinuity(bundle, triple, samples: int, seed: int, level: int | N
 # ---------------------------------------------------------------------------
 
 
-def _noise_difference_terms(bundle, t, su, sv):
+def _noise_difference_terms(bundle, t, u, v):
     """‖B(t,u)−B(t,v)‖_{L2}² + Σ lam_i ‖γ(t,u,z_i)−γ(t,v,z_i)‖²."""
-    db = _finite_or_raise(bundle.diffusion(t, su), "diffusion", {"t": t}) - np.asarray(
-        bundle.diffusion(t, sv), dtype=float
+    db = _finite_or_raise(bundle.diffusion(t, u), "diffusion", {"t": t}) - np.asarray(
+        bundle.diffusion(t, v), dtype=float
     )
     total = float(np.sum(db * db))
     ms = bundle.mark_space
     if not ms.is_zero:
         for z, lam in zip(ms.marks, ms.weights):
-            dg = _finite_or_raise(bundle.jump(t, su, float(z)), "jump", {"t": t}) - np.asarray(
-                bundle.jump(t, sv, float(z)), dtype=float
+            dg = _finite_or_raise(bundle.jump(t, u, float(z)), "jump", {"t": t}) - np.asarray(
+                bundle.jump(t, v, float(z)), dtype=float
             )
             total += lam * float(np.dot(dg, dg))
     return total
@@ -405,11 +393,8 @@ def _noise_difference_terms(bundle, t, su, sv):
 
 def local_monotonicity_terms(bundle, constants, triple, mode, t, u, v):
     """(LHS, RHS) of the selected local-monotonicity inequality at (t, u, v)."""
-    level = u.shape[0]
-    su = GalerkinState(level=level, coeffs=u, time=t)
-    sv = GalerkinState(level=level, coeffs=v, time=t)
-    au = _finite_or_raise(bundle.drift(t, su), "drift", {"t": t, "u": u.tolist()})
-    av = _finite_or_raise(bundle.drift(t, sv), "drift", {"t": t, "v": v.tolist()})
+    au = _finite_or_raise(bundle.drift(t, u), "drift", {"t": t, "u": u.tolist()})
+    av = _finite_or_raise(bundle.drift(t, v), "drift", {"t": t, "v": v.tolist()})
     diff = u - v
     pair = float(np.dot(au - av, diff))
     h2 = float(np.dot(diff, diff))
@@ -417,33 +402,31 @@ def local_monotonicity_terms(bundle, constants, triple, mode, t, u, v):
     if mode == "H2prime":
         if bundle.local_bound is None:
             raise ValueError("mode H2prime requires the bundle to declare local_bound")
-        r = max(bundle.v_norm_of(triple, su), bundle.v_norm_of(triple, sv))
+        r = max(bundle.v_norm_of(triple, u), bundle.v_norm_of(triple, v))
         return pair, float(bundle.local_bound(t, r)) * h2
 
     if bundle.rho is None or bundle.eta is None:
         raise ValueError(f"mode {mode} requires the bundle to declare rho and eta")
-    lhs = 2.0 * pair + _noise_difference_terms(bundle, t, su, sv)
-    rhs = (constants.f_at(t) + float(bundle.rho(su)) + float(bundle.eta(sv))) * h2
+    lhs = 2.0 * pair + _noise_difference_terms(bundle, t, u, v)
+    rhs = (constants.f_at(t) + float(bundle.rho(u)) + float(bundle.eta(v))) * h2
     return lhs, rhs
 
 
 def envelope_terms(bundle, constants, triple, mode, u):
     """(LHS, RHS) of the rho/eta envelope bound at state u."""
-    level = u.shape[0]
-    su = GalerkinState(level=level, coeffs=u)
     h = triple.norm_h(u)
-    vn = bundle.v_norm_of(triple, su)
+    vn = bundle.v_norm_of(triple, u)
     c = constants.C_monotone
     if mode == "H2":
-        lhs = abs(float(bundle.rho(su))) + abs(float(bundle.eta(su)))
+        lhs = abs(float(bundle.rho(u))) + abs(float(bundle.eta(u)))
         rhs = c * (1.0 + vn**constants.beta) * (1.0 + h**constants.zeta)
         return lhs, rhs
     if mode == "H2star":
-        lhs_rho = abs(float(bundle.rho(su)))
+        lhs_rho = abs(float(bundle.rho(u)))
         rhs_rho = c * (1.0 + h**constants.lambda_exp) + c * vn**constants.theta_exp * (
             1.0 + h**constants.zeta
         )
-        lhs_eta = abs(float(bundle.eta(su)))
+        lhs_eta = abs(float(bundle.eta(u)))
         rhs_eta = c * (1.0 + h ** (2.0 + constants.alpha)) + c * vn**constants.beta * (
             1.0 + h**constants.alpha
         )
@@ -472,7 +455,7 @@ def audit_local_monotonicity(bundle, constants, triple, mode, samples, seed,
     states = _sample_states(triple, level, seed, mode, samples)
     for i in range(0, len(states) - 1, 2):
         t = float(times[(i // 2) % times.size])
-        u, v = states[i].coeffs, states[i + 1].coeffs
+        u, v = states[i], states[i + 1]
         lhs, rhs = local_monotonicity_terms(bundle, constants, triple, mode, t, u, v)
         records.append(
             (rhs - lhs, abs(lhs) + abs(rhs),
@@ -490,11 +473,11 @@ def audit_local_monotonicity(bundle, constants, triple, mode, samples, seed,
         )
 
     if mode in ("H2", "H2star"):
-        for s in states:
-            lhs, rhs = envelope_terms(bundle, constants, triple, mode, s.coeffs)
+        for u in states:
+            lhs, rhs = envelope_terms(bundle, constants, triple, mode, u)
             records.append(
                 (rhs - lhs, abs(lhs) + abs(rhs),
-                 {"t": None, "u": s.coeffs.tolist(), "v": None, "kind": "envelope"})
+                 {"t": None, "u": u.tolist(), "v": None, "kind": "envelope"})
             )
 
     return _entry_from_scan(mode, records, _rel_tol, samples)
@@ -512,23 +495,21 @@ def coercivity_terms(bundle, constants, triple, t, u):
     gives exactly this form with L_A = C/2 and f/2, so one margin serves
     both hypothesis sets.
     """
-    su = GalerkinState(level=u.shape[0], coeffs=u, time=t)
-    a = _finite_or_raise(bundle.drift(t, su), "drift", {"t": t, "u": u.tolist()})
+    a = _finite_or_raise(bundle.drift(t, u), "drift", {"t": t, "u": u.tolist()})
     lhs = float(np.dot(a, u))
     h2 = float(np.dot(u, u))
-    vn = bundle.v_norm_of(triple, su)
+    vn = bundle.v_norm_of(triple, u)
     rhs = constants.f_at(t) * (1.0 + h2) - constants.L_A * vn**constants.beta
     return lhs, rhs
 
 
 def drift_growth_terms(bundle, constants, triple, part, t, u):
     """(LHS, RHS) of the dual-norm drift growth bound (part "I" or "II")."""
-    su = GalerkinState(level=u.shape[0], coeffs=u, time=t)
-    a = _finite_or_raise(bundle.drift(t, su), "drift", {"t": t, "u": u.tolist()})
+    a = _finite_or_raise(bundle.drift(t, u), "drift", {"t": t, "u": u.tolist()})
     beta = constants.beta
     lhs = triple.norm_vstar(a) ** (beta / (beta - 1.0))
     h = triple.norm_h(u)
-    vn = bundle.v_norm_of(triple, su)
+    vn = bundle.v_norm_of(triple, u)
     if part == "I":
         rhs = (constants.f_at(t) + constants.C_growth * vn**beta) * (1.0 + h**constants.alpha)
     else:
@@ -540,29 +521,27 @@ def drift_growth_terms(bundle, constants, triple, part, t, u):
 
 def diffusion_growth_terms(bundle, constants, triple, part, t, u):
     """(LHS, RHS) of ‖B(t,u)‖_{L2}² ≤ g(t)(1+‖u‖_H²) [+ L_B ‖u‖_V^β]."""
-    su = GalerkinState(level=u.shape[0], coeffs=u, time=t)
-    b = _finite_or_raise(bundle.diffusion(t, su), "diffusion", {"t": t, "u": u.tolist()})
+    b = _finite_or_raise(bundle.diffusion(t, u), "diffusion", {"t": t, "u": u.tolist()})
     lhs = float(np.sum(b * b))
     h2 = float(np.dot(u, u))
     rhs = constants.g_at(t) * (1.0 + h2)
     if part == "II":
-        vn = bundle.v_norm_of(triple, su)
+        vn = bundle.v_norm_of(triple, u)
         rhs += constants.L_B * vn**constants.beta
     return lhs, rhs
 
 
 def jump_growth_terms(bundle, constants, triple, part, p, t, u):
     """(LHS, RHS) of ∫‖γ‖^p dλ ≤ h_p(t)(1+‖u‖_H^p) [+ L_γ ‖u‖_H^{p−2}‖u‖_V^β]."""
-    su = GalerkinState(level=u.shape[0], coeffs=u, time=t)
     ms = bundle.mark_space
     lhs = 0.0
     for z, lam in zip(ms.marks, ms.weights):
-        g = _finite_or_raise(bundle.jump(t, su, float(z)), "jump", {"t": t, "u": u.tolist()})
+        g = _finite_or_raise(bundle.jump(t, u, float(z)), "jump", {"t": t, "u": u.tolist()})
         lhs += lam * float(np.dot(g, g)) ** (p / 2.0)
     h = triple.norm_h(u)
     rhs = constants.h_p_at(p, t) * (1.0 + h**p)
     if part == "II":
-        vn = bundle.v_norm_of(triple, su)
+        vn = bundle.v_norm_of(triple, u)
         rhs += constants.L_gamma * h ** (p - 2.0) * vn**constants.beta
     return lhs, rhs
 
@@ -571,10 +550,10 @@ def _scan_inequality(name, term_fn, constants, triple, samples, seed, level, wit
     times = _time_grid(constants)
     states = _sample_states(triple, level, seed, name, samples)
     records = []
-    for i, s in enumerate(states):
+    for i, u in enumerate(states):
         t = float(times[i % times.size])
-        lhs, rhs = term_fn(t, s.coeffs)
-        records.append((rhs - lhs, abs(lhs) + abs(rhs), {"t": t, "u": s.coeffs.tolist()}))
+        lhs, rhs = term_fn(t, u)
+        records.append((rhs - lhs, abs(lhs) + abs(rhs), {"t": t, "u": u.tolist()}))
     if with_descent:
         worst = min(records, key=lambda r: r[0])
         wt, wu = worst[2]["t"], np.array(worst[2]["u"])
@@ -648,12 +627,10 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
         t = float(times[i % times.size])
         u = AUDIT_SCALES[i % len(AUDIT_SCALES)] * rng.standard_normal(level)
         d = rng.standard_normal(level)
-        su = GalerkinState(level=level, coeffs=u, time=t)
-        b_ref = np.asarray(bundle.diffusion(t, su), dtype=float)
+        b_ref = np.asarray(bundle.diffusion(t, u), dtype=float)
 
         def b_dist(k):
-            sk = GalerkinState(level=level, coeffs=u + 2.0**-k * d, time=t)
-            db = np.asarray(bundle.diffusion(t, sk), dtype=float) - b_ref
+            db = np.asarray(bundle.diffusion(t, u + 2.0**-k * d), dtype=float) - b_ref
             return float(np.sqrt(np.sum(db * db)))
 
         d0, dk = b_dist(0), b_dist(depth)
@@ -661,11 +638,11 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
 
         if not ms.is_zero:
             def g_dist(k):
-                sk = GalerkinState(level=level, coeffs=u + 2.0**-k * d, time=t)
+                uk = u + 2.0**-k * d
                 total = 0.0
                 for z, lam in zip(ms.marks, ms.weights):
-                    dg = np.asarray(bundle.jump(t, sk, float(z)), dtype=float) - np.asarray(
-                        bundle.jump(t, su, float(z)), dtype=float
+                    dg = np.asarray(bundle.jump(t, uk, float(z)), dtype=float) - np.asarray(
+                        bundle.jump(t, u, float(z)), dtype=float
                     )
                     total += lam * float(np.dot(dg, dg))
                 return math.sqrt(total)

@@ -19,11 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import CoefficientBundle
-from .noise import MarkSpace, NoiseRealization, ci99
+from .noise import MarkSpace, NoiseRealization, ci99, step_index
 from .parallel import map_indexed
 from .rng import path_seed
-from .solver import PathRecord, SolverConfig, _drift_only_update, solve_paths
-from .spaces import GalerkinState, GelfandTriple
+from .solver import PathRecord, SolverConfig, _implicit_update, solve_paths
+from .spaces import GelfandTriple
 
 __all__ = [
     "EnergyStats",
@@ -217,59 +217,58 @@ def discrete_energy_residual(
     if record.truncated_at is not None or record.stopped_at is not None:
         raise ValueError("residual replay needs the full record, not a truncated one")
     m = record.level
-    times, states = record.times, record.states
+    times = record.times
+    states = np.asarray(record.states, dtype=float)
+    if states.shape != (times.size, m) or not np.all(np.isfinite(states)):
+        raise ValueError(f"record states must be finite with shape ({times.size}, {m})")
     jumps = [ev for ev in realization.jumps if ev.time <= record.T]
     if record.n_jump_entries != len(jumps):
         raise ValueError("record jump entries do not match the realization")
+    jumps_per_step = np.bincount(
+        step_index([ev.time for ev in jumps], record.T, record.dt).astype(int),
+        minlength=round((times[-1] - times[0]) / record.dt),
+    )
 
+    dt = record.dt
     per_step = []
     per_jump = []
     idx = 0
     j_ptr = 0
-    n_steps = round((times[-1] - times[0]) / record.dt)
-    for k in range(n_steps):
+    for k, n_jumps in enumerate(jumps_per_step.tolist()):
         t = times[idx]
         x = states[idx]
-        # collect this step's jump rows
-        step_jump_rows = []
-        while j_ptr < len(jumps) and jumps[j_ptr].time <= (k + 1) * record.dt + 1e-15:
-            pre = states[idx + 1 + 2 * len(step_jump_rows)]
-            post = states[idx + 2 + 2 * len(step_jump_rows)]
-            step_jump_rows.append((jumps[j_ptr], pre, post))
-            j_ptr += 1
-        end_idx = idx + 1 + 2 * len(step_jump_rows)
+        end_idx = idx + 1 + 2 * n_jumps
         x_next = states[end_idx]
-        dt = record.dt
 
-        # replay the drift substep to evaluate the pairing where the scheme did
-        y1 = _drift_only_update(bundle, _triple_stub(record), x, t, dt, config)
+        # the drift pairing is evaluated where the scheme evaluated the drift
         if config.scheme == "drift_implicit":
-            a_eval = np.asarray(bundle.drift(t + dt, GalerkinState(m, y1, t + dt)), dtype=float)
+            y1 = _implicit_update(bundle, x, t, dt, config)
+            a_eval = np.asarray(bundle.drift(t + dt, y1), dtype=float)
             drift_term = 2.0 * float(np.dot(a_eval, y1)) * dt
         else:
-            a_eval = np.asarray(bundle.drift(t, GalerkinState(m, x, t)), dtype=float)
+            a_eval = np.asarray(bundle.drift(t, x), dtype=float)
             drift_term = 2.0 * float(np.dot(a_eval, x)) * dt
 
-        b = np.asarray(bundle.diffusion(t, GalerkinState(m, x, t)), dtype=float)
+        b = np.asarray(bundle.diffusion(t, x), dtype=float)
         dW = realization.wiener[k, :m]
         wiener_terms = float(np.sum(b * b)) * dt + 2.0 * float(np.dot(b @ dW, x))
 
         jump_terms = 0.0
         comp_term = 0.0
-        for ev, pre, post in step_jump_rows:
+        for ev, pre, post in zip(jumps[j_ptr : j_ptr + n_jumps], states[idx + 1 : end_idx : 2],
+                                 states[idx + 2 : end_idx + 1 : 2]):
             # bit-exact replay: the recorded jump must reproduce from the bundle
             z = float(mark_space.marks[ev.mark_index])
-            g_check = np.asarray(
-                bundle.jump(ev.time, GalerkinState(m, pre, ev.time), z), dtype=float
-            )
+            g_check = np.asarray(bundle.jump(ev.time, pre, z), dtype=float)
             if not np.array_equal(pre + g_check, post):
                 raise ValueError(f"jump at t={ev.time} does not replay bit-exactly")
             g = post - pre
             jump_terms += float(np.dot(g, g)) + 2.0 * float(np.dot(g, pre))
             per_jump.append(_jump_identity_residual(pre, post))
+        j_ptr += n_jumps
         if not mark_space.is_zero:
             for z, lam in zip(mark_space.marks, mark_space.weights):
-                gz = np.asarray(bundle.jump(t, GalerkinState(m, x, t), float(z)), dtype=float)
+                gz = np.asarray(bundle.jump(t, x, float(z)), dtype=float)
                 comp_term += lam * 2.0 * float(np.dot(gz, x))
             comp_term *= dt
 
@@ -284,12 +283,6 @@ def discrete_energy_residual(
         per_jump=per_jump,
         total=float(per_step.sum() + per_jump.sum()),
     )
-
-
-def _triple_stub(record: PathRecord) -> GelfandTriple:
-    # the drift replay only needs a V*-norm for the tamed scheme; unit
-    # weights keep it harmless when no triple is supplied
-    return GelfandTriple(dimension_cap=record.level, v_weights=np.ones(record.level), name="stub")
 
 
 # ---------------------------------------------------------------------------

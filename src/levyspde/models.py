@@ -34,7 +34,7 @@ from .coefficients import (
     chi_exponent,
 )
 from .noise import MarkSpace
-from .spaces import GelfandTriple
+from .spaces import GelfandTriple, dot_rows, triple_from_config
 
 __all__ = ["ModelSpec", "SpectralGrid", "builtin", "validate", "from_config", "resolve", "BUILTIN_IDS"]
 
@@ -70,23 +70,30 @@ class SpectralGrid:
         self.phi = phi
         self.wavenumbers = wavenumbers
         self.mu = (2.0 * np.sin(np.pi * wavenumbers * self.h) / self.h) ** 2
+        # the grid operators applied to each basis column, for the Jacobians
+        self.dphi = self.d_centered(phi, axis=0)
+        self.gphi = self.grad(phi, axis=0)
+
+    # Transforms act on the last axis, so leading axes hold a batch.  The
+    # stacked product ``phi @ u[..., None]`` gives every row the same bits
+    # as its 1-D transform; ``u @ phi.T`` would not.
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        m = coeffs.shape[0]
-        return self.phi[:, :m] @ coeffs
+        m = coeffs.shape[-1]
+        return (self.phi[:, :m] @ coeffs[..., None])[..., 0]
 
     def to_coeffs(self, values: np.ndarray, m: int) -> np.ndarray:
-        return self.h * (self.phi[:, :m].T @ values)
+        return self.h * (self.phi[:, :m].T @ values[..., None])[..., 0]
 
-    def grad(self, values: np.ndarray) -> np.ndarray:
-        return (np.roll(values, -1) - values) / self.h
+    def grad(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
+        return (np.roll(values, -1, axis) - values) / self.h
 
-    def div_back(self, flux: np.ndarray) -> np.ndarray:
+    def div_back(self, flux: np.ndarray, axis: int = -1) -> np.ndarray:
         # adjoint pair of grad: h sum u div_back(psi) = -h sum grad(u) psi
-        return (flux - np.roll(flux, 1)) / self.h
+        return (flux - np.roll(flux, 1, axis)) / self.h
 
-    def d_centered(self, values: np.ndarray) -> np.ndarray:
-        return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * self.h)
+    def d_centered(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
+        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * self.h)
 
 
 @dataclass(frozen=True)
@@ -117,23 +124,52 @@ class ModelSpec:
                     f"L_B + 2 C1 L_gamma = {lhs:g} must be < {rhs:g}"
                 )
 
-    @property
-    def rho_eval(self):
-        return self.bundle.rho
-
-    @property
-    def eta_eval(self):
-        return self.bundle.eta
-
 
 # ---------------------------------------------------------------------------
 # diagonal spectral models
 # ---------------------------------------------------------------------------
 
 
+def _diag(v: np.ndarray) -> np.ndarray:
+    """(..., m) -> (..., m, m): each row of ``v`` on the diagonal of a zero matrix."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
+def _libm_pow(x, e: float) -> np.ndarray:
+    """x ** e per element through the C library's pow, as for a float.
+
+    numpy's vectorized power can round the last bit differently, so the
+    scalar functionals use this one for a single state and a batch alike.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.reshape([v**e for v in x.reshape(-1).tolist()], x.shape)
+
+
+def _zero_functional(u) -> np.ndarray:
+    return np.zeros(np.shape(u)[:-1])
+
+
+def _diagonal_drift(spectrum: np.ndarray):
+    """A(u) = -spectrum u: (drift, drift_jacobian, drift_implicit_solve)."""
+
+    def drift(t, u):
+        return -spectrum[: u.shape[-1]] * u
+
+    def drift_jacobian(t, u):
+        return -_diag(np.broadcast_to(spectrum[: u.shape[-1]], u.shape))
+
+    def implicit_solve(t_next, x, dt):
+        return x / (1.0 + dt * spectrum[: x.shape[-1]])
+
+    return drift, drift_jacobian, implicit_solve
+
+
 def _multiplicative_diffusion(c: float):
-    def diffusion(t, state):
-        return c * np.diag(state.coeffs)
+    def diffusion(t, u):
+        return c * _diag(u)
 
     return diffusion
 
@@ -146,8 +182,8 @@ def _multiplicative_diffusion_matvec(c: float):
 
 
 def _multiplicative_jump(sigma: float):
-    def jump(t, state, z):
-        return sigma * z * state.coeffs
+    def jump(t, u, z):
+        return sigma * z * u
 
     return jump
 
@@ -161,12 +197,12 @@ def _multiplicative_jump_weighted_sum(sigma: float, marks: MarkSpace):
     return weighted_sum
 
 
-def _zero_diffusion(t, state):
-    return np.zeros((state.level, state.level))
+def _zero_diffusion(t, u):
+    return np.zeros(u.shape + u.shape[-1:])
 
 
-def _zero_jump(t, state, z):
-    return np.zeros(state.level)
+def _zero_jump(t, u, z):
+    return np.zeros(u.shape)
 
 
 def _heat(cap: int = 48, c_wiener: float = 0.25, sigma_jump: float = 0.2,
@@ -176,14 +212,7 @@ def _heat(cap: int = 48, c_wiener: float = 0.25, sigma_jump: float = 0.2,
     triple = GelfandTriple(dimension_cap=cap, v_weights=weights, name="heat")
     w = triple.v_weights
 
-    def drift(t, state):
-        return -w[: state.level] * state.coeffs
-
-    def drift_jacobian(t, state):
-        return -np.diag(w[: state.level])
-
-    def implicit_solve(t_next, x, dt):
-        return x / (1.0 + dt * w[: x.shape[-1]])
+    drift, drift_jacobian, implicit_solve = _diagonal_drift(w)
 
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
@@ -191,8 +220,8 @@ def _heat(cap: int = 48, c_wiener: float = 0.25, sigma_jump: float = 0.2,
         diffusion=_multiplicative_diffusion(c_wiener),
         jump=_multiplicative_jump(sigma_jump),
         mark_space=marks,
-        rho=lambda state: 0.0,
-        eta=lambda state: 0.0,
+        rho=_zero_functional,
+        eta=_zero_functional,
         local_bound=lambda t, r: 0.0,
         drift_jacobian=drift_jacobian,
         drift_implicit_solve=implicit_solve,
@@ -225,20 +254,13 @@ def _grad_noise_linear(cap: int = 32, c_b: float = 0.1, c_gamma: float = 0.05,
     w = triple.v_weights
     sqrt_w = np.sqrt(w)
 
-    def drift(t, state):
-        return -w[: state.level] * state.coeffs
+    drift, drift_jacobian, implicit_solve = _diagonal_drift(w)
 
-    def drift_jacobian(t, state):
-        return -np.diag(w[: state.level])
+    def diffusion(t, u):
+        return c_b * _diag(sqrt_w[: u.shape[-1]] * u)
 
-    def implicit_solve(t_next, x, dt):
-        return x / (1.0 + dt * w[: x.shape[-1]])
-
-    def diffusion(t, state):
-        return c_b * np.diag(sqrt_w[: state.level] * state.coeffs)
-
-    def jump(t, state, z):
-        return c_gamma * z * sqrt_w[: state.level] * state.coeffs
+    def jump(t, u, z):
+        return c_gamma * z * sqrt_w[: u.shape[-1]] * u
 
     def diffusion_matvec(t, u, dw):
         return c_b * sqrt_w[: u.shape[-1]] * u * dw
@@ -254,8 +276,8 @@ def _grad_noise_linear(cap: int = 32, c_b: float = 0.1, c_gamma: float = 0.05,
         diffusion=diffusion,
         jump=jump,
         mark_space=marks,
-        rho=lambda state: 0.0,
-        eta=lambda state: 0.0,
+        rho=_zero_functional,
+        eta=_zero_functional,
         local_bound=lambda t, r: 0.0,
         drift_jacobian=drift_jacobian,
         drift_implicit_solve=implicit_solve,
@@ -302,22 +324,20 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
     mu = grid.mu
     h = grid.h
 
-    def drift(t, state):
-        m = state.level
-        vals = grid.to_grid(state.coeffs)
+    def drift(t, u):
+        m = u.shape[-1]
+        vals = grid.to_grid(u)
         cubic = grid.to_coeffs(vals**3, m)
-        return (1.0 - mu[:m]) * state.coeffs - cubic
+        return (1.0 - mu[:m]) * u - cubic
 
-    def drift_jacobian(t, state):
-        m = state.level
-        vals = grid.to_grid(state.coeffs)
+    def drift_jacobian(t, u):
+        m = u.shape[-1]
+        vals = grid.to_grid(u)
         phi = grid.phi[:, :m]
-        jac = np.diag(1.0 - mu[:m]) - 3.0 * h * (phi.T * (vals**2)) @ phi
-        return jac
+        return np.diag(1.0 - mu[:m]) - 3.0 * h * (phi.T * (vals**2)[..., None, :]) @ phi
 
-    def sup_norm_sq(state):
-        vals = grid.to_grid(state.coeffs)
-        return float(np.max(np.abs(vals)) ** 2)
+    def sup_norm_sq(u):
+        return _libm_pow(np.max(np.abs(grid.to_grid(u)), axis=-1), 2.0)
 
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
@@ -325,8 +345,8 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
         diffusion=_multiplicative_diffusion(c_wiener),
         jump=_multiplicative_jump(sigma_jump),
         mark_space=marks,
-        rho=lambda state: 1.5 * sup_norm_sq(state),
-        eta=lambda state: 1.5 * sup_norm_sq(state),
+        rho=lambda u: 1.5 * sup_norm_sq(u),
+        eta=lambda u: 1.5 * sup_norm_sq(u),
         local_bound=lambda t, r: 1.0,
         drift_jacobian=drift_jacobian,
         diffusion_matvec=_multiplicative_diffusion_matvec(c_wiener),
@@ -362,28 +382,28 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
         # skew form of u u_x: exactly energy free on the periodic grid
         return (vals * grid.d_centered(vals) + grid.d_centered(vals * vals)) / 3.0
 
-    def drift(t, state):
-        m = state.level
-        vals = grid.to_grid(state.coeffs)
+    def drift(t, u):
+        m = u.shape[-1]
+        vals = grid.to_grid(u)
         conv = grid.to_coeffs(convection(vals), m)
-        return -nu * mu[:m] * state.coeffs - conv
+        return -nu * mu[:m] * u - conv
 
-    def drift_jacobian(t, state):
-        m = state.level
-        vals = grid.to_grid(state.coeffs)
+    def drift_jacobian(t, u):
+        m = u.shape[-1]
+        vals = grid.to_grid(u)
+        col = vals[..., :, None]
         phi = grid.phi[:, :m]
-        dphi = np.array([grid.d_centered(phi[:, j]) for j in range(m)]).T
         # d/du of the skew form applied to phi columns
-        jac_grid = (vals[:, None] * dphi + grid.d_centered(vals)[:, None] * phi) / 3.0
-        jac_grid += 2.0 * np.array([grid.d_centered(vals * phi[:, j]) for j in range(m)]).T / 3.0
+        jac_grid = (col * grid.dphi[:, :m] + grid.d_centered(vals)[..., :, None] * phi) / 3.0
+        jac_grid += 2.0 * grid.d_centered(col * phi, axis=-2) / 3.0
         conv_jac = h * phi.T @ jac_grid
         return -nu * np.diag(mu[:m]) - conv_jac
 
     k_mono = 8.0 * (1.0 + 1.0 / nu)
 
-    def rho(state):
-        vn = math.sqrt(float(np.dot(w[: state.level] * state.coeffs, state.coeffs)))
-        return k_mono * (1.0 + vn ** (4.0 / 3.0))
+    def rho(u):
+        vn = np.sqrt(dot_rows(w[: u.shape[-1]] * u, u))
+        return k_mono * (1.0 + _libm_pow(vn, 4.0 / 3.0))
 
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
@@ -422,40 +442,38 @@ def _p_laplacian(n: int = 64, cap: int = 33, p: float = 4.0, c_wiener: float = 0
     h = grid.h
     marks = MarkSpace.zero()
 
-    def drift(t, state):
-        m = state.level
-        vals = grid.to_grid(state.coeffs)
+    def drift(t, u):
+        m = u.shape[-1]
+        vals = grid.to_grid(u)
         g = grid.grad(vals)
         flux = np.abs(g) ** (p - 2.0) * g
         a_grid = grid.div_back(flux) - np.abs(vals) ** (p - 2.0) * vals
         return grid.to_coeffs(a_grid, m)
 
-    def drift_jacobian(t, state):
-        m = state.level
-        vals = grid.to_grid(state.coeffs)
+    def drift_jacobian(t, u):
+        m = u.shape[-1]
+        vals = grid.to_grid(u)
         g = grid.grad(vals)
         phi = grid.phi[:, :m]
-        gphi = np.array([grid.grad(phi[:, j]) for j in range(m)]).T
         flux_slope = (p - 1.0) * np.abs(g) ** (p - 2.0)
-        div_part = np.array(
-            [grid.div_back(flux_slope * gphi[:, j]) for j in range(m)]
-        ).T
+        div_part = grid.div_back(flux_slope[..., :, None] * grid.gphi[:, :m], axis=-2)
         react_slope = (p - 1.0) * np.abs(vals) ** (p - 2.0)
-        jac_grid = div_part - react_slope[:, None] * phi
+        jac_grid = div_part - react_slope[..., :, None] * phi
         return h * phi.T @ jac_grid
 
-    def v_norm(state):
-        vals = grid.to_grid(state.coeffs)
+    def v_norm(u):
+        vals = grid.to_grid(u)
         g = grid.grad(vals)
-        return float((h * np.sum(np.abs(g) ** p) + h * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
+        total = h * np.sum(np.abs(g) ** p, axis=-1) + h * np.sum(np.abs(vals) ** p, axis=-1)
+        return _libm_pow(total, 1.0 / p)
 
     bundle = CoefficientBundle(
         drift=drift,
         diffusion=_multiplicative_diffusion(c_wiener),
         jump=_zero_jump,
         mark_space=marks,
-        rho=lambda state: 0.0,
-        eta=lambda state: 0.0,
+        rho=_zero_functional,
+        eta=_zero_functional,
         local_bound=lambda t, r: 0.0,
         v_norm=v_norm,
         drift_jacobian=drift_jacobian,
@@ -551,20 +569,15 @@ def from_config(cfg: dict) -> ModelSpec:
     grid_size = cfg["triple"].get("grid_size")
     reaction = cfg.get("reaction")
 
+    tcfg = dict(cfg["triple"], name=name)
     grid = None
     if grid_size:
+        # the grid's own weights make the diagonal V-norm the discrete H1 norm
         grid = SpectralGrid(int(grid_size), cap)
-        weights = 1.0 + grid.mu
-    elif "weights" in cfg["triple"]:
-        weights = np.asarray(cfg["triple"]["weights"], dtype=float)
-    else:
-        j = np.arange(1, cap + 1, dtype=float)
-        weights = np.maximum(j**2, 1.0)
-    if reaction and grid is None:
+        tcfg["weights"] = 1.0 + grid.mu
+    elif reaction:
         raise ValueError("polynomial reaction terms require triple.grid_size")
-
-    triple = GelfandTriple(dimension_cap=cap, v_weights=weights, name=name,
-                           grid_size=int(grid_size) if grid_size else None)
+    triple = triple_from_config(tcfg)
 
     dcfg = cfg.get("drift", {"type": "diagonal", "scale": 1.0})
     if dcfg["type"] == "diagonal":
@@ -575,32 +588,22 @@ def from_config(cfg: dict) -> ModelSpec:
             raise ValueError(f"drift.values must have length {cap}")
     else:
         raise ValueError(f"unknown drift type {dcfg['type']!r}")
-    poly = np.asarray(reaction, dtype=float) if reaction else None
-
-    def drift(t, state):
-        m = state.level
-        out = -spectrum[:m] * state.coeffs
-        if poly is not None:
-            vals = grid.to_grid(state.coeffs)
-            out = out + grid.to_coeffs(np.polyval(poly[::-1], vals), m)
-        return out
-
-    drift_jacobian = None
-    implicit_solve = None
-    if poly is None:
-        def drift_jacobian(t, state):
-            return -np.diag(spectrum[: state.level])
-
-        def implicit_solve(t_next, x, dt):
-            return x / (1.0 + dt * spectrum[: x.shape[-1]])
+    if not reaction:
+        drift, drift_jacobian, implicit_solve = _diagonal_drift(spectrum)
     else:
+        poly = np.asarray(reaction, dtype=float)
         dpoly = np.polyder(np.poly1d(poly[::-1]))
+        implicit_solve = None
 
-        def drift_jacobian(t, state):
-            m = state.level
-            vals = grid.to_grid(state.coeffs)
+        def drift(t, u):
+            m = u.shape[-1]
+            return -spectrum[:m] * u + grid.to_coeffs(np.polyval(poly[::-1], grid.to_grid(u)), m)
+
+        def drift_jacobian(t, u):
+            m = u.shape[-1]
+            vals = grid.to_grid(u)
             phi = grid.phi[:, :m]
-            return -np.diag(spectrum[:m]) + grid.h * (phi.T * dpoly(vals)) @ phi
+            return -np.diag(spectrum[:m]) + grid.h * (phi.T * dpoly(vals)[..., None, :]) @ phi
 
     mcfg = cfg.get("marks", {"points": [], "weights": []})
     marks = (
@@ -619,8 +622,8 @@ def from_config(cfg: dict) -> ModelSpec:
         sqrt_w = np.sqrt(triple.v_weights)
         c_b = float(bcfg["c"])
 
-        def diffusion(t, state):
-            return c_b * np.diag(sqrt_w[: state.level] * state.coeffs)
+        def diffusion(t, u):
+            return c_b * _diag(sqrt_w[: u.shape[-1]] * u)
     else:
         raise ValueError(f"unknown diffusion type {bcfg['type']!r}")
 
@@ -633,8 +636,8 @@ def from_config(cfg: dict) -> ModelSpec:
         sqrt_wj = np.sqrt(triple.v_weights)
         sig = float(jcfg["sigma"])
 
-        def jump(t, state, z):
-            return sig * z * sqrt_wj[: state.level] * state.coeffs
+        def jump(t, u, z):
+            return sig * z * sqrt_wj[: u.shape[-1]] * u
     else:
         raise ValueError(f"unknown jump type {jcfg['type']!r}")
 
@@ -669,7 +672,7 @@ def from_config(cfg: dict) -> ModelSpec:
 
 def _const_functional(value: float):
     v = float(value)
-    return lambda state: v
+    return lambda u: np.full(np.shape(u)[:-1], v)
 
 
 def resolve(ref) -> ModelSpec:

@@ -29,6 +29,8 @@ __all__ = [
     "sample_noise",
     "sample_jumps",
     "wiener_chunks",
+    "grid_steps",
+    "step_index",
     "ci99",
     "compensated_integral",
     "ito_isometry_check",
@@ -115,13 +117,25 @@ class NoiseRealization:
         wiener.setflags(write=False)
 
 
-def _check_grid(T: float, dt: float) -> int:
+def grid_steps(T: float, dt: float) -> int:
+    """Number of steps of the uniform grid k dt on [0, T]; dt must divide T."""
     if dt <= 0 or T <= 0:
         raise ValueError(f"T and dt must be positive, got T={T}, dt={dt}")
     n = round(T / dt)
     if n < 1 or abs(n * dt - T) > 1e-12 * max(1.0, abs(T)):
         raise ValueError(f"dt={dt} does not divide T={T}")
     return n
+
+
+def step_index(times, T: float, dt: float) -> np.ndarray:
+    """Index k of the grid step (k dt, (k+1) dt] that holds each event time.
+
+    Steps are closed on the right, so an event at a grid time belongs to the
+    step that ends there; the slack of 1e-15 absorbs the rounding of k dt.
+    """
+    ends = np.arange(1, grid_steps(T, dt) + 1) * dt
+    ends[-1] = T
+    return np.searchsorted(ends + 1e-15, np.asarray(times, dtype=float))
 
 
 def sample_noise(m: int, T: float, dt: float, mark_space: MarkSpace, seed: int) -> NoiseRealization:
@@ -132,7 +146,7 @@ def sample_noise(m: int, T: float, dt: float, mark_space: MarkSpace, seed: int) 
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    n_steps = _check_grid(T, dt)
+    n_steps = grid_steps(T, dt)
 
     rng_w = derive_rng(seed, "wiener")
     wiener = rng_w.normal(0.0, np.sqrt(dt), size=(n_steps, m))
@@ -245,7 +259,7 @@ def ito_isometry_check(
     """
     if n_paths < 100:
         raise ValueError(f"n_paths must be >= 100, got {n_paths}")
-    _check_grid(T, dt)
+    grid_steps(T, dt)
 
     # the compensator is deterministic; compute once and reuse per path
     comp = _compensator_grid(integrand, mark_space, dt, T)

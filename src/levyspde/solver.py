@@ -28,8 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientBundle
-from .noise import MarkSpace, NoiseRealization, sample_jumps, sample_noise, wiener_chunks
-from .spaces import GalerkinState, GelfandTriple, unchecked_state
+from .noise import (
+    MarkSpace,
+    NoiseRealization,
+    grid_steps,
+    sample_jumps,
+    sample_noise,
+    step_index,
+    wiener_chunks,
+)
+from .spaces import GalerkinState, GelfandTriple
 
 __all__ = [
     "SolverConfig",
@@ -77,13 +85,11 @@ class SolverConfig:
             raise ValueError("newton_tol must be positive")
         if self.scheme not in ("drift_implicit", "tamed_explicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        n = round(self.T / self.dt)
-        if abs(n * self.dt - self.T) > 1e-12 * max(1.0, self.T):
-            raise ValueError(f"dt={self.dt} does not divide T={self.T}")
+        grid_steps(self.T, self.dt)
 
     @property
     def n_steps(self) -> int:
-        return round(self.T / self.dt)
+        return grid_steps(self.T, self.dt)
 
 
 @dataclass(frozen=True)
@@ -152,12 +158,18 @@ def _drift_only_update(
     config: SolverConfig,
 ) -> np.ndarray:
     if config.scheme == "tamed_explicit":
-        a = np.asarray(bundle.drift(t, unchecked_state(x.size, x, t)), dtype=float)
+        a = np.asarray(bundle.drift(t, x), dtype=float)
         return x + dt * a / (1.0 + dt * triple.norm_vstar(a))
-    t_next = t + dt
+    return _implicit_update(bundle, x, t, dt, config)
+
+
+def _implicit_update(
+    bundle: CoefficientBundle, x: np.ndarray, t: float, dt: float, config: SolverConfig
+) -> np.ndarray:
+    """Backward Euler drift substep y = x + dt A(t + dt, y) of one state x (m,)."""
     if bundle.drift_implicit_solve is not None:
-        return np.asarray(bundle.drift_implicit_solve(t_next, x, dt), dtype=float)
-    return _newton_implicit(bundle, x, t_next, dt, config)
+        return np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float)
+    return _newton_implicit(bundle, x, t + dt, dt, config)
 
 
 def _newton_implicit(
@@ -171,8 +183,7 @@ def _newton_implicit(
     tol = config.newton_tol * (1.0 + float(np.linalg.norm(x)))
 
     def residual(y):
-        a = np.asarray(bundle.drift(t_next, unchecked_state(m, y, t_next)), dtype=float)
-        return y - dt * a - x
+        return y - dt * np.asarray(bundle.drift(t_next, y), dtype=float) - x
 
     y = x.copy()
     f = residual(y)
@@ -181,7 +192,7 @@ def _newton_implicit(
         if nf < tol:
             return y
         if bundle.drift_jacobian is not None:
-            ja = np.asarray(bundle.drift_jacobian(t_next, unchecked_state(m, y, t_next)), dtype=float)
+            ja = np.asarray(bundle.drift_jacobian(t_next, y), dtype=float)
         else:
             ja = _fd_jacobian(bundle, y, t_next)
         jac = np.eye(m) - dt * ja
@@ -207,16 +218,13 @@ def _newton_implicit(
 
 
 def _fd_jacobian(bundle: CoefficientBundle, y: np.ndarray, t: float) -> np.ndarray:
+    """Forward differences of the drift; row j of the batch moves y_j alone."""
     m = y.size
-    base = np.asarray(bundle.drift(t, unchecked_state(m, y, t)), dtype=float)
-    jac = np.empty((m, m))
-    h0 = np.sqrt(np.finfo(float).eps)
-    for j in range(m):
-        h = h0 * (1.0 + abs(y[j]))
-        yp = y.copy()
-        yp[j] += h
-        jac[:, j] = (np.asarray(bundle.drift(t, unchecked_state(m, yp, t)), dtype=float) - base) / h
-    return jac
+    base = np.asarray(bundle.drift(t, y), dtype=float)
+    h = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(y))
+    moved = np.repeat(y[None, :], m, axis=0)
+    moved[np.arange(m), np.arange(m)] += h
+    return ((np.asarray(bundle.drift(t, moved), dtype=float) - base) / h[:, None]).T
 
 
 def _drift_rows(bundle, triple, x, t, dt, config, dead):
@@ -254,7 +262,6 @@ def _step_rows(x, t, dt, bundle, triple, dw, events, mark_space, config, dead=fr
     """
     y, failed = _drift_rows(bundle, triple, x, t, dt, config, dead)
     y = y + bundle.apply_diffusion(t, x, dw)
-    m = x.shape[1]
     entries = []
     for p, ev in events:
         if not (t < ev.time <= t + dt + 1e-12 * max(1.0, t + dt)):
@@ -263,7 +270,7 @@ def _step_rows(x, t, dt, bundle, triple, dw, events, mark_space, config, dead=fr
             continue
         z = float(mark_space.marks[ev.mark_index])
         pre = y[p].copy()
-        g = np.asarray(bundle.jump(ev.time, unchecked_state(m, pre, ev.time), z), dtype=float)
+        g = np.asarray(bundle.jump(ev.time, pre, z), dtype=float)
         y[p] = pre + g
         entries.append((p, ev.time, pre, y[p].copy()))
     if not bundle.mark_space.is_zero:
@@ -295,8 +302,8 @@ def step(
     return GalerkinState(level=state.level, coeffs=y[0], time=t + dt)
 
 
-def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray, times):
-    """(‖u‖_H, ‖u‖_V) of each row of ``states`` (..., m) at ``times`` (...)."""
+def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray):
+    """(‖u‖_H, ‖u‖_V) of each row of ``states`` (..., m)."""
     shape, m = states.shape[:-1], states.shape[-1]
     flat = states.reshape(-1, m)
     norm_h = np.sqrt(np.einsum("ij,ij->i", flat, flat))
@@ -304,10 +311,7 @@ def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray,
         w = triple.v_weights[:m]
         norm_v = np.sqrt(np.einsum("ij,ij->i", flat * w, flat))
     else:
-        ts = np.broadcast_to(times, shape).reshape(-1)
-        norm_v = np.array(
-            [bundle.v_norm(unchecked_state(m, s, float(tt))) for s, tt in zip(flat, ts)], dtype=float
-        )
+        norm_v = np.asarray(bundle.v_norm(flat), dtype=float)
     return norm_h.reshape(shape), norm_v.reshape(shape)
 
 
@@ -324,18 +328,15 @@ def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_st
     init = triple.project(np.asarray(x0, dtype=float), m).coeffs
     x = np.repeat(init[None, :], n_paths, axis=0)
 
-    # grid times; step k covers (grid[k], grid[k + 1]] and takes the events
-    # up to its end (plus rounding slack)
     grid = np.arange(n_steps + 1) * dt
     grid[-1] = config.T
-    step_ends = grid[1:] + 1e-15
     events_at: dict[int, list] = {}
     for p, evs in enumerate(jumps):
-        ks = np.searchsorted(step_ends, [ev.time for ev in evs])
+        ks = step_index([ev.time for ev in evs], config.T, dt)
         for k, ev in zip(ks.tolist(), evs):
             events_at.setdefault(k, []).append((p, ev))
 
-    norms = [_norms(bundle, triple, x[None], grid[:1])]
+    norms = [_norms(bundle, triple, x[None])]
     grid_states = [x[None].copy()] if keep_states else None
     entries = [[] for _ in range(n_paths)]
     steps_done = [n_steps] * n_paths
@@ -356,7 +357,7 @@ def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_st
             block[i] = y
             x = y
             k += 1
-        norms.append(_norms(bundle, triple, block, grid[k - len(block) + 1 : k + 1, None]))
+        norms.append(_norms(bundle, triple, block))
         if keep_states:
             grid_states.append(block)
     norm_h = np.concatenate([nh for nh, _ in norms])
@@ -386,7 +387,7 @@ def _record(bundle, triple, config, seed, grid, grid_h, grid_v, grid_states, ent
     times = np.empty(n)
     times[at_grid] = grid[:rows]
     times[at_jump] = taus
-    jump_h, jump_v = _norms(bundle, triple, jump_states, taus)
+    jump_h, jump_v = _norms(bundle, triple, jump_states)
     norm_h = np.empty(n)
     norm_h[at_grid] = grid_h[:rows]
     norm_h[at_jump] = jump_h

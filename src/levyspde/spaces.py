@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GelfandTriple", "GalerkinState", "triple_from_config"]
+__all__ = ["GelfandTriple", "GalerkinState", "triple_from_config", "dot_rows"]
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,6 @@ class GalerkinState:
             )
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coeffs must be finite")
-
-
-def unchecked_state(level: int, coeffs: np.ndarray, time: float = 0.0) -> GalerkinState:
-    """Construct a state without validation; solver hot loops only.
-
-    The caller owns the invariants (float array of the right length); the
-    time stepper verifies its own residuals, so revalidating per substep
-    would just burn the step budget.
-    """
-    state = object.__new__(GalerkinState)
-    object.__setattr__(state, "level", level)
-    object.__setattr__(state, "coeffs", coeffs)
-    object.__setattr__(state, "time", time)
-    return state
 
 
 @dataclass(frozen=True)
@@ -142,6 +128,15 @@ class GelfandTriple:
                 f"pairing requires equal lengths, got {dual.shape} and {primal.shape}"
             )
         return float(np.dot(dual, primal))
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (..., m) arrays, each with ``np.dot``'s bits.
+
+    The stacked (1, m) @ (m, 1) product runs ``np.dot``'s own kernel per row,
+    so the result does not depend on the batch; ``einsum`` would not match.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def triple_from_config(spec: dict) -> GelfandTriple:

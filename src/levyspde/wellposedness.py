@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .coefficients import CoefficientBundle, HypothesisConstants
-from .noise import JumpEvent, MarkSpace, NoiseRealization, ci99, sample_noise
+from .noise import JumpEvent, MarkSpace, NoiseRealization, ci99, sample_noise, step_index
 from .parallel import map_indexed
 from .rng import path_seed
 from .solver import SolverConfig, solve_path
-from .spaces import GalerkinState, GelfandTriple
+from .spaces import GelfandTriple, dot_rows
 
 __all__ = [
     "StabilityWeight",
@@ -41,21 +43,31 @@ class StabilityWeight:
     the weight stays in (0, 1] and is nonincreasing.
     """
 
-    def __init__(self, f_at, rho_eval, eta_eval):
+    def __init__(self, f_at, rho, eta):
         self.f_at = f_at
-        self.rho_eval = rho_eval
-        self.eta_eval = eta_eval
+        self.rho = rho
+        self.eta = eta
         self.running_integral = 0.0
 
     @property
     def phi(self) -> float:
         return math.exp(-self.running_integral)
 
-    def advance(self, t: float, dt: float, y1: GalerkinState, y2: GalerkinState) -> float:
-        """Accumulate over [t, t+dt] using the left-endpoint states; returns φ(t+dt)."""
-        rate = float(self.f_at(t)) + float(self.rho_eval(y1)) + float(self.eta_eval(y2))
-        self.running_integral += rate * dt
-        return self.phi
+    def advance(self, t, dt, y1: np.ndarray, y2: np.ndarray):
+        """Accumulate over steps [t, t+dt] from their left-endpoint states.
+
+        One step takes scalars t, dt and states (m,) and returns φ(t+dt);
+        consecutive steps take 1-D t, dt and states (steps, m) and return φ
+        at each step's end.
+        """
+        t = np.asarray(t, dtype=float)
+        f = np.reshape([float(self.f_at(s)) for s in t.reshape(-1).tolist()], t.shape)
+        increments = (f + self.rho(y1) + self.eta(y2)) * dt
+        phis = np.empty(t.shape)
+        for k, inc in np.ndenumerate(increments):
+            self.running_integral += float(inc)
+            phis[k] = self.phi
+        return phis if phis.ndim else float(phis)
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +76,13 @@ class StabilityWeight:
 
 
 def _reorder_same_step_marks(realization: NoiseRealization, dt: float) -> NoiseRealization:
-    """Reverse the mark order of events sharing a step (times unchanged)."""
-    jumps = list(realization.jumps)
+    """Reverse the mark order of events sharing a solver step (times unchanged)."""
+    steps = step_index([ev.time for ev in realization.jumps], realization.T, dt).tolist()
     out = []
-    i = 0
-    while i < len(jumps):
-        k = int(jumps[i].time / dt)
-        group = [jumps[i]]
-        while i + len(group) < len(jumps) and int(jumps[i + len(group)].time / dt) == k:
-            group.append(jumps[i + len(group)])
+    for _, pairs in groupby(zip(steps, realization.jumps), key=itemgetter(0)):
+        group = [ev for _, ev in pairs]
         marks = [ev.mark_index for ev in group][::-1]
         out.extend(JumpEvent(time=ev.time, mark_index=mk) for ev, mk in zip(group, marks))
-        i += len(group)
     return NoiseRealization(
         wiener=realization.wiener,
         jumps=tuple(out),
@@ -155,21 +162,9 @@ def _stability_worker(ctx, i: int):
     t_a, s_a = rec_a.step_grid_view()
     _, s_b = rec_b.step_grid_view()
     weight = StabilityWeight(constants.f_at, bundle.rho, bundle.eta)
-    m = config.level
-    out = np.empty(t_a.size)
-    diff0 = s_a[0] - s_b[0]
-    out[0] = float(np.dot(diff0, diff0))
-    for k in range(t_a.size - 1):
-        t = float(t_a[k])
-        phi = weight.advance(
-            t,
-            float(t_a[k + 1] - t_a[k]),
-            GalerkinState(m, s_a[k], t),
-            GalerkinState(m, s_b[k], t),
-        )
-        d = s_a[k + 1] - s_b[k + 1]
-        out[k + 1] = phi * float(np.dot(d, d))
-    return out
+    phis = weight.advance(t_a[:-1], np.diff(t_a), s_a[:-1], s_b[:-1])
+    sq = dot_rows(s_a - s_b, s_a - s_b)
+    return np.concatenate([sq[:1], phis * sq[1:]])
 
 
 def weighted_stability_mc(
@@ -233,7 +228,10 @@ class DependenceTable:
     p: float
 
     def log_slope(self) -> float:
-        mask = (self.deltas > 0) & (self.values > 0)
+        """Least-squares slope of log value against log Δ; NaN below 2 usable points."""
+        mask = (self.deltas > 0) & (self.values > 0) & np.isfinite(self.values)
+        if mask.sum() < 2:
+            return float("nan")
         x = np.log(self.deltas[mask])
         y = np.log(self.values[mask])
         return float(np.polyfit(x, y, 1)[0])

@@ -19,13 +19,13 @@ def make_scalar_linear(mu=2.0, sigma=0.05, additive=False):
     """
     triple = GelfandTriple(dimension_cap=1, v_weights=np.array([max(mu, 1.0)]))
 
-    def drift(t, state):
-        return -mu * state.coeffs
+    def drift(t, u):
+        return -mu * u
 
-    def diffusion(t, state):
+    def diffusion(t, u):
         if additive:
-            return np.array([[sigma]])
-        return sigma * np.diag(state.coeffs)
+            return np.full(u.shape + (1,), sigma)
+        return sigma * u[..., None]
 
     def implicit_solve(t_next, x, dt):
         return x / (1.0 + dt * mu)
@@ -33,12 +33,12 @@ def make_scalar_linear(mu=2.0, sigma=0.05, additive=False):
     bundle = CoefficientBundle(
         drift=drift,
         diffusion=diffusion,
-        jump=lambda t, state, z: np.zeros(1),
+        jump=lambda t, u, z: np.zeros(u.shape),
         mark_space=MarkSpace.zero(),
-        rho=lambda s: 0.0,
-        eta=lambda s: 0.0,
+        rho=lambda u: np.zeros(u.shape[:-1]),
+        eta=lambda u: np.zeros(u.shape[:-1]),
         local_bound=lambda t, r: 0.0,
-        drift_jacobian=lambda t, state: np.array([[-mu]]),
+        drift_jacobian=lambda t, u: np.full(u.shape + (1,), -mu),
         drift_implicit_solve=implicit_solve,
     )
     constants = HypothesisConstants(beta=2.0, g_integral=sigma**2, L_A=mu / max(mu, 1.0))
@@ -52,12 +52,12 @@ def make_pure_jump(gamma_vec, marks=None, level=2):
     g = np.asarray(gamma_vec, dtype=float)
 
     bundle = CoefficientBundle(
-        drift=lambda t, state: np.zeros(state.level),
-        diffusion=lambda t, state: np.zeros((state.level, state.level)),
-        jump=lambda t, state, z: g[: state.level],
+        drift=lambda t, u: np.zeros(u.shape),
+        diffusion=lambda t, u: np.zeros(u.shape + u.shape[-1:]),
+        jump=lambda t, u, z: np.broadcast_to(g[: u.shape[-1]], u.shape),
         mark_space=marks,
-        rho=lambda s: 0.0,
-        eta=lambda s: 0.0,
+        rho=lambda u: np.zeros(u.shape[:-1]),
+        eta=lambda u: np.zeros(u.shape[:-1]),
     )
     constants = HypothesisConstants(
         beta=2.0,
@@ -86,10 +86,9 @@ def step_discontinuous_bundle(heat):
     """Heat drift with a planted jump when the first coordinate crosses 0."""
     w = heat.triple.v_weights
 
-    def drift(t, state):
-        base = -w[: state.level] * state.coeffs
-        if state.coeffs[0] >= 0.0:
-            base = base + 0.7 * np.eye(state.level)[0]
+    def drift(t, u):
+        base = -w[: u.shape[-1]] * u
+        base[..., 0] += np.where(u[..., 0] >= 0.0, 0.7, 0.0)
         return base
 
     return dataclasses.replace(

@@ -242,7 +242,8 @@ def test_check_detects_broken_model(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command", ["simulate", "energy", "residual", "modulus", "stability", "converge", "uniqueness"]
+    "command",
+    ["simulate", "energy", "residual", "modulus", "stability", "converge", "uniqueness", "depend"],
 )
 def test_non_finite_initial_norm_fails(tmp_path, command):
     # ‖x0‖_H overflows to inf: every path is truncated and the study fails
@@ -252,6 +253,14 @@ def test_non_finite_initial_norm_fails(tmp_path, command):
     if command == "simulate":
         body = (tmp_path / "out" / "path.csv").read_text()
         assert "inf" not in body and "nan" not in body
+
+
+@pytest.mark.parametrize("perturbations", [[0.0, 0.0], [0.0, 1e-2]])
+def test_depend_needs_two_positive_perturbations(tmp_path, capsys, perturbations):
+    # the log-log slope is fitted through the positive entries only
+    path = _write_config(tmp_path, study={"n_paths": 4, "perturbations": perturbations})
+    assert main(["depend", "--config", str(path)]) == 1
+    assert "study.perturbations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [2**64, 2**64 + 5, True])

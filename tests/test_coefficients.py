@@ -22,7 +22,6 @@ from levyspde.coefficients import (
     local_monotonicity_terms,
 )
 from levyspde.models import builtin
-from levyspde.spaces import GalerkinState
 
 from conftest import (
     make_scalar_linear,
@@ -52,8 +51,7 @@ def test_hemicontinuity_cubic_matches_polynomial_oracle(allen_cahn_spec):
     w = rng.standard_normal(6)
 
     def f(s):
-        state = GalerkinState(6, u + s * v)
-        return float(np.dot(bundle.drift(0.0, state), w))
+        return float(np.dot(bundle.drift(0.0, u + s * v), w))
 
     nodes = np.array([-1.0, 0.0, 0.5, 1.5])
     coeffs = np.polyfit(nodes, [f(s) for s in nodes], 3)
@@ -80,7 +78,7 @@ def test_hemicontinuity_rejects_nonfinite(heat_spec):
 
     bundle = dataclasses.replace(
         heat_spec.bundle,
-        drift=lambda t, state: np.full(state.level, np.nan),
+        drift=lambda t, u: np.full(u.shape, np.nan),
         drift_implicit_solve=None,
         drift_jacobian=None,
     )
@@ -192,7 +190,7 @@ def test_audit_sampling_batch_independent(heat_spec):
     small = _sample_states(heat_spec.triple, 4, seed=5, name="H2", count=8)
     large = _sample_states(heat_spec.triple, 4, seed=5, name="H2", count=32)
     for a, b in zip(small, large):
-        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +203,7 @@ def test_heat_coercivity_identity_quadrature(heat_spec):
     rng = np.random.default_rng(8)
     for _ in range(25):
         u = rng.standard_normal(7) * rng.choice([0.1, 1.0, 10.0])
-        state = GalerkinState(7, u)
-        pair = 2.0 * float(np.dot(heat_spec.bundle.drift(0.0, state), u))
+        pair = 2.0 * float(np.dot(heat_spec.bundle.drift(0.0, u), u))
         assert pair == pytest.approx(-2.0 * heat_spec.triple.norm_v(u) ** 2, rel=1e-12)
         lhs, rhs = coercivity_terms(heat_spec.bundle, heat_spec.constants, heat_spec.triple, 0.0, u)
         assert rhs - lhs >= -1e-9 * (1 + abs(lhs) + abs(rhs))
@@ -231,8 +228,7 @@ def test_gradient_noise_hilbert_schmidt_column_sum_oracle():
     spec = builtin("grad_noise_linear", c_b=0.1)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(6)
-    state = GalerkinState(6, u)
-    b = spec.bundle.diffusion(0.0, state)
+    b = spec.bundle.diffusion(0.0, u)
     hs_by_columns = sum(float(np.dot(b[:, j], b[:, j])) for j in range(6))
     assert hs_by_columns == pytest.approx(0.01 * spec.triple.norm_v(u) ** 2, rel=1e-12)
 

@@ -38,9 +38,9 @@ def _zero_bundle(level):
     from levyspde.coefficients import CoefficientBundle
 
     return CoefficientBundle(
-        drift=lambda t, s: np.zeros(s.level),
-        diffusion=lambda t, s: np.zeros((s.level, s.level)),
-        jump=lambda t, s, z: np.zeros(s.level),
+        drift=lambda t, u: np.zeros(u.shape),
+        diffusion=lambda t, u: np.zeros(u.shape + u.shape[-1:]),
+        jump=lambda t, u, z: np.zeros(u.shape),
         mark_space=MarkSpace.zero(),
     )
 
@@ -197,6 +197,17 @@ def test_residual_scalar_wiener_dyadic_slope():
         means.append(abs(totals.mean()))
     slope = np.polyfit(np.log2(dts), np.log2(means), 1)[0]
     assert 0.7 <= slope <= 1.3, f"residual slope {slope}"
+
+
+def test_residual_rejects_non_finite_record_state():
+    # checked once on entry, so a bad row anywhere is caught, the last too
+    times = np.arange(11) * 0.1
+    states = np.ones((11, 2))
+    states[-1, 1] = np.nan
+    rec = _record_from_states(times, states, 0.1, 1.0)
+    real = sample_noise(2, 1.0, 0.1, MarkSpace.zero(), seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        discrete_energy_residual(rec, _zero_bundle(2), real, MarkSpace.zero())
 
 
 def test_residual_rejects_mismatched_realization(heat_spec):

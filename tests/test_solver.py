@@ -26,7 +26,7 @@ def test_zero_dynamics_keeps_state(quiet_heat_spec):
     triple, bundle = quiet_heat_spec.triple, quiet_heat_spec.bundle
     zero_bundle = dataclasses.replace(
         bundle,
-        drift=lambda t, s: np.zeros(s.level),
+        drift=lambda t, u: np.zeros(u.shape),
         drift_jacobian=None,
         drift_implicit_solve=None,
     )
@@ -75,7 +75,7 @@ def test_solve_path_constant_for_zero_coefficients(quiet_heat_spec):
     triple = quiet_heat_spec.triple
     bundle = dataclasses.replace(
         quiet_heat_spec.bundle,
-        drift=lambda t, s: np.zeros(s.level),
+        drift=lambda t, u: np.zeros(u.shape),
         drift_jacobian=None,
         drift_implicit_solve=None,
     )
@@ -110,9 +110,9 @@ def test_jump_only_event_bookkeeping_oracle():
 
     triple = GelfandTriple(dimension_cap=2, v_weights=np.ones(2))
     bundle = CoefficientBundle(
-        drift=lambda t, s: np.zeros(s.level),
-        diffusion=lambda t, s: np.zeros((s.level, s.level)),
-        jump=lambda t, s, z: z * np.eye(s.level)[0],
+        drift=lambda t, u: np.zeros(u.shape),
+        diffusion=lambda t, u: np.zeros(u.shape + u.shape[-1:]),
+        jump=lambda t, u, z: np.broadcast_to(z * np.eye(u.shape[-1])[0], u.shape),
         mark_space=marks,
     )
     cfg = SolverConfig(dt=0.05, T=2.0, level=2)
@@ -139,9 +139,7 @@ def test_cadlag_structure_bit_exact_replay(heat_spec):
         assert rec.times[k] == rec.times[k - 1]
         ev = jumps[seen]
         assert ev.time == rec.times[k]
-        gamma = spec.bundle.jump(
-            ev.time, GalerkinState(4, pre, ev.time), float(spec.bundle.mark_space.marks[ev.mark_index])
-        )
+        gamma = spec.bundle.jump(ev.time, pre, float(spec.bundle.mark_space.marks[ev.mark_index]))
         assert np.array_equal(pre + gamma, post)
         seen += 1
     assert seen == len(jumps)
@@ -296,9 +294,9 @@ def test_step_failure_annotates_truncation():
 
     triple = GelfandTriple(dimension_cap=1, v_weights=np.ones(1))
     bundle = CoefficientBundle(
-        drift=lambda t, s: s.coeffs**2 * 1e8 + 1e8,
-        diffusion=lambda t, s: np.zeros((1, 1)),
-        jump=lambda t, s, z: np.zeros(1),
+        drift=lambda t, u: u**2 * 1e8 + 1e8,
+        diffusion=lambda t, u: np.zeros(u.shape + (1,)),
+        jump=lambda t, u, z: np.zeros(u.shape),
         mark_space=MarkSpace.zero(),
     )
     cfg = SolverConfig(dt=0.1, T=1.0, level=1, newton_max_iter=8)
@@ -372,9 +370,9 @@ def test_batch_newton_rows_truncate_independently():
     # has no root, so a path that gets there is truncated; the others go on
     marks = MarkSpace(marks=np.array([0.5]), weights=np.array([1.0]))
     bundle = CoefficientBundle(
-        drift=lambda t, s: -s.coeffs + 1e8 * np.maximum(s.coeffs - 1.0, 0.0) ** 2,
-        diffusion=lambda t, s: np.diag(0.8 * s.coeffs),
-        jump=lambda t, s, z: z * s.coeffs,
+        drift=lambda t, u: -u + 1e8 * np.maximum(u - 1.0, 0.0) ** 2,
+        diffusion=lambda t, u: 0.8 * u[..., None],
+        jump=lambda t, u, z: z * u,
         mark_space=marks,
     )
     triple = GelfandTriple(dimension_cap=1, v_weights=np.ones(1))

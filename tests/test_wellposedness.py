@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from levyspde.coefficients import CoefficientBundle
-from levyspde.noise import MarkSpace, sample_noise
+from levyspde.noise import JumpEvent, MarkSpace, NoiseRealization, sample_noise
 from levyspde.solver import SolverConfig, solve_path
-from levyspde.spaces import GalerkinState, GelfandTriple
+from levyspde.spaces import GelfandTriple
 from levyspde.wellposedness import (
     StabilityWeight,
+    _reorder_same_step_marks,
     continuous_dependence_study,
     galerkin_convergence,
     pathwise_uniqueness_test,
@@ -51,17 +52,30 @@ def test_uniqueness_stress_reports_reordering_effect():
     marks = MarkSpace(marks=np.array([1.0, -1.0]), weights=np.array([10.0, 10.0]))
     triple = GelfandTriple(dimension_cap=2, v_weights=np.ones(2))
     bundle = CoefficientBundle(
-        drift=lambda t, s: -s.coeffs,
-        diffusion=lambda t, s: np.zeros((s.level, s.level)),
-        jump=lambda t, s, z: 0.01 * z * s.coeffs**2,
+        drift=lambda t, u: -u,
+        diffusion=lambda t, u: np.zeros(u.shape + u.shape[-1:]),
+        jump=lambda t, u, z: 0.01 * z * u**2,
         mark_space=marks,
-        drift_jacobian=lambda t, s: -np.eye(s.level),
+        drift_jacobian=lambda t, u: np.broadcast_to(-np.eye(u.shape[-1]), u.shape + u.shape[-1:]),
     )
     cfg = SolverConfig(dt=0.25, T=2.0, level=2)
     sup = pathwise_uniqueness_test(bundle, triple, np.array([1.0, 0.5]), cfg, marks,
                                    n_paths=8, seed=2, stress=True)
     assert np.isfinite(sup)
     assert 0.0 < sup < 1e-2  # bounded reordering effect, far below the state scale
+
+
+def test_stress_reorder_groups_marks_by_solver_step():
+    # steps are (k dt, (k+1) dt]: 0.2 ends the step of 0.15, while 0.25
+    # starts the next one, so only the first two marks trade places
+    real = NoiseRealization(
+        wiener=np.zeros((10, 1)),
+        jumps=(JumpEvent(0.15, 0), JumpEvent(0.2, 1), JumpEvent(0.25, 2)),
+        seed=0, m=1, dt=0.1, T=1.0,
+    )
+    out = _reorder_same_step_marks(real, 0.1)
+    assert [ev.time for ev in out.jumps] == [0.15, 0.2, 0.25]
+    assert [ev.mark_index for ev in out.jumps] == [1, 0, 2]
 
 
 def test_stability_linear_contractive_passes(heat_spec, quiet_heat_spec):
@@ -113,7 +127,7 @@ def test_stability_requires_functionals(heat_spec):
 def test_stability_weight_stays_in_unit_interval():
     weight = StabilityWeight(lambda t: 0.3, lambda s: 0.1, lambda s: 0.2)
     phis = [weight.phi]
-    state = GalerkinState(1, np.zeros(1))
+    state = np.zeros(1)
     for k in range(20):
         phis.append(weight.advance(k * 0.1, 0.1, state, state))
     phis = np.asarray(phis)
