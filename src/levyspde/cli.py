@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -82,8 +83,10 @@ def _write_sidecar(path: Path, exp: ExperimentConfig, study: str, verdict: bool,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if extra:
-        meta.update(extra)
-    path.write_text(json.dumps(meta, indent=2) + "\n")
+        # strict JSON: a non-finite figure is written as null, not NaN
+        meta.update({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                     for k, v in extra.items()})
+    path.write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
 
 
 def _study_int(exp: ExperimentConfig, name: str, default: int) -> int:
@@ -98,6 +101,14 @@ def _study_floats(exp: ExperimentConfig, name: str, default) -> list[float]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"study.{name}", "expected a nonempty list of numbers")
     return [float(v) for v in value]
+
+
+def _study_levels(exp: ExperimentConfig, default) -> list[int]:
+    levels = [int(m) for m in exp.study.get("m_list", default)]
+    cap = exp.model.triple.dimension_cap
+    if not levels or any(not 1 <= m <= cap for m in levels):
+        raise ConfigError("study.m_list", f"expected levels in [1, {cap}], got {levels}")
+    return levels
 
 
 def _check_p_admissibility(exp: ExperimentConfig, p_list) -> None:
@@ -163,7 +174,7 @@ def _cmd_simulate(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     p_list = _study_floats(exp, "p_list", [2.0])
-    m_list = [int(m) for m in exp.study.get("m_list", [exp.solver.level])]
+    m_list = _study_levels(exp, [exp.solver.level])
     n_paths = _study_int(exp, "n_paths", 200)
     if n_paths < 2:
         raise ConfigError("study.n_paths", "n_paths must be >= 2")
@@ -214,6 +225,8 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     dt_levels = _study_floats(exp, "dt_levels", [4e-3, 2e-3, 1e-3])
+    if len(set(dt_levels)) < 2:
+        raise ConfigError("study.dt_levels", "the slope fit needs at least two distinct levels")
     n_paths = _study_int(exp, "n_paths", 256)
     bundle, triple = exp.model.bundle, exp.model.triple
     x0 = exp.initial_state()
@@ -247,6 +260,11 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     dt = exp.solver.dt
     deltas = _study_floats(exp, "delta_list", [4 * dt, 8 * dt, 16 * dt, 32 * dt])
     n_paths = _study_int(exp, "n_paths", 200)
+    for d in deltas:
+        try:
+            estimates.delta_steps(d, dt, exp.solver.n_steps)
+        except ValueError as exc:
+            raise ConfigError("study.delta_list", str(exc)) from None
     beta = float(exp.study.get("beta_exp", exp.model.constants.beta))
     bundle, triple = exp.model.bundle, exp.model.triple
     paths = [
@@ -330,7 +348,7 @@ def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 
 def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    m_list = [int(m) for m in exp.study.get("m_list", [4, 8, 16, 32])]
+    m_list = _study_levels(exp, [4, 8, 16, 32])
     n_paths = _study_int(exp, "n_paths", 100)
     table = wellposedness.galerkin_convergence(
         exp.model.bundle, exp.model.triple, exp.initial_state(), m_list, exp.solver,

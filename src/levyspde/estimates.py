@@ -33,6 +33,7 @@ __all__ = [
     "discrete_energy_residual",
     "ModulusResult",
     "modulus_of_continuity",
+    "delta_steps",
 ]
 
 #: paths per energy task; fixed, so the batches never depend on the workers
@@ -313,6 +314,18 @@ class ModulusResult:
         return float(np.polyfit(x, y, 1)[0])
 
 
+def delta_steps(delta: float, dt: float, n_steps: int) -> int:
+    """Grid steps in the shift ``delta``: a positive multiple of ``dt`` and
+    at most ``n_steps`` of them."""
+    ratio = delta / dt
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9:
+        raise ValueError(f"delta={delta} is not a positive multiple of dt={dt}")
+    if steps > n_steps:
+        raise ValueError(f"delta={delta} exceeds the horizon {n_steps * dt}")
+    return steps
+
+
 def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:
     """Tightness-style diagnostic: the increment table over time shifts δ.
 
@@ -342,18 +355,12 @@ def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:
             raise ValueError("paths must share a common step grid")
     states = np.stack([g[1] for g in grids])  # (n_paths, K+1, m)
     n_paths, n_nodes, _ = states.shape
-    T = float(times0[-1])
 
     deltas = np.asarray(sorted(float(d) for d in delta_list))
     values = np.empty(deltas.size)
     ci = np.empty(deltas.size)
     for i, d in enumerate(deltas):
-        ratio = d / dt
-        steps = round(ratio)
-        if steps < 1 or abs(ratio - steps) > 1e-9:
-            raise ValueError(f"delta={d} is not a positive multiple of dt={dt}")
-        if steps >= n_nodes:
-            raise ValueError(f"delta={d} exceeds the horizon {T}")
+        steps = delta_steps(d, dt, n_nodes - 1)
         diff = states[:, steps:, :] - states[:, : n_nodes - steps, :]
         norms = np.sqrt(np.einsum("pkm,pkm->pk", diff, diff))
         # left-Riemann over t in [0, T - δ): nodes 0 .. K - steps - 1

@@ -179,11 +179,12 @@ def wiener_chunks(seeds, m: int, n_steps: int, dt: float, chunk: int) -> Iterato
     the chunks reproduces ``sample_noise(m, ..., seeds[p]).wiener`` bit for
     bit while holding only ``chunk`` rows of it at a time.
     """
-    rngs = [derive_rng(s, "wiener") for s in seeds]
+    rngs = {s: derive_rng(s, "wiener") for s in dict.fromkeys(seeds)}  # a repeated seed draws once
     scale = np.sqrt(dt)
     for k0 in range(0, n_steps, chunk):
         rows = min(chunk, n_steps - k0)
-        yield np.stack([r.normal(0.0, scale, size=(rows, m)) for r in rngs], axis=1)
+        draws = {s: r.normal(0.0, scale, size=(rows, m)) for s, r in rngs.items()}
+        yield np.stack([draws[s] for s in seeds], axis=1)
 
 
 def _event_sum(

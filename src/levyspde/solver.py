@@ -16,9 +16,13 @@ time entry (pre value, post value) to the path record, which keeps the
 recorded trajectory an explicit cadlag skeleton.
 
 One stepping core advances an ensemble of P paths as a (P, m) array
-(``solve_paths``); a single path (``solve_path``) is its P = 1 case.  Every
-row does exactly the arithmetic it would do alone, so a path's record does
-not depend on the batch it ran in.
+(``solve_paths``); a single path (``solve_path``) is its P = 1 case.  The
+damped Newton of step 1 runs per batch: one drift call for the residual and
+one Jacobian call on the rows still iterating, a stacked linear solve and a
+line search with a step per row.  Per-row masks retire the converged rows
+and send the stalled ones, together, to one retry with two halved drift
+substeps.  Every row does exactly the arithmetic it would do alone, so a
+path's record does not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .noise import (
     step_index,
     wiener_chunks,
 )
-from .spaces import GalerkinState, GelfandTriple
+from .spaces import GalerkinState, GelfandTriple, dot_rows
 
 __all__ = [
     "SolverConfig",
@@ -149,106 +153,131 @@ class PathRecord:
         return self.times[self.is_grid], self.states[self.is_grid]
 
 
-def _drift_only_update(
-    bundle: CoefficientBundle,
-    triple: GelfandTriple,
-    x: np.ndarray,
-    t: float,
-    dt: float,
-    config: SolverConfig,
-) -> np.ndarray:
-    if config.scheme == "tamed_explicit":
-        a = np.asarray(bundle.drift(t, x), dtype=float)
-        return x + dt * a / (1.0 + dt * triple.norm_vstar(a))
-    return _implicit_update(bundle, x, t, dt, config)
-
-
 def _implicit_update(
     bundle: CoefficientBundle, x: np.ndarray, t: float, dt: float, config: SolverConfig
 ) -> np.ndarray:
     """Backward Euler drift substep y = x + dt A(t + dt, y) of one state x (m,)."""
     if bundle.drift_implicit_solve is not None:
         return np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float)
-    return _newton_implicit(bundle, x, t + dt, dt, config)
+    y, failed = _newton_rows(bundle, x[None], t + dt, dt, config)
+    if failed:
+        raise failed[0]
+    return y[0]
 
 
-def _newton_implicit(
-    bundle: CoefficientBundle,
-    x: np.ndarray,
-    t_next: float,
-    dt: float,
-    config: SolverConfig,
-) -> np.ndarray:
-    m = x.size
-    tol = config.newton_tol * (1.0 + float(np.linalg.norm(x)))
+def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next: float, dt: float,
+                 config: SolverConfig):
+    """Damped Newton for y - dt A(t_next, y) = x, each row of x (R, m) on its own.
 
-    def residual(y):
-        return y - dt * np.asarray(bundle.drift(t_next, y), dtype=float) - x
+    The residual, the Jacobian and the linear solve take all rows still
+    iterating in one call, and each row does exactly the arithmetic of a lone
+    solve.  A row's step is halved up to 30 times until its residual norm is
+    finite and lower.  Returns (y, {row: StepFailure}); a failed row of y is
+    meaningless.
+    """
+    m = x.shape[-1]
+    tol = config.newton_tol * (1.0 + np.sqrt(dot_rows(x, x)))
+
+    def residual(y, rows):
+        return y - dt * np.asarray(bundle.drift(t_next, y), dtype=float) - x[rows]
 
     y = x.copy()
-    f = residual(y)
-    nf = float(np.linalg.norm(f))
+    f = residual(y, slice(None))
+    nf = np.sqrt(dot_rows(f, f))
+    live = np.arange(x.shape[0])
+    failed = {}
     for it in range(config.newton_max_iter):
-        if nf < tol:
-            return y
+        live = live[~(nf[live] < tol[live])]
+        if live.size == 0:
+            break
         if bundle.drift_jacobian is not None:
-            ja = np.asarray(bundle.drift_jacobian(t_next, y), dtype=float)
+            ja = np.asarray(bundle.drift_jacobian(t_next, y[live]), dtype=float)
         else:
-            ja = _fd_jacobian(bundle, y, t_next)
-        jac = np.eye(m) - dt * ja
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, -f, rcond=None)[0]
+            ja = _fd_jacobian(bundle, y[live], t_next)
+        delta = _solve_rows(np.eye(m) - dt * ja, -f[live])
+        # every row still searching has had its step halved the same number
+        # of times, so one step length s serves them all
         s = 1.0
+        search = np.arange(live.size)  # positions in ``live`` still searching
         for _ in range(30):
-            y_trial = y + s * delta
-            f_trial = residual(y_trial)
-            nf_trial = float(np.linalg.norm(f_trial))
-            if nf_trial < nf or not np.isfinite(nf_trial):
-                if np.isfinite(nf_trial):
-                    break
+            rows = live[search]
+            y_trial = y[rows] + s * delta[search]
+            f_trial = residual(y_trial, rows)
+            nf_trial = np.sqrt(dot_rows(f_trial, f_trial))
+            ok = np.isfinite(nf_trial) & (nf_trial < nf[rows])
+            y[rows[ok]], f[rows[ok]], nf[rows[ok]] = y_trial[ok], f_trial[ok], nf_trial[ok]
+            search = search[~ok]
+            if search.size == 0:
+                break
             s *= 0.5
-        else:
-            raise StepFailure(time=t_next, residual=nf, iterations=it + 1)
-        y, f, nf = y_trial, f_trial, nf_trial
-    if nf < tol:
-        return y
-    raise StepFailure(time=t_next, residual=nf, iterations=config.newton_max_iter)
+        for r in live[search].tolist():
+            failed[r] = StepFailure(time=t_next, residual=float(nf[r]), iterations=it + 1)
+        live = np.delete(live, search)
+    for r in live[~(nf[live] < tol[live])].tolist():
+        failed[r] = StepFailure(time=t_next, residual=float(nf[r]), iterations=config.newton_max_iter)
+    return y, failed
+
+
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """delta[r] with jac[r] delta[r] = rhs[r]; least squares for a singular row."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for r in range(rhs.shape[0]):
+            try:
+                out[r] = np.linalg.solve(jac[r], rhs[r])
+            except np.linalg.LinAlgError:
+                out[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
+        return out
 
 
 def _fd_jacobian(bundle: CoefficientBundle, y: np.ndarray, t: float) -> np.ndarray:
-    """Forward differences of the drift; row j of the batch moves y_j alone."""
-    m = y.size
+    """Forward differences of the drift at each row of y (R, m); y_j moves alone."""
+    m = y.shape[-1]
     base = np.asarray(bundle.drift(t, y), dtype=float)
     h = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(y))
-    moved = np.repeat(y[None, :], m, axis=0)
-    moved[np.arange(m), np.arange(m)] += h
-    return ((np.asarray(bundle.drift(t, moved), dtype=float) - base) / h[:, None]).T
+    moved = np.repeat(y[:, None, :], m, axis=1)
+    moved[:, np.arange(m), np.arange(m)] += h
+    diff = np.asarray(bundle.drift(t, moved), dtype=float) - base[:, None, :]
+    return np.swapaxes(diff / h[:, :, None], -1, -2)
+
+
+def _drift_update(bundle, triple, x, t, dt, config):
+    """Drift substep of the rows of x (R, m); returns (y, {row: StepFailure})."""
+    if config.scheme == "tamed_explicit":
+        a = np.asarray(bundle.drift(t, x), dtype=float)
+        norm_vstar = np.sqrt(dot_rows(a / triple.v_weights[: x.shape[-1]], a))
+        return x + dt * a / (1.0 + dt * norm_vstar)[:, None], {}
+    return _newton_rows(bundle, x, t + dt, dt, config)
 
 
 def _drift_rows(bundle, triple, x, t, dt, config, dead):
     """Drift substep of every row of x (P, m); returns (y, {row: StepFailure}).
 
-    The closed-form implicit solve takes the whole batch.  Otherwise each
-    live row is solved on its own, with one retry that composes two halved
-    drift substeps; a row that fails both is reported and left unchanged.
+    The closed-form implicit solve takes the whole batch.  Otherwise the live
+    rows take one batched substep; the rows that stall retry together with
+    two halved drift substeps, and a row that fails both is reported (its
+    row of y is meaningless).
     """
     if config.scheme == "drift_implicit" and bundle.drift_implicit_solve is not None:
         return np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float), {}
     y = x.copy()
-    failed = {}
-    for p in range(x.shape[0]):
-        if p in dead:
-            continue
-        try:
-            y[p] = _drift_only_update(bundle, triple, x[p], t, dt, config)
-        except StepFailure:
-            try:
-                half = _drift_only_update(bundle, triple, x[p], t, dt / 2.0, config)
-                y[p] = _drift_only_update(bundle, triple, half, t + dt / 2.0, dt / 2.0, config)
-            except StepFailure as exc:
-                failed[p] = exc
+    rows = np.array([p for p in range(x.shape[0]) if p not in dead], dtype=int)
+    if rows.size == 0:
+        return y, {}
+    y[rows], stalled = _drift_update(bundle, triple, x[rows], t, dt, config)
+    if not stalled:
+        return y, {}
+    retry = rows[list(stalled)]
+    half, stalled = _drift_update(bundle, triple, x[retry], t, dt / 2.0, config)
+    failed = {int(retry[j]): exc for j, exc in stalled.items()}
+    ok = np.array([j for j in range(retry.size) if j not in stalled], dtype=int)
+    if ok.size:
+        y[retry[ok]], stalled = _drift_update(
+            bundle, triple, half[ok], t + dt / 2.0, dt / 2.0, config
+        )
+        failed.update({int(retry[ok[j]]): exc for j, exc in stalled.items()})
     return y, failed
 
 
@@ -316,8 +345,9 @@ def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray)
 
 
 def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_states):
-    """The stepping core: P = len(seeds) paths from x0 as one (P, m) array.
+    """The stepping core: P = len(seeds) paths as one (P, m) array.
 
+    ``x0`` is the shared initial datum (m0,) or one row per path (P, m0);
     ``chunks`` yields the Wiener increments in time chunks of shape
     (steps, P, m); ``jumps[p]`` is path p's time-sorted event list.
     """
@@ -325,8 +355,9 @@ def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_st
     if m > triple.dimension_cap:
         raise ValueError(f"level {m} exceeds dimension_cap {triple.dimension_cap}")
     n_paths = len(seeds)
-    init = triple.project(np.asarray(x0, dtype=float), m).coeffs
-    x = np.repeat(init[None, :], n_paths, axis=0)
+    x0 = np.asarray(x0, dtype=float)
+    x = np.stack([triple.project(row, m).coeffs
+                  for row in np.broadcast_to(x0, (n_paths, x0.shape[-1]))])
 
     grid = np.arange(n_steps + 1) * dt
     grid[-1] = config.T
@@ -336,14 +367,19 @@ def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_st
         for k, ev in zip(ks.tolist(), evs):
             events_at.setdefault(k, []).append((p, ev))
 
-    norms = [_norms(bundle, triple, x[None])]
-    grid_states = [x[None].copy()] if keep_states else None
+    norm_h = np.empty((n_steps + 1, n_paths))
+    norm_v = np.empty((n_steps + 1, n_paths))
+    norm_h[0], norm_v[0] = _norms(bundle, triple, x)
+    states = np.empty((n_steps + 1, n_paths, m)) if keep_states else None
+    if keep_states:
+        states[0] = x
     entries = [[] for _ in range(n_paths)]
     steps_done = [n_steps] * n_paths
     dead: set[int] = set()
     k = 0
     for chunk in chunks:
-        block = np.empty((len(chunk), n_paths, m))
+        k0 = k
+        block = states[k0 + 1 : k0 + 1 + len(chunk)] if keep_states else np.empty((len(chunk), n_paths, m))
         for i, dw in enumerate(chunk):
             y, step_entries, failed = _step_rows(
                 x, k * dt, dt, bundle, triple, dw, events_at.get(k, ()), mark_space, config, dead
@@ -357,12 +393,7 @@ def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_st
             block[i] = y
             x = y
             k += 1
-        norms.append(_norms(bundle, triple, block))
-        if keep_states:
-            grid_states.append(block)
-    norm_h = np.concatenate([nh for nh, _ in norms])
-    norm_v = np.concatenate([nv for _, nv in norms])
-    states = np.concatenate(grid_states) if keep_states else None
+        norm_h[k0 + 1 : k + 1], norm_v[k0 + 1 : k + 1] = _norms(bundle, triple, block)
     return [
         _record(bundle, triple, config, seeds[p], grid, norm_h[:, p], norm_v[:, p],
                 None if states is None else states[:, p], entries[p], steps_done[p])
@@ -465,14 +496,17 @@ def solve_paths(
 ) -> list[PathRecord]:
     """``[solve_path(..., seed=s) for s in seeds]``, advanced as one batch.
 
-    Record p equals ``solve_path(..., seed=seeds[p])`` bit for bit.  Each
-    path draws its Wiener increments from its own sub-stream, in chunks of
-    ``WIENER_CHUNK`` steps, so the whole-horizon noise is never held.  With
-    ``keep_states=False`` the records carry times and norms only.
+    ``x0`` is shared (m0,) or gives each path its own row (P, m0).  Record p
+    equals ``solve_path(..., x0[p], ..., seed=seeds[p])`` bit for bit; paths
+    that repeat a seed share its noise.  Each path draws its Wiener
+    increments from its own sub-stream, in chunks of ``WIENER_CHUNK`` steps,
+    so the whole-horizon noise is never held.  With ``keep_states=False`` the
+    records carry times and norms only.
     """
     seeds = [int(s) for s in seeds]
     chunks = wiener_chunks(seeds, config.level, config.n_steps, config.dt, WIENER_CHUNK)
-    jumps = [sample_jumps(config.T, mark_space, s) for s in seeds]
+    jumps_of = {s: sample_jumps(config.T, mark_space, s) for s in dict.fromkeys(seeds)}
+    jumps = [jumps_of[s] for s in seeds]
     return _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_states)
 
 

@@ -22,7 +22,7 @@ from .coefficients import CoefficientBundle, HypothesisConstants
 from .noise import JumpEvent, MarkSpace, NoiseRealization, ci99, sample_noise, step_index
 from .parallel import map_indexed
 from .rng import path_seed
-from .solver import SolverConfig, solve_path
+from .solver import SolverConfig, solve_path, solve_paths
 from .spaces import GelfandTriple, dot_rows
 
 __all__ = [
@@ -35,6 +35,11 @@ __all__ = [
     "continuous_dependence_study",
     "galerkin_convergence",
 ]
+
+#: paths per stability or dependence task; fixed, so the batches never depend
+#: on the workers
+STUDY_BATCH = 8
+
 
 class StabilityWeight:
     """Accumulator for φ(t) = exp(−∫_0^t [f + ρ(Y1) + η(Y2)] ds).
@@ -151,12 +156,24 @@ class StabilityResult:
     worst_margin: float
 
 
-def _stability_worker(ctx, i: int):
-    bundle, triple, constants, x0_a, x0_b, config, mark_space, seed = ctx
-    ps = path_seed(seed, i)
-    realization = sample_noise(config.level, config.T, config.dt, mark_space, ps)
-    rec_a = solve_path(bundle, triple, x0_a, config, mark_space, seed=ps, realization=realization)
-    rec_b = solve_path(bundle, triple, x0_b, config, mark_space, seed=ps, realization=realization)
+def _batch_seeds(seed: int, n_paths: int, b: int) -> list[int]:
+    """Path seeds of batch ``b`` of an ensemble split into ``STUDY_BATCH`` paths."""
+    return [path_seed(seed, i) for i in range(b * STUDY_BATCH, min((b + 1) * STUDY_BATCH, n_paths))]
+
+
+def _stability_worker(ctx, b: int):
+    # rows [x0_a] * n + [x0_b] * n: path i's pair shares its seed's noise
+    bundle, triple, constants, x0_a, x0_b, config, mark_space, seed, n_paths = ctx
+    seeds = _batch_seeds(seed, n_paths, b)
+    n = len(seeds)
+    x0 = np.stack([triple.project(u, config.level).coeffs for u in (x0_a, x0_b)])
+    records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, mark_space,
+                          seeds + seeds)
+    return [_stability_curve(bundle, constants, config, rec_a, rec_b)
+            for rec_a, rec_b in zip(records[:n], records[n:])]
+
+
+def _stability_curve(bundle, constants, config, rec_a, rec_b):
     if rec_a.truncated_at is not None or rec_b.truncated_at is not None:
         return np.full(config.n_steps + 1, np.nan)
     t_a, s_a = rec_a.step_grid_view()
@@ -189,8 +206,9 @@ def weighted_stability_mc(
         raise ValueError("weighted stability requires the bundle to declare rho and eta")
     x0_a = np.asarray(x0_a, dtype=float)
     x0_b = np.asarray(x0_b, dtype=float)
-    ctx = (bundle, triple, constants, x0_a, x0_b, config, mark_space, seed)
-    curves = np.stack(map_indexed(_stability_worker, ctx, n_paths, workers))
+    ctx = (bundle, triple, constants, x0_a, x0_b, config, mark_space, seed, n_paths)
+    batches = map_indexed(_stability_worker, ctx, -(-n_paths // STUDY_BATCH), workers)
+    curves = np.stack([curve for batch in batches for curve in batch])
     lhs = curves.mean(axis=0)
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
     n_nodes = lhs.size
@@ -237,26 +255,28 @@ class DependenceTable:
         return float(np.polyfit(x, y, 1)[0])
 
 
-def _dependence_worker(ctx, i: int):
-    bundle, triple, x0, deltas, direction, p, config, mark_space, seed = ctx
-    ps = path_seed(seed, i)
-    realization = sample_noise(config.level, config.T, config.dt, mark_space, ps)
-    base = solve_path(bundle, triple, x0, config, mark_space, seed=ps, realization=realization)
-    out = np.empty(len(deltas))
-    for j, d in enumerate(deltas):
-        if d == 0.0:
-            out[j] = 0.0
-            continue
-        pert = solve_path(
-            bundle, triple, x0 + d * direction, config, mark_space, seed=ps,
-            realization=realization,
-        )
-        if base.truncated_at is not None or pert.truncated_at is not None:
-            out[j] = np.nan
-            continue
-        diff = pert.states - base.states
-        sup = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max())
-        out[j] = sup**p
+def _dependence_worker(ctx, b: int):
+    # per path: the base row, then one row per nonzero delta, all on its seed
+    bundle, triple, x0, deltas, direction, p, config, mark_space, seed, n_paths = ctx
+    moved = [d for d in deltas if d != 0.0]
+    starts = [x0] + [x0 + d * direction for d in moved]
+    rows = [triple.project(u, config.level).coeffs for u in starts]
+    seeds = _batch_seeds(seed, n_paths, b)
+    records = solve_paths(bundle, triple, np.stack(rows * len(seeds)), config, mark_space,
+                          [s for s in seeds for _ in rows])
+    out = np.zeros((len(seeds), len(deltas)))
+    for i in range(len(seeds)):
+        base, *perts = records[i * len(rows) : (i + 1) * len(rows)]
+        perts = iter(perts)
+        for j, d in enumerate(deltas):
+            if d == 0.0:
+                continue
+            pert = next(perts)
+            if base.truncated_at is not None or pert.truncated_at is not None:
+                out[i, j] = np.nan
+                continue
+            diff = pert.states - base.states
+            out[i, j] = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()) ** p
     return out
 
 
@@ -281,8 +301,8 @@ def continuous_dependence_study(
     else:
         direction = np.asarray(direction, dtype=float)
     deltas = [float(d) for d in perturbations]
-    ctx = (bundle, triple, x0, deltas, direction, float(p), config, mark_space, seed)
-    rows = np.stack(map_indexed(_dependence_worker, ctx, n_paths, workers))
+    ctx = (bundle, triple, x0, deltas, direction, float(p), config, mark_space, seed, n_paths)
+    rows = np.concatenate(map_indexed(_dependence_worker, ctx, -(-n_paths // STUDY_BATCH), workers))
     return DependenceTable(
         deltas=np.asarray(deltas),
         values=rows.mean(axis=0),

@@ -277,3 +277,34 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
     assert main(["uniqueness", "--config", str(path), "--seed", seed]) == 1
     assert "--seed" in capsys.readouterr().err
     assert main(["uniqueness", "--config", str(path), "--seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, study, field",
+    [
+        ("energy", {"n_paths": 4, "m_list": [2, 1000]}, "study.m_list"),
+        ("converge", {"n_paths": 4, "m_list": [2, 1000]}, "study.m_list"),
+        ("modulus", {"n_paths": 4, "delta_list": [0.015, 0.04]}, "study.delta_list"),
+        ("residual", {"n_paths": 4, "dt_levels": [0.01]}, "study.dt_levels"),
+    ],
+    ids=["energy", "converge", "modulus", "residual"],
+)
+def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
+    # a level above the cap, an off-grid shift and a one-point slope fit
+    path = _write_config(tmp_path, study=study)
+    assert main([command, "--config", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("command, field", [("depend", "log_slope"), ("energy", "ratio_spread")])
+def test_failing_study_sidecar_is_strict_json(tmp_path, command, field):
+    study = {"n_paths": 4, "p_list": [2.0], "m_list": [2, 4]}
+    path = _write_config(tmp_path, x0=[1e308, 1e308], study=study)
+    assert main([command, "--config", str(path)]) == 2
+    text = (tmp_path / "out" / f"{command}_meta.json").read_text()
+    meta = json.loads(text, parse_constant=_reject_constant)
+    assert meta["pass"] is False and meta[field] is None

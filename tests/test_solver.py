@@ -11,7 +11,9 @@ from levyspde.noise import JumpEvent, MarkSpace, NoiseRealization, sample_noise
 from levyspde.rng import path_seed
 from levyspde.solver import (
     SolverConfig,
+    StepFailure,
     StoppingTimeRule,
+    _newton_rows,
     apply_stopping,
     solve_path,
     solve_paths,
@@ -348,11 +350,22 @@ def _assert_same_record(got, want, states=True):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
 
 
-@pytest.mark.parametrize("model_id", ["heat", "grad_noise_linear", "p_laplacian"])
-def test_batch_rows_equal_single_path_solves(model_id):
-    # p_laplacian: Newton rows one at a time and the v_norm functional
+@pytest.mark.parametrize(
+    "model_id, scheme",
+    [
+        pytest.param("heat", "drift_implicit", id="heat"),
+        pytest.param("grad_noise_linear", "drift_implicit", id="grad_noise_linear"),
+        pytest.param("p_laplacian", "drift_implicit", id="p_laplacian"),
+        pytest.param("allen_cahn", "drift_implicit", id="allen_cahn"),
+        pytest.param("burgers1d", "drift_implicit", id="burgers1d"),
+        pytest.param("allen_cahn", "tamed_explicit", id="allen_cahn-tamed_explicit"),
+    ],
+)
+def test_batch_rows_equal_single_path_solves(model_id, scheme):
+    # the Newton models solve their rows in one batch; p_laplacian also
+    # evaluates the v_norm functional
     spec = builtin(model_id)
-    cfg = SolverConfig(dt=0.01, T=1.0, level=5)  # 100 steps: two Wiener chunks
+    cfg = SolverConfig(dt=0.01, T=1.0, level=5, scheme=scheme)  # 100 steps: two Wiener chunks
     seeds = [path_seed(3, i) for i in range(6)]
     args = (spec.bundle, spec.triple, spec.default_x0, cfg, spec.bundle.mark_space)
     batch = solve_paths(*args, seeds)
@@ -365,16 +378,22 @@ def test_batch_rows_equal_single_path_solves(model_id):
         assert light.states is None
 
 
-def test_batch_newton_rows_truncate_independently():
+def _stalling_bundle():
     # past u = 1.0100003 the implicit equation y - dt(-y + 1e8 (y-1)_+^2) = u
-    # has no root, so a path that gets there is truncated; the others go on
+    # has no root at dt = 0.01
     marks = MarkSpace(marks=np.array([0.5]), weights=np.array([1.0]))
-    bundle = CoefficientBundle(
+    return CoefficientBundle(
         drift=lambda t, u: -u + 1e8 * np.maximum(u - 1.0, 0.0) ** 2,
         diffusion=lambda t, u: 0.8 * u[..., None],
         jump=lambda t, u, z: z * u,
         mark_space=marks,
     )
+
+
+def test_batch_newton_rows_truncate_independently():
+    # a path whose drift solve has no root is truncated; the others go on
+    bundle = _stalling_bundle()
+    marks = bundle.mark_space
     triple = GelfandTriple(dimension_cap=1, v_weights=np.ones(1))
     cfg = SolverConfig(dt=0.01, T=1.0, level=1, newton_max_iter=20)
     seeds = list(range(8))
@@ -393,3 +412,131 @@ def test_non_finite_norm_truncates_the_record(heat_spec):
     rec = solve_path(heat_spec.bundle, heat_spec.triple, np.array([1e154, 0.0]), cfg,
                      heat_spec.bundle.mark_space, seed=0)
     assert rec.truncated_at is None and np.all(np.isfinite(rec.norm_v))
+
+
+# ---------------------------------------------------------------------------
+# batched damped Newton against a one-state oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_fd_jacobian(bundle, y, t):
+    m = y.size
+    base = np.asarray(bundle.drift(t, y), dtype=float)
+    h = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(y))
+    moved = np.repeat(y[None, :], m, axis=0)
+    moved[np.arange(m), np.arange(m)] += h
+    return ((np.asarray(bundle.drift(t, moved), dtype=float) - base) / h[:, None]).T
+
+
+def _oracle_newton(bundle, x, t_next, dt, config):
+    """Damped Newton for y - dt A(t_next, y) = x on one state x (m,)."""
+    m = x.size
+    tol = config.newton_tol * (1.0 + float(np.linalg.norm(x)))
+
+    def residual(y):
+        return y - dt * np.asarray(bundle.drift(t_next, y), dtype=float) - x
+
+    y = x.copy()
+    f = residual(y)
+    nf = float(np.linalg.norm(f))
+    for it in range(config.newton_max_iter):
+        if nf < tol:
+            return y
+        if bundle.drift_jacobian is not None:
+            ja = np.asarray(bundle.drift_jacobian(t_next, y), dtype=float)
+        else:
+            ja = _oracle_fd_jacobian(bundle, y, t_next)
+        jac = np.eye(m) - dt * ja
+        try:
+            delta = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        s = 1.0
+        for _ in range(30):
+            y_trial = y + s * delta
+            f_trial = residual(y_trial)
+            nf_trial = float(np.linalg.norm(f_trial))
+            if np.isfinite(nf_trial) and nf_trial < nf:
+                break
+            s *= 0.5
+        else:
+            raise StepFailure(time=t_next, residual=nf, iterations=it + 1)
+        y, f, nf = y_trial, f_trial, nf_trial
+    if nf < tol:
+        return y
+    raise StepFailure(time=t_next, residual=nf, iterations=config.newton_max_iter)
+
+
+def _newton_case(name):
+    """(bundle, rows (R, m), dt, config) of one oracle case."""
+    rng = np.random.default_rng(17)
+    if name in ("allen_cahn", "burgers1d"):
+        spec = builtin(name)
+        m = 8
+        scale = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])[:, None]
+        return spec.bundle, scale * rng.normal(size=(7, m)), 0.05, SolverConfig(dt=0.05, T=1.0, level=m)
+    if name == "fd_jacobian":
+        bundle = CoefficientBundle(
+            drift=lambda t, u: -(u**3) + u[..., ::-1] - np.sin(t * u),
+            diffusion=lambda t, u: np.zeros(u.shape + u.shape[-1:]),
+            jump=lambda t, u, z: np.zeros(u.shape),
+            mark_space=MarkSpace.zero(),
+        )
+        rows = np.array([0.3, 1.0, 3.0, 10.0])[:, None] * rng.normal(size=(4, 5))
+        return bundle, rows, 0.1, SolverConfig(dt=0.1, T=1.0, level=5)
+    if name == "singular":
+        # I - dt J = I - diag(u) is singular at u_j = 1: least squares there
+        bundle = CoefficientBundle(
+            drift=lambda t, u: 5.0 * u**2,
+            diffusion=lambda t, u: np.zeros(u.shape + u.shape[-1:]),
+            jump=lambda t, u, z: np.zeros(u.shape),
+            mark_space=MarkSpace.zero(),
+            drift_jacobian=lambda t, u: 10.0 * u[..., :, None] * np.eye(u.shape[-1]),
+        )
+        rows = np.array([[0.2, -0.3], [1.0, 0.1], [0.4, 0.45], [1.0, 1.0]])
+        return bundle, rows, 0.1, SolverConfig(dt=0.1, T=1.0, level=2)
+    rows = np.array([[0.8], [1.005], [1.0100002], [1.0100004], [1.02], [1.5], [np.nan], [0.99]])
+    return _stalling_bundle(), rows, 0.01, SolverConfig(dt=0.01, T=1.0, level=1, newton_max_iter=20)
+
+
+@pytest.mark.parametrize("name", ["allen_cahn", "burgers1d", "fd_jacobian", "singular", "stalling"])
+def test_batch_newton_matches_one_state_oracle(name):
+    bundle, rows, dt, cfg = _newton_case(name)
+    y, failed = _newton_rows(bundle, rows, 0.3 + dt, dt, cfg)
+    want_failed = {}
+    for r, x in enumerate(rows):
+        try:
+            np.testing.assert_array_equal(y[r], _oracle_newton(bundle, x, 0.3 + dt, dt, cfg))
+        except StepFailure as exc:
+            want_failed[r] = exc
+    assert sorted(failed) == sorted(want_failed)
+    for r, exc in want_failed.items():
+        got = failed[r]
+        assert (got.time, got.iterations) == (exc.time, exc.iterations)
+        np.testing.assert_array_equal(got.residual, exc.residual)
+    assert len(failed) < len(rows)
+    assert failed or name != "stalling"
+
+
+def test_any_subset_of_a_batch_keeps_each_rows_bits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    spec = builtin("allen_cahn")
+    cfg = SolverConfig(dt=0.01, T=0.1, level=6)
+    base = spec.triple.project(spec.default_x0, 6).coeffs
+    rows = np.array([0.5, 1.0, 2.0, -1.0, 4.0, 8.0])[:, None] * base
+    seeds = [path_seed(9, i) for i in range(len(rows))]
+    args = (spec.bundle, spec.triple)
+    alone = [solve_path(*args, rows[i], cfg, spec.bundle.mark_space, seed=s)
+             for i, s in enumerate(seeds)]
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(st.permutations(range(len(rows))), st.integers(1, len(rows)))
+    def check(order, size):
+        order = list(order[:size])
+        batch = solve_paths(*args, rows[order], cfg, spec.bundle.mark_space,
+                            [seeds[i] for i in order])
+        for i, rec in zip(order, batch):
+            _assert_same_record(rec, alone[i])
+
+    check()

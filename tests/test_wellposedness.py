@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from levyspde import wellposedness
 from levyspde.coefficients import CoefficientBundle
 from levyspde.noise import JumpEvent, MarkSpace, NoiseRealization, sample_noise
 from levyspde.solver import SolverConfig, solve_path
@@ -233,3 +234,32 @@ def test_workers_do_not_change_results(heat_spec):
     serial = continuous_dependence_study(*args, workers=1)
     parallel = continuous_dependence_study(*args, workers=4)
     np.testing.assert_array_equal(serial.values, parallel.values)
+
+
+def test_stability_and_dependence_independent_of_workers_and_batches(allen_cahn_spec, monkeypatch):
+    # 10 paths: one full batch and a short one; a batch of one path too
+    spec = allen_cahn_spec
+    cfg = SolverConfig(dt=0.01, T=0.2, level=4)
+    x0 = spec.default_x0
+    x0_b = x0.copy()
+    x0_b[0] += 0.1
+
+    def run(workers):
+        stab = weighted_stability_mc(spec.bundle, spec.triple, spec.constants, x0, x0_b, cfg,
+                                     spec.bundle.mark_space, n_paths=10, seed=4, workers=workers)
+        dep = continuous_dependence_study(spec.bundle, spec.triple, x0, [1e-1, 0.0, 1e-2], 2.0,
+                                          cfg, spec.bundle.mark_space, n_paths=10, seed=4,
+                                          workers=workers)
+        return dataclasses.asdict(stab), dataclasses.asdict(dep)
+
+    def assert_same(got, want):
+        for table_got, table_want in zip(got, want):
+            assert table_got.keys() == table_want.keys()
+            for key in table_want:
+                np.testing.assert_array_equal(table_got[key], table_want[key], err_msg=key)
+
+    reference = run(1)
+    assert_same(run(2), reference)
+    monkeypatch.setattr(wellposedness, "STUDY_BATCH", 1)
+    assert_same(run(1), reference)
+    assert_same(run(2), reference)
