@@ -83,15 +83,24 @@ def _write_sidecar(path: Path, exp: ExperimentConfig, study: str, verdict: bool,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if extra:
-        # strict JSON: a non-finite figure is written as null, not NaN
-        meta.update({k: None if isinstance(v, float) and not math.isfinite(v) else v
-                     for k, v in extra.items()})
+        meta.update(_strict(extra))
     path.write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
+
+
+def _strict(value):
+    """``value`` with every non-finite float written as None: strict JSON, not NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _study_int(exp: ExperimentConfig, name: str, default: int) -> int:
     value = exp.study.get(name, default)
-    if not isinstance(value, int) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"study.{name}", "expected a nonnegative integer")
     return value
 
@@ -132,14 +141,22 @@ def _check_p_admissibility(exp: ExperimentConfig, p_list) -> None:
 
 def _cmd_check(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     samples = _study_int(exp, "samples", 1000)
+    if samples < 1:
+        raise ConfigError("study.samples", "the audits need at least one sample")
     report = models.validate(exp.model, samples=samples, seed=exp.master_seed)
     rows = [
         (e.name, e.verdict, e.worst_margin, e.samples_used)
         for e in report.entries
     ]
     _write_table(out / "check.csv", ANCHORS["check"], ("hypothesis", "verdict", "worst_margin", "samples"), rows, fmt)
-    (out / "check_report.json").write_text(report.to_json() + "\n")
+    report_json = _strict([e.to_json_dict() for e in report.entries])
+    (out / "check_report.json").write_text(json.dumps(report_json, indent=2, allow_nan=False) + "\n")
     ok = report.passed()
+    broken = [e for e in report.entries if "coefficient" in e.witness]
+    if broken:
+        return False, "; ".join(
+            f"{e.name}: {e.witness['coefficient']} evaluated to a non-finite value" for e in broken
+        )
     worst = min(report.entries, key=lambda e: e.worst_margin)
     return ok, f"{len(report.entries)} hypotheses audited, worst margin {worst.worst_margin:.3e} ({worst.name})"
 
@@ -228,12 +245,16 @@ def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     if len(set(dt_levels)) < 2:
         raise ConfigError("study.dt_levels", "the slope fit needs at least two distinct levels")
     n_paths = _study_int(exp, "n_paths", 256)
+    try:
+        levels = [replace(exp.solver, dt=dt) for dt in sorted(dt_levels, reverse=True)]
+    except ValueError as exc:
+        raise ConfigError("study.dt_levels", str(exc)) from None
     bundle, triple = exp.model.bundle, exp.model.triple
     x0 = exp.initial_state()
     means = []
     rows = []
-    for dt in sorted(dt_levels, reverse=True):
-        cfg = replace(exp.solver, dt=dt)
+    for cfg in levels:
+        dt = cfg.dt
         totals = np.empty(n_paths)
         for i in range(n_paths):
             ps = path_seed(exp.master_seed, i)

@@ -7,6 +7,17 @@ the witness that attained it.  A short deterministic perturbation descent
 refines the worst witness, since thin violation regions are easy to miss
 with raw sampling.
 
+Scans are batched: each one groups its samples by audit time point and
+evaluates a group in one call per coefficient (drift, the full diffusion
+matrix, jump per mark, rho, eta, v_norm), and the hemicontinuity scan
+evaluates its fine grid in drift calls of up to ``AUDIT_BATCH_ROWS`` rows,
+the cap every batched call keeps to bound memory.  Every row keeps the bits
+of its 1-D call, so the margins do not depend on the grouping.  The descent
+stays serial, one-row batches through the same term functions, because each
+trial starts from the last accepted point.  A non-finite coefficient row
+raises ``AuditFailure`` naming the coefficient, the row's t and u, and the
+entry; ``models.validate`` turns it into a failing entry.
+
 Inequality catalogue, by entry name:
 
 * ``H1``        drift hemicontinuity along line segments
@@ -25,16 +36,15 @@ Inequality catalogue, by entry name:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .noise import MarkSpace
 from .rng import derive_rng
-from .spaces import GelfandTriple
+from .spaces import GelfandTriple, dot_rows, libm_pow
 
 __all__ = [
     "CoefficientBundle",
@@ -61,13 +71,32 @@ AUDIT_SCALES = (0.1, 1.0, 10.0)
 #: number of time points audited on the uniform grid over [0, horizon]
 AUDIT_TIME_POINTS = 8
 
+#: most state rows in one coefficient call of a scan; bounds the temporaries
+#: of grid models (each row holds several grid-sized arrays)
+AUDIT_BATCH_ROWS = 128
+
 
 class AuditFailure(RuntimeError):
-    """A coefficient evaluation returned a non-finite value during an audit."""
+    """A coefficient evaluation returned a non-finite value during an audit.
 
-    def __init__(self, message: str, witness=None):
+    ``witness`` names the coefficient and holds the offending row's t and u;
+    ``hypothesis`` names the entry whose scan raised it.
+    """
+
+    def __init__(self, message: str, witness=None, hypothesis: str | None = None):
         super().__init__(message)
         self.witness = witness
+        self.hypothesis = hypothesis
+
+    def entry(self, samples: int) -> "HypothesisEntry":
+        """The failing entry this evaluation stands for (margin NaN)."""
+        return HypothesisEntry(
+            name=self.hypothesis,
+            worst_margin=math.nan,
+            witness=self.witness,
+            samples_used=samples,
+            tolerance=0.0,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,11 +149,11 @@ class CoefficientBundle:
     diffusion_matvec: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     jump_weighted_sum: Callable[[float, np.ndarray], np.ndarray] | None = None
 
-    def v_norm_of(self, triple: GelfandTriple, u: np.ndarray) -> float:
-        """‖u‖_V of one state u (m,)."""
+    def v_norm_of(self, triple: GelfandTriple, u: np.ndarray) -> np.ndarray:
+        """‖u‖_V of each row of ``u`` (..., m), shape (...)."""
         if self.v_norm is not None:
-            return float(self.v_norm(u))
-        return triple.norm_v(u)
+            return np.asarray(self.v_norm(u), dtype=float)
+        return np.sqrt(dot_rows(triple.v_weights[: u.shape[-1]] * u, u))
 
     def apply_diffusion(self, t: float, u: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """B(t, u) ΔW for each row of ``u`` and ``dw``, shape (..., m)."""
@@ -193,11 +222,20 @@ class HypothesisConstants:
 
 @dataclass
 class HypothesisEntry:
+    """One audited inequality: its worst margin and witness.
+
+    ``evaluations`` counts the state rows the audit passed to the bundle's
+    coefficients (drift, diffusion, jump per mark, rho, eta, v_norm), and
+    ``descent_gain`` is the refined margin minus the raw worst margin, or 0.
+    """
+
     name: str
     worst_margin: float
     witness: dict
     samples_used: int
     tolerance: float
+    evaluations: int = 0
+    descent_gain: float = 0.0
 
     @property
     def verdict(self) -> str:
@@ -208,12 +246,15 @@ class HypothesisEntry:
         return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
+        """The entry as written to ``check_report.json``."""
         return {
             "hypothesis": self.name,
             "verdict": self.verdict,
             "worst_margin": self.worst_margin,
             "witness_coeffs": self.witness,
             "samples": self.samples_used,
+            "evaluations": self.evaluations,
+            "descent_gain": self.descent_gain,
         }
 
 
@@ -230,20 +271,91 @@ class HypothesisReport:
                 return e
         raise KeyError(name)
 
-    def to_json(self) -> str:
-        return json.dumps([e.to_json_dict() for e in self.entries], indent=2)
-
 
 # ---------------------------------------------------------------------------
 # shared audit plumbing
 # ---------------------------------------------------------------------------
+#
+# Every term function takes states ``u`` of shape (..., m) and returns one
+# (LHS, RHS) value per row, so a scan evaluates each time point's rows in one
+# coefficient call per callable.  Row results keep the bits of a 1-D call:
+# dot products go through ``dot_rows``, Hilbert-Schmidt sums through
+# ``_sum_squares`` and scalar powers through the C library's ``pow``.
 
 
-def _finite_or_raise(value, name, witness):
+def _finite_or_raise(value, name: str, t, u: np.ndarray) -> np.ndarray:
+    """``value`` as a float array; a non-finite row raises with its t and u."""
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise AuditFailure(f"{name} evaluated to a non-finite value", witness=witness)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = ~finite.reshape(u.shape[:-1] + (-1,)).all(axis=-1)
+        row = u[tuple(np.argwhere(bad)[0])]
+        raise AuditFailure(f"{name} evaluated to a non-finite value",
+                           witness={"coefficient": name, "t": t, "u": row.tolist()})
     return arr
+
+
+def _sum_squares(b: np.ndarray) -> np.ndarray:
+    """Σ b_ij² of each (m, m) matrix of ``b`` (..., m, m), with ``np.sum(b * b)``'s bits."""
+    bb = b * b
+    return np.sum(bb.reshape(bb.shape[:-2] + (-1,)), axis=-1)
+
+
+def _v_norm(bundle, triple, t, u):
+    return _finite_or_raise(bundle.v_norm_of(triple, u), "v_norm", t, u)
+
+
+#: bundle callables the audits evaluate, with the position of ``u`` in their arguments
+_STATE_CALLABLES = {"drift": 1, "diffusion": 1, "jump": 1, "rho": 0, "eta": 0, "v_norm": 0}
+
+
+def _counting(bundle: CoefficientBundle):
+    """A copy of ``bundle`` whose state callables add their row counts to ``rows[0]``."""
+    rows = [0]
+
+    def counted(fn, pos):
+        def call(*args):
+            rows[0] += math.prod(np.shape(args[pos])[:-1])
+            return fn(*args)
+
+        return call
+
+    hooks = {
+        name: counted(getattr(bundle, name), pos)
+        for name, pos in _STATE_CALLABLES.items()
+        if getattr(bundle, name) is not None
+    }
+    return replace(bundle, **hooks), rows
+
+
+def _rel_tol(scale: float) -> float:
+    # relative floor absorbing quadrature noise in the margin evaluation
+    return 1e-9 * (1.0 + scale)
+
+
+def _audit_entry(name, bundle, samples, scan, tol_rule=_rel_tol) -> HypothesisEntry:
+    """Run ``scan(bundle)`` -> (records, descent_gain) as the entry ``name``.
+
+    records are (margin, scale, witness) tuples; the entry keeps the first
+    smallest margin.  The scan sees a copy of the bundle that counts the rows
+    it evaluates, and an AuditFailure it raises is tagged with ``name``.
+    """
+    counted, rows = _counting(bundle)
+    try:
+        records, gain = scan(counted)
+    except AuditFailure as exc:
+        exc.hypothesis = name
+        raise
+    worst = min(records, key=lambda r: r[0])
+    return HypothesisEntry(
+        name=name,
+        worst_margin=float(worst[0]),
+        witness=worst[2],
+        samples_used=samples,
+        tolerance=tol_rule(worst[1]),
+        evaluations=rows[0],
+        descent_gain=gain,
+    )
 
 
 def _time_grid(constants: HypothesisConstants | None) -> np.ndarray:
@@ -251,8 +363,36 @@ def _time_grid(constants: HypothesisConstants | None) -> np.ndarray:
     return np.linspace(0.0, horizon, AUDIT_TIME_POINTS)
 
 
-def _sample_states(triple: GelfandTriple, level: int, seed: int, name: str, count: int):
-    """Gaussian coefficient vectors at staged amplitudes plus axis extremes.
+def _batched(fn, *rows):
+    """``fn(*chunk)`` on chunks of at most AUDIT_BATCH_ROWS rows, joined per output.
+
+    ``fn`` returns a sequence of per-row arrays for its chunk.
+    """
+    n = len(rows[0])
+    parts = [fn(*(r[lo:lo + AUDIT_BATCH_ROWS] for r in rows)) for lo in range(0, n, AUDIT_BATCH_ROWS)]
+    return [np.concatenate(values) for values in zip(*parts)]
+
+
+def _by_time(times: np.ndarray, fn, *rows):
+    """``fn(t, *chunk)`` on the rows of each time point, reassembled in row order.
+
+    Row i is audited at ``times[i % times.size]``; ``fn`` returns a sequence
+    of per-row arrays for its chunk.
+    """
+    n = len(rows[0])
+    out = None
+    for k, t in enumerate(times.tolist()[:n]):
+        group = slice(k, n, times.size)
+        values = _batched(lambda *chunk: fn(t, *chunk), *(r[group] for r in rows))
+        if out is None:
+            out = [np.empty(n) for _ in values]
+        for dest, value in zip(out, values):
+            dest[group] = value
+    return out
+
+
+def _sample_states(triple: GelfandTriple, level: int, seed: int, name: str, count: int) -> np.ndarray:
+    """Gaussian coefficient vectors at staged amplitudes plus axis extremes, (n, level).
 
     Each random state draws from its own derived sub-stream, so sample i is
     the same vector regardless of batch size or worker layout; together with
@@ -269,11 +409,14 @@ def _sample_states(triple: GelfandTriple, level: int, seed: int, name: str, coun
         rng = derive_rng(seed, f"audit-{name}", "state", i)
         s = AUDIT_SCALES[i % len(AUDIT_SCALES)]
         out.append(s * rng.standard_normal(level))
-    return out
+    return np.array(out)
 
 
 def _descend(margin_fn, t: float, u: np.ndarray, v: np.ndarray | None, rounds: int = 4):
-    """Deterministic coordinate perturbation descent from the worst witness."""
+    """Deterministic coordinate perturbation descent from the worst witness.
+
+    Serial by nature: each trial starts from the last accepted point.
+    """
     best = margin_fn(t, u, v)
     steps = (0.3, 0.1, 0.03, 0.01)
     vecs = [u] if v is None else [u, v]
@@ -291,24 +434,6 @@ def _descend(margin_fn, t: float, u: np.ndarray, v: np.ndarray | None, rounds: i
     return best, vecs[0], (vecs[1] if v is not None else None)
 
 
-def _entry_from_scan(name, records, tol_rule, samples):
-    """records: list of (margin, scale, witness) tuples -> worst entry."""
-    worst = min(records, key=lambda r: r[0])
-    tol = tol_rule(worst[1])
-    return HypothesisEntry(
-        name=name,
-        worst_margin=float(worst[0]),
-        witness=worst[2],
-        samples_used=samples,
-        tolerance=tol,
-    )
-
-
-def _rel_tol(scale: float) -> float:
-    # relative floor absorbing quadrature noise in the margin evaluation
-    return 1e-9 * (1.0 + scale)
-
-
 # ---------------------------------------------------------------------------
 # H1: hemicontinuity
 # ---------------------------------------------------------------------------
@@ -319,18 +444,26 @@ def hemicontinuity_jump_estimate(bundle, triple, t, u, v, w, s_lo=-1.0, s_hi=1.5
 
     Scans three nested grids (1025/257/65 points) and removes the smooth
     O(h) and O(h^2) parts of the max adjacent difference by two rounds of
-    Richardson extrapolation; what survives is the jump size.
+    Richardson extrapolation; what survives is the jump size.  The fine grid
+    is evaluated in batched drift calls; the coarser grids reuse its values
+    through the rounded s and evaluate only the points it misses.
     Returns (jump_estimate, s_witness, value_range).
     """
-    def f(s):
-        a = _finite_or_raise(bundle.drift(t, u + s * v), "drift", {"t": t, "s": s})
-        return float(np.dot(a, w))
-
     values = {}
+
+    def segment(points):
+        a = _finite_or_raise(bundle.drift(t, points), "drift", t, points)
+        return (dot_rows(a, w),)
 
     def scan(n):
         grid = np.linspace(s_lo, s_hi, n)
-        vals = np.array([values.setdefault(round(s, 14), f(s)) for s in grid])
+        keys = np.round(grid, 14).tolist()  # the same keys as round(s, 14) per point
+        missing = [k for k, key in enumerate(keys) if key not in values]
+        if missing:
+            (pairing,) = _batched(segment, u + grid[missing][:, None] * v)
+            for k, value in zip(missing, pairing.tolist()):
+                values.setdefault(keys[k], value)
+        vals = np.array([values[key] for key in keys])
         diffs = np.abs(np.diff(vals))
         k = int(np.argmax(diffs))
         return float(diffs[k]), float(grid[k]), vals
@@ -351,23 +484,25 @@ def audit_hemicontinuity(bundle, triple, samples: int, seed: int, level: int | N
         raise ValueError("samples must be >= 1")
     level = level or min(triple.dimension_cap, 8)
     times = _time_grid(constants)
-    records = []
-    n_scans = max(1, samples // 64)  # each scan evaluates the drift ~1300 times
-    for i in range(n_scans):
-        rng = derive_rng(seed, "audit-H1", i)
-        t = float(times[i % times.size])
-        scale = AUDIT_SCALES[i % len(AUDIT_SCALES)]
-        u = scale * rng.standard_normal(level)
-        v = scale * rng.standard_normal(level)
-        w = rng.standard_normal(level)
-        w /= max(np.linalg.norm(w), 1e-12)
-        jump, s_loc, value_range = hemicontinuity_jump_estimate(bundle, triple, t, u, v, w)
-        margin = -jump
-        tol_scale = value_range
-        records.append(
-            (margin, tol_scale, {"t": t, "s": s_loc, "u": u.tolist(), "v": v.tolist()})
-        )
-    return _entry_from_scan("H1", records, lambda s: 1e-5 * (1.0 + s), samples)
+    n_scans = max(1, samples // 64)  # each scan evaluates the drift at ~1300 points
+
+    def scan(b):
+        records = []
+        for i in range(n_scans):
+            rng = derive_rng(seed, "audit-H1", i)
+            t = float(times[i % times.size])
+            scale = AUDIT_SCALES[i % len(AUDIT_SCALES)]
+            u = scale * rng.standard_normal(level)
+            v = scale * rng.standard_normal(level)
+            w = rng.standard_normal(level)
+            w /= max(np.linalg.norm(w), 1e-12)
+            jump, s_loc, value_range = hemicontinuity_jump_estimate(b, triple, t, u, v, w)
+            records.append(
+                (-jump, value_range, {"t": t, "s": s_loc, "u": u.tolist(), "v": v.tolist()})
+            )
+        return records, 0.0
+
+    return _audit_entry("H1", bundle, samples, scan, lambda s: 1e-5 * (1.0 + s))
 
 
 # ---------------------------------------------------------------------------
@@ -375,66 +510,66 @@ def audit_hemicontinuity(bundle, triple, samples: int, seed: int, level: int | N
 # ---------------------------------------------------------------------------
 
 
-def _noise_difference_terms(bundle, t, u, v):
-    """‖B(t,u)−B(t,v)‖_{L2}² + Σ lam_i ‖γ(t,u,z_i)−γ(t,v,z_i)‖²."""
-    db = _finite_or_raise(bundle.diffusion(t, u), "diffusion", {"t": t}) - np.asarray(
-        bundle.diffusion(t, v), dtype=float
-    )
-    total = float(np.sum(db * db))
+def _noise_difference_terms(bundle, t, uv):
+    """‖B(t,u)−B(t,v)‖_{L2}² + Σ lam_i ‖γ(t,u,z_i)−γ(t,v,z_i)‖² per row; ``uv`` is (2, ..., m)."""
+    b = _finite_or_raise(bundle.diffusion(t, uv), "diffusion", t, uv)
+    total = _sum_squares(b[0] - b[1])
     ms = bundle.mark_space
     if not ms.is_zero:
         for z, lam in zip(ms.marks, ms.weights):
-            dg = _finite_or_raise(bundle.jump(t, u, float(z)), "jump", {"t": t}) - np.asarray(
-                bundle.jump(t, v, float(z)), dtype=float
-            )
-            total += lam * float(np.dot(dg, dg))
+            g = _finite_or_raise(bundle.jump(t, uv, float(z)), "jump", t, uv)
+            dg = g[0] - g[1]
+            total = total + lam * dot_rows(dg, dg)
     return total
 
 
 def local_monotonicity_terms(bundle, constants, triple, mode, t, u, v):
-    """(LHS, RHS) of the selected local-monotonicity inequality at (t, u, v)."""
-    au = _finite_or_raise(bundle.drift(t, u), "drift", {"t": t, "u": u.tolist()})
-    av = _finite_or_raise(bundle.drift(t, v), "drift", {"t": t, "v": v.tolist()})
-    diff = u - v
-    pair = float(np.dot(au - av, diff))
-    h2 = float(np.dot(diff, diff))
-
+    """(LHS, RHS) of the selected local-monotonicity inequality at (t, u, v), per row."""
     if mode == "H2prime":
         if bundle.local_bound is None:
             raise ValueError("mode H2prime requires the bundle to declare local_bound")
-        r = max(bundle.v_norm_of(triple, u), bundle.v_norm_of(triple, v))
-        return pair, float(bundle.local_bound(t, r)) * h2
-
-    if bundle.rho is None or bundle.eta is None:
+    elif bundle.rho is None or bundle.eta is None:
         raise ValueError(f"mode {mode} requires the bundle to declare rho and eta")
-    lhs = 2.0 * pair + _noise_difference_terms(bundle, t, u, v)
-    rhs = (constants.f_at(t) + float(bundle.rho(u)) + float(bundle.eta(v))) * h2
+    uv = np.stack([u, v])
+    a = _finite_or_raise(bundle.drift(t, uv), "drift", t, uv)
+    diff = u - v
+    pair = dot_rows(a[0] - a[1], diff)
+    h2 = dot_rows(diff, diff)
+
+    if mode == "H2prime":
+        vn = _v_norm(bundle, triple, t, uv)
+        r = np.where(vn[1] > vn[0], vn[1], vn[0])
+        bound = np.reshape([float(bundle.local_bound(t, x)) for x in r.reshape(-1).tolist()], r.shape)
+        return pair, bound * h2
+
+    lhs = 2.0 * pair + _noise_difference_terms(bundle, t, uv)
+    rho = _finite_or_raise(bundle.rho(u), "rho", t, u)
+    eta = _finite_or_raise(bundle.eta(v), "eta", t, v)
+    rhs = (constants.f_at(t) + rho + eta) * h2
     return lhs, rhs
 
 
 def envelope_terms(bundle, constants, triple, mode, u):
-    """(LHS, RHS) of the rho/eta envelope bound at state u."""
-    h = triple.norm_h(u)
-    vn = bundle.v_norm_of(triple, u)
+    """(LHS, RHS) of the rho/eta envelope bound at each state row of u."""
+    if mode not in ("H2", "H2star"):
+        raise ValueError(f"no envelope in mode {mode}")
+    h = np.sqrt(dot_rows(u, u))
+    vn = _v_norm(bundle, triple, None, u)
+    rho = np.abs(_finite_or_raise(bundle.rho(u), "rho", None, u))
+    eta = np.abs(_finite_or_raise(bundle.eta(u), "eta", None, u))
     c = constants.C_monotone
     if mode == "H2":
-        lhs = abs(float(bundle.rho(u))) + abs(float(bundle.eta(u)))
-        rhs = c * (1.0 + vn**constants.beta) * (1.0 + h**constants.zeta)
-        return lhs, rhs
-    if mode == "H2star":
-        lhs_rho = abs(float(bundle.rho(u)))
-        rhs_rho = c * (1.0 + h**constants.lambda_exp) + c * vn**constants.theta_exp * (
-            1.0 + h**constants.zeta
-        )
-        lhs_eta = abs(float(bundle.eta(u)))
-        rhs_eta = c * (1.0 + h ** (2.0 + constants.alpha)) + c * vn**constants.beta * (
-            1.0 + h**constants.alpha
-        )
-        # report the tighter of the two residuals as one envelope check
-        if rhs_rho - lhs_rho <= rhs_eta - lhs_eta:
-            return lhs_rho, rhs_rho
-        return lhs_eta, rhs_eta
-    raise ValueError(f"no envelope in mode {mode}")
+        rhs = c * (1.0 + libm_pow(vn, constants.beta)) * (1.0 + libm_pow(h, constants.zeta))
+        return rho + eta, rhs
+    rhs_rho = c * (1.0 + libm_pow(h, constants.lambda_exp)) + c * libm_pow(vn, constants.theta_exp) * (
+        1.0 + libm_pow(h, constants.zeta)
+    )
+    rhs_eta = c * (1.0 + libm_pow(h, 2.0 + constants.alpha)) + c * libm_pow(vn, constants.beta) * (
+        1.0 + libm_pow(h, constants.alpha)
+    )
+    # report the tighter of the two residuals as one envelope check
+    tighter = rhs_rho - rho <= rhs_eta - eta
+    return np.where(tighter, rho, eta), np.where(tighter, rhs_rho, rhs_eta)
 
 
 def audit_local_monotonicity(bundle, constants, triple, mode, samples, seed,
@@ -446,41 +581,47 @@ def audit_local_monotonicity(bundle, constants, triple, mode, samples, seed,
         raise ValueError("H2star requires theta_exp < beta")
     level = level or min(triple.dimension_cap, 8)
     times = _time_grid(constants)
-    records = []
-
-    def margin_fn(t, u, v):
-        lhs, rhs = local_monotonicity_terms(bundle, constants, triple, mode, t, u, v)
-        return rhs - lhs
-
     states = _sample_states(triple, level, seed, mode, samples)
-    for i in range(0, len(states) - 1, 2):
-        t = float(times[(i // 2) % times.size])
-        u, v = states[i], states[i + 1]
-        lhs, rhs = local_monotonicity_terms(bundle, constants, triple, mode, t, u, v)
-        records.append(
-            (rhs - lhs, abs(lhs) + abs(rhs),
-             {"t": t, "u": u.tolist(), "v": v.tolist(), "kind": "inequality"})
-        )
+    n_pairs = len(states) // 2
+    us, vs = states[0:2 * n_pairs:2], states[1:2 * n_pairs:2]
 
-    worst = min(records, key=lambda r: r[0])
-    wt, wu, wv = worst[2]["t"], np.array(worst[2]["u"]), np.array(worst[2]["v"])
-    refined, ru, rv = _descend(margin_fn, wt, wu, wv)
-    if refined < worst[0]:
-        lhs, rhs = local_monotonicity_terms(bundle, constants, triple, mode, wt, ru, rv)
-        records.append(
-            (refined, abs(lhs) + abs(rhs),
-             {"t": wt, "u": ru.tolist(), "v": rv.tolist(), "kind": "inequality"})
-        )
+    def scan(b):
+        def terms(t, u, v):
+            return local_monotonicity_terms(b, constants, triple, mode, t, u, v)
 
-    if mode in ("H2", "H2star"):
-        for u in states:
-            lhs, rhs = envelope_terms(bundle, constants, triple, mode, u)
+        def margin_fn(t, u, v):
+            lhs, rhs = terms(t, u[None], v[None])
+            return float(rhs[0] - lhs[0])
+
+        lhs, rhs = _by_time(times, terms, us, vs)
+        records = [
+            (r - l, abs(l) + abs(r),
+             {"t": float(times[i % times.size]), "u": us[i].tolist(), "v": vs[i].tolist(),
+              "kind": "inequality"})
+            for i, (l, r) in enumerate(zip(lhs.tolist(), rhs.tolist()))
+        ]
+
+        worst = min(records, key=lambda r: r[0])
+        wt, wu, wv = worst[2]["t"], np.array(worst[2]["u"]), np.array(worst[2]["v"])
+        refined, ru, rv = _descend(margin_fn, wt, wu, wv)
+        gain = 0.0
+        if refined < worst[0]:
+            gain = refined - worst[0]
+            lhs1, rhs1 = terms(wt, ru[None], rv[None])
             records.append(
-                (rhs - lhs, abs(lhs) + abs(rhs),
-                 {"t": None, "u": u.tolist(), "v": None, "kind": "envelope"})
+                (refined, abs(float(lhs1[0])) + abs(float(rhs1[0])),
+                 {"t": wt, "u": ru.tolist(), "v": rv.tolist(), "kind": "inequality"})
             )
 
-    return _entry_from_scan(mode, records, _rel_tol, samples)
+        if mode in ("H2", "H2star"):
+            lhs, rhs = _batched(lambda u: envelope_terms(b, constants, triple, mode, u), states)
+            records.extend(
+                (r - l, abs(l) + abs(r), {"t": None, "u": u.tolist(), "v": None, "kind": "envelope"})
+                for u, l, r in zip(states, lhs.tolist(), rhs.tolist())
+            )
+        return records, gain
+
+    return _audit_entry(mode, bundle, samples, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -489,84 +630,89 @@ def audit_local_monotonicity(bundle, constants, triple, mode, samples, seed,
 
 
 def coercivity_terms(bundle, constants, triple, t, u):
-    """(LHS, RHS) of ⟨A(t,u),u⟩ ≤ f(t)(1+‖u‖_H²) − L_A ‖u‖_V^β.
+    """(LHS, RHS) of ⟨A(t,u),u⟩ ≤ f(t)(1+‖u‖_H²) − L_A ‖u‖_V^β, per row.
 
     Part I declares coercivity with a factor 2 on the pairing; dividing by 2
     gives exactly this form with L_A = C/2 and f/2, so one margin serves
     both hypothesis sets.
     """
-    a = _finite_or_raise(bundle.drift(t, u), "drift", {"t": t, "u": u.tolist()})
-    lhs = float(np.dot(a, u))
-    h2 = float(np.dot(u, u))
-    vn = bundle.v_norm_of(triple, u)
-    rhs = constants.f_at(t) * (1.0 + h2) - constants.L_A * vn**constants.beta
+    a = _finite_or_raise(bundle.drift(t, u), "drift", t, u)
+    lhs = dot_rows(a, u)
+    h2 = dot_rows(u, u)
+    vn = _v_norm(bundle, triple, t, u)
+    rhs = constants.f_at(t) * (1.0 + h2) - constants.L_A * libm_pow(vn, constants.beta)
     return lhs, rhs
 
 
 def drift_growth_terms(bundle, constants, triple, part, t, u):
-    """(LHS, RHS) of the dual-norm drift growth bound (part "I" or "II")."""
-    a = _finite_or_raise(bundle.drift(t, u), "drift", {"t": t, "u": u.tolist()})
+    """(LHS, RHS) of the dual-norm drift growth bound (part "I" or "II"), per row."""
+    a = _finite_or_raise(bundle.drift(t, u), "drift", t, u)
     beta = constants.beta
-    lhs = triple.norm_vstar(a) ** (beta / (beta - 1.0))
-    h = triple.norm_h(u)
-    vn = bundle.v_norm_of(triple, u)
+    norm_vstar = np.sqrt(dot_rows(a / triple.v_weights[: a.shape[-1]], a))
+    lhs = libm_pow(norm_vstar, beta / (beta - 1.0))
+    h = np.sqrt(dot_rows(u, u))
+    vn_beta = libm_pow(_v_norm(bundle, triple, t, u), beta)
     if part == "I":
-        rhs = (constants.f_at(t) + constants.C_growth * vn**beta) * (1.0 + h**constants.alpha)
+        rhs = (constants.f_at(t) + constants.C_growth * vn_beta) * (1.0 + libm_pow(h, constants.alpha))
     else:
-        rhs = constants.f_at(t) * (1.0 + h ** (2.0 + constants.alpha)) + constants.C_growth * vn**beta * (
-            1.0 + h**constants.alpha
+        rhs = constants.f_at(t) * (1.0 + libm_pow(h, 2.0 + constants.alpha)) + constants.C_growth * vn_beta * (
+            1.0 + libm_pow(h, constants.alpha)
         )
     return lhs, rhs
 
 
 def diffusion_growth_terms(bundle, constants, triple, part, t, u):
-    """(LHS, RHS) of ‖B(t,u)‖_{L2}² ≤ g(t)(1+‖u‖_H²) [+ L_B ‖u‖_V^β]."""
-    b = _finite_or_raise(bundle.diffusion(t, u), "diffusion", {"t": t, "u": u.tolist()})
-    lhs = float(np.sum(b * b))
-    h2 = float(np.dot(u, u))
+    """(LHS, RHS) of ‖B(t,u)‖_{L2}² ≤ g(t)(1+‖u‖_H²) [+ L_B ‖u‖_V^β], per row."""
+    b = _finite_or_raise(bundle.diffusion(t, u), "diffusion", t, u)
+    lhs = _sum_squares(b)
+    h2 = dot_rows(u, u)
     rhs = constants.g_at(t) * (1.0 + h2)
     if part == "II":
-        vn = bundle.v_norm_of(triple, u)
-        rhs += constants.L_B * vn**constants.beta
+        rhs = rhs + constants.L_B * libm_pow(_v_norm(bundle, triple, t, u), constants.beta)
     return lhs, rhs
 
 
 def jump_growth_terms(bundle, constants, triple, part, p, t, u):
-    """(LHS, RHS) of ∫‖γ‖^p dλ ≤ h_p(t)(1+‖u‖_H^p) [+ L_γ ‖u‖_H^{p−2}‖u‖_V^β]."""
+    """(LHS, RHS) of ∫‖γ‖^p dλ ≤ h_p(t)(1+‖u‖_H^p) [+ L_γ ‖u‖_H^{p−2}‖u‖_V^β], per row."""
     ms = bundle.mark_space
-    lhs = 0.0
+    lhs = np.zeros(u.shape[:-1])
     for z, lam in zip(ms.marks, ms.weights):
-        g = _finite_or_raise(bundle.jump(t, u, float(z)), "jump", {"t": t, "u": u.tolist()})
-        lhs += lam * float(np.dot(g, g)) ** (p / 2.0)
-    h = triple.norm_h(u)
-    rhs = constants.h_p_at(p, t) * (1.0 + h**p)
+        g = _finite_or_raise(bundle.jump(t, u, float(z)), "jump", t, u)
+        lhs = lhs + lam * libm_pow(dot_rows(g, g), p / 2.0)
+    h = np.sqrt(dot_rows(u, u))
+    rhs = constants.h_p_at(p, t) * (1.0 + libm_pow(h, p))
     if part == "II":
-        vn = bundle.v_norm_of(triple, u)
-        rhs += constants.L_gamma * h ** (p - 2.0) * vn**constants.beta
+        vn_beta = libm_pow(_v_norm(bundle, triple, t, u), constants.beta)
+        rhs = rhs + constants.L_gamma * libm_pow(h, p - 2.0) * vn_beta
     return lhs, rhs
 
 
-def _scan_inequality(name, term_fn, constants, triple, samples, seed, level, with_descent=True):
+def _scan_inequality(name, terms, bundle, constants, triple, samples, seed, level):
+    """The entry ``name``: ``terms(bundle, t, u)`` on every sample, then the descent."""
     times = _time_grid(constants)
     states = _sample_states(triple, level, seed, name, samples)
-    records = []
-    for i, u in enumerate(states):
-        t = float(times[i % times.size])
-        lhs, rhs = term_fn(t, u)
-        records.append((rhs - lhs, abs(lhs) + abs(rhs), {"t": t, "u": u.tolist()}))
-    if with_descent:
+
+    def scan(b):
+        def margin_fn(t, u, _v):
+            lhs, rhs = terms(b, t, u[None])
+            return float(rhs[0] - lhs[0])
+
+        lhs, rhs = _by_time(times, lambda t, u: terms(b, t, u), states)
+        records = [
+            (r - l, abs(l) + abs(r), {"t": float(times[i % times.size]), "u": states[i].tolist()})
+            for i, (l, r) in enumerate(zip(lhs.tolist(), rhs.tolist()))
+        ]
         worst = min(records, key=lambda r: r[0])
         wt, wu = worst[2]["t"], np.array(worst[2]["u"])
-
-        def margin_fn(t, u, _v):
-            lhs, rhs = term_fn(t, u)
-            return rhs - lhs
-
         refined, ru, _ = _descend(margin_fn, wt, wu, None)
+        gain = 0.0
         if refined < worst[0]:
-            lhs, rhs = term_fn(wt, ru)
-            records.append((refined, abs(lhs) + abs(rhs), {"t": wt, "u": ru.tolist()}))
-    return _entry_from_scan(name, records, _rel_tol, samples)
+            gain = refined - worst[0]
+            lhs1, rhs1 = terms(b, wt, ru[None])
+            records.append((refined, abs(float(lhs1[0])) + abs(float(rhs1[0])), {"t": wt, "u": ru.tolist()}))
+        return records, gain
+
+    return _audit_entry(name, bundle, samples, scan)
 
 
 def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
@@ -576,32 +722,19 @@ def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
         raise ValueError(f"part must be 'I' or 'II', got {part!r}")
     level = level or min(triple.dimension_cap, 8)
     star = "" if part == "I" else "star"
-    entries = [
-        _scan_inequality(
-            f"H3{star}",
-            lambda t, u: coercivity_terms(bundle, constants, triple, t, u),
-            constants, triple, samples, seed, level,
-        ),
-        _scan_inequality(
-            f"H4{star}",
-            lambda t, u: drift_growth_terms(bundle, constants, triple, part, t, u),
-            constants, triple, samples, seed, level,
-        ),
-        _scan_inequality(
-            f"H5{star}",
-            lambda t, u: diffusion_growth_terms(bundle, constants, triple, part, t, u),
-            constants, triple, samples, seed, level,
-        ),
+    scans = [
+        (f"H3{star}", lambda b, t, u: coercivity_terms(b, constants, triple, t, u)),
+        (f"H4{star}", lambda b, t, u: drift_growth_terms(b, constants, triple, part, t, u)),
+        (f"H5{star}", lambda b, t, u: diffusion_growth_terms(b, constants, triple, part, t, u)),
     ]
-    for p in sorted(constants.h_p_integrals):
-        entries.append(
-            _scan_inequality(
-                f"H6{star}-p{p:g}",
-                lambda t, u, p=p: jump_growth_terms(bundle, constants, triple, part, p, t, u),
-                constants, triple, samples, seed, level,
-            )
-        )
-    return entries
+    scans += [
+        (f"H6{star}-p{p:g}", lambda b, t, u, p=p: jump_growth_terms(b, constants, triple, part, p, t, u))
+        for p in sorted(constants.h_p_integrals)
+    ]
+    return [
+        _scan_inequality(name, terms, bundle, constants, triple, samples, seed, level)
+        for name, terms in scans
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -620,39 +753,46 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     level = level or min(triple.dimension_cap, 8)
     times = _time_grid(constants)
     n_seq = max(1, samples // 16)
-    rec_b, rec_g = [], []
-    ms = bundle.mark_space
+    us, ds = [], []
     for i in range(n_seq):
         rng = derive_rng(seed, "audit-seqcont", i)
-        t = float(times[i % times.size])
-        u = AUDIT_SCALES[i % len(AUDIT_SCALES)] * rng.standard_normal(level)
-        d = rng.standard_normal(level)
-        b_ref = np.asarray(bundle.diffusion(t, u), dtype=float)
+        us.append(AUDIT_SCALES[i % len(AUDIT_SCALES)] * rng.standard_normal(level))
+        ds.append(rng.standard_normal(level))
+    us, ds = np.array(us), np.array(ds)
 
-        def b_dist(k):
-            db = np.asarray(bundle.diffusion(t, u + 2.0**-k * d), dtype=float) - b_ref
-            return float(np.sqrt(np.sum(db * db)))
+    def sequence(u, d):
+        # the limit u, then the sequence at k = 0 and k = depth: (3, ..., m)
+        return np.stack([u] + [u + 2.0**-k * d for k in (0, depth)])
 
-        d0, dk = b_dist(0), b_dist(depth)
-        rec_b.append((1e-2 * (1.0 + d0) - dk, d0, {"t": t, "u": u.tolist(), "d0": d0, "dk": dk}))
+    def b_dists(b, t, u, d):
+        seq = sequence(u, d)
+        bs = _finite_or_raise(b.diffusion(t, seq), "diffusion", t, seq)
+        return np.sqrt(_sum_squares(bs[1:] - bs[0]))
 
-        if not ms.is_zero:
-            def g_dist(k):
-                uk = u + 2.0**-k * d
-                total = 0.0
-                for z, lam in zip(ms.marks, ms.weights):
-                    dg = np.asarray(bundle.jump(t, uk, float(z)), dtype=float) - np.asarray(
-                        bundle.jump(t, u, float(z)), dtype=float
-                    )
-                    total += lam * float(np.dot(dg, dg))
-                return math.sqrt(total)
+    def g_dists(b, t, u, d):
+        seq = sequence(u, d)
+        total = np.zeros(seq.shape[:-1])[1:]
+        for z, lam in zip(b.mark_space.marks, b.mark_space.weights):
+            g = _finite_or_raise(b.jump(t, seq, float(z)), "jump", t, seq)
+            dg = g[1:] - g[0]
+            total = total + lam * dot_rows(dg, dg)
+        return np.sqrt(total)
 
-            g0, gk = g_dist(0), g_dist(depth)
-            rec_g.append((1e-2 * (1.0 + g0) - gk, g0, {"t": t, "u": u.tolist(), "d0": g0, "dk": gk}))
+    def continuity_scan(dists):
+        def scan(b):
+            d0, dk = _by_time(times, lambda t, u, d: dists(b, t, u, d), us, ds)
+            records = [
+                (1e-2 * (1.0 + a) - c, a,
+                 {"t": float(times[i % times.size]), "u": us[i].tolist(), "d0": a, "dk": c})
+                for i, (a, c) in enumerate(zip(d0.tolist(), dk.tolist()))
+            ]
+            return records, 0.0
 
-    entries = [_entry_from_scan("H5-continuity", rec_b, _rel_tol, samples)]
-    if rec_g:
-        entries.append(_entry_from_scan("H6-continuity", rec_g, _rel_tol, samples))
+        return scan
+
+    entries = [_audit_entry("H5-continuity", bundle, samples, continuity_scan(b_dists))]
+    if not bundle.mark_space.is_zero:
+        entries.append(_audit_entry("H6-continuity", bundle, samples, continuity_scan(g_dists)))
     return entries
 
 

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
+    AuditFailure,
     CoefficientBundle,
     HypothesisConstants,
+    HypothesisEntry,
     HypothesisReport,
     audit_coercivity_growth,
     audit_hemicontinuity,
@@ -34,7 +36,7 @@ from .coefficients import (
     chi_exponent,
 )
 from .noise import MarkSpace
-from .spaces import GelfandTriple, dot_rows, triple_from_config
+from .spaces import GelfandTriple, dot_rows, libm_pow, triple_from_config
 
 __all__ = ["ModelSpec", "SpectralGrid", "builtin", "validate", "from_config", "resolve", "BUILTIN_IDS"]
 
@@ -136,16 +138,6 @@ def _diag(v: np.ndarray) -> np.ndarray:
     i = np.arange(v.shape[-1])
     out[..., i, i] = v
     return out
-
-
-def _libm_pow(x, e: float) -> np.ndarray:
-    """x ** e per element through the C library's pow, as for a float.
-
-    numpy's vectorized power can round the last bit differently, so the
-    scalar functionals use this one for a single state and a batch alike.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.reshape([v**e for v in x.reshape(-1).tolist()], x.shape)
 
 
 def _zero_functional(u) -> np.ndarray:
@@ -337,7 +329,7 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
         return np.diag(1.0 - mu[:m]) - 3.0 * h * (phi.T * (vals**2)[..., None, :]) @ phi
 
     def sup_norm_sq(u):
-        return _libm_pow(np.max(np.abs(grid.to_grid(u)), axis=-1), 2.0)
+        return libm_pow(np.max(np.abs(grid.to_grid(u)), axis=-1), 2.0)
 
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
@@ -403,7 +395,7 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
 
     def rho(u):
         vn = np.sqrt(dot_rows(w[: u.shape[-1]] * u, u))
-        return k_mono * (1.0 + _libm_pow(vn, 4.0 / 3.0))
+        return k_mono * (1.0 + libm_pow(vn, 4.0 / 3.0))
 
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
@@ -465,7 +457,7 @@ def _p_laplacian(n: int = 64, cap: int = 33, p: float = 4.0, c_wiener: float = 0
         vals = grid.to_grid(u)
         g = grid.grad(vals)
         total = h * np.sum(np.abs(g) ** p, axis=-1) + h * np.sum(np.abs(vals) ** p, axis=-1)
-        return _libm_pow(total, 1.0 / p)
+        return libm_pow(total, 1.0 / p)
 
     bundle = CoefficientBundle(
         drift=drift,
@@ -518,24 +510,38 @@ def builtin(model_id: str, **overrides) -> ModelSpec:
 
 
 def validate(spec: ModelSpec, samples: int = 1000, seed: int = 0) -> HypothesisReport:
-    """Run the regime-appropriate audit set and return the report."""
+    """Run the regime-appropriate audit set and return the report.
+
+    An audit whose coefficients evaluate to a non-finite value ends in a
+    failing entry (margin NaN) that names the coefficient in its witness.
+    The other audits still run; the coercivity/growth group stops at the
+    entry that failed.
+    """
     bundle, constants, triple = spec.bundle, spec.constants, spec.triple
-    entries = [audit_hemicontinuity(bundle, triple, samples, seed, constants=constants)]
     if spec.regime == "part1":
         mode = "H2" if (bundle.rho is not None and bundle.eta is not None) else "H2prime"
-        entries.append(audit_local_monotonicity(bundle, constants, triple, mode, samples, seed))
-        entries.extend(audit_coercivity_growth(bundle, constants, triple, "I", samples, seed))
-        entries.extend(audit_sequential_continuity(bundle, constants, triple, samples, seed))
+        part = "I"
     else:
-        entries.append(audit_local_monotonicity(bundle, constants, triple, "H2star", samples, seed))
-        entries.extend(audit_coercivity_growth(bundle, constants, triple, "II", samples, seed))
-        entries.append(_admissibility_entry(constants, samples))
+        mode, part = "H2star", "II"
+    audits = [
+        lambda: [audit_hemicontinuity(bundle, triple, samples, seed, constants=constants)],
+        lambda: [audit_local_monotonicity(bundle, constants, triple, mode, samples, seed)],
+        lambda: audit_coercivity_growth(bundle, constants, triple, part, samples, seed),
+    ]
+    if spec.regime == "part1":
+        audits.append(lambda: audit_sequential_continuity(bundle, constants, triple, samples, seed))
+    else:
+        audits.append(lambda: [_admissibility_entry(constants, samples)])
+    entries = []
+    for audit in audits:
+        try:
+            entries.extend(audit())
+        except AuditFailure as exc:
+            entries.append(exc.entry(samples))
     return HypothesisReport(entries=entries)
 
 
 def _admissibility_entry(constants: HypothesisConstants, samples: int):
-    from .coefficients import HypothesisEntry
-
     chi = chi_exponent(constants)
     lhs = constants.L_B + 2.0 * c1_of(2.0) * constants.L_gamma
     rhs = (2.0 * constants.L_A + constants.L_B) / chi

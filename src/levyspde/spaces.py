@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GelfandTriple", "GalerkinState", "triple_from_config", "dot_rows"]
+__all__ = ["GelfandTriple", "GalerkinState", "triple_from_config", "dot_rows", "libm_pow"]
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,17 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so the result does not depend on the batch; ``einsum`` would not match.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def libm_pow(x, e: float) -> np.ndarray:
+    """x ** e per element through the C library's pow, as for a float.
+
+    numpy's vectorized power can round the last bit differently, so scalar
+    functionals and audit terms use this one for a single state and a batch
+    alike.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.reshape([v**e for v in x.reshape(-1).tolist()], x.shape)
 
 
 def triple_from_config(spec: dict) -> GelfandTriple:

@@ -286,11 +286,16 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("converge", {"n_paths": 4, "m_list": [2, 1000]}, "study.m_list"),
         ("modulus", {"n_paths": 4, "delta_list": [0.015, 0.04]}, "study.delta_list"),
         ("residual", {"n_paths": 4, "dt_levels": [0.01]}, "study.dt_levels"),
+        ("residual", {"n_paths": 4, "dt_levels": [0.01, 0.03]}, "study.dt_levels"),
+        ("check", {"samples": 0}, "study.samples"),
+        ("check", {"samples": True}, "study.samples"),
     ],
-    ids=["energy", "converge", "modulus", "residual"],
+    ids=["energy", "converge", "modulus", "residual", "residual-dt-not-dividing-T",
+         "check-zero-samples", "check-bool-samples"],
 )
 def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
-    # a level above the cap, an off-grid shift and a one-point slope fit
+    # a level above the cap, an off-grid shift or step, a one-point slope
+    # fit, and an audit without samples
     path = _write_config(tmp_path, study=study)
     assert main([command, "--config", str(path)]) == 1
     assert field in capsys.readouterr().err
@@ -308,3 +313,34 @@ def test_failing_study_sidecar_is_strict_json(tmp_path, command, field):
     text = (tmp_path / "out" / f"{command}_meta.json").read_text()
     meta = json.loads(text, parse_constant=_reject_constant)
     assert meta["pass"] is False and meta[field] is None
+
+
+#: a custom model whose cubic reaction overflows to inf on moderate states
+BLOWUP_MODEL = {
+    "name": "blowup",
+    "regime": "part1",
+    "triple": {"dimension_cap": 8, "grid_size": 16},
+    "drift": {"type": "diagonal", "scale": 1.0},
+    "reaction": [0.0, 0.0, 0.0, -1e306],
+    "diffusion": {"type": "multiplicative_h", "c": 0.1},
+    "jump": {"type": "zero"},
+    "constants": {"beta": 2.0, "L_A": 1.0, "C_growth": 1.0},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_coefficient_fails_the_audit(tmp_path, capsys):
+    path = _write_config(tmp_path, model=BLOWUP_MODEL, study={"samples": 64, "n_paths": 4})
+    assert main(["check", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "H2: drift evaluated to a non-finite value" in out
+    text = (tmp_path / "out" / "check_report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    h2 = next(e for e in report if e["hypothesis"] == "H2")
+    assert h2["verdict"] == "fail" and h2["worst_margin"] is None
+    assert h2["witness_coeffs"]["coefficient"] == "drift"
+
+    # the energy study's quick audit only warns, and the study runs on
+    main(["energy", "--config", str(path)])
+    assert "fails its hypothesis audit (H2, H3)" in capsys.readouterr().err
+    assert (tmp_path / "out" / "energy.csv").read_text().startswith("# verifies:")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from levyspde.coefficients import (
+    AuditFailure,
     HypothesisConstants,
     admissible_p_range,
     audit_coercivity_growth,
@@ -21,8 +22,10 @@ from levyspde.coefficients import (
     jump_growth_terms,
     local_monotonicity_terms,
 )
-from levyspde.models import builtin
+from levyspde.coefficients import _sample_states, _time_grid
+from levyspde.models import BUILTIN_IDS, builtin, from_config, validate
 
+import serial_audits
 from conftest import (
     make_scalar_linear,
     misdeclared_beta_constants,
@@ -245,6 +248,116 @@ def test_misdeclared_beta_is_detected(heat_spec):
         heat_spec.bundle, misdeclared_beta_constants(heat_spec), heat_spec.triple, "I", 1000, 0
     )
     assert not next(e for e in entries if e.name == "H3").passed
+
+
+# ---------------------------------------------------------------------------
+# batched scans against the serial reference
+# ---------------------------------------------------------------------------
+
+#: custom models with declared constants, one diagonal and one with a reaction
+AUDIT_CUSTOM_MODELS = {
+    "custom_plain": {
+        "name": "custom_plain",
+        "triple": {"dimension_cap": 5},
+        "drift": {"type": "diagonal", "scale": 1.0},
+        "diffusion": {"type": "multiplicative_h", "c": 0.1},
+        "jump": {"type": "multiplicative_mark", "sigma": 0.1},
+        "marks": {"points": [1.0, -1.0], "weights": [0.5, 0.5]},
+        "constants": {"beta": 2.0, "g_integral": 0.01, "L_A": 1.0, "C_growth": 1.0,
+                      "C_monotone": 1.0, "h_p_integrals": {"2": 0.01}},
+    },
+    "custom_reaction": {
+        "name": "custom_reaction",
+        "triple": {"dimension_cap": 8, "grid_size": 32},
+        "drift": {"type": "diagonal", "scale": 1.0},
+        "reaction": [0.0, 1.0, 0.0, -1.0],
+        "diffusion": {"type": "multiplicative_v", "c": 0.1},
+        "jump": {"type": "multiplicative_v_mark", "sigma": 0.05},
+        "marks": {"points": [1.0], "weights": [1.0]},
+        "rho_const": 3.0,
+        "eta_const": 3.0,
+        "constants": {"beta": 2.0, "f_integral": 2.0, "g_integral": 0.01, "L_A": 1.0,
+                      "C_growth": 10.0, "C_monotone": 10.0, "alpha": 4.0,
+                      "h_p_integrals": {"2": 0.01, "4": 0.001}},
+    },
+}
+
+
+def _audit_model(model_id):
+    if model_id in AUDIT_CUSTOM_MODELS:
+        return from_config(AUDIT_CUSTOM_MODELS[model_id])
+    return builtin(model_id)
+
+
+@pytest.mark.parametrize("model_id", [*BUILTIN_IDS, *AUDIT_CUSTOM_MODELS])
+def test_batched_audits_match_serial_scans(model_id):
+    # every entry keeps the serial scan's margin, witness and tolerance bits
+    spec = _audit_model(model_id)
+    for seed in (0, 5):
+        batched = validate(spec, samples=128, seed=seed).entries
+        serial = serial_audits.validate(spec, samples=128, seed=seed).entries
+        assert [e.name for e in batched] == [e.name for e in serial]
+        for b, s in zip(batched, serial):
+            assert b.worst_margin == s.worst_margin, (b.name, seed)
+            assert b.witness == s.witness, (b.name, seed)
+            assert b.tolerance == s.tolerance, (b.name, seed)
+            assert b.samples_used == s.samples_used
+
+
+def test_hemicontinuity_estimate_matches_serial_scan(allen_cahn_spec, heat_spec):
+    rng = np.random.default_rng(11)
+    bad = step_discontinuous_bundle(heat_spec)
+    for bundle, triple in ((allen_cahn_spec.bundle, allen_cahn_spec.triple), (bad, heat_spec.triple)):
+        u, v, w = (rng.standard_normal(6) for _ in range(3))
+        got = hemicontinuity_jump_estimate(bundle, triple, 0.3, u, v, w)
+        assert got == serial_audits.hemicontinuity_jump_estimate(bundle, triple, 0.3, u, v, w)
+
+
+def _poisoned(fn, target):
+    """``fn(t, u)`` with NaN in the rows of ``u`` equal to ``target``."""
+
+    def call(t, u):
+        out = np.array(fn(t, u), dtype=float)
+        out[np.all(u == target, axis=-1)] = np.nan
+        return out
+
+    return call
+
+
+@pytest.mark.parametrize("coefficient, hypothesis", [("drift", "H3"), ("diffusion", "H5")])
+def test_nan_row_inside_a_batch_raises(heat_spec, coefficient, hypothesis):
+    # one sample of a time group turns non-finite; its neighbours in the
+    # same coefficient call stay finite, and the failure names that row
+    row = 37
+    target = _sample_states(heat_spec.triple, 8, 0, hypothesis, 64)[row]
+    poisoned = _poisoned(getattr(heat_spec.bundle, coefficient), target)
+    bundle = dataclasses.replace(heat_spec.bundle, **{coefficient: poisoned})
+    with pytest.raises(AuditFailure) as info:
+        audit_coercivity_growth(bundle, heat_spec.constants, heat_spec.triple, "I", 64, 0)
+    times = _time_grid(heat_spec.constants)
+    assert info.value.hypothesis == hypothesis
+    assert info.value.witness == {
+        "coefficient": coefficient, "t": float(times[row % times.size]), "u": target.tolist(),
+    }
+
+    # validate turns it into a failing entry
+    report = validate(dataclasses.replace(heat_spec, bundle=bundle), samples=64, seed=0)
+    entry = report.entry(hypothesis)
+    assert not entry.passed and math.isnan(entry.worst_margin)
+    assert entry.witness["coefficient"] == coefficient
+
+
+def test_audit_counters_repeat_across_reruns(allen_cahn_spec):
+    runs = [validate(allen_cahn_spec, samples=64, seed=3) for _ in range(2)]
+    counters = [[(e.evaluations, e.descent_gain) for e in r.entries] for r in runs]
+    assert counters[0] == counters[1]
+    for e in runs[0].entries:
+        assert e.evaluations > 0 and e.descent_gain <= 0.0
+    # one scan on the 1025-point grid, plus the coarse points it misses
+    assert runs[0].entry("H1").evaluations >= 1025
+    first = runs[0].entries[0].to_json_dict()
+    assert first["evaluations"] == runs[0].entries[0].evaluations
+    assert first["descent_gain"] == 0.0
 
 
 # ---------------------------------------------------------------------------
