@@ -42,7 +42,6 @@ from .solver import (
     StoppingTimeRule,
     apply_stopping,
     solve_path,
-    step,
 )
 from .spaces import GalerkinState, GelfandTriple, triple_from_config
 from .wellposedness import (
@@ -77,7 +76,6 @@ __all__ = [
     "SolverConfig",
     "StoppingTimeRule",
     "PathRecord",
-    "step",
     "solve_path",
     "apply_stopping",
     "EnergyStats",

@@ -21,7 +21,6 @@ from . import estimates, models, noise, wellposedness
 from .coefficients import admissible_p_range
 from .config import ConfigError, ExperimentConfig, checked_seed, load_config
 from .parallel import worker_count
-from .rng import path_seed
 from .solver import StoppingTimeRule, apply_stopping, solve_path
 
 #: inequality/estimate anchor named in each artifact's header comment row
@@ -103,6 +102,14 @@ def _study_int(exp: ExperimentConfig, name: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"study.{name}", "expected a nonnegative integer")
     return value
+
+
+def _study_paths(exp: ExperimentConfig, default: int, least: int = 1) -> int:
+    """``study.n_paths``, at least ``least``: a verdict that reads a CI99 needs two."""
+    n_paths = _study_int(exp, "n_paths", default)
+    if n_paths < least:
+        raise ConfigError("study.n_paths", f"n_paths must be >= {least}")
+    return n_paths
 
 
 def _study_floats(exp: ExperimentConfig, name: str, default) -> list[float]:
@@ -192,9 +199,7 @@ def _cmd_simulate(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     p_list = _study_floats(exp, "p_list", [2.0])
     m_list = _study_levels(exp, [exp.solver.level])
-    n_paths = _study_int(exp, "n_paths", 200)
-    if n_paths < 2:
-        raise ConfigError("study.n_paths", "n_paths must be >= 2")
+    n_paths = _study_paths(exp, 200, least=2)
     _check_p_admissibility(exp, p_list)
     if not exp.study.get("skip_audit", False):
         # warn-only precondition: the estimate is still computed when the
@@ -244,29 +249,19 @@ def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     dt_levels = _study_floats(exp, "dt_levels", [4e-3, 2e-3, 1e-3])
     if len(set(dt_levels)) < 2:
         raise ConfigError("study.dt_levels", "the slope fit needs at least two distinct levels")
-    n_paths = _study_int(exp, "n_paths", 256)
+    n_paths = _study_paths(exp, 256)
     try:
         levels = [replace(exp.solver, dt=dt) for dt in sorted(dt_levels, reverse=True)]
     except ValueError as exc:
         raise ConfigError("study.dt_levels", str(exc)) from None
-    bundle, triple = exp.model.bundle, exp.model.triple
-    x0 = exp.initial_state()
-    means = []
-    rows = []
-    for cfg in levels:
-        dt = cfg.dt
-        totals = np.empty(n_paths)
-        for i in range(n_paths):
-            ps = path_seed(exp.master_seed, i)
-            real = noise.sample_noise(cfg.level, cfg.T, dt, bundle.mark_space, ps)
-            rec = solve_path(bundle, triple, x0, cfg, bundle.mark_space, seed=ps, realization=real)
-            if rec.truncated_at is not None:
-                totals[i] = np.nan  # no balance to replay: the slope fails
-                continue
-            series = estimates.discrete_energy_residual(rec, bundle, real, bundle.mark_space, cfg)
-            totals[i] = series.total
-        means.append(abs(totals.mean()))
-        rows.append((dt, totals.mean(), np.abs(totals).mean(), n_paths, exp.master_seed))
+    # a truncated path's total is NaN: no balance to replay, the slope fails
+    totals = estimates.residual_totals(
+        exp.model.bundle, exp.model.triple, exp.initial_state(), levels,
+        n_paths, exp.master_seed, workers=workers,
+    )
+    means = [abs(row.mean()) for row in totals]
+    rows = [(cfg.dt, row.mean(), np.abs(row).mean(), n_paths, exp.master_seed)
+            for cfg, row in zip(levels, totals)]
     slope = float(np.polyfit(np.log2(sorted(dt_levels, reverse=True)), np.log2(means), 1)[0])
     _write_table(
         out / "residual.csv", ANCHORS["residual"],
@@ -280,20 +275,17 @@ def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     dt = exp.solver.dt
     deltas = _study_floats(exp, "delta_list", [4 * dt, 8 * dt, 16 * dt, 32 * dt])
-    n_paths = _study_int(exp, "n_paths", 200)
+    n_paths = _study_paths(exp, 200, least=2)
     for d in deltas:
         try:
             estimates.delta_steps(d, dt, exp.solver.n_steps)
         except ValueError as exc:
             raise ConfigError("study.delta_list", str(exc)) from None
     beta = float(exp.study.get("beta_exp", exp.model.constants.beta))
-    bundle, triple = exp.model.bundle, exp.model.triple
-    paths = [
-        solve_path(bundle, triple, exp.initial_state(), exp.solver, bundle.mark_space,
-                   seed=path_seed(exp.master_seed, i))
-        for i in range(n_paths)
-    ]
-    result = estimates.modulus_of_continuity(paths, deltas, beta)
+    result = estimates.modulus_study(
+        exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver, deltas, beta,
+        n_paths, exp.master_seed, workers=workers,
+    )
     rows = [
         (d, v, c, r)
         for d, v, c, r in zip(result.deltas, result.values, result.ci99, result.rooted_values())
@@ -307,7 +299,7 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 
 def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    n_paths = _study_int(exp, "n_paths", 16)
+    n_paths = _study_paths(exp, 16)
     stress = bool(exp.study.get("stress", False))
     sup = wellposedness.pathwise_uniqueness_test(
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver,
@@ -323,7 +315,7 @@ def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 
 def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    n_paths = _study_int(exp, "n_paths", 200)
+    n_paths = _study_paths(exp, 200)
     x0 = exp.initial_state()
     if "x0_b" in exp.study:
         x0_b = np.asarray(exp.study["x0_b"], dtype=float)
@@ -352,7 +344,7 @@ def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
         raise ConfigError("study.perturbations", "the slope fit needs at least two positive entries")
     p = float(exp.study.get("p", 2.0))
     _check_p_admissibility(exp, [p])
-    n_paths = _study_int(exp, "n_paths", 200)
+    n_paths = _study_paths(exp, 200)
     table = wellposedness.continuous_dependence_study(
         exp.model.bundle, exp.model.triple, exp.initial_state(), deltas, p,
         exp.solver, exp.model.bundle.mark_space, n_paths, exp.master_seed, workers=workers,
@@ -370,7 +362,7 @@ def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     m_list = _study_levels(exp, [4, 8, 16, 32])
-    n_paths = _study_int(exp, "n_paths", 100)
+    n_paths = _study_paths(exp, 100, least=2)
     table = wellposedness.galerkin_convergence(
         exp.model.bundle, exp.model.triple, exp.initial_state(), m_list, exp.solver,
         exp.model.bundle.mark_space, n_paths, exp.master_seed,
@@ -414,9 +406,7 @@ _ISOMETRY_INTEGRANDS = {
 
 
 def _cmd_isometry(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    n_paths = _study_int(exp, "n_paths", 10000)
-    if n_paths < 100:
-        raise ConfigError("study.n_paths", "the isometry study needs n_paths >= 100")
+    n_paths = _study_paths(exp, 10000, least=100)
     names = exp.study.get("integrands", list(_ISOMETRY_INTEGRANDS))
     mark_space = exp.model.bundle.mark_space
     if mark_space.is_zero:

@@ -716,8 +716,13 @@ def _scan_inequality(name, terms, bundle, constants, triple, samples, seed, leve
 
 
 def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
-                            level: int | None = None) -> list:
-    """Audit coercivity and the three growth bounds; ``part`` in {"I", "II"}."""
+                            level: int | None = None, isolate: bool = False) -> list:
+    """Audit coercivity and the three growth bounds; ``part`` in {"I", "II"}.
+
+    An entry whose coefficients evaluate to a non-finite value raises its
+    AuditFailure; with ``isolate`` it becomes that entry's failing entry
+    (margin NaN) and the other entries still run.
+    """
     if part not in ("I", "II"):
         raise ValueError(f"part must be 'I' or 'II', got {part!r}")
     level = level or min(triple.dimension_cap, 8)
@@ -731,10 +736,15 @@ def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
         (f"H6{star}-p{p:g}", lambda b, t, u, p=p: jump_growth_terms(b, constants, triple, part, p, t, u))
         for p in sorted(constants.h_p_integrals)
     ]
-    return [
-        _scan_inequality(name, terms, bundle, constants, triple, samples, seed, level)
-        for name, terms in scans
-    ]
+    entries = []
+    for name, terms in scans:
+        try:
+            entries.append(_scan_inequality(name, terms, bundle, constants, triple, samples, seed, level))
+        except AuditFailure as exc:
+            if not isolate:
+                raise
+            entries.append(exc.entry(samples))
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import CoefficientBundle
-from .noise import MarkSpace, NoiseRealization, ci99, step_index
-from .parallel import map_indexed
-from .rng import path_seed
+from .noise import MarkSpace, NoiseRealization, ci99, sample_noise, step_index
+from .parallel import batch_seeds, map_indexed
 from .solver import PathRecord, SolverConfig, _implicit_update, solve_paths
 from .spaces import GelfandTriple
 
@@ -31,8 +30,10 @@ __all__ = [
     "energy_table",
     "ResidualSeries",
     "discrete_energy_residual",
+    "residual_totals",
     "ModulusResult",
     "modulus_of_continuity",
+    "modulus_study",
     "delta_steps",
 ]
 
@@ -77,9 +78,8 @@ def path_energy_functionals(record: PathRecord, p: float, beta: float):
 def _energy_batch_worker(ctx, b: int):
     # a truncated path has no estimate of its own: it turns the ensemble's
     # figures into NaN, so the study fails instead of averaging a prefix
-    bundle, triple, x0, config, seed, n_paths, p_list, beta, batch = ctx
-    seeds = [path_seed(seed, i) for i in range(b * batch, min((b + 1) * batch, n_paths))]
-    records = solve_paths(bundle, triple, x0, config, bundle.mark_space, seeds, keep_states=False)
+    bundle, triple, x0, config, batches, p_list, beta = ctx
+    records = solve_paths(bundle, triple, x0, config, bundle.mark_space, batches[b], keep_states=False)
     nan = float("nan")
     return [
         _energy_parts(rec, p_list, beta) if rec.truncated_at is None else (nan, nan, [nan] * len(p_list))
@@ -105,9 +105,10 @@ def energy_table(
     if any(p < 2.0 for p in p_list):
         raise ValueError("moment orders must satisfy p >= 2")
     x0 = np.asarray(x0, dtype=float)
-    ctx = (bundle, triple, x0, config, seed, n_paths, p_list, beta, ENERGY_BATCH)
-    batches = map_indexed(_energy_batch_worker, ctx, -(-n_paths // ENERGY_BATCH), workers)
-    rows = [row for batch in batches for row in batch]
+    batches = batch_seeds(seed, n_paths, ENERGY_BATCH)
+    ctx = (bundle, triple, x0, config, batches, p_list, beta)
+    rows = [row for batch in map_indexed(_energy_batch_worker, ctx, len(batches), workers)
+            for row in batch]
     sup_h = np.array([r[0] for r in rows])
     int_v = np.array([r[1] for r in rows])
     mixed = np.array([r[2] for r in rows])  # (n_paths, len(p_list))
@@ -286,6 +287,39 @@ def discrete_energy_residual(
     )
 
 
+def _residual_worker(ctx, task: int):
+    # the replay needs each path's realization, so the batch is solved on it
+    bundle, triple, x0, configs, batches = ctx
+    config, seeds = configs[task // len(batches)], batches[task % len(batches)]
+    mark_space = bundle.mark_space
+    noise = [sample_noise(config.level, config.T, config.dt, mark_space, s) for s in seeds]
+    records = solve_paths(bundle, triple, x0, config, mark_space, seeds, noise=noise)
+    return [
+        float("nan") if rec.truncated_at is not None  # no balance to replay
+        else discrete_energy_residual(rec, bundle, real, mark_space, config).total
+        for rec, real in zip(records, noise)
+    ]
+
+
+def residual_totals(
+    bundle: CoefficientBundle,
+    triple: GelfandTriple,
+    x0,
+    configs,
+    n_paths: int,
+    seed: int,
+    workers: int = 1,
+) -> np.ndarray:
+    """The summed balance residual of each path of an ensemble, one row per
+    solver config; NaN where a path was truncated.  Every (config, batch)
+    pair is one task."""
+    configs = list(configs)
+    batches = batch_seeds(seed, n_paths)
+    ctx = (bundle, triple, np.asarray(x0, dtype=float), configs, batches)
+    per_task = map_indexed(_residual_worker, ctx, len(configs) * len(batches), workers)
+    return np.reshape([t for batch in per_task for t in batch], (len(configs), n_paths))
+
+
 # ---------------------------------------------------------------------------
 # modulus of continuity
 # ---------------------------------------------------------------------------
@@ -326,6 +360,53 @@ def delta_steps(delta: float, dt: float, n_steps: int) -> int:
     return steps
 
 
+def _modulus_rows(paths, deltas, beta_exp: float) -> np.ndarray:
+    """∫_0^{T-δ} ‖Y(t+δ) − Y(t)‖_H^β dt per shift δ (rows) and path (columns).
+
+    The integral is a left-Riemann sum over t in [0, T - δ) on the paths'
+    common step grid; a truncated path has no increments over the whole
+    horizon, so its column is NaN.
+    """
+    out = np.full((len(deltas), len(paths)), np.nan)
+    whole = [p for p, rec in enumerate(paths) if rec.truncated_at is None]
+    if not whole:
+        return out
+    grids = [paths[p].step_grid_view() for p in whole]
+    times0 = grids[0][0]
+    dt = paths[whole[0]].dt
+    for tms, _ in grids[1:]:
+        if tms.shape != times0.shape or not np.allclose(tms, times0):
+            raise ValueError("paths must share a common step grid")
+    states = np.stack([g[1] for g in grids])  # (paths, K+1, m)
+    n_nodes = states.shape[1]
+    for i, d in enumerate(deltas):
+        steps = delta_steps(d, dt, n_nodes - 1)
+        diff = states[:, steps:, :] - states[:, : n_nodes - steps, :]
+        norms = np.sqrt(np.einsum("pkm,pkm->pk", diff, diff))
+        # left-Riemann over t in [0, T - δ): nodes 0 .. K - steps - 1
+        out[i, whole] = (norms[:, :-1] ** beta_exp).sum(axis=1) * dt if norms.shape[1] > 1 else 0.0
+    return out
+
+
+def _modulus_result(deltas, rows: np.ndarray, beta_exp: float) -> ModulusResult:
+    """The increment table from ``_modulus_rows`` and its tightness verdict."""
+    deltas = np.asarray(deltas)
+    if np.isnan(rows).any():
+        values, ci = np.full(deltas.size, np.nan), np.full(deltas.size, np.nan)
+        ok, label = False, "undefined: a path was truncated (diagnostic, not a proof)"
+    else:
+        values = np.array([float(row.mean()) for row in rows])
+        ci = np.array([ci99(row) for row in rows])
+        ok = not any(values[i] > values[i + 1] + ci[i] + ci[i + 1] for i in range(deltas.size - 1))
+        label = (
+            "consistent with tightness (diagnostic, not a proof)"
+            if ok
+            else "not consistent with a vanishing modulus (diagnostic, not a proof)"
+        )
+    return ModulusResult(deltas=deltas, values=values, ci99=ci, beta=beta_exp,
+                         consistent_with_tightness=ok, label=label)
+
+
 def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:
     """Tightness-style diagnostic: the increment table over time shifts δ.
 
@@ -336,52 +417,30 @@ def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:
     """
     if not paths:
         raise ValueError("need at least one path")
-    if any(rec.truncated_at is not None for rec in paths):
-        # a truncated path has no increments over the whole horizon
-        undefined = np.full(len(delta_list), np.nan)
-        return ModulusResult(
-            deltas=np.asarray(sorted(float(d) for d in delta_list)),
-            values=undefined,
-            ci99=undefined.copy(),
-            beta=beta_exp,
-            consistent_with_tightness=False,
-            label="undefined: a path was truncated (diagnostic, not a proof)",
-        )
-    grids = [rec.step_grid_view() for rec in paths]
-    times0 = grids[0][0]
-    dt = paths[0].dt
-    for tms, _ in grids[1:]:
-        if tms.shape != times0.shape or not np.allclose(tms, times0):
-            raise ValueError("paths must share a common step grid")
-    states = np.stack([g[1] for g in grids])  # (n_paths, K+1, m)
-    n_paths, n_nodes, _ = states.shape
+    deltas = sorted(float(d) for d in delta_list)
+    return _modulus_result(deltas, _modulus_rows(paths, deltas, beta_exp), beta_exp)
 
-    deltas = np.asarray(sorted(float(d) for d in delta_list))
-    values = np.empty(deltas.size)
-    ci = np.empty(deltas.size)
-    for i, d in enumerate(deltas):
-        steps = delta_steps(d, dt, n_nodes - 1)
-        diff = states[:, steps:, :] - states[:, : n_nodes - steps, :]
-        norms = np.sqrt(np.einsum("pkm,pkm->pk", diff, diff))
-        # left-Riemann over t in [0, T - δ): nodes 0 .. K - steps - 1
-        per_path = (norms[:, :-1] ** beta_exp).sum(axis=1) * dt if norms.shape[1] > 1 else np.zeros(n_paths)
-        values[i] = float(per_path.mean())
-        ci[i] = ci99(per_path)
 
-    ok = True
-    for i in range(deltas.size - 1):
-        if values[i] > values[i + 1] + ci[i] + ci[i + 1]:
-            ok = False
-    label = (
-        "consistent with tightness (diagnostic, not a proof)"
-        if ok
-        else "not consistent with a vanishing modulus (diagnostic, not a proof)"
-    )
-    return ModulusResult(
-        deltas=deltas,
-        values=values,
-        ci99=ci,
-        beta=beta_exp,
-        consistent_with_tightness=ok,
-        label=label,
-    )
+def _modulus_worker(ctx, b: int):
+    bundle, triple, x0, config, deltas, beta_exp, batches = ctx
+    records = solve_paths(bundle, triple, x0, config, bundle.mark_space, batches[b])
+    return _modulus_rows(records, deltas, beta_exp)
+
+
+def modulus_study(
+    bundle: CoefficientBundle,
+    triple: GelfandTriple,
+    x0,
+    config: SolverConfig,
+    delta_list,
+    beta_exp: float,
+    n_paths: int,
+    seed: int,
+    workers: int = 1,
+) -> ModulusResult:
+    """``modulus_of_continuity`` of an ensemble of ``n_paths`` paths under ``seed``."""
+    deltas = sorted(float(d) for d in delta_list)
+    batches = batch_seeds(seed, n_paths)
+    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, deltas, beta_exp, batches)
+    rows = np.concatenate(map_indexed(_modulus_worker, ctx, len(batches), workers), axis=1)
+    return _modulus_result(deltas, rows, beta_exp)

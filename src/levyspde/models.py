@@ -514,8 +514,8 @@ def validate(spec: ModelSpec, samples: int = 1000, seed: int = 0) -> HypothesisR
 
     An audit whose coefficients evaluate to a non-finite value ends in a
     failing entry (margin NaN) that names the coefficient in its witness.
-    The other audits still run; the coercivity/growth group stops at the
-    entry that failed.
+    Every other entry still runs, the other coercivity and growth entries
+    included.
     """
     bundle, constants, triple = spec.bundle, spec.constants, spec.triple
     if spec.regime == "part1":
@@ -526,7 +526,7 @@ def validate(spec: ModelSpec, samples: int = 1000, seed: int = 0) -> HypothesisR
     audits = [
         lambda: [audit_hemicontinuity(bundle, triple, samples, seed, constants=constants)],
         lambda: [audit_local_monotonicity(bundle, constants, triple, mode, samples, seed)],
-        lambda: audit_coercivity_growth(bundle, constants, triple, part, samples, seed),
+        lambda: audit_coercivity_growth(bundle, constants, triple, part, samples, seed, isolate=True),
     ]
     if spec.regime == "part1":
         audits.append(lambda: audit_sequential_continuity(bundle, constants, triple, samples, seed))

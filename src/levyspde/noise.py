@@ -14,7 +14,6 @@ intensity measure reduces to a weighted sum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
@@ -34,8 +33,6 @@ __all__ = [
     "ci99",
     "compensated_integral",
     "ito_isometry_check",
-    "dump_jsonl",
-    "load_jsonl",
 ]
 
 Z99 = 2.576  # two-sided 99% normal quantile
@@ -147,9 +144,7 @@ def sample_noise(m: int, T: float, dt: float, mark_space: MarkSpace, seed: int) 
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n_steps = grid_steps(T, dt)
-
-    rng_w = derive_rng(seed, "wiener")
-    wiener = rng_w.normal(0.0, np.sqrt(dt), size=(n_steps, m))
+    wiener = next(wiener_chunks([seed], m, n_steps, dt, n_steps))[:, 0]
     jumps = sample_jumps(T, mark_space, seed)
     return NoiseRealization(wiener=wiener, jumps=jumps, seed=seed, m=m, dt=dt, T=T)
 
@@ -189,12 +184,12 @@ def wiener_chunks(seeds, m: int, n_steps: int, dt: float, chunk: int) -> Iterato
 
 def _event_sum(
     integrand: Callable[[float, float], np.ndarray],
-    realization: NoiseRealization,
+    jumps,
     mark_space: MarkSpace,
     T: float,
 ):
     total = None
-    for ev in realization.jumps:
+    for ev in jumps:
         if ev.time > T:
             break
         term = np.asarray(integrand(ev.time, float(mark_space.marks[ev.mark_index])), dtype=float)
@@ -234,8 +229,13 @@ def compensated_integral(
     """
     if T is None:
         T = realization.T
-    events = _event_sum(integrand, realization, mark_space, T)
     comp = _compensator_grid(integrand, mark_space, realization.dt, T)
+    return _compensated(integrand, realization.jumps, mark_space, T, comp)
+
+
+def _compensated(integrand, jumps, mark_space: MarkSpace, T: float, comp) -> np.ndarray:
+    """The events of ``jumps`` up to T minus the precomputed compensator ``comp``."""
+    events = _event_sum(integrand, jumps, mark_space, T)
     if events is None and comp is None:
         return np.zeros(())
     if events is None:
@@ -266,17 +266,8 @@ def ito_isometry_check(
     comp = _compensator_grid(integrand, mark_space, dt, T)
     sq_norms = np.empty(n_paths)
     for i in range(n_paths):
-        real = sample_noise(1, T, dt, mark_space, seed=path_seed(seed, i))
-        events = _event_sum(integrand, real, mark_space, T)
-        if events is None and comp is None:
-            value = np.zeros(1)
-        elif events is None:
-            value = -comp
-        elif comp is None:
-            value = events
-        else:
-            value = events - comp
-        value = np.atleast_1d(value)
+        jumps = sample_jumps(T, mark_space, path_seed(seed, i))
+        value = np.atleast_1d(_compensated(integrand, jumps, mark_space, T, comp))
         sq_norms[i] = float(np.dot(value, value))
     lhs = float(sq_norms.mean())
 
@@ -292,47 +283,3 @@ def ito_isometry_check(
 
     denom = max(abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": abs(lhs - rhs) / denom, "ci99": ci99(sq_norms)}
-
-
-def dump_jsonl(realization: NoiseRealization, path) -> None:
-    """Write a realization as JSON lines (one record per line) for replay."""
-    with open(path, "w") as fh:
-        meta = {
-            "record": "meta",
-            "seed": realization.seed,
-            "m": realization.m,
-            "dt": realization.dt,
-            "T": realization.T,
-            "n_steps": realization.n_steps,
-        }
-        fh.write(json.dumps(meta) + "\n")
-        for k in range(realization.n_steps):
-            row = {"record": "wiener", "step": k, "dw": realization.wiener[k].tolist()}
-            fh.write(json.dumps(row) + "\n")
-        for ev in realization.jumps:
-            fh.write(json.dumps({"record": "jump", "time": ev.time, "mark_index": ev.mark_index}) + "\n")
-
-
-def load_jsonl(path) -> NoiseRealization:
-    meta = None
-    wiener_rows: dict[int, list[float]] = {}
-    jumps: list[JumpEvent] = []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            kind = rec.pop("record")
-            if kind == "meta":
-                meta = rec
-            elif kind == "wiener":
-                wiener_rows[rec["step"]] = rec["dw"]
-            elif kind == "jump":
-                jumps.append(JumpEvent(time=rec["time"], mark_index=rec["mark_index"]))
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-    if meta is None:
-        raise ValueError("missing meta record")
-    wiener = np.array([wiener_rows[k] for k in range(meta["n_steps"])])
-    jumps.sort(key=lambda ev: ev.time)
-    return NoiseRealization(
-        wiener=wiener, jumps=tuple(jumps), seed=meta["seed"], m=meta["m"], dt=meta["dt"], T=meta["T"]
-    )

@@ -1,9 +1,11 @@
 """Order-deterministic parallel map over path indices.
 
-Workers receive only the path index; the task context (bundles hold
+Workers receive only the task index; the task context (bundles hold
 closures, which do not pickle) is inherited through fork.  Results come
 back in index order, so every aggregation downstream reduces in a fixed
-order and the output is bit-identical for any worker count.
+order and the output is bit-identical for any worker count.  An ensemble
+study splits its paths into fixed batches (``batch_seeds``), one task each,
+so the batches never depend on the workers either.
 """
 
 from __future__ import annotations
@@ -11,9 +13,22 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-__all__ = ["map_indexed", "worker_count"]
+from .rng import path_seed
+
+__all__ = ["map_indexed", "worker_count", "batch_seeds"]
+
+#: paths per study task when the study names no batch size of its own
+STUDY_BATCH = 8
 
 _TASK = None
+
+
+def batch_seeds(seed: int, n_paths: int, batch: int | None = None) -> list[list[int]]:
+    """Path seeds 0 .. n_paths-1 under ``seed``, split into tasks of ``batch``
+    paths (``STUDY_BATCH`` by default); the last task may be shorter."""
+    batch = batch or STUDY_BATCH
+    seeds = [path_seed(seed, i) for i in range(n_paths)]
+    return [seeds[i : i + batch] for i in range(0, n_paths, batch)]
 
 
 def _run(i: int):

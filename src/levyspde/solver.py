@@ -16,7 +16,11 @@ time entry (pre value, post value) to the path record, which keeps the
 recorded trajectory an explicit cadlag skeleton.
 
 One stepping core advances an ensemble of P paths as a (P, m) array
-(``solve_paths``); a single path (``solve_path``) is its P = 1 case.  The
+(``solve_paths``); a single path (``solve_path``) is its P = 1 case.  Each
+path draws its noise from its own seed, or takes it from a given
+realization (``noise=``): the level then consumes the realization's first m
+Wiener modes and its jump list, which is how the studies replay a path, pair
+it with a reordered copy or nest the levels of a Galerkin hierarchy.  The
 damped Newton of step 1 runs per batch: one drift call for the residual and
 one Jacobian call on the rows still iterating, a stacked linear solve and a
 line search with a step per row.  Per-row masks retire the converged rows
@@ -37,18 +41,16 @@ from .noise import (
     NoiseRealization,
     grid_steps,
     sample_jumps,
-    sample_noise,
     step_index,
     wiener_chunks,
 )
-from .spaces import GalerkinState, GelfandTriple, dot_rows
+from .spaces import GelfandTriple, dot_rows
 
 __all__ = [
     "SolverConfig",
     "StoppingTimeRule",
     "PathRecord",
     "StepFailure",
-    "step",
     "solve_path",
     "solve_paths",
     "apply_stopping",
@@ -307,30 +309,6 @@ def _step_rows(x, t, dt, bundle, triple, dw, events, mark_space, config, dead=fr
     return y, entries, failed
 
 
-def step(
-    state: GalerkinState,
-    t: float,
-    dt: float,
-    bundle: CoefficientBundle,
-    wiener_increment: np.ndarray,
-    jumps_in_step,
-    mark_space: MarkSpace,
-    triple: GelfandTriple,
-    config: SolverConfig | None = None,
-) -> GalerkinState:
-    """Advance one step; ``jumps_in_step`` must have times in (t, t+dt]."""
-    if config is None:
-        config = SolverConfig(dt=dt, T=max(2 * dt, dt + 1.0), level=state.level)
-    y, _, failed = _step_rows(
-        state.coeffs[None, :], t, dt, bundle, triple,
-        np.asarray(wiener_increment, dtype=float)[None, :],
-        [(0, ev) for ev in jumps_in_step], mark_space, config,
-    )
-    if failed:
-        raise failed[0]
-    return GalerkinState(level=state.level, coeffs=y[0], time=t + dt)
-
-
 def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray):
     """(‖u‖_H, ‖u‖_V) of each row of ``states`` (..., m)."""
     shape, m = states.shape[:-1], states.shape[-1]
@@ -467,22 +445,10 @@ def solve_path(
     seed: int,
     realization: NoiseRealization | None = None,
 ) -> PathRecord:
-    """Simulate the full cadlag record on [0, T]; deterministic given seed.
-
-    When a realization is supplied, the level consumes its first
-    ``config.level`` Wiener modes and the shared jump list, which is the
-    noise coupling used by the Galerkin-convergence study.
-    """
-    m = config.level
-    if realization is None:
-        realization = sample_noise(m, config.T, config.dt, mark_space, seed)
-    if realization.m < m:
-        raise ValueError(f"realization has {realization.m} Wiener modes, need {m}")
-    if abs(realization.dt - config.dt) > 1e-12 or realization.T < config.T - 1e-12:
-        raise ValueError("realization grid does not match the solver config")
-    jumps = tuple(ev for ev in realization.jumps if ev.time <= config.T)
-    wiener = realization.wiener[: config.n_steps, None, :m]
-    return _solve(bundle, triple, x0, config, mark_space, [seed], [wiener], [jumps], True)[0]
+    """One path on [0, T]: ``solve_paths(..., [seed], noise=[realization])[0]``,
+    drawing the noise from ``seed`` when no realization is given."""
+    noise = None if realization is None else [realization]
+    return solve_paths(bundle, triple, x0, config, mark_space, [seed], noise=noise)[0]
 
 
 def solve_paths(
@@ -493,20 +459,38 @@ def solve_paths(
     mark_space: MarkSpace,
     seeds,
     keep_states: bool = True,
+    noise=None,
 ) -> list[PathRecord]:
-    """``[solve_path(..., seed=s) for s in seeds]``, advanced as one batch.
+    """One record per seed, the paths advanced as one batch.
 
-    ``x0`` is shared (m0,) or gives each path its own row (P, m0).  Record p
-    equals ``solve_path(..., x0[p], ..., seed=seeds[p])`` bit for bit; paths
-    that repeat a seed share its noise.  Each path draws its Wiener
-    increments from its own sub-stream, in chunks of ``WIENER_CHUNK`` steps,
-    so the whole-horizon noise is never held.  With ``keep_states=False`` the
-    records carry times and norms only.
+    ``x0`` is shared (m0,) or gives each path its own row (P, m0).  A path's
+    record does not depend on the batch it ran in, and paths that repeat a
+    seed share its noise.  Each path draws its Wiener increments from its
+    own sub-stream, in chunks of ``WIENER_CHUNK`` steps, so the
+    whole-horizon noise is never held.  ``noise``, when given, holds one
+    realization per path on the solver's grid: path p then consumes the
+    first ``config.level`` Wiener modes of ``noise[p]`` and its jumps up to
+    T, and ``seeds[p]`` only labels the record.  With ``keep_states=False``
+    the records carry times and norms only.
     """
     seeds = [int(s) for s in seeds]
-    chunks = wiener_chunks(seeds, config.level, config.n_steps, config.dt, WIENER_CHUNK)
-    jumps_of = {s: sample_jumps(config.T, mark_space, s) for s in dict.fromkeys(seeds)}
-    jumps = [jumps_of[s] for s in seeds]
+    m, n_steps = config.level, config.n_steps
+    if noise is None:
+        chunks = wiener_chunks(seeds, m, n_steps, config.dt, WIENER_CHUNK)
+        jumps_of = {s: sample_jumps(config.T, mark_space, s) for s in dict.fromkeys(seeds)}
+        jumps = [jumps_of[s] for s in seeds]
+    else:
+        for real in noise:
+            if real.m < m:
+                raise ValueError(f"realization has {real.m} Wiener modes, need {m}")
+            if abs(real.dt - config.dt) > 1e-12 or real.T < config.T - 1e-12:
+                raise ValueError("realization grid does not match the solver config")
+        wiener = [real.wiener[:n_steps, :m] for real in noise]
+        chunks = (
+            np.stack([w[k0 : k0 + WIENER_CHUNK] for w in wiener], axis=1)
+            for k0 in range(0, n_steps, WIENER_CHUNK)
+        )
+        jumps = [tuple(ev for ev in real.jumps if ev.time <= config.T) for real in noise]
     return _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_states)
 
 

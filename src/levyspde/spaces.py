@@ -81,8 +81,6 @@ class GelfandTriple:
             raise ValueError("v_weights must be nondecreasing")
         w.setflags(write=False)
 
-    # -- projection ---------------------------------------------------------
-
     def project(self, u, m: int) -> GalerkinState:
         """P_m u: truncate to the first m coordinates (padding with zeros)."""
         if m <= 0 or m > self.dimension_cap:
@@ -94,40 +92,6 @@ class GelfandTriple:
         k = min(m, u.shape[0])
         coeffs[:k] = u[:k]
         return GalerkinState(level=m, coeffs=coeffs)
-
-    # -- norms and pairing ---------------------------------------------------
-
-    def norm_h(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(np.sqrt(np.dot(u, u)))
-
-    def norm_v(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        w = self.v_weights[: u.shape[0]]
-        return float(np.sqrt(np.dot(w * u, u)))
-
-    def norm_vstar(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        w = self.v_weights[: u.shape[0]]
-        return float(np.sqrt(np.dot(u / w, u)))
-
-    def norms(self, state: GalerkinState) -> tuple[float, float, float]:
-        """(‖u‖_H, ‖u‖_V, ‖u‖_{V*}); the ordering vstar <= h <= v holds."""
-        u = state.coeffs
-        return self.norm_h(u), self.norm_v(u), self.norm_vstar(u)
-
-    def pairing(self, dual, primal) -> float:
-        """Duality pairing ⟨dual, primal⟩ = Σ dual_j primal_j.
-
-        Coincides with the H inner product when both arguments lie in H.
-        """
-        dual = np.asarray(dual, dtype=float)
-        primal = np.asarray(primal, dtype=float)
-        if dual.shape != primal.shape:
-            raise ValueError(
-                f"pairing requires equal lengths, got {dual.shape} and {primal.shape}"
-            )
-        return float(np.dot(dual, primal))
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

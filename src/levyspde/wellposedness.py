@@ -5,8 +5,11 @@ All studies couple their comparisons through shared noise: the same
 realization drives both members of a pair, and in the level study the
 level-m solve consumes the first m Wiener modes of the reference
 realization together with the identical jump event list, mirroring the
-nesting of the truncated noise projections.  A path whose record was
-truncated yields NaN, so the study fails instead of comparing a prefix.
+nesting of the truncated noise projections.  Every study advances its paths
+in fixed batches of ``parallel.STUDY_BATCH`` through ``solver.solve_paths``;
+a pair shares a seed, and an explicit coupling passes the realizations in
+through its ``noise=`` argument.  A path whose record was truncated yields
+NaN, so the study fails instead of comparing a prefix.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ import numpy as np
 
 from .coefficients import CoefficientBundle, HypothesisConstants
 from .noise import JumpEvent, MarkSpace, NoiseRealization, ci99, sample_noise, step_index
-from .parallel import map_indexed
-from .rng import path_seed
-from .solver import SolverConfig, solve_path, solve_paths
+from .parallel import batch_seeds, map_indexed
+from .solver import SolverConfig, solve_paths
 from .spaces import GelfandTriple, dot_rows
 
 __all__ = [
@@ -35,11 +37,6 @@ __all__ = [
     "continuous_dependence_study",
     "galerkin_convergence",
 ]
-
-#: paths per stability or dependence task; fixed, so the batches never depend
-#: on the workers
-STUDY_BATCH = 8
-
 
 class StabilityWeight:
     """Accumulator for φ(t) = exp(−∫_0^t [f + ρ(Y1) + η(Y2)] ds).
@@ -58,21 +55,15 @@ class StabilityWeight:
     def phi(self) -> float:
         return math.exp(-self.running_integral)
 
-    def advance(self, t, dt, y1: np.ndarray, y2: np.ndarray):
-        """Accumulate over steps [t, t+dt] from their left-endpoint states.
-
-        One step takes scalars t, dt and states (m,) and returns φ(t+dt);
-        consecutive steps take 1-D t, dt and states (steps, m) and return φ
-        at each step's end.
-        """
-        t = np.asarray(t, dtype=float)
-        f = np.reshape([float(self.f_at(s)) for s in t.reshape(-1).tolist()], t.shape)
+    def advance(self, t, dt, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+        """Accumulate over consecutive steps [t_k, t_k + dt_k] from their
+        left-endpoint states (steps, m); returns φ at each step's end."""
+        f = np.array([float(self.f_at(s)) for s in np.asarray(t, dtype=float).tolist()])
         increments = (f + self.rho(y1) + self.eta(y2)) * dt
-        phis = np.empty(t.shape)
-        for k, inc in np.ndenumerate(increments):
-            self.running_integral += float(inc)
-            phis[k] = self.phi
-        return phis if phis.ndim else float(phis)
+        # cumsum adds in step order, so each entry is the running sum's value
+        integrals = np.cumsum(np.concatenate([[self.running_integral], increments]))
+        self.running_integral = float(integrals[-1])
+        return np.array([math.exp(-v) for v in integrals[1:].tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +89,27 @@ def _reorder_same_step_marks(realization: NoiseRealization, dt: float) -> NoiseR
     )
 
 
-def _uniqueness_worker(ctx, i: int):
-    bundle, triple, x0, config, mark_space, seed, stress = ctx
-    ps = path_seed(seed, i)
-    realization = sample_noise(config.level, config.T, config.dt, mark_space, ps)
-    rec1 = solve_path(bundle, triple, x0, config, mark_space, seed=ps, realization=realization)
-    second = (
-        _reorder_same_step_marks(realization, config.dt) if stress else realization
-    )
-    rec2 = solve_path(bundle, triple, x0, config, mark_space, seed=ps, realization=second)
-    if rec1.truncated_at is not None or rec2.truncated_at is not None:
-        return float("nan")
-    # compare on the step grid: within-step jump sequencing is an artifact
-    # of the splitting, the path itself is its end-of-step skeleton
-    _, s1 = rec1.step_grid_view()
-    _, s2 = rec2.step_grid_view()
-    diff = s1 - s2
-    return float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max())
+def _uniqueness_worker(ctx, b: int):
+    # each realization drives row i and its (possibly reordered) copy row n + i
+    bundle, triple, x0, config, mark_space, batches, stress = ctx
+    seeds = batches[b]
+    n = len(seeds)
+    first = [sample_noise(config.level, config.T, config.dt, mark_space, s) for s in seeds]
+    second = [_reorder_same_step_marks(r, config.dt) for r in first] if stress else first
+    records = solve_paths(bundle, triple, x0, config, mark_space, seeds + seeds,
+                          noise=first + second)
+    sups = []
+    for rec1, rec2 in zip(records[:n], records[n:]):
+        if rec1.truncated_at is not None or rec2.truncated_at is not None:
+            sups.append(float("nan"))
+            continue
+        # compare on the step grid: within-step jump sequencing is an artifact
+        # of the splitting, the path itself is its end-of-step skeleton
+        _, s1 = rec1.step_grid_view()
+        _, s2 = rec2.step_grid_view()
+        diff = s1 - s2
+        sups.append(float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()))
+    return sups
 
 
 def pathwise_uniqueness_test(
@@ -134,9 +129,10 @@ def pathwise_uniqueness_test(
     and the result is exactly 0.  ``stress=True`` reverses the application
     order of marks that share a step, measuring the reordering effect.
     """
-    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, mark_space, seed, stress)
-    sups = map_indexed(_uniqueness_worker, ctx, n_paths, workers)
-    return float(np.max(sups))
+    batches = batch_seeds(seed, n_paths)
+    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, mark_space, batches, stress)
+    sups = map_indexed(_uniqueness_worker, ctx, len(batches), workers)
+    return float(np.max([s for batch in sups for s in batch]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +152,10 @@ class StabilityResult:
     worst_margin: float
 
 
-def _batch_seeds(seed: int, n_paths: int, b: int) -> list[int]:
-    """Path seeds of batch ``b`` of an ensemble split into ``STUDY_BATCH`` paths."""
-    return [path_seed(seed, i) for i in range(b * STUDY_BATCH, min((b + 1) * STUDY_BATCH, n_paths))]
-
-
 def _stability_worker(ctx, b: int):
     # rows [x0_a] * n + [x0_b] * n: path i's pair shares its seed's noise
-    bundle, triple, constants, x0_a, x0_b, config, mark_space, seed, n_paths = ctx
-    seeds = _batch_seeds(seed, n_paths, b)
+    bundle, triple, constants, x0_a, x0_b, config, mark_space, batches = ctx
+    seeds = batches[b]
     n = len(seeds)
     x0 = np.stack([triple.project(u, config.level).coeffs for u in (x0_a, x0_b)])
     records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, mark_space,
@@ -206,9 +197,10 @@ def weighted_stability_mc(
         raise ValueError("weighted stability requires the bundle to declare rho and eta")
     x0_a = np.asarray(x0_a, dtype=float)
     x0_b = np.asarray(x0_b, dtype=float)
-    ctx = (bundle, triple, constants, x0_a, x0_b, config, mark_space, seed, n_paths)
-    batches = map_indexed(_stability_worker, ctx, -(-n_paths // STUDY_BATCH), workers)
-    curves = np.stack([curve for batch in batches for curve in batch])
+    batches = batch_seeds(seed, n_paths)
+    ctx = (bundle, triple, constants, x0_a, x0_b, config, mark_space, batches)
+    per_batch = map_indexed(_stability_worker, ctx, len(batches), workers)
+    curves = np.stack([curve for batch in per_batch for curve in batch])
     lhs = curves.mean(axis=0)
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
     n_nodes = lhs.size
@@ -257,11 +249,11 @@ class DependenceTable:
 
 def _dependence_worker(ctx, b: int):
     # per path: the base row, then one row per nonzero delta, all on its seed
-    bundle, triple, x0, deltas, direction, p, config, mark_space, seed, n_paths = ctx
+    bundle, triple, x0, deltas, direction, p, config, mark_space, batches = ctx
     moved = [d for d in deltas if d != 0.0]
     starts = [x0] + [x0 + d * direction for d in moved]
     rows = [triple.project(u, config.level).coeffs for u in starts]
-    seeds = _batch_seeds(seed, n_paths, b)
+    seeds = batches[b]
     records = solve_paths(bundle, triple, np.stack(rows * len(seeds)), config, mark_space,
                           [s for s in seeds for _ in rows])
     out = np.zeros((len(seeds), len(deltas)))
@@ -301,8 +293,9 @@ def continuous_dependence_study(
     else:
         direction = np.asarray(direction, dtype=float)
     deltas = [float(d) for d in perturbations]
-    ctx = (bundle, triple, x0, deltas, direction, float(p), config, mark_space, seed, n_paths)
-    rows = np.concatenate(map_indexed(_dependence_worker, ctx, -(-n_paths // STUDY_BATCH), workers))
+    batches = batch_seeds(seed, n_paths)
+    ctx = (bundle, triple, x0, deltas, direction, float(p), config, mark_space, batches)
+    rows = np.concatenate(map_indexed(_dependence_worker, ctx, len(batches), workers))
     return DependenceTable(
         deltas=np.asarray(deltas),
         values=rows.mean(axis=0),
@@ -325,29 +318,29 @@ class ConvergenceTable:
     reference_level: int
 
 
-def _convergence_worker(ctx, i: int):
-    bundle, triple, x0, levels, config, mark_space, seed, beta = ctx
-    m_ref = max(levels)
-    ps = path_seed(seed, i)
-    realization = sample_noise(m_ref, config.T, config.dt, mark_space, ps)
-    records = {}
-    for m in levels:
-        cfg = replace(config, level=m)
-        records[m] = solve_path(
-            bundle, triple, x0, cfg, mark_space, seed=ps, realization=realization
-        )
-    if any(rec.truncated_at is not None for rec in records.values()):
-        return np.full(len(levels), np.nan)
-    ref = records[m_ref]
-    dts = np.diff(ref.times)
-    out = np.empty(len(levels))
-    for j, m in enumerate(levels):
-        rec = records[m]
-        diff = np.zeros_like(ref.states)
-        diff[:, :m] = rec.states
-        diff -= ref.states
-        norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        out[j] = float(np.dot(norms[:-1] ** beta, dts)) ** (1.0 / beta)
+def _convergence_worker(ctx, b: int):
+    # every level steps on the first m Wiener modes of the m_ref-wide noise
+    bundle, triple, x0, levels, config, mark_space, batches, beta = ctx
+    seeds = batches[b]
+    m_ref = levels[-1]
+    noise = [sample_noise(m_ref, config.T, config.dt, mark_space, s) for s in seeds]
+    records = [
+        solve_paths(bundle, triple, x0, replace(config, level=m), mark_space, seeds, noise=noise)
+        for m in levels
+    ]
+    out = np.full((len(seeds), len(levels)), np.nan)
+    for i in range(len(seeds)):
+        recs = [by_level[i] for by_level in records]
+        if any(rec.truncated_at is not None for rec in recs):
+            continue
+        ref = recs[-1]
+        dts = np.diff(ref.times)
+        for j, (m, rec) in enumerate(zip(levels, recs)):
+            diff = np.zeros_like(ref.states)
+            diff[:, :m] = rec.states
+            diff -= ref.states
+            norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            out[i, j] = float(np.dot(norms[:-1] ** beta, dts)) ** (1.0 / beta)
     return out
 
 
@@ -373,8 +366,9 @@ def galerkin_convergence(
     if levels[-1] > triple.dimension_cap:
         raise ValueError(f"level {levels[-1]} exceeds dimension_cap {triple.dimension_cap}")
     x0 = np.asarray(x0, dtype=float)
-    ctx = (bundle, triple, x0, levels, config, mark_space, seed, float(beta))
-    rows = np.stack(map_indexed(_convergence_worker, ctx, n_paths, workers))
+    batches = batch_seeds(seed, n_paths)
+    ctx = (bundle, triple, x0, levels, config, mark_space, batches, float(beta))
+    rows = np.concatenate(map_indexed(_convergence_worker, ctx, len(batches), workers))
     return ConvergenceTable(
         levels=np.asarray(levels),
         distances=rows.mean(axis=0),

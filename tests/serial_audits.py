@@ -25,10 +25,18 @@ from levyspde.models import _admissibility_entry
 from levyspde.rng import derive_rng
 
 
+def _norm_h(u):
+    return float(np.sqrt(np.dot(u, u)))
+
+
+def _norm_vstar(triple, u):
+    return float(np.sqrt(np.dot(u / triple.v_weights[: u.shape[0]], u)))
+
+
 def _v_norm_of(bundle, triple, u):
     if bundle.v_norm is not None:
         return float(bundle.v_norm(u))
-    return triple.norm_v(u)
+    return float(np.sqrt(np.dot(triple.v_weights[: u.shape[0]] * u, u)))
 
 
 def _finite_or_raise(value, name, witness):
@@ -165,7 +173,7 @@ def local_monotonicity_terms(bundle, constants, triple, mode, t, u, v):
 
 def envelope_terms(bundle, constants, triple, mode, u):
     """(LHS, RHS) of the rho/eta envelope bound at state u."""
-    h = triple.norm_h(u)
+    h = _norm_h(u)
     vn = _v_norm_of(bundle, triple, u)
     c = constants.C_monotone
     if mode == "H2":
@@ -253,8 +261,8 @@ def drift_growth_terms(bundle, constants, triple, part, t, u):
     """(LHS, RHS) of the dual-norm drift growth bound (part "I" or "II")."""
     a = _finite_or_raise(bundle.drift(t, u), "drift", {"t": t, "u": u.tolist()})
     beta = constants.beta
-    lhs = triple.norm_vstar(a) ** (beta / (beta - 1.0))
-    h = triple.norm_h(u)
+    lhs = _norm_vstar(triple, a) ** (beta / (beta - 1.0))
+    h = _norm_h(u)
     vn = _v_norm_of(bundle, triple, u)
     if part == "I":
         rhs = (constants.f_at(t) + constants.C_growth * vn**beta) * (1.0 + h**constants.alpha)
@@ -284,7 +292,7 @@ def jump_growth_terms(bundle, constants, triple, part, p, t, u):
     for z, lam in zip(ms.marks, ms.weights):
         g = _finite_or_raise(bundle.jump(t, u, float(z)), "jump", {"t": t, "u": u.tolist()})
         lhs += lam * float(np.dot(g, g)) ** (p / 2.0)
-    h = triple.norm_h(u)
+    h = _norm_h(u)
     rhs = constants.h_p_at(p, t) * (1.0 + h**p)
     if part == "II":
         vn = _v_norm_of(bundle, triple, u)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from levyspde import parallel
 from levyspde.cli import main
 from levyspde.config import ConfigError, load_config, parse_config
 
@@ -75,13 +76,32 @@ def test_uniqueness_pass_and_artifacts(tmp_path, capsys):
     assert meta["pass"] is True and meta["study"] == "uniqueness"
 
 
-def test_rerun_and_worker_counts_are_byte_identical(tmp_path):
+def test_rerun_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
     path = _write_config(tmp_path)
     bodies = []
     for args in (["--workers", "1"], ["--workers", "1"], ["--workers", "4"]):
         assert main(["energy", "--config", str(path), *args]) == 0
         bodies.append((tmp_path / "out" / "energy.csv").read_bytes())
     assert bodies[0] == bodies[1] == bodies[2]
+
+    # the other ensemble studies, at 2 workers and in batches of one path too;
+    # 10 paths make one full batch of STUDY_BATCH and a short one
+    study = {"n_paths": 10, "m_list": [2, 4], "dt_levels": [0.02, 0.01],
+             "delta_list": [0.02, 0.04]}
+    for command, extra, artifact in (
+        ("residual", {}, "residual.csv"),
+        ("modulus", {}, "modulus.csv"),
+        ("converge", {}, "converge.csv"),
+        ("uniqueness", {}, "uniqueness.csv"),
+        ("uniqueness", {"stress": True}, "uniqueness.csv"),
+    ):
+        path = _write_config(tmp_path, study={**study, **extra})
+        bodies = []
+        for workers, batch in (("1", 8), ("1", 8), ("2", 8), ("1", 1), ("2", 1)):
+            monkeypatch.setattr(parallel, "STUDY_BATCH", batch)
+            assert main([command, "--config", str(path), "--workers", workers]) == 0, command
+            bodies.append((tmp_path / "out" / artifact).read_bytes())
+        assert len(set(bodies)) == 1, (command, extra)
 
 
 def test_seed_override_changes_artifacts(tmp_path):
@@ -289,13 +309,24 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("residual", {"n_paths": 4, "dt_levels": [0.01, 0.03]}, "study.dt_levels"),
         ("check", {"samples": 0}, "study.samples"),
         ("check", {"samples": True}, "study.samples"),
+        ("residual", {"n_paths": 0}, "study.n_paths"),
+        ("modulus", {"n_paths": 0, "delta_list": [0.02, 0.04]}, "study.n_paths"),
+        ("uniqueness", {"n_paths": 0}, "study.n_paths"),
+        ("stability", {"n_paths": 0}, "study.n_paths"),
+        ("depend", {"n_paths": 0}, "study.n_paths"),
+        ("converge", {"n_paths": 0, "m_list": [2, 4]}, "study.n_paths"),
+        ("modulus", {"n_paths": 1, "delta_list": [0.02, 0.04]}, "study.n_paths"),
+        ("converge", {"n_paths": 1, "m_list": [2, 4]}, "study.n_paths"),
     ],
     ids=["energy", "converge", "modulus", "residual", "residual-dt-not-dividing-T",
-         "check-zero-samples", "check-bool-samples"],
+         "check-zero-samples", "check-bool-samples", "residual-no-paths", "modulus-no-paths",
+         "uniqueness-no-paths", "stability-no-paths", "depend-no-paths", "converge-no-paths",
+         "modulus-one-path", "converge-one-path"],
 )
 def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
     # a level above the cap, an off-grid shift or step, a one-point slope
-    # fit, and an audit without samples
+    # fit, an audit without samples, a study without paths, and a CI99 of
+    # one path
     path = _write_config(tmp_path, study=study)
     assert main([command, "--config", str(path)]) == 1
     assert field in capsys.readouterr().err
@@ -342,5 +373,16 @@ def test_non_finite_coefficient_fails_the_audit(tmp_path, capsys):
 
     # the energy study's quick audit only warns, and the study runs on
     main(["energy", "--config", str(path)])
-    assert "fails its hypothesis audit (H2, H3)" in capsys.readouterr().err
+    assert "fails its hypothesis audit (H2, H3, H4, H5)" in capsys.readouterr().err
     assert (tmp_path / "out" / "energy.csv").read_text().startswith("# verifies:")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_failing_entry_keeps_the_rest_of_its_audit_group(tmp_path):
+    # H3 meets the non-finite drift first; H4 and H5 still get their rows
+    path = _write_config(tmp_path, model=BLOWUP_MODEL, study={"samples": 64})
+    assert main(["check", "--config", str(path)]) == 2
+    rows = (tmp_path / "out" / "check.csv").read_text().splitlines()[2:]
+    verdicts = dict(row.split(",")[:2] for row in rows)
+    assert list(verdicts) == ["H1", "H2", "H3", "H4", "H5", "H5-continuity"]
+    assert verdicts["H3"] == verdicts["H4"] == "fail"

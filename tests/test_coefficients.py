@@ -127,7 +127,7 @@ def test_monotonicity_burgers_ball_of_radius_five():
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
         for vec in (u, v):
-            vn = spec.triple.norm_v(vec)
+            vn = spec.bundle.v_norm_of(spec.triple, vec)
             vec *= rng.uniform(0.1, 5.0) / vn
         lhs, rhs = local_monotonicity_terms(
             spec.bundle, spec.constants, spec.triple, "H2", 0.0, u, v
@@ -207,7 +207,7 @@ def test_heat_coercivity_identity_quadrature(heat_spec):
     for _ in range(25):
         u = rng.standard_normal(7) * rng.choice([0.1, 1.0, 10.0])
         pair = 2.0 * float(np.dot(heat_spec.bundle.drift(0.0, u), u))
-        assert pair == pytest.approx(-2.0 * heat_spec.triple.norm_v(u) ** 2, rel=1e-12)
+        assert pair == pytest.approx(-2.0 * heat_spec.bundle.v_norm_of(heat_spec.triple, u) ** 2, rel=1e-12)
         lhs, rhs = coercivity_terms(heat_spec.bundle, heat_spec.constants, heat_spec.triple, 0.0, u)
         assert rhs - lhs >= -1e-9 * (1 + abs(lhs) + abs(rhs))
 
@@ -233,7 +233,7 @@ def test_gradient_noise_hilbert_schmidt_column_sum_oracle():
     u = rng.standard_normal(6)
     b = spec.bundle.diffusion(0.0, u)
     hs_by_columns = sum(float(np.dot(b[:, j], b[:, j])) for j in range(6))
-    assert hs_by_columns == pytest.approx(0.01 * spec.triple.norm_v(u) ** 2, rel=1e-12)
+    assert hs_by_columns == pytest.approx(0.01 * spec.bundle.v_norm_of(spec.triple, u) ** 2, rel=1e-12)
 
     # declared L_B >= c_b² passes, an under-declared constant fails
     good = audit_coercivity_growth(spec.bundle, spec.constants, spec.triple, "II", 200, 0)

@@ -54,7 +54,7 @@ def test_zero_model_energy_is_exact(quiet_heat_spec):
     stats = energy_estimate_mc(bundle, triple, x0, 2.0, cfg, n_paths=4, seed=0)
     pm = triple.project(x0, 3).coeffs
     h = float(np.linalg.norm(pm))
-    v = triple.norm_v(pm)
+    v = quiet_heat_spec.bundle.v_norm_of(triple, pm)
     assert stats.sup_h_p == pytest.approx(h**2, rel=1e-12)
     assert stats.int_v_beta_p2 == pytest.approx(2.0 * v**2, rel=1e-12)
     assert stats.ci99["sup_h_p"] == 0.0

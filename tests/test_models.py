@@ -1,6 +1,7 @@
 """Model zoo wiring, constants, and validation regressions."""
 
 import dataclasses
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -256,6 +257,20 @@ def test_bench_tracer_wraps_names_that_exist():
     fields = {f.name for f in dataclasses.fields(CoefficientBundle) if f.init}
     assert set(tracer.BUNDLE_CALLABLES) <= fields
     assert "__post_init__" in vars(GalerkinState)
+
+
+def test_every_public_name_resolves():
+    # the tracer skips a stale ``__all__`` name without a warning
+    import levyspde
+
+    modules = [levyspde] + [
+        importlib.import_module(f"levyspde.{path.stem}")
+        for path in Path(levyspde.__file__).parent.glob("*.py")
+        if path.stem != "__init__"
+    ]
+    missing = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())
+               if not hasattr(m, name)]
+    assert missing == []
 
 
 def test_custom_triple_follows_the_weight_rule():

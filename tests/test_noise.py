@@ -8,9 +8,7 @@ from levyspde.noise import (
     MarkSpace,
     NoiseRealization,
     compensated_integral,
-    dump_jsonl,
     ito_isometry_check,
-    load_jsonl,
     sample_jumps,
     sample_noise,
     wiener_chunks,
@@ -172,16 +170,6 @@ def test_realization_validation():
             jumps=(JumpEvent(0.5, 0), JumpEvent(0.5, 1)),
             seed=0, m=1, dt=0.5, T=1.0,
         )
-
-
-def test_jsonl_roundtrip(tmp_path):
-    real = sample_noise(3, 1.0, 0.25, TWO_MARKS, seed=77)
-    path = tmp_path / "noise.jsonl"
-    dump_jsonl(real, path)
-    back = load_jsonl(path)
-    np.testing.assert_array_equal(back.wiener, real.wiener)
-    assert back.jumps == real.jumps
-    assert (back.seed, back.m, back.dt, back.T) == (77, 3, 0.25, 1.0)
 
 
 def test_substream_independence_keys():

@@ -17,11 +17,15 @@ from levyspde.solver import (
     apply_stopping,
     solve_path,
     solve_paths,
-    step,
 )
-from levyspde.spaces import GalerkinState, GelfandTriple
+from levyspde.spaces import GelfandTriple
 
 from conftest import make_pure_jump, make_scalar_linear
+
+
+def _quiet(m, dt, T, jumps=()):
+    """A realization with zero Wiener increments and the given jump events."""
+    return NoiseRealization(wiener=np.zeros((round(T / dt), m)), jumps=jumps, seed=0, m=m, dt=dt, T=T)
 
 
 def test_zero_dynamics_keeps_state(quiet_heat_spec):
@@ -32,9 +36,11 @@ def test_zero_dynamics_keeps_state(quiet_heat_spec):
         drift_jacobian=None,
         drift_implicit_solve=None,
     )
-    state = GalerkinState(3, np.array([1.0, -2.0, 0.5]))
-    out = step(state, 0.0, 0.1, zero_bundle, np.zeros(3), [], MarkSpace.zero(), triple)
-    np.testing.assert_array_equal(out.coeffs, state.coeffs)
+    x0 = np.array([1.0, -2.0, 0.5])
+    cfg = SolverConfig(dt=0.1, T=0.2, level=3)
+    rec = solve_path(zero_bundle, triple, x0, cfg, MarkSpace.zero(), seed=0,
+                     realization=_quiet(3, 0.1, 0.2))
+    np.testing.assert_array_equal(rec.states[1], x0)
 
 
 def test_backward_euler_closed_form():
@@ -42,11 +48,11 @@ def test_backward_euler_closed_form():
     mu, dt = 2.5, 0.05
     triple, bundle, _ = make_scalar_linear(mu=mu, sigma=0.0)
     newton_bundle = dataclasses.replace(bundle, drift_implicit_solve=None)
-    state = GalerkinState(1, np.array([1.7]))
     cfg = SolverConfig(dt=dt, T=1.0, level=1)
     for b in (bundle, newton_bundle):
-        out = step(state, 0.0, dt, b, np.zeros(1), [], MarkSpace.zero(), triple, cfg)
-        assert out.coeffs[0] == pytest.approx(1.7 / (1.0 + mu * dt), rel=1e-12)
+        rec = solve_path(b, triple, np.array([1.7]), cfg, MarkSpace.zero(), seed=0,
+                         realization=_quiet(1, dt, 1.0))
+        assert rec.states[1, 0] == pytest.approx(1.7 / (1.0 + mu * dt), rel=1e-12)
 
 
 def test_constant_jump_step_with_compensator():
@@ -54,23 +60,22 @@ def test_constant_jump_step_with_compensator():
     g = np.array([0.3, -0.1])
     marks = MarkSpace(marks=np.array([1.0]), weights=np.array([1.5]))
     triple, bundle, _ = make_pure_jump(g, marks=marks)
-    state = GalerkinState(2, np.array([1.0, 1.0]))
+    x0 = np.array([1.0, 1.0])
     dt = 0.2
-    out = step(
-        state, 0.0, dt, bundle, np.zeros(2), [JumpEvent(0.13, 0)], marks, triple,
-        SolverConfig(dt=dt, T=1.0, level=2),
-    )
-    np.testing.assert_allclose(out.coeffs, state.coeffs + g - dt * 1.5 * g, rtol=1e-14)
+    rec = solve_path(bundle, triple, x0, SolverConfig(dt=dt, T=1.0, level=2), marks, seed=0,
+                     realization=_quiet(2, dt, 1.0, jumps=(JumpEvent(0.13, 0),)))
+    _, grid_states = rec.step_grid_view()
+    np.testing.assert_allclose(grid_states[1], x0 + g - dt * 1.5 * g, rtol=1e-14)
 
 
 def test_jump_outside_step_rejected():
+    # steps are (k dt, (k+1) dt], so a jump at t = 0 lies outside the first
     g = np.array([1.0])
     marks = MarkSpace(marks=np.array([1.0]), weights=np.array([1.0]))
     triple, bundle, _ = make_pure_jump(g, marks=marks, level=1)
-    state = GalerkinState(1, np.array([0.0]))
     with pytest.raises(ValueError):
-        step(state, 0.0, 0.1, bundle, np.zeros(1), [JumpEvent(0.5, 0)], marks, triple,
-             SolverConfig(dt=0.1, T=1.0, level=1))
+        solve_path(bundle, triple, np.array([0.0]), SolverConfig(dt=0.1, T=1.0, level=1), marks,
+                   seed=0, realization=_quiet(1, 0.1, 1.0, jumps=(JumpEvent(0.0, 0),)))
 
 
 def test_solve_path_constant_for_zero_coefficients(quiet_heat_spec):

@@ -3,12 +3,32 @@
 import numpy as np
 import pytest
 
+from levyspde.coefficients import CoefficientBundle
+from levyspde.noise import MarkSpace
+from levyspde.solver import SolverConfig, solve_path
 from levyspde.spaces import GalerkinState, GelfandTriple, triple_from_config
 
 
 @pytest.fixture
 def triple():
     return GelfandTriple(dimension_cap=8, v_weights=np.arange(1, 9, dtype=float) ** 2)
+
+
+def _norm_h(u):
+    return float(np.sqrt(np.dot(u, u)))
+
+
+def _recorded_norms(triple, u):
+    """(‖u‖_H, ‖u‖_V) as a path record holds them for its initial state u."""
+    zero = CoefficientBundle(
+        drift=lambda t, x: np.zeros(x.shape),
+        diffusion=lambda t, x: np.zeros(x.shape + x.shape[-1:]),
+        jump=lambda t, x, z: np.zeros(x.shape),
+        mark_space=MarkSpace.zero(),
+    )
+    cfg = SolverConfig(dt=0.5, T=1.0, level=len(u))
+    rec = solve_path(zero, triple, u, cfg, MarkSpace.zero(), seed=0)
+    return float(rec.norm_h[0]), float(rec.norm_v[0])
 
 
 def test_project_truncates_coordinates(triple):
@@ -21,7 +41,7 @@ def test_project_first_mode_keeps_h_norm(triple):
     u = np.zeros(8)
     u[0] = 1.0
     state = triple.project(u, 1)
-    assert triple.norm_h(state.coeffs) == triple.norm_h(u) == 1.0
+    assert _norm_h(state.coeffs) == _norm_h(u) == 1.0
 
 
 def test_project_idempotent_and_contractive(triple):
@@ -30,7 +50,7 @@ def test_project_idempotent_and_contractive(triple):
     once = triple.project(u, 5)
     twice = triple.project(once.coeffs, 5)
     np.testing.assert_array_equal(once.coeffs, twice.coeffs)
-    assert triple.norm_h(once.coeffs) <= triple.norm_h(u)
+    assert _norm_h(once.coeffs) <= _norm_h(u)
 
 
 def test_projected_h_norm_matches_direct_summation(triple):
@@ -39,7 +59,7 @@ def test_projected_h_norm_matches_direct_summation(triple):
     u = rng.standard_normal(8)
     state = triple.project(u, 5)
     expected = sum(u[j] ** 2 for j in range(5))
-    assert triple.norm_h(state.coeffs) ** 2 == pytest.approx(expected, rel=1e-14)
+    assert _norm_h(state.coeffs) ** 2 == pytest.approx(expected, rel=1e-14)
 
 
 def test_project_level_bounds(triple):
@@ -51,55 +71,28 @@ def test_project_level_bounds(triple):
 
 def test_norms_formula_oracle():
     triple = GelfandTriple(dimension_cap=2, v_weights=np.array([1.0, 4.0]))
-    h, v, vstar = triple.norms(GalerkinState(2, np.array([1.0, 1.0])))
+    h, v = _recorded_norms(triple, np.array([1.0, 1.0]))
     assert h == pytest.approx(np.sqrt(2.0), rel=1e-15)
     assert v == pytest.approx(np.sqrt(5.0), rel=1e-15)
-    assert vstar == pytest.approx(np.sqrt(1.25), rel=1e-15)
 
 
 def test_norms_zero_vector(triple):
-    assert triple.norms(GalerkinState(4, np.zeros(4))) == (0.0, 0.0, 0.0)
+    assert _recorded_norms(triple, np.zeros(4)) == (0.0, 0.0)
 
 
 def test_unit_weights_collapse_the_three_norms():
     # degenerate H = V weighting, allowed only in tests
     flat = GelfandTriple(dimension_cap=5, v_weights=np.ones(5))
-    u = np.array([0.3, -1.2, 4.0, 0.0, 2.5])
-    h, v, vstar = flat.norms(GalerkinState(5, u))
-    assert h == v == vstar
+    h, v = _recorded_norms(flat, np.array([0.3, -1.2, 4.0, 0.0, 2.5]))
+    assert h == v
 
 
 def test_norm_ordering_random_states(triple):
     rng = np.random.default_rng(7)
     for _ in range(200):
         m = int(rng.integers(1, 9))
-        state = GalerkinState(m, rng.standard_normal(m) * rng.choice([0.1, 1.0, 10.0]))
-        h, v, vstar = triple.norms(state)
-        assert vstar <= h * (1 + 1e-12)
+        h, v = _recorded_norms(triple, rng.standard_normal(m) * rng.choice([0.1, 1.0, 10.0]))
         assert h <= v * (1 + 1e-12)
-
-
-def test_pairing_examples(triple):
-    assert triple.pairing([1.0, 2.0], [0.0, 1.0]) == 2.0
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(6)
-    assert triple.pairing(u, u) == pytest.approx(triple.norm_h(u) ** 2, rel=1e-14)
-
-
-def test_pairing_length_mismatch(triple):
-    with pytest.raises(ValueError):
-        triple.pairing([1.0, 2.0], [1.0])
-
-
-def test_pairing_cauchy_schwarz_in_weighted_coordinates(triple):
-    # |<a, b>| <= ‖a‖_{V*} ‖b‖_V, checked numerically on random pairs
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        a = rng.standard_normal(8) * rng.choice([0.1, 1.0, 10.0])
-        b = rng.standard_normal(8) * rng.choice([0.1, 1.0, 10.0])
-        lhs = abs(triple.pairing(a, b))
-        rhs = triple.norm_vstar(a) * triple.norm_v(b)
-        assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_projection_telescoping(triple):
@@ -110,7 +103,7 @@ def test_projection_telescoping(triple):
         pm[:m] = triple.project(u, m).coeffs
         pm2 = np.zeros(8)
         pm2[:m2] = triple.project(u, m2).coeffs
-        gap = triple.norm_h(pm - pm2) ** 2
+        gap = _norm_h(pm - pm2) ** 2
         expected = sum(u[j] ** 2 for j in range(m, m2))
         assert gap == pytest.approx(expected, abs=1e-14)
 
@@ -124,7 +117,7 @@ def test_pairing_projection_adjoint(triple):
         pa[:m] = triple.project(a, m).coeffs
         pb = np.zeros(8)
         pb[:m] = triple.project(b, m).coeffs
-        assert triple.pairing(pa, b) == pytest.approx(triple.pairing(a, pb), rel=1e-13, abs=1e-13)
+        assert np.dot(pa, b) == pytest.approx(np.dot(a, pb), rel=1e-13, abs=1e-13)
 
 
 def test_weight_validation():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from levyspde import wellposedness
+from levyspde import parallel
 from levyspde.coefficients import CoefficientBundle
 from levyspde.noise import JumpEvent, MarkSpace, NoiseRealization, sample_noise
 from levyspde.solver import SolverConfig, solve_path
@@ -126,14 +126,20 @@ def test_stability_requires_functionals(heat_spec):
 
 
 def test_stability_weight_stays_in_unit_interval():
-    weight = StabilityWeight(lambda t: 0.3, lambda s: 0.1, lambda s: 0.2)
-    phis = [weight.phi]
-    state = np.zeros(1)
-    for k in range(20):
-        phis.append(weight.advance(k * 0.1, 0.1, state, state))
-    phis = np.asarray(phis)
+    def weight():
+        return StabilityWeight(lambda t: 0.3, lambda s: 0.1, lambda s: 0.2)
+
+    t, dt, states = np.arange(20) * 0.1, np.full(20, 0.1), np.zeros((20, 1))
+    whole = weight()
+    phis = np.concatenate([[whole.phi], whole.advance(t, dt, states, states)])
     assert np.all((phis > 0.0) & (phis <= 1.0))
     assert np.all(np.diff(phis) <= 0.0)
+    # the running integral carries over: two halves give the same bits
+    split = weight()
+    halves = [split.advance(t[k:k + 10], dt[k:k + 10], states[k:k + 10], states[k:k + 10])
+              for k in (0, 10)]
+    np.testing.assert_array_equal(np.concatenate(halves), phis[1:])
+    assert split.phi == whole.phi == phis[-1]
 
 
 def test_dependence_zero_perturbation_exact(heat_spec):
@@ -260,6 +266,6 @@ def test_stability_and_dependence_independent_of_workers_and_batches(allen_cahn_
 
     reference = run(1)
     assert_same(run(2), reference)
-    monkeypatch.setattr(wellposedness, "STUDY_BATCH", 1)
+    monkeypatch.setattr(parallel, "STUDY_BATCH", 1)
     assert_same(run(1), reference)
     assert_same(run(2), reference)
