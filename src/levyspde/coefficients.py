@@ -16,7 +16,8 @@ of its 1-D call, so the margins do not depend on the grouping.  The descent
 stays serial, one-row batches through the same term functions, because each
 trial starts from the last accepted point.  A non-finite coefficient row
 raises ``AuditFailure`` naming the coefficient, the row's t and u, and the
-entry; ``models.validate`` turns it into a failing entry.
+entry; ``audit_coercivity_growth`` and ``models.validate`` turn it into that
+entry's failing entry.
 
 Inequality catalogue, by entry name:
 
@@ -716,12 +717,12 @@ def _scan_inequality(name, terms, bundle, constants, triple, samples, seed, leve
 
 
 def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
-                            level: int | None = None, isolate: bool = False) -> list:
+                            level: int | None = None) -> list:
     """Audit coercivity and the three growth bounds; ``part`` in {"I", "II"}.
 
-    An entry whose coefficients evaluate to a non-finite value raises its
-    AuditFailure; with ``isolate`` it becomes that entry's failing entry
-    (margin NaN) and the other entries still run.
+    An entry whose coefficients evaluate to a non-finite value becomes a
+    failing entry (margin NaN) that names the coefficient in its witness,
+    and the other entries still run.
     """
     if part not in ("I", "II"):
         raise ValueError(f"part must be 'I' or 'II', got {part!r}")
@@ -741,8 +742,6 @@ def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
         try:
             entries.append(_scan_inequality(name, terms, bundle, constants, triple, samples, seed, level))
         except AuditFailure as exc:
-            if not isolate:
-                raise
             entries.append(exc.entry(samples))
     return entries
 

@@ -526,7 +526,7 @@ def validate(spec: ModelSpec, samples: int = 1000, seed: int = 0) -> HypothesisR
     audits = [
         lambda: [audit_hemicontinuity(bundle, triple, samples, seed, constants=constants)],
         lambda: [audit_local_monotonicity(bundle, constants, triple, mode, samples, seed)],
-        lambda: audit_coercivity_growth(bundle, constants, triple, part, samples, seed, isolate=True),
+        lambda: audit_coercivity_growth(bundle, constants, triple, part, samples, seed),
     ]
     if spec.regime == "part1":
         audits.append(lambda: audit_sequential_continuity(bundle, constants, triple, samples, seed))
