@@ -268,8 +268,13 @@ def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
         ("dt", "mean_total", "mean_abs_total", "n_paths", "seed"), rows, fmt,
     )
     ok = 0.7 <= slope <= 1.3
-    _write_sidecar(out / "residual_meta.json", exp, "residual", ok, {"slope": slope})
-    return ok, f"summed-residual refinement slope {slope:.3f} (target [0.7, 1.3])"
+    truncated = [int(np.isnan(row).sum()) for row in totals]
+    _write_sidecar(out / "residual_meta.json", exp, "residual", ok,
+                   {"slope": slope, "dt_levels": [cfg.dt for cfg in levels], "truncated_paths": truncated})
+    summary = f"summed-residual refinement slope {slope:.3f} (target [0.7, 1.3])"
+    if sum(truncated):
+        summary += f"; {sum(truncated)} of {totals.size} paths truncated"
+    return ok, summary
 
 
 def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):

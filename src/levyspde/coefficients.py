@@ -16,8 +16,8 @@ of its 1-D call, so the margins do not depend on the grouping.  The descent
 stays serial, one-row batches through the same term functions, because each
 trial starts from the last accepted point.  A non-finite coefficient row
 raises ``AuditFailure`` naming the coefficient, the row's t and u, and the
-entry; ``audit_coercivity_growth`` and ``models.validate`` turn it into that
-entry's failing entry.
+entry; ``audit_coercivity_growth``, ``audit_sequential_continuity`` and
+``models.validate`` turn it into that entry's failing entry.
 
 Inequality catalogue, by entry name:
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from .noise import MarkSpace
 from .rng import derive_rng
-from .spaces import GelfandTriple, dot_rows, libm_pow
+from .spaces import GelfandTriple, dot_rows, libm_pow, sum_squares
 
 __all__ = [
     "CoefficientBundle",
@@ -281,7 +281,7 @@ class HypothesisReport:
 # (LHS, RHS) value per row, so a scan evaluates each time point's rows in one
 # coefficient call per callable.  Row results keep the bits of a 1-D call:
 # dot products go through ``dot_rows``, Hilbert-Schmidt sums through
-# ``_sum_squares`` and scalar powers through the C library's ``pow``.
+# ``sum_squares`` and scalar powers through the C library's ``pow``.
 
 
 def _finite_or_raise(value, name: str, t, u: np.ndarray) -> np.ndarray:
@@ -294,12 +294,6 @@ def _finite_or_raise(value, name: str, t, u: np.ndarray) -> np.ndarray:
         raise AuditFailure(f"{name} evaluated to a non-finite value",
                            witness={"coefficient": name, "t": t, "u": row.tolist()})
     return arr
-
-
-def _sum_squares(b: np.ndarray) -> np.ndarray:
-    """Σ b_ij² of each (m, m) matrix of ``b`` (..., m, m), with ``np.sum(b * b)``'s bits."""
-    bb = b * b
-    return np.sum(bb.reshape(bb.shape[:-2] + (-1,)), axis=-1)
 
 
 def _v_norm(bundle, triple, t, u):
@@ -514,7 +508,7 @@ def audit_hemicontinuity(bundle, triple, samples: int, seed: int, level: int | N
 def _noise_difference_terms(bundle, t, uv):
     """‖B(t,u)−B(t,v)‖_{L2}² + Σ lam_i ‖γ(t,u,z_i)−γ(t,v,z_i)‖² per row; ``uv`` is (2, ..., m)."""
     b = _finite_or_raise(bundle.diffusion(t, uv), "diffusion", t, uv)
-    total = _sum_squares(b[0] - b[1])
+    total = sum_squares(b[0] - b[1])
     ms = bundle.mark_space
     if not ms.is_zero:
         for z, lam in zip(ms.marks, ms.weights):
@@ -665,7 +659,7 @@ def drift_growth_terms(bundle, constants, triple, part, t, u):
 def diffusion_growth_terms(bundle, constants, triple, part, t, u):
     """(LHS, RHS) of ‖B(t,u)‖_{L2}² ≤ g(t)(1+‖u‖_H²) [+ L_B ‖u‖_V^β], per row."""
     b = _finite_or_raise(bundle.diffusion(t, u), "diffusion", t, u)
-    lhs = _sum_squares(b)
+    lhs = sum_squares(b)
     h2 = dot_rows(u, u)
     rhs = constants.g_at(t) * (1.0 + h2)
     if part == "II":
@@ -758,6 +752,9 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     Genuine sequential continuity over all H-convergent sequences is not
     numerically decidable; this audits the constructed test sequences only
     and passes when the distance at depth k has collapsed relative to k=0.
+    H5-continuity and H6-continuity run on their own: a non-finite
+    coefficient in one becomes its failing entry (margin NaN) that names the
+    coefficient in its witness, and the other still runs.
     """
     level = level or min(triple.dimension_cap, 8)
     times = _time_grid(constants)
@@ -776,7 +773,7 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     def b_dists(b, t, u, d):
         seq = sequence(u, d)
         bs = _finite_or_raise(b.diffusion(t, seq), "diffusion", t, seq)
-        return np.sqrt(_sum_squares(bs[1:] - bs[0]))
+        return np.sqrt(sum_squares(bs[1:] - bs[0]))
 
     def g_dists(b, t, u, d):
         seq = sequence(u, d)
@@ -799,9 +796,15 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
 
         return scan
 
-    entries = [_audit_entry("H5-continuity", bundle, samples, continuity_scan(b_dists))]
+    scans = [("H5-continuity", b_dists)]
     if not bundle.mark_space.is_zero:
-        entries.append(_audit_entry("H6-continuity", bundle, samples, continuity_scan(g_dists)))
+        scans.append(("H6-continuity", g_dists))
+    entries = []
+    for name, dists in scans:
+        try:
+            entries.append(_audit_entry(name, bundle, samples, continuity_scan(dists)))
+        except AuditFailure as exc:
+            entries.append(exc.entry(samples))
     return entries
 
 

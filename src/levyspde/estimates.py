@@ -21,8 +21,8 @@ import numpy as np
 from .coefficients import CoefficientBundle
 from .noise import MarkSpace, NoiseRealization, ci99, sample_noise, step_index
 from .parallel import batch_seeds, map_indexed
-from .solver import PathRecord, SolverConfig, _implicit_update, solve_paths
-from .spaces import GelfandTriple
+from .solver import PathRecord, SolverConfig, _newton_rows, solve_paths
+from .spaces import GelfandTriple, dot_rows, sum_squares
 
 __all__ = [
     "EnergyStats",
@@ -30,6 +30,7 @@ __all__ = [
     "energy_table",
     "ResidualSeries",
     "discrete_energy_residual",
+    "discrete_energy_residuals",
     "residual_totals",
     "ModulusResult",
     "modulus_of_continuity",
@@ -195,6 +196,120 @@ def _jump_identity_residual(pre: np.ndarray, post: np.ndarray) -> float:
     return float(acc)
 
 
+def discrete_energy_residuals(
+    records,
+    bundle: CoefficientBundle,
+    realizations,
+    mark_space: MarkSpace,
+    config: SolverConfig | None = None,
+) -> list[ResidualSeries]:
+    """Replay the squared-H-norm balance along recorded paths, one series each.
+
+    Each step compares Δ‖Y‖² against 2⟨A, Y⟩ dt + ‖B‖_{L2}² dt + 2(B ΔW, Y)
+    plus the jump quadratic-variation and compensated-martingale terms; the
+    drift pairing is evaluated at the same point the scheme used (implicit
+    endpoint or tamed start).  The records must share one step grid: their
+    grid states are stacked into a (K+1, P, m) array, and each step makes one
+    call per coefficient on its (P, m) step-start rows.  Pairings go through
+    ``dot_rows`` and Hilbert-Schmidt sums through ``sum_squares``, so a path's
+    series has the bits of its replay alone.  Recorded jumps are checked one
+    by one: each must reproduce bit-exactly from ``bundle.jump``.
+    """
+    records, realizations = list(records), list(realizations)
+    if len(records) != len(realizations):
+        raise ValueError("need one realization per record")
+    if not records:
+        return []
+    first = records[0]
+    if config is None:
+        config = SolverConfig(dt=first.dt, T=first.T, level=first.level)
+    m, dt, T = first.level, first.dt, first.T
+    n_steps = round((first.times[-1] - first.times[0]) / dt)
+    grid_t = None
+    grid_states = []
+    jumps_at: dict[int, list] = {}  # step -> (path, pre, post, event), in time order per path
+    for p, (record, realization) in enumerate(zip(records, realizations)):
+        if abs(realization.dt - record.dt) > 1e-12 or realization.m < record.level:
+            raise ValueError("realization does not match the record grid")
+        if record.seed is not None and realization.seed != record.seed:
+            raise ValueError("realization seed does not match the record")
+        if record.truncated_at is not None or record.stopped_at is not None:
+            raise ValueError("residual replay needs the full record, not a truncated one")
+        times = record.times
+        states = np.asarray(record.states, dtype=float)
+        if states.shape != (times.size, record.level) or not np.all(np.isfinite(states)):
+            raise ValueError(f"record states must be finite with shape ({times.size}, {record.level})")
+        evs = [ev for ev in realization.jumps if ev.time <= record.T]
+        if record.n_jump_entries != len(evs):
+            raise ValueError("record jump entries do not match the realization")
+        ks = step_index([ev.time for ev in evs], record.T, record.dt).astype(int)
+        counts = np.bincount(ks, minlength=round((times[-1] - times[0]) / record.dt))
+        # grid row k follows the (pre, post) rows of the jumps of earlier steps
+        rows = np.arange(counts.size + 1) + 2 * np.concatenate(([0], np.cumsum(counts)))
+        if grid_t is None:
+            grid_t = times[rows]
+        if ((record.level, record.dt, record.T) != (m, dt, T) or counts.size != n_steps
+                or not np.array_equal(times[rows], grid_t)):
+            raise ValueError("records must share one step grid")
+        grid_states.append(states[rows])
+        # the path's jump i, in step k, has its pre row at k + 1 + 2i
+        for i, (k, ev) in enumerate(zip(ks.tolist(), evs)):
+            jumps_at.setdefault(k, []).append((p, states[k + 1 + 2 * i], states[k + 2 + 2 * i], ev))
+
+    n_paths = len(records)
+    grid_states = np.stack(grid_states, axis=1)  # (K+1, P, m)
+    wiener = np.stack([real.wiener[:n_steps, :m] for real in realizations], axis=1)  # (K, P, m)
+
+    per_step = np.empty((n_paths, n_steps))
+    per_jump = [[] for _ in range(n_paths)]
+    for k in range(n_steps):
+        t, x, x_next = grid_t[k], grid_states[k], grid_states[k + 1]
+
+        # the drift pairing is evaluated where the scheme evaluated the drift
+        if config.scheme == "drift_implicit":
+            if bundle.drift_implicit_solve is not None:
+                y1 = np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float)
+            else:
+                y1, failed = _newton_rows(bundle, x, t + dt, dt, config)
+                if failed:
+                    raise failed[min(failed)]
+            a_eval = np.asarray(bundle.drift(t + dt, y1), dtype=float)
+            drift_term = 2.0 * dot_rows(a_eval, y1) * dt
+        else:
+            a_eval = np.asarray(bundle.drift(t, x), dtype=float)
+            drift_term = 2.0 * dot_rows(a_eval, x) * dt
+
+        b = np.asarray(bundle.diffusion(t, x), dtype=float)
+        b_dw = (b @ wiener[k][..., None])[..., 0]
+        wiener_terms = sum_squares(b) * dt + 2.0 * dot_rows(b_dw, x)
+
+        jump_terms = np.zeros(n_paths)
+        for p, pre, post, ev in jumps_at.get(k, ()):
+            # bit-exact replay: the recorded jump must reproduce from the bundle
+            z = float(mark_space.marks[ev.mark_index])
+            g_check = np.asarray(bundle.jump(ev.time, pre, z), dtype=float)
+            if not np.array_equal(pre + g_check, post):
+                raise ValueError(f"jump at t={ev.time} does not replay bit-exactly")
+            g = post - pre
+            jump_terms[p] += float(np.dot(g, g)) + 2.0 * float(np.dot(g, pre))
+            per_jump[p].append(_jump_identity_residual(pre, post))
+        comp_term = np.zeros(n_paths)
+        if not mark_space.is_zero:
+            for z, lam in zip(mark_space.marks, mark_space.weights):
+                gz = np.asarray(bundle.jump(t, x, float(z)), dtype=float)
+                comp_term = comp_term + lam * 2.0 * dot_rows(gz, x)
+            comp_term = comp_term * dt
+
+        delta_sq = dot_rows(x_next, x_next) - dot_rows(x, x)
+        per_step[:, k] = delta_sq - (drift_term + wiener_terms + jump_terms - comp_term)
+
+    out = []
+    for steps, pj in zip(per_step, per_jump):
+        pj = np.asarray(pj) if pj else np.zeros(0)
+        out.append(ResidualSeries(per_step=steps, per_jump=pj, total=float(steps.sum() + pj.sum())))
+    return out
+
+
 def discrete_energy_residual(
     record: PathRecord,
     bundle: CoefficientBundle,
@@ -202,103 +317,29 @@ def discrete_energy_residual(
     mark_space: MarkSpace,
     config: SolverConfig | None = None,
 ) -> ResidualSeries:
-    """Replay the squared-H-norm balance along a recorded path.
+    """Replay the squared-H-norm balance along one recorded path.
 
-    The step contribution compares Δ‖Y‖² against
-    2⟨A, Y⟩ dt + ‖B‖_{L2}² dt + 2(B ΔW, Y) plus the jump quadratic-variation
-    and compensated-martingale terms; the drift pairing is evaluated at the
-    same point the scheme used (implicit endpoint or tamed start).
+    This is ``discrete_energy_residuals([record], ...)[0]``: the per-step
+    replay of a batch of P = 1, with every check on the record kept.
     """
-    if config is None:
-        config = SolverConfig(dt=record.dt, T=record.T, level=record.level)
-    if abs(realization.dt - record.dt) > 1e-12 or realization.m < record.level:
-        raise ValueError("realization does not match the record grid")
-    if record.seed is not None and realization.seed != record.seed:
-        raise ValueError("realization seed does not match the record")
-
-    if record.truncated_at is not None or record.stopped_at is not None:
-        raise ValueError("residual replay needs the full record, not a truncated one")
-    m = record.level
-    times = record.times
-    states = np.asarray(record.states, dtype=float)
-    if states.shape != (times.size, m) or not np.all(np.isfinite(states)):
-        raise ValueError(f"record states must be finite with shape ({times.size}, {m})")
-    jumps = [ev for ev in realization.jumps if ev.time <= record.T]
-    if record.n_jump_entries != len(jumps):
-        raise ValueError("record jump entries do not match the realization")
-    jumps_per_step = np.bincount(
-        step_index([ev.time for ev in jumps], record.T, record.dt).astype(int),
-        minlength=round((times[-1] - times[0]) / record.dt),
-    )
-
-    dt = record.dt
-    per_step = []
-    per_jump = []
-    idx = 0
-    j_ptr = 0
-    for k, n_jumps in enumerate(jumps_per_step.tolist()):
-        t = times[idx]
-        x = states[idx]
-        end_idx = idx + 1 + 2 * n_jumps
-        x_next = states[end_idx]
-
-        # the drift pairing is evaluated where the scheme evaluated the drift
-        if config.scheme == "drift_implicit":
-            y1 = _implicit_update(bundle, x, t, dt, config)
-            a_eval = np.asarray(bundle.drift(t + dt, y1), dtype=float)
-            drift_term = 2.0 * float(np.dot(a_eval, y1)) * dt
-        else:
-            a_eval = np.asarray(bundle.drift(t, x), dtype=float)
-            drift_term = 2.0 * float(np.dot(a_eval, x)) * dt
-
-        b = np.asarray(bundle.diffusion(t, x), dtype=float)
-        dW = realization.wiener[k, :m]
-        wiener_terms = float(np.sum(b * b)) * dt + 2.0 * float(np.dot(b @ dW, x))
-
-        jump_terms = 0.0
-        comp_term = 0.0
-        for ev, pre, post in zip(jumps[j_ptr : j_ptr + n_jumps], states[idx + 1 : end_idx : 2],
-                                 states[idx + 2 : end_idx + 1 : 2]):
-            # bit-exact replay: the recorded jump must reproduce from the bundle
-            z = float(mark_space.marks[ev.mark_index])
-            g_check = np.asarray(bundle.jump(ev.time, pre, z), dtype=float)
-            if not np.array_equal(pre + g_check, post):
-                raise ValueError(f"jump at t={ev.time} does not replay bit-exactly")
-            g = post - pre
-            jump_terms += float(np.dot(g, g)) + 2.0 * float(np.dot(g, pre))
-            per_jump.append(_jump_identity_residual(pre, post))
-        j_ptr += n_jumps
-        if not mark_space.is_zero:
-            for z, lam in zip(mark_space.marks, mark_space.weights):
-                gz = np.asarray(bundle.jump(t, x, float(z)), dtype=float)
-                comp_term += lam * 2.0 * float(np.dot(gz, x))
-            comp_term *= dt
-
-        delta_sq = float(np.dot(x_next, x_next)) - float(np.dot(x, x))
-        per_step.append(delta_sq - (drift_term + wiener_terms + jump_terms - comp_term))
-        idx = end_idx
-
-    per_step = np.asarray(per_step)
-    per_jump = np.asarray(per_jump) if per_jump else np.zeros(0)
-    return ResidualSeries(
-        per_step=per_step,
-        per_jump=per_jump,
-        total=float(per_step.sum() + per_jump.sum()),
-    )
+    return discrete_energy_residuals([record], bundle, [realization], mark_space, config)[0]
 
 
 def _residual_worker(ctx, task: int):
-    # the replay needs each path's realization, so the batch is solved on it
+    # the replay needs each path's realization, so the batch is solved on it;
+    # a truncated path has no balance to replay and keeps a NaN total
     bundle, triple, x0, configs, batches = ctx
     config, seeds = configs[task // len(batches)], batches[task % len(batches)]
     mark_space = bundle.mark_space
     noise = [sample_noise(config.level, config.T, config.dt, mark_space, s) for s in seeds]
     records = solve_paths(bundle, triple, x0, config, mark_space, seeds, noise=noise)
-    return [
-        float("nan") if rec.truncated_at is not None  # no balance to replay
-        else discrete_energy_residual(rec, bundle, real, mark_space, config).total
-        for rec, real in zip(records, noise)
-    ]
+    whole = [p for p, rec in enumerate(records) if rec.truncated_at is None]
+    series = discrete_energy_residuals([records[p] for p in whole], bundle,
+                                       [noise[p] for p in whole], mark_space, config)
+    totals = [float("nan")] * len(records)
+    for p, s in zip(whole, series):
+        totals[p] = s.total
+    return totals
 
 
 def residual_totals(

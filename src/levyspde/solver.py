@@ -155,18 +155,6 @@ class PathRecord:
         return self.times[self.is_grid], self.states[self.is_grid]
 
 
-def _implicit_update(
-    bundle: CoefficientBundle, x: np.ndarray, t: float, dt: float, config: SolverConfig
-) -> np.ndarray:
-    """Backward Euler drift substep y = x + dt A(t + dt, y) of one state x (m,)."""
-    if bundle.drift_implicit_solve is not None:
-        return np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float)
-    y, failed = _newton_rows(bundle, x[None], t + dt, dt, config)
-    if failed:
-        raise failed[0]
-    return y[0]
-
-
 def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next: float, dt: float,
                  config: SolverConfig):
     """Damped Newton for y - dt A(t_next, y) = x, each row of x (R, m) on its own.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GelfandTriple", "GalerkinState", "triple_from_config", "dot_rows", "libm_pow"]
+__all__ = ["GelfandTriple", "GalerkinState", "triple_from_config", "dot_rows", "sum_squares", "libm_pow"]
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,12 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so the result does not depend on the batch; ``einsum`` would not match.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def sum_squares(b: np.ndarray) -> np.ndarray:
+    """Σ b_ij² of each (m, m) matrix of ``b`` (..., m, m), with ``np.sum(b * b)``'s bits."""
+    bb = b * b
+    return np.sum(bb.reshape(bb.shape[:-2] + (-1,)), axis=-1)
 
 
 def libm_pow(x, e: float) -> np.ndarray:

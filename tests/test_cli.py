@@ -88,20 +88,23 @@ def test_rerun_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
     # 10 paths make one full batch of STUDY_BATCH and a short one
     study = {"n_paths": 10, "m_list": [2, 4], "dt_levels": [0.02, 0.01],
              "delta_list": [0.02, 0.04]}
-    for command, extra, artifact in (
-        ("residual", {}, "residual.csv"),
-        ("modulus", {}, "modulus.csv"),
-        ("converge", {}, "converge.csv"),
-        ("uniqueness", {}, "uniqueness.csv"),
-        ("uniqueness", {"stress": True}, "uniqueness.csv"),
+    # allen_cahn replays its residual steps through the batched Newton; at
+    # this size its refinement slope (0.67) misses the window, so it exits 2
+    for command, extra, artifact, model, code in (
+        ("residual", {}, "residual.csv", "heat", 0),
+        ("residual", {}, "residual.csv", "allen_cahn", 2),
+        ("modulus", {}, "modulus.csv", "heat", 0),
+        ("converge", {}, "converge.csv", "heat", 0),
+        ("uniqueness", {}, "uniqueness.csv", "heat", 0),
+        ("uniqueness", {"stress": True}, "uniqueness.csv", "heat", 0),
     ):
-        path = _write_config(tmp_path, study={**study, **extra})
+        path = _write_config(tmp_path, model=model, study={**study, **extra})
         bodies = []
         for workers, batch in (("1", 8), ("1", 8), ("2", 8), ("1", 1), ("2", 1)):
             monkeypatch.setattr(parallel, "STUDY_BATCH", batch)
-            assert main([command, "--config", str(path), "--workers", workers]) == 0, command
+            assert main([command, "--config", str(path), "--workers", workers]) == code, command
             bodies.append((tmp_path / "out" / artifact).read_bytes())
-        assert len(set(bodies)) == 1, (command, extra)
+        assert len(set(bodies)) == 1, (command, extra, model)
 
 
 def test_seed_override_changes_artifacts(tmp_path):
@@ -346,6 +349,24 @@ def test_failing_study_sidecar_is_strict_json(tmp_path, command, field):
     assert meta["pass"] is False and meta[field] is None
 
 
+def test_residual_sidecar_counts_truncated_paths(tmp_path, capsys):
+    # ‖x0‖_H overflows: every path of every dt level is truncated
+    path = _write_config(tmp_path, x0=[1e308, 1e308], study={"n_paths": 4})
+    assert main(["residual", "--config", str(path)]) == 2
+    assert "FAIL" in (out := capsys.readouterr().out) and "12 of 12 paths truncated" in out
+    meta = json.loads((tmp_path / "out" / "residual_meta.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert meta["pass"] is False and meta["slope"] is None
+    assert meta["dt_levels"] == [4e-3, 2e-3, 1e-3] and meta["truncated_paths"] == [4, 4, 4]
+
+    # a passing run counts none and leaves the summary line as it was
+    path = _write_config(tmp_path, study={"n_paths": 4, "dt_levels": [0.02, 0.01]})
+    assert main(["residual", "--config", str(path)]) == 0
+    assert "truncated" not in capsys.readouterr().out
+    meta = json.loads((tmp_path / "out" / "residual_meta.json").read_text())
+    assert meta["truncated_paths"] == [0, 0]
+
+
 #: a custom model whose cubic reaction overflows to inf on moderate states
 BLOWUP_MODEL = {
     "name": "blowup",
@@ -386,3 +407,29 @@ def test_one_failing_entry_keeps_the_rest_of_its_audit_group(tmp_path):
     verdicts = dict(row.split(",")[:2] for row in rows)
     assert list(verdicts) == ["H1", "H2", "H3", "H4", "H5", "H5-continuity"]
     assert verdicts["H3"] == verdicts["H4"] == "fail"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_diffusion_keeps_the_jump_continuity_entry(tmp_path):
+    # B = c u overflows on the audit's larger states, so H5-continuity fails
+    # on a non-finite diffusion; H6-continuity still gets its own row
+    model = {
+        "name": "overflow_b",
+        "regime": "part1",
+        "triple": {"dimension_cap": 8},
+        "drift": {"type": "diagonal", "scale": 1.0},
+        "diffusion": {"type": "multiplicative_h", "c": 1e308},
+        "jump": {"type": "multiplicative_mark", "sigma": 0.1},
+        "marks": {"points": [1.0, -1.0], "weights": [0.5, 0.5]},
+        "constants": {"beta": 2.0, "L_A": 1.0, "C_growth": 1.0},
+    }
+    path = _write_config(tmp_path, model=model, study={"samples": 64})
+    assert main(["check", "--config", str(path)]) == 2
+    rows = (tmp_path / "out" / "check.csv").read_text().splitlines()[2:]
+    verdicts = dict(row.split(",")[:2] for row in rows)
+    assert verdicts["H5-continuity"] == "fail"
+    assert verdicts["H6-continuity"] == "pass"
+    report = json.loads((tmp_path / "out" / "check_report.json").read_text(),
+                        parse_constant=_reject_constant)
+    h5 = next(e for e in report if e["hypothesis"] == "H5-continuity")
+    assert h5["worst_margin"] is None and h5["witness_coeffs"]["coefficient"] == "diffusion"

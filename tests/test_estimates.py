@@ -8,14 +8,18 @@ import pytest
 from levyspde import estimates
 from levyspde.estimates import (
     discrete_energy_residual,
+    discrete_energy_residuals,
     energy_estimate_mc,
     energy_table,
     modulus_of_continuity,
     path_energy_functionals,
 )
-from levyspde.noise import MarkSpace, sample_noise
-from levyspde.solver import PathRecord, SolverConfig, solve_path
+from levyspde.models import builtin
+from levyspde.noise import JumpEvent, MarkSpace, sample_noise
+from levyspde.parallel import batch_seeds
+from levyspde.solver import PathRecord, SolverConfig, solve_path, solve_paths
 
+import serial_replay
 from conftest import make_pure_jump, make_scalar_linear
 
 
@@ -217,6 +221,94 @@ def test_residual_rejects_mismatched_realization(heat_spec):
     other = sample_noise(3, 1.0, 0.1, heat_spec.bundle.mark_space, seed=2)
     with pytest.raises(ValueError):
         discrete_energy_residual(rec, heat_spec.bundle, other, heat_spec.bundle.mark_space, cfg)
+
+
+def _replay_batch(spec, cfg, n_paths, seed, noise=None):
+    """A batch solved on its realizations: (records, realizations)."""
+    ms = spec.bundle.mark_space
+    seeds = batch_seeds(seed, n_paths, n_paths)[0]
+    if noise is None:
+        noise = [sample_noise(cfg.level, cfg.T, cfg.dt, ms, s) for s in seeds]
+    records = solve_paths(spec.bundle, spec.triple, spec.default_x0, cfg, ms, seeds, noise=noise)
+    assert all(rec.truncated_at is None for rec in records)
+    return records, noise
+
+
+def _assert_matches_serial(spec, cfg, records, noise):
+    ms = spec.bundle.mark_space
+    batched = discrete_energy_residuals(records, spec.bundle, noise, ms, cfg)
+    assert len(batched) == len(records)
+    for rec, real, got in zip(records, noise, batched):
+        want = serial_replay.discrete_energy_residual(rec, spec.bundle, real, ms, cfg)
+        np.testing.assert_array_equal(got.per_step, want.per_step)
+        np.testing.assert_array_equal(got.per_jump, want.per_jump)
+        assert got.total == want.total
+    return batched
+
+
+@pytest.mark.parametrize(
+    "model, scheme, n_paths",
+    [("heat", "drift_implicit", 8), ("heat", "tamed_explicit", 5), ("allen_cahn", "drift_implicit", 4)],
+    ids=["heat-jumps", "heat-tamed", "allen_cahn-newton"],
+)
+def test_batched_replay_matches_serial_replay(model, scheme, n_paths):
+    # one coefficient call per step for the whole batch, and each path keeps
+    # the bits of its replay alone; allen_cahn has no closed-form implicit
+    # solve, so its replay runs the batched Newton
+    spec = builtin(model)
+    cfg = SolverConfig(dt=0.01, T=0.3, level=6, scheme=scheme)
+    records, noise = _replay_batch(spec, cfg, n_paths, seed=5)
+    batched = _assert_matches_serial(spec, cfg, records, noise)
+    assert sum(s.per_jump.size for s in batched) > 0
+    one = discrete_energy_residual(records[-1], spec.bundle, noise[-1], spec.bundle.mark_space, cfg)
+    np.testing.assert_array_equal(one.per_step, batched[-1].per_step)
+
+
+def _with_jumps(real, times, mark_index=0):
+    return dataclasses.replace(real, jumps=tuple(JumpEvent(t, mark_index) for t in times))
+
+
+def test_batched_replay_paths_with_different_jump_counts_in_one_step(heat_spec):
+    # step 3 holds two jumps of path 0, one of path 1 and none of path 2
+    cfg = SolverConfig(dt=0.01, T=0.1, level=4)
+    ms = heat_spec.bundle.mark_space
+    seeds = batch_seeds(3, 3, 3)[0]
+    base = [sample_noise(4, cfg.T, cfg.dt, ms, s) for s in seeds]
+    noise = [_with_jumps(base[0], [0.031, 0.036, 0.072]),
+             _with_jumps(base[1], [0.034], mark_index=1), _with_jumps(base[2], [])]
+    records, noise = _replay_batch(heat_spec, cfg, 3, 3, noise=noise)
+    assert [rec.n_jump_entries for rec in records] == [3, 1, 0]
+    batched = _assert_matches_serial(heat_spec, cfg, records, noise)
+    assert [s.per_jump.size for s in batched] == [3, 1, 0]
+    assert all(np.all(s.per_jump == 0.0) for s in batched)
+
+
+def test_batched_replay_rejects_a_corrupted_jump_in_a_later_path(heat_spec):
+    cfg = SolverConfig(dt=0.01, T=0.3, level=4)
+    records, noise = _replay_batch(heat_spec, cfg, 4, seed=5)
+    p = next(p for p in range(1, 4) if records[p].n_jump_entries)
+    post = int(np.flatnonzero(records[p].is_jump_post)[0])
+    states = records[p].states.copy()
+    states[post, 0] = np.nextafter(states[post, 0], np.inf)
+    records[p] = dataclasses.replace(records[p], states=states)
+    with pytest.raises(ValueError, match="does not replay bit-exactly"):
+        discrete_energy_residuals(records, heat_spec.bundle, noise, heat_spec.bundle.mark_space, cfg)
+
+
+def test_batched_replay_rejects_a_wrong_seed_and_mixed_grids(heat_spec):
+    ms = heat_spec.bundle.mark_space
+    cfg = SolverConfig(dt=0.01, T=0.3, level=4)
+    records, noise = _replay_batch(heat_spec, cfg, 3, seed=5)
+    wrong = noise[:2] + [sample_noise(4, cfg.T, cfg.dt, ms, seed=12345)]
+    with pytest.raises(ValueError, match="seed"):
+        discrete_energy_residuals(records, heat_spec.bundle, wrong, ms, cfg)
+
+    fine = SolverConfig(dt=0.005, T=0.3, level=4)
+    fine_records, fine_noise = _replay_batch(heat_spec, fine, 1, seed=6)
+    with pytest.raises(ValueError, match="share one step grid"):
+        discrete_energy_residuals(records[:1] + fine_records, heat_spec.bundle,
+                                  noise[:1] + fine_noise, ms, cfg)
+    assert discrete_energy_residuals([], heat_spec.bundle, [], ms, cfg) == []
 
 
 # ---------------------------------------------------------------------------
