@@ -22,8 +22,7 @@ from .coefficients import (
 )
 from .estimates import (
     EnergyStats,
-    discrete_energy_residual,
-    energy_estimate_mc,
+    discrete_energy_residuals,
     energy_table,
     modulus_of_continuity,
 )
@@ -79,9 +78,8 @@ __all__ = [
     "solve_path",
     "apply_stopping",
     "EnergyStats",
-    "energy_estimate_mc",
     "energy_table",
-    "discrete_energy_residual",
+    "discrete_energy_residuals",
     "modulus_of_continuity",
     "pathwise_uniqueness_test",
     "weighted_stability_mc",

@@ -38,8 +38,6 @@ ANCHORS = {
     "isometry": "Eq. (21) isometry",
 }
 
-SUBCOMMANDS = tuple(ANCHORS)
-
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -112,19 +110,33 @@ def _study_paths(exp: ExperimentConfig, default: int, least: int = 1) -> int:
     return n_paths
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _study_float(exp: ExperimentConfig, name: str, default=None):
+    """``study.<name>`` as a float; ``default`` when it is absent or null."""
+    value = exp.study.get(name)
+    if value is None:
+        return default
+    if not _is_number(value):
+        raise ConfigError(f"study.{name}", "expected a number")
+    return float(value)
+
+
 def _study_floats(exp: ExperimentConfig, name: str, default) -> list[float]:
     value = exp.study.get(name, default)
-    if not isinstance(value, (list, tuple)) or not value:
+    if not isinstance(value, (list, tuple)) or not value or not all(map(_is_number, value)):
         raise ConfigError(f"study.{name}", "expected a nonempty list of numbers")
     return [float(v) for v in value]
 
 
 def _study_levels(exp: ExperimentConfig, default) -> list[int]:
-    levels = [int(m) for m in exp.study.get("m_list", default)]
+    values = _study_floats(exp, "m_list", default)
     cap = exp.model.triple.dimension_cap
-    if not levels or any(not 1 <= m <= cap for m in levels):
-        raise ConfigError("study.m_list", f"expected levels in [1, {cap}], got {levels}")
-    return levels
+    if any(not 1 <= m <= cap for m in values):
+        raise ConfigError("study.m_list", f"expected levels in [1, {cap}], got {values}")
+    return [int(m) for m in values]
 
 
 def _check_p_admissibility(exp: ExperimentConfig, p_list) -> None:
@@ -169,16 +181,16 @@ def _cmd_check(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 
 def _cmd_simulate(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    record = solve_path(
-        exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver,
-        exp.model.bundle.mark_space, seed=exp.master_seed,
-    )
-    stopping_n = exp.study.get("stopping_N")
+    stopping_n = _study_float(exp, "stopping_N")
+    try:
+        rule = None if stopping_n is None else StoppingTimeRule(stopping_n)
+    except ValueError as exc:
+        raise ConfigError("study.stopping_N", str(exc)) from None
+    record = solve_path(exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver,
+                        seed=exp.master_seed)
     tau = None
-    if stopping_n is not None:
-        record, tau = apply_stopping(
-            record, StoppingTimeRule(float(stopping_n)), beta=exp.model.constants.beta
-        )
+    if rule is not None:
+        record, tau = apply_stopping(record, rule, beta=exp.model.constants.beta)
     cols = ["time", "is_jump_post"] + [f"coeff_{j + 1}" for j in range(record.level)]
     cols += ["norm_H", "norm_V"]
     rows = [
@@ -286,7 +298,7 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
             estimates.delta_steps(d, dt, exp.solver.n_steps)
         except ValueError as exc:
             raise ConfigError("study.delta_list", str(exc)) from None
-    beta = float(exp.study.get("beta_exp", exp.model.constants.beta))
+    beta = _study_float(exp, "beta_exp", float(exp.model.constants.beta))
     result = estimates.modulus_study(
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver, deltas, beta,
         n_paths, exp.master_seed, workers=workers,
@@ -308,7 +320,7 @@ def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     stress = bool(exp.study.get("stress", False))
     sup = wellposedness.pathwise_uniqueness_test(
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver,
-        exp.model.bundle.mark_space, n_paths, exp.master_seed, stress=stress, workers=workers,
+        n_paths, exp.master_seed, stress=stress, workers=workers,
     )
     _write_table(out / "uniqueness.csv", ANCHORS["uniqueness"],
                  ("mode", "n_paths", "max_sup_difference", "seed"),
@@ -329,7 +341,7 @@ def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
         x0_b[0] += 0.1
     result = wellposedness.weighted_stability_mc(
         exp.model.bundle, exp.model.triple, exp.model.constants, x0, x0_b,
-        exp.solver, exp.model.bundle.mark_space, n_paths, exp.master_seed, workers=workers,
+        exp.solver, n_paths, exp.master_seed, workers=workers,
     )
     rows = list(zip(result.times, result.lhs_curve, result.ci99))
     _write_table(out / "stability.csv", ANCHORS["stability"],
@@ -347,12 +359,12 @@ def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     deltas = _study_floats(exp, "perturbations", [1e-1, 1e-2, 1e-3])
     if sum(d > 0.0 for d in deltas) < 2:
         raise ConfigError("study.perturbations", "the slope fit needs at least two positive entries")
-    p = float(exp.study.get("p", 2.0))
+    p = _study_float(exp, "p", 2.0)
     _check_p_admissibility(exp, [p])
     n_paths = _study_paths(exp, 200)
     table = wellposedness.continuous_dependence_study(
         exp.model.bundle, exp.model.triple, exp.initial_state(), deltas, p,
-        exp.solver, exp.model.bundle.mark_space, n_paths, exp.master_seed, workers=workers,
+        exp.solver, n_paths, exp.master_seed, workers=workers,
     )
     rows = list(zip(table.deltas, table.values, table.ci99))
     _write_table(out / "depend.csv", ANCHORS["depend"],
@@ -370,8 +382,7 @@ def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     n_paths = _study_paths(exp, 100, least=2)
     table = wellposedness.galerkin_convergence(
         exp.model.bundle, exp.model.triple, exp.initial_state(), m_list, exp.solver,
-        exp.model.bundle.mark_space, n_paths, exp.master_seed,
-        beta=exp.model.constants.beta, workers=workers,
+        n_paths, exp.master_seed, beta=exp.model.constants.beta, workers=workers,
     )
     rows = list(zip(table.levels, table.distances, table.ci99))
     _write_table(out / "converge.csv", ANCHORS["converge"],
@@ -385,9 +396,10 @@ def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_prange(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     # the moment side condition depends on an imported constant the source
-    # material never pins; default guess 4^p, overridable per study
-    base = float(exp.study.get("c_tilde_base", 4.0))
-    result = admissible_p_range(exp.model.constants, c_tilde=lambda p: base**p)
+    # material never pins; the study may replace the default guess by base^p
+    base = _study_float(exp, "c_tilde_base")
+    result = admissible_p_range(exp.model.constants,
+                                c_tilde=None if base is None else lambda p: base**p)
     rows = [
         (r["p"], r["c1"], r["c2"], r["growth_ok"], r["admissible_ok"], r["moment_ok"])
         for r in result.rows

@@ -178,7 +178,7 @@ class HypothesisConstants:
 
     ``f_integral``/``g_integral``/``h_p_integrals`` store the time integrals
     over [0, horizon]; f, g, h_p are taken constant in time (rate =
-    integral / horizon) unless a profile callable is declared.
+    integral / horizon).
     """
 
     beta: float
@@ -195,8 +195,6 @@ class HypothesisConstants:
     L_B: float = 0.0
     L_gamma: float = 0.0
     horizon: float = 1.0
-    f_profile: Callable[[float], float] | None = None
-    g_profile: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.beta <= 1.0:
@@ -208,13 +206,9 @@ class HypothesisConstants:
             raise ValueError("integrated bounds must be nonnegative")
 
     def f_at(self, t: float) -> float:
-        if self.f_profile is not None:
-            return float(self.f_profile(t))
         return self.f_integral / self.horizon
 
     def g_at(self, t: float) -> float:
-        if self.g_profile is not None:
-            return float(self.g_profile(t))
         return self.g_integral / self.horizon
 
     def h_p_at(self, p: float, t: float) -> float:

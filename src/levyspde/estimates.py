@@ -19,17 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import CoefficientBundle
-from .noise import MarkSpace, NoiseRealization, ci99, sample_noise, step_index
+from .noise import ci99, sample_noise, step_index
 from .parallel import batch_seeds, map_indexed
 from .solver import PathRecord, SolverConfig, _newton_rows, solve_paths
 from .spaces import GelfandTriple, dot_rows, sum_squares
 
 __all__ = [
     "EnergyStats",
-    "energy_estimate_mc",
     "energy_table",
     "ResidualSeries",
-    "discrete_energy_residual",
     "discrete_energy_residuals",
     "residual_totals",
     "ModulusResult",
@@ -59,28 +57,22 @@ class EnergyStats:
 
 
 def _energy_parts(record: PathRecord, p_list, beta: float):
-    """(sup_t ‖Y‖_H, ∫‖Y‖_V^β dt, [∫‖Y‖_V^β ‖Y‖_H^{p-2} dt for p in p_list])."""
+    """(sup_t ‖Y‖_H, ∫‖Y‖_V^β dt, [∫‖Y‖_V^β ‖Y‖_H^{p-2} dt for p in p_list]).
+
+    The sup runs over every recorded entry including jump post-values; the
+    integrals are left-Riemann sums over the record's time partition.
+    """
     dts = np.diff(record.times)
     vb = record.norm_v[:-1] ** beta
     mixed = [float(np.dot(vb * record.norm_h[:-1] ** (p - 2.0), dts)) for p in p_list]
     return float(record.norm_h.max()), float(np.dot(vb, dts)), mixed
 
 
-def path_energy_functionals(record: PathRecord, p: float, beta: float):
-    """(sup_t ‖Y‖_H^p, (∫‖Y‖_V^β dt)^{p/2}, ∫‖Y‖_V^β ‖Y‖_H^{p-2} dt).
-
-    The sup runs over every recorded entry including jump post-values; the
-    integrals are left-Riemann sums over the record's time partition.
-    """
-    sup_h, int_v, (mixed,) = _energy_parts(record, [p], beta)
-    return sup_h**p, int_v ** (p / 2.0), mixed
-
-
 def _energy_batch_worker(ctx, b: int):
     # a truncated path has no estimate of its own: it turns the ensemble's
     # figures into NaN, so the study fails instead of averaging a prefix
     bundle, triple, x0, config, batches, p_list, beta = ctx
-    records = solve_paths(bundle, triple, x0, config, bundle.mark_space, batches[b], keep_states=False)
+    records = solve_paths(bundle, triple, x0, config, batches[b], keep_states=False)
     nan = float("nan")
     return [
         _energy_parts(rec, p_list, beta) if rec.truncated_at is None else (nan, nan, [nan] * len(p_list))
@@ -99,7 +91,12 @@ def energy_table(
     beta: float = 2.0,
     workers: int = 1,
 ) -> list[EnergyStats]:
-    """One ensemble, all requested moment orders; see ``energy_estimate_mc``."""
+    """Ensemble estimates of the energy functionals, one ``EnergyStats`` per
+    moment order of ``p_list``; every order reads the same ``n_paths`` paths.
+
+    Per path these are sup_t ‖Y‖_H^p, (∫‖Y‖_V^β dt)^{p/2} and
+    ∫‖Y‖_V^β ‖Y‖_H^{p-2} dt; a truncated path makes every figure NaN.
+    """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     p_list = [float(p) for p in p_list]
@@ -151,21 +148,6 @@ def energy_table(
     return out
 
 
-def energy_estimate_mc(
-    bundle: CoefficientBundle,
-    triple: GelfandTriple,
-    x0,
-    p: float,
-    config: SolverConfig,
-    n_paths: int,
-    seed: int,
-    beta: float = 2.0,
-    workers: int = 1,
-) -> EnergyStats:
-    """Ensemble estimates of the energy functionals at moment order p."""
-    return energy_table(bundle, triple, x0, [p], config, n_paths, seed, beta, workers)[0]
-
-
 # ---------------------------------------------------------------------------
 # discrete energy identity
 # ---------------------------------------------------------------------------
@@ -200,7 +182,6 @@ def discrete_energy_residuals(
     records,
     bundle: CoefficientBundle,
     realizations,
-    mark_space: MarkSpace,
     config: SolverConfig | None = None,
 ) -> list[ResidualSeries]:
     """Replay the squared-H-norm balance along recorded paths, one series each.
@@ -213,8 +194,11 @@ def discrete_energy_residuals(
     call per coefficient on its (P, m) step-start rows.  Pairings go through
     ``dot_rows`` and Hilbert-Schmidt sums through ``sum_squares``, so a path's
     series has the bits of its replay alone.  Recorded jumps are checked one
-    by one: each must reproduce bit-exactly from ``bundle.jump``.
+    by one: each must reproduce bit-exactly from ``bundle.jump``.  Marks and
+    compensator weights come from ``bundle.mark_space``, the measure the
+    solver drew the jumps from.
     """
+    mark_space = bundle.mark_space
     records, realizations = list(records), list(realizations)
     if len(records) != len(realizations):
         raise ValueError("need one realization per record")
@@ -310,32 +294,16 @@ def discrete_energy_residuals(
     return out
 
 
-def discrete_energy_residual(
-    record: PathRecord,
-    bundle: CoefficientBundle,
-    realization: NoiseRealization,
-    mark_space: MarkSpace,
-    config: SolverConfig | None = None,
-) -> ResidualSeries:
-    """Replay the squared-H-norm balance along one recorded path.
-
-    This is ``discrete_energy_residuals([record], ...)[0]``: the per-step
-    replay of a batch of P = 1, with every check on the record kept.
-    """
-    return discrete_energy_residuals([record], bundle, [realization], mark_space, config)[0]
-
-
 def _residual_worker(ctx, task: int):
     # the replay needs each path's realization, so the batch is solved on it;
     # a truncated path has no balance to replay and keeps a NaN total
     bundle, triple, x0, configs, batches = ctx
     config, seeds = configs[task // len(batches)], batches[task % len(batches)]
-    mark_space = bundle.mark_space
-    noise = [sample_noise(config.level, config.T, config.dt, mark_space, s) for s in seeds]
-    records = solve_paths(bundle, triple, x0, config, mark_space, seeds, noise=noise)
+    noise = [sample_noise(config.level, config.T, config.dt, bundle.mark_space, s) for s in seeds]
+    records = solve_paths(bundle, triple, x0, config, seeds, noise=noise)
     whole = [p for p, rec in enumerate(records) if rec.truncated_at is None]
     series = discrete_energy_residuals([records[p] for p in whole], bundle,
-                                       [noise[p] for p in whole], mark_space, config)
+                                       [noise[p] for p in whole], config)
     totals = [float("nan")] * len(records)
     for p, s in zip(whole, series):
         totals[p] = s.total
@@ -464,7 +432,7 @@ def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:
 
 def _modulus_worker(ctx, b: int):
     bundle, triple, x0, config, deltas, beta_exp, batches = ctx
-    records = solve_paths(bundle, triple, x0, config, bundle.mark_space, batches[b])
+    records = solve_paths(bundle, triple, x0, config, batches[b])
     return _modulus_rows(records, deltas, beta_exp)
 
 

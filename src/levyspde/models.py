@@ -296,12 +296,7 @@ def _grad_noise_linear(cap: int = 32, c_b: float = 0.1, c_gamma: float = 0.05,
 
 
 def _grid_triple(name: str, grid: SpectralGrid) -> GelfandTriple:
-    return GelfandTriple(
-        dimension_cap=grid.cap,
-        v_weights=1.0 + grid.mu,
-        name=name,
-        grid_size=grid.n,
-    )
+    return GelfandTriple(dimension_cap=grid.cap, v_weights=1.0 + grid.mu, name=name)
 
 
 def _default_grid_x0(grid: SpectralGrid) -> np.ndarray:

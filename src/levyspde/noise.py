@@ -14,7 +14,7 @@ intensity measure reduces to a weighted sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -99,13 +99,11 @@ class NoiseRealization:
     m: int
     dt: float
     T: float
-    n_steps: int = field(init=False)
 
     def __post_init__(self):
         wiener = np.asarray(self.wiener, dtype=float)
         object.__setattr__(self, "wiener", wiener)
         object.__setattr__(self, "jumps", tuple(self.jumps))
-        object.__setattr__(self, "n_steps", wiener.shape[0])
         if wiener.ndim != 2 or wiener.shape[1] != self.m:
             raise ValueError(f"wiener must have shape (steps, {self.m})")
         times = [ev.time for ev in self.jumps]
@@ -124,15 +122,20 @@ def grid_steps(T: float, dt: float) -> int:
     return n
 
 
+def grid_times(T: float, dt: float) -> np.ndarray:
+    """The nodes k dt, k = 0 .. K, of the uniform grid on [0, T]; the last is T itself."""
+    nodes = np.arange(grid_steps(T, dt) + 1) * dt
+    nodes[-1] = T
+    return nodes
+
+
 def step_index(times, T: float, dt: float) -> np.ndarray:
     """Index k of the grid step (k dt, (k+1) dt] that holds each event time.
 
     Steps are closed on the right, so an event at a grid time belongs to the
     step that ends there; the slack of 1e-15 absorbs the rounding of k dt.
     """
-    ends = np.arange(1, grid_steps(T, dt) + 1) * dt
-    ends[-1] = T
-    return np.searchsorted(ends + 1e-15, np.asarray(times, dtype=float))
+    return np.searchsorted(grid_times(T, dt)[1:] + 1e-15, np.asarray(times, dtype=float))
 
 
 def sample_noise(m: int, T: float, dt: float, mark_space: MarkSpace, seed: int) -> NoiseRealization:

@@ -36,14 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientBundle
-from .noise import (
-    MarkSpace,
-    NoiseRealization,
-    grid_steps,
-    sample_jumps,
-    step_index,
-    wiener_chunks,
-)
+from .noise import grid_steps, grid_times, sample_jumps, step_index, wiener_chunks
 from .spaces import GelfandTriple, dot_rows
 
 __all__ = [
@@ -115,8 +108,7 @@ class PathRecord:
 
     Jump times appear twice (pre and post value); between consecutive jump
     entries times strictly increase.  ``is_grid`` marks the rows on the
-    uniform step grid, as the solver recorded them; a hand-built record may
-    omit it when its only off-grid rows are the pre/post pairs.
+    uniform step grid, as the solver recorded them.
     ``stopped_at`` is set by ``apply_stopping``.  ``truncated_at`` marks a
     step whose drift solve failed (the record ends at that step's start) or
     the first non-finite state or norm (the record ends just before it).
@@ -126,6 +118,7 @@ class PathRecord:
     times: np.ndarray
     states: np.ndarray | None  # (n_entries, level)
     is_jump_post: np.ndarray
+    is_grid: np.ndarray
     norm_h: np.ndarray
     norm_v: np.ndarray
     level: int
@@ -134,21 +127,10 @@ class PathRecord:
     seed: int | None = None
     stopped_at: float | None = None
     truncated_at: float | None = None
-    is_grid: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.is_grid is None:
-            # a pre-jump row is the row just before its post row
-            pre = np.zeros_like(self.is_jump_post)
-            pre[:-1] = self.is_jump_post[1:]
-            self.is_grid = ~(self.is_jump_post | pre)
 
     @property
     def n_jump_entries(self) -> int:
         return int(self.is_jump_post.sum())
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
     def step_grid_view(self):
         """(times, states) restricted to the uniform step grid (no jump rows)."""
@@ -271,7 +253,7 @@ def _drift_rows(bundle, triple, x, t, dt, config, dead):
     return y, failed
 
 
-def _step_rows(x, t, dt, bundle, triple, dw, events, mark_space, config, dead=frozenset()):
+def _step_rows(x, t, dt, bundle, triple, dw, events, config, dead=frozenset()):
     """One step of every row of x (P, m) over [t, t+dt].
 
     ``dw`` holds the rows' Wiener increments (P, m); ``events`` lists
@@ -287,7 +269,7 @@ def _step_rows(x, t, dt, bundle, triple, dw, events, mark_space, config, dead=fr
             raise ValueError(f"jump at {ev.time} outside step ({t}, {t + dt}]")
         if p in dead or p in failed:
             continue
-        z = float(mark_space.marks[ev.mark_index])
+        z = float(bundle.mark_space.marks[ev.mark_index])
         pre = y[p].copy()
         g = np.asarray(bundle.jump(ev.time, pre, z), dtype=float)
         y[p] = pre + g
@@ -310,7 +292,7 @@ def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray)
     return norm_h.reshape(shape), norm_v.reshape(shape)
 
 
-def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_states):
+def _solve(bundle, triple, x0, config, seeds, chunks, jumps, keep_states):
     """The stepping core: P = len(seeds) paths as one (P, m) array.
 
     ``x0`` is the shared initial datum (m0,) or one row per path (P, m0);
@@ -325,8 +307,7 @@ def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_st
     x = np.stack([triple.project(row, m).coeffs
                   for row in np.broadcast_to(x0, (n_paths, x0.shape[-1]))])
 
-    grid = np.arange(n_steps + 1) * dt
-    grid[-1] = config.T
+    grid = grid_times(config.T, dt)
     events_at: dict[int, list] = {}
     for p, evs in enumerate(jumps):
         ks = step_index([ev.time for ev in evs], config.T, dt)
@@ -348,7 +329,7 @@ def _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_st
         block = states[k0 + 1 : k0 + 1 + len(chunk)] if keep_states else np.empty((len(chunk), n_paths, m))
         for i, dw in enumerate(chunk):
             y, step_entries, failed = _step_rows(
-                x, k * dt, dt, bundle, triple, dw, events_at.get(k, ()), mark_space, config, dead
+                x, k * dt, dt, bundle, triple, dw, events_at.get(k, ()), config, dead
             )
             for p, tau, pre, post in step_entries:
                 entries[p].append((k, tau, pre, post))
@@ -429,14 +410,11 @@ def solve_path(
     triple: GelfandTriple,
     x0,
     config: SolverConfig,
-    mark_space: MarkSpace,
     seed: int,
-    realization: NoiseRealization | None = None,
 ) -> PathRecord:
-    """One path on [0, T]: ``solve_paths(..., [seed], noise=[realization])[0]``,
-    drawing the noise from ``seed`` when no realization is given."""
-    noise = None if realization is None else [realization]
-    return solve_paths(bundle, triple, x0, config, mark_space, [seed], noise=noise)[0]
+    """One path on [0, T] with its noise drawn from ``seed``:
+    ``solve_paths(..., [seed])[0]``."""
+    return solve_paths(bundle, triple, x0, config, [seed])[0]
 
 
 def solve_paths(
@@ -444,7 +422,6 @@ def solve_paths(
     triple: GelfandTriple,
     x0,
     config: SolverConfig,
-    mark_space: MarkSpace,
     seeds,
     keep_states: bool = True,
     noise=None,
@@ -455,8 +432,10 @@ def solve_paths(
     record does not depend on the batch it ran in, and paths that repeat a
     seed share its noise.  Each path draws its Wiener increments from its
     own sub-stream, in chunks of ``WIENER_CHUNK`` steps, so the
-    whole-horizon noise is never held.  ``noise``, when given, holds one
-    realization per path on the solver's grid: path p then consumes the
+    whole-horizon noise is never held, and its jumps from
+    ``bundle.mark_space``, the measure the compensator integrates against.
+    ``noise``, when given, holds one realization per path on the solver's
+    grid, with mark indices into that same measure: path p then consumes the
     first ``config.level`` Wiener modes of ``noise[p]`` and its jumps up to
     T, and ``seeds[p]`` only labels the record.  With ``keep_states=False``
     the records carry times and norms only.
@@ -465,7 +444,7 @@ def solve_paths(
     m, n_steps = config.level, config.n_steps
     if noise is None:
         chunks = wiener_chunks(seeds, m, n_steps, config.dt, WIENER_CHUNK)
-        jumps_of = {s: sample_jumps(config.T, mark_space, s) for s in dict.fromkeys(seeds)}
+        jumps_of = {s: sample_jumps(config.T, bundle.mark_space, s) for s in dict.fromkeys(seeds)}
         jumps = [jumps_of[s] for s in seeds]
     else:
         for real in noise:
@@ -479,7 +458,7 @@ def solve_paths(
             for k0 in range(0, n_steps, WIENER_CHUNK)
         )
         jumps = [tuple(ev for ev in real.jumps if ev.time <= config.T) for real in noise]
-    return _solve(bundle, triple, x0, config, mark_space, seeds, chunks, jumps, keep_states)
+    return _solve(bundle, triple, x0, config, seeds, chunks, jumps, keep_states)
 
 
 def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0):

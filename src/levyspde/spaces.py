@@ -13,7 +13,7 @@ product, and the Galerkin projection P_m is coordinate truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,17 +54,11 @@ class GelfandTriple:
         all j (H == V) is permitted and only meant for degenerate test setups.
     name:
         Identifier used in reports and artifact metadata.
-    grid_size:
-        Optional size of an attached 1-D physical grid.  Models whose V-norm
-        is not the diagonal weighting (beta != 2) evaluate their norm
-        functional by quadrature on that grid; the weights stay available for
-        the linear part.
     """
 
     dimension_cap: int
     v_weights: np.ndarray
     name: str = "triple"
-    grid_size: int | None = field(default=None)
 
     def __post_init__(self):
         w = np.asarray(self.v_weights, dtype=float)
@@ -129,7 +123,6 @@ def triple_from_config(spec: dict) -> GelfandTriple:
     """
     cap = int(spec["dimension_cap"])
     name = spec.get("name", "triple")
-    grid_size = spec.get("grid_size")
     if "weights" in spec:
         w = np.asarray(spec["weights"], dtype=float)
     else:
@@ -141,9 +134,4 @@ def triple_from_config(spec: dict) -> GelfandTriple:
             w = 1.0 + float(spec.get("scale", 1.0)) * j**2
         else:
             raise ValueError(f"unknown weight rule: {rule!r}")
-    return GelfandTriple(
-        dimension_cap=cap,
-        v_weights=w,
-        name=name,
-        grid_size=int(grid_size) if grid_size is not None else None,
-    )
+    return GelfandTriple(dimension_cap=cap, v_weights=w, name=name)

@@ -22,13 +22,12 @@ from operator import itemgetter
 import numpy as np
 
 from .coefficients import CoefficientBundle, HypothesisConstants
-from .noise import JumpEvent, MarkSpace, NoiseRealization, ci99, sample_noise, step_index
+from .noise import JumpEvent, NoiseRealization, ci99, grid_times, sample_noise, step_index
 from .parallel import batch_seeds, map_indexed
 from .solver import SolverConfig, solve_paths
 from .spaces import GelfandTriple, dot_rows
 
 __all__ = [
-    "StabilityWeight",
     "StabilityResult",
     "DependenceTable",
     "ConvergenceTable",
@@ -38,32 +37,18 @@ __all__ = [
     "galerkin_convergence",
 ]
 
-class StabilityWeight:
-    """Accumulator for φ(t) = exp(−∫_0^t [f + ρ(Y1) + η(Y2)] ds).
 
-    The integral grows by left-Riemann increments; for nonnegative f, ρ, η
-    the weight stays in (0, 1] and is nonincreasing.
+def _stability_weights(f_at, rho, eta, times, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """φ(t) = exp(−∫_0^t [f + ρ(Y1) + η(Y2)] ds) at each step end t_1 .. t_K.
+
+    ``times`` holds the step grid t_0 .. t_K and ``y1``, ``y2`` the states
+    there (K + 1, m).  The integral is a left-Riemann sum, so for
+    nonnegative f, ρ, η the weight stays in (0, 1] and is nonincreasing.
     """
-
-    def __init__(self, f_at, rho, eta):
-        self.f_at = f_at
-        self.rho = rho
-        self.eta = eta
-        self.running_integral = 0.0
-
-    @property
-    def phi(self) -> float:
-        return math.exp(-self.running_integral)
-
-    def advance(self, t, dt, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Accumulate over consecutive steps [t_k, t_k + dt_k] from their
-        left-endpoint states (steps, m); returns φ at each step's end."""
-        f = np.array([float(self.f_at(s)) for s in np.asarray(t, dtype=float).tolist()])
-        increments = (f + self.rho(y1) + self.eta(y2)) * dt
-        # cumsum adds in step order, so each entry is the running sum's value
-        integrals = np.cumsum(np.concatenate([[self.running_integral], increments]))
-        self.running_integral = float(integrals[-1])
-        return np.array([math.exp(-v) for v in integrals[1:].tolist()])
+    f = np.array([f_at(t) for t in times[:-1].tolist()])
+    increments = (f + rho(y1[:-1]) + eta(y2[:-1])) * np.diff(times)
+    # cumsum adds in step order, so each entry is the running sum's value
+    return np.array([math.exp(-v) for v in np.cumsum(increments).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +76,12 @@ def _reorder_same_step_marks(realization: NoiseRealization, dt: float) -> NoiseR
 
 def _uniqueness_worker(ctx, b: int):
     # each realization drives row i and its (possibly reordered) copy row n + i
-    bundle, triple, x0, config, mark_space, batches, stress = ctx
+    bundle, triple, x0, config, batches, stress = ctx
     seeds = batches[b]
     n = len(seeds)
-    first = [sample_noise(config.level, config.T, config.dt, mark_space, s) for s in seeds]
+    first = [sample_noise(config.level, config.T, config.dt, bundle.mark_space, s) for s in seeds]
     second = [_reorder_same_step_marks(r, config.dt) for r in first] if stress else first
-    records = solve_paths(bundle, triple, x0, config, mark_space, seeds + seeds,
-                          noise=first + second)
+    records = solve_paths(bundle, triple, x0, config, seeds + seeds, noise=first + second)
     sups = []
     for rec1, rec2 in zip(records[:n], records[n:]):
         if rec1.truncated_at is not None or rec2.truncated_at is not None:
@@ -117,7 +101,6 @@ def pathwise_uniqueness_test(
     triple: GelfandTriple,
     x0,
     config: SolverConfig,
-    mark_space: MarkSpace,
     n_paths: int,
     seed: int,
     stress: bool = False,
@@ -130,7 +113,7 @@ def pathwise_uniqueness_test(
     order of marks that share a step, measuring the reordering effect.
     """
     batches = batch_seeds(seed, n_paths)
-    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, mark_space, batches, stress)
+    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, batches, stress)
     sups = map_indexed(_uniqueness_worker, ctx, len(batches), workers)
     return float(np.max([s for batch in sups for s in batch]))
 
@@ -154,12 +137,11 @@ class StabilityResult:
 
 def _stability_worker(ctx, b: int):
     # rows [x0_a] * n + [x0_b] * n: path i's pair shares its seed's noise
-    bundle, triple, constants, x0_a, x0_b, config, mark_space, batches = ctx
+    bundle, triple, constants, x0_a, x0_b, config, batches = ctx
     seeds = batches[b]
     n = len(seeds)
     x0 = np.stack([triple.project(u, config.level).coeffs for u in (x0_a, x0_b)])
-    records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, mark_space,
-                          seeds + seeds)
+    records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds)
     return [_stability_curve(bundle, constants, config, rec_a, rec_b)
             for rec_a, rec_b in zip(records[:n], records[n:])]
 
@@ -169,8 +151,7 @@ def _stability_curve(bundle, constants, config, rec_a, rec_b):
         return np.full(config.n_steps + 1, np.nan)
     t_a, s_a = rec_a.step_grid_view()
     _, s_b = rec_b.step_grid_view()
-    weight = StabilityWeight(constants.f_at, bundle.rho, bundle.eta)
-    phis = weight.advance(t_a[:-1], np.diff(t_a), s_a[:-1], s_b[:-1])
+    phis = _stability_weights(constants.f_at, bundle.rho, bundle.eta, t_a, s_a, s_b)
     sq = dot_rows(s_a - s_b, s_a - s_b)
     return np.concatenate([sq[:1], phis * sq[1:]])
 
@@ -182,7 +163,6 @@ def weighted_stability_mc(
     x0_a,
     x0_b,
     config: SolverConfig,
-    mark_space: MarkSpace,
     n_paths: int,
     seed: int,
     workers: int = 1,
@@ -198,13 +178,12 @@ def weighted_stability_mc(
     x0_a = np.asarray(x0_a, dtype=float)
     x0_b = np.asarray(x0_b, dtype=float)
     batches = batch_seeds(seed, n_paths)
-    ctx = (bundle, triple, constants, x0_a, x0_b, config, mark_space, batches)
+    ctx = (bundle, triple, constants, x0_a, x0_b, config, batches)
     per_batch = map_indexed(_stability_worker, ctx, len(batches), workers)
     curves = np.stack([curve for batch in per_batch for curve in batch])
     lhs = curves.mean(axis=0)
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
-    n_nodes = lhs.size
-    times = np.arange(n_nodes) * config.dt
+    times = grid_times(config.T, config.dt)
     pad = max(x0_a.size, x0_b.size)
     da = np.zeros(pad)
     da[: x0_a.size] = x0_a
@@ -249,12 +228,14 @@ class DependenceTable:
 
 def _dependence_worker(ctx, b: int):
     # per path: the base row, then one row per nonzero delta, all on its seed
-    bundle, triple, x0, deltas, direction, p, config, mark_space, batches = ctx
+    bundle, triple, x0, deltas, p, config, batches = ctx
+    direction = np.zeros_like(x0)
+    direction[0] = 1.0
     moved = [d for d in deltas if d != 0.0]
     starts = [x0] + [x0 + d * direction for d in moved]
     rows = [triple.project(u, config.level).coeffs for u in starts]
     seeds = batches[b]
-    records = solve_paths(bundle, triple, np.stack(rows * len(seeds)), config, mark_space,
+    records = solve_paths(bundle, triple, np.stack(rows * len(seeds)), config,
                           [s for s in seeds for _ in rows])
     out = np.zeros((len(seeds), len(deltas)))
     for i in range(len(seeds)):
@@ -279,22 +260,15 @@ def continuous_dependence_study(
     perturbations,
     p: float,
     config: SolverConfig,
-    mark_space: MarkSpace,
     n_paths: int,
     seed: int,
-    direction=None,
     workers: int = 1,
 ) -> DependenceTable:
-    """Table Δ ↦ E[sup_t ‖Y(x0 + Δ d) − Y(x0)‖_H^p] with matched noise."""
+    """Table Δ ↦ E[sup_t ‖Y(x0 + Δ e_1) − Y(x0)‖_H^p] with matched noise."""
     x0 = np.asarray(x0, dtype=float)
-    if direction is None:
-        direction = np.zeros_like(x0)
-        direction[0] = 1.0
-    else:
-        direction = np.asarray(direction, dtype=float)
     deltas = [float(d) for d in perturbations]
     batches = batch_seeds(seed, n_paths)
-    ctx = (bundle, triple, x0, deltas, direction, float(p), config, mark_space, batches)
+    ctx = (bundle, triple, x0, deltas, float(p), config, batches)
     rows = np.concatenate(map_indexed(_dependence_worker, ctx, len(batches), workers))
     return DependenceTable(
         deltas=np.asarray(deltas),
@@ -320,12 +294,12 @@ class ConvergenceTable:
 
 def _convergence_worker(ctx, b: int):
     # every level steps on the first m Wiener modes of the m_ref-wide noise
-    bundle, triple, x0, levels, config, mark_space, batches, beta = ctx
+    bundle, triple, x0, levels, config, batches, beta = ctx
     seeds = batches[b]
     m_ref = levels[-1]
-    noise = [sample_noise(m_ref, config.T, config.dt, mark_space, s) for s in seeds]
+    noise = [sample_noise(m_ref, config.T, config.dt, bundle.mark_space, s) for s in seeds]
     records = [
-        solve_paths(bundle, triple, x0, replace(config, level=m), mark_space, seeds, noise=noise)
+        solve_paths(bundle, triple, x0, replace(config, level=m), seeds, noise=noise)
         for m in levels
     ]
     out = np.full((len(seeds), len(levels)), np.nan)
@@ -350,7 +324,6 @@ def galerkin_convergence(
     x0,
     levels,
     config: SolverConfig,
-    mark_space: MarkSpace,
     n_paths: int,
     seed: int,
     beta: float = 2.0,
@@ -367,7 +340,7 @@ def galerkin_convergence(
         raise ValueError(f"level {levels[-1]} exceeds dimension_cap {triple.dimension_cap}")
     x0 = np.asarray(x0, dtype=float)
     batches = batch_seeds(seed, n_paths)
-    ctx = (bundle, triple, x0, levels, config, mark_space, batches, float(beta))
+    ctx = (bundle, triple, x0, levels, config, batches, float(beta))
     rows = np.concatenate(map_indexed(_convergence_worker, ctx, len(batches), workers))
     return ConvergenceTable(
         levels=np.asarray(levels),

@@ -26,8 +26,9 @@ def _implicit_update(bundle, x, t, dt, config):
     return y[0]
 
 
-def discrete_energy_residual(record, bundle, realization, mark_space, config=None) -> ResidualSeries:
+def discrete_energy_residual(record, bundle, realization, config=None) -> ResidualSeries:
     """Replay the squared-H-norm balance along one recorded path, step by step."""
+    mark_space = bundle.mark_space
     if config is None:
         config = SolverConfig(dt=record.dt, T=record.T, level=record.level)
     if abs(realization.dt - record.dt) > 1e-12 or realization.m < record.level:

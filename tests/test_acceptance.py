@@ -22,13 +22,13 @@ from levyspde.coefficients import (
     chi_exponent,
 )
 from levyspde.estimates import (
-    discrete_energy_residual,
+    discrete_energy_residuals,
     energy_table,
     modulus_of_continuity,
 )
 from levyspde.models import BUILTIN_IDS, builtin, validate
 from levyspde.noise import MarkSpace, ito_isometry_check, sample_noise
-from levyspde.solver import PathRecord, SolverConfig, solve_path
+from levyspde.solver import PathRecord, SolverConfig, solve_path, solve_paths
 from levyspde.wellposedness import (
     continuous_dependence_study,
     galerkin_convergence,
@@ -176,9 +176,8 @@ def test_criterion_05_discrete_energy_residual():
         totals = np.empty(n_paths)
         for i in range(n_paths):
             real = sample_noise(1, T, dt, MarkSpace.zero(), seed=7000 + i)
-            rec = solve_path(bundle, triple, np.array([1.0]), cfg, MarkSpace.zero(),
-                             seed=7000 + i, realization=real)
-            totals[i] = discrete_energy_residual(rec, bundle, real, MarkSpace.zero(), cfg).total
+            rec = solve_paths(bundle, triple, np.array([1.0]), cfg, [7000 + i], noise=[real])[0]
+            totals[i] = discrete_energy_residuals([rec], bundle, [real], cfg)[0].total
         means.append(abs(totals.mean()))
     slope = float(np.polyfit(np.log2(dts), np.log2(means), 1)[0])
 
@@ -187,8 +186,8 @@ def test_criterion_05_discrete_energy_residual():
     jtriple, jbundle, _ = make_pure_jump(np.array([0.5, -0.25]), marks=marks)
     cfg = SolverConfig(dt=0.05, T=2.0, level=2)
     real = sample_noise(2, 2.0, 0.05, marks, seed=5)
-    rec = solve_path(jbundle, jtriple, np.array([1.0, 0.0]), cfg, marks, seed=5, realization=real)
-    series = discrete_energy_residual(rec, jbundle, real, marks, cfg)
+    rec = solve_paths(jbundle, jtriple, np.array([1.0, 0.0]), cfg, [5], noise=[real])[0]
+    series = discrete_energy_residuals([rec], jbundle, [real], cfg)[0]
     jump_exact = series.per_jump.size > 0 and np.all(series.per_jump == 0.0)
 
     ok = 0.7 <= slope <= 1.3 and jump_exact
@@ -206,7 +205,7 @@ def test_criterion_06_pathwise_uniqueness_all_models():
         spec = builtin(model_id)
         cfg = SolverConfig(dt=2e-3, T=0.1, level=6)
         sups[model_id] = pathwise_uniqueness_test(
-            spec.bundle, spec.triple, spec.default_x0, cfg, spec.bundle.mark_space,
+            spec.bundle, spec.triple, spec.default_x0, cfg,
             n_paths=4, seed=0,
         )
     ok = all(v == 0.0 for v in sups.values())
@@ -225,7 +224,7 @@ def test_criterion_07_weighted_stability():
     x0_b[0] += 0.3
     linear = weighted_stability_mc(
         heat.bundle, heat.triple, heat.constants, x0, x0_b, cfg,
-        heat.bundle.mark_space, n_paths=200, seed=0, workers=WORKERS,
+        n_paths=200, seed=0, workers=WORKERS,
     )
 
     ac = builtin("allen_cahn")
@@ -234,7 +233,7 @@ def test_criterion_07_weighted_stability():
     x0b[0] += 0.3
     cubic = weighted_stability_mc(
         ac.bundle, ac.triple, ac.constants, x0a, x0b, cfg,
-        ac.bundle.mark_space, n_paths=1000, seed=0, workers=WORKERS,
+        n_paths=1000, seed=0, workers=WORKERS,
     )
     ok = linear.passed and cubic.passed
     _report(7, "two-point stability under the exponential weight", ok,
@@ -253,7 +252,7 @@ def test_criterion_08_continuous_dependence():
     for p in (2.0, 4.0):
         table = continuous_dependence_study(
             heat.bundle, heat.triple, heat.default_x0, [1e-3, 1e-2, 1e-1], p, cfg,
-            heat.bundle.mark_space, n_paths=100, seed=0, workers=WORKERS,
+            n_paths=100, seed=0, workers=WORKERS,
         )
         slopes[p] = table.log_slope()
     slopes_ok = all(abs(slopes[p] - p) <= 0.2 for p in slopes)
@@ -262,7 +261,7 @@ def test_criterion_08_continuous_dependence():
     cfg_ac = SolverConfig(dt=1e-3, T=0.25, level=8)
     table = continuous_dependence_study(
         ac.bundle, ac.triple, ac.default_x0, [1e-1, 1e-2, 1e-3], 2.0, cfg_ac,
-        ac.bundle.mark_space, n_paths=100, seed=0, workers=WORKERS,
+        n_paths=100, seed=0, workers=WORKERS,
     )
     order = np.argsort(table.deltas)
     strictly_decreasing = bool(np.all(np.diff(table.values[order]) > 0.0))
@@ -283,8 +282,7 @@ def test_criterion_09_galerkin_convergence():
         spec = builtin(model_id)
         cfg = SolverConfig(dt=2e-3, T=0.25, level=max(levels))
         table = galerkin_convergence(
-            spec.bundle, spec.triple, spec.default_x0, levels, cfg,
-            spec.bundle.mark_space, n_paths=n_paths, seed=0,
+            spec.bundle, spec.triple, spec.default_x0, levels, cfg, n_paths=n_paths, seed=0,
             beta=spec.constants.beta, workers=WORKERS,
         )
         d, c = table.distances, table.ci99
@@ -298,7 +296,7 @@ def test_criterion_09_galerkin_convergence():
     x0[0], x0[1] = 1.0, -0.5
     cfg = SolverConfig(dt=2e-3, T=0.25, level=8)
     fixture = galerkin_convergence(
-        heat.bundle, heat.triple, x0, [2, 4, 8], cfg, heat.bundle.mark_space,
+        heat.bundle, heat.triple, x0, [2, 4, 8], cfg,
         n_paths=8, seed=0,
     )
     exact_zero = bool(np.all(fixture.distances == 0.0))
@@ -322,6 +320,7 @@ def test_criterion_10_modulus_diagnostic():
             times=times.copy(),
             states=states,
             is_jump_post=np.zeros(times.size, dtype=bool),
+            is_grid=np.ones(times.size, dtype=bool),
             norm_h=np.sqrt(np.einsum("ij,ij->i", states, states)),
             norm_v=np.sqrt(np.einsum("ij,ij->i", states, states)),
             level=2, dt=dt, T=T,
@@ -342,8 +341,7 @@ def test_criterion_10_modulus_diagnostic():
     heat = builtin("heat")
     cfg = SolverConfig(dt=1e-3, T=1.0, level=2)
     paths = [
-        solve_path(heat.bundle, heat.triple, heat.default_x0, cfg,
-                   heat.bundle.mark_space, seed=300 + i)
+        solve_path(heat.bundle, heat.triple, heat.default_x0, cfg, seed=300 + i)
         for i in range(80)
     ]
     wiener_table = modulus_of_continuity(

@@ -24,10 +24,26 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
-def test_unknown_model_exits_usage_error(tmp_path, capsys):
-    path = _write_config(tmp_path, model="mystery")
+def _custom_model(constants):
+    """A custom model record with the given hypothesis constants."""
+    return {
+        "name": "custom",
+        "triple": {"dimension_cap": 8},
+        "diffusion": {"type": "multiplicative_h", "c": 0.1},
+        "constants": {"beta": 2.0, "L_A": 1.0, "C_growth": 1.0, **constants},
+    }
+
+
+@pytest.mark.parametrize(
+    "model",
+    ["mystery", _custom_model({"f_profile": 1.0}), _custom_model({"g_profile": 1.0})],
+    ids=["unknown-builtin", "f_profile-constant", "g_profile-constant"],
+)
+def test_unknown_model_exits_usage_error(tmp_path, capsys, model):
+    # a constant the hypothesis system does not declare is a config error
+    path = _write_config(tmp_path, model=model)
     assert main(["check", "--config", str(path)]) == 1
-    assert "model" in capsys.readouterr().err
+    assert "config field 'model'" in capsys.readouterr().err
 
 
 def test_bad_schema_version_exits_usage_error(tmp_path, capsys):
@@ -278,6 +294,19 @@ def test_non_finite_initial_norm_fails(tmp_path, command):
         assert "inf" not in body and "nan" not in body
 
 
+def test_stability_times_end_at_the_horizon(tmp_path):
+    # 3 * 0.1 rounds to 0.30000000000000004; the solver's last node is T
+    path = _write_config(tmp_path, solver={"dt": 0.1, "T": 0.3, "level": 2},
+                         study={"n_paths": 4})
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["stability", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    path_times = [row.split(",")[0] for row in (out / "path.csv").read_text().splitlines()[2:]]
+    stab_times = [row.split(",")[0] for row in (out / "stability.csv").read_text().splitlines()[2:]]
+    assert stab_times == ["0.0", "0.1", "0.2", "0.3"]
+    assert stab_times[-1] == path_times[-1]
+
+
 @pytest.mark.parametrize("perturbations", [[0.0, 0.0], [0.0, 1e-2]])
 def test_depend_needs_two_positive_perturbations(tmp_path, capsys, perturbations):
     # the log-log slope is fitted through the positive entries only
@@ -320,16 +349,27 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("converge", {"n_paths": 0, "m_list": [2, 4]}, "study.n_paths"),
         ("modulus", {"n_paths": 1, "delta_list": [0.02, 0.04]}, "study.n_paths"),
         ("converge", {"n_paths": 1, "m_list": [2, 4]}, "study.n_paths"),
+        ("depend", {"n_paths": 4, "p": "x"}, "study.p"),
+        ("energy", {"n_paths": 4, "p_list": ["x"]}, "study.p_list"),
+        ("energy", {"n_paths": 4, "m_list": 5}, "study.m_list"),
+        ("converge", {"n_paths": 4, "m_list": [2, "x"]}, "study.m_list"),
+        ("modulus", {"n_paths": 4, "delta_list": [0.02, 0.04], "beta_exp": "x"}, "study.beta_exp"),
+        ("simulate", {"stopping_N": "x"}, "study.stopping_N"),
+        ("simulate", {"stopping_N": 0}, "study.stopping_N"),
+        ("prange", {"c_tilde_base": [4.0]}, "study.c_tilde_base"),
     ],
     ids=["energy", "converge", "modulus", "residual", "residual-dt-not-dividing-T",
          "check-zero-samples", "check-bool-samples", "residual-no-paths", "modulus-no-paths",
          "uniqueness-no-paths", "stability-no-paths", "depend-no-paths", "converge-no-paths",
-         "modulus-one-path", "converge-one-path"],
+         "modulus-one-path", "converge-one-path", "depend-text-p", "energy-text-p_list",
+         "energy-scalar-m_list", "converge-text-level", "modulus-text-beta_exp",
+         "simulate-text-stopping_N", "simulate-zero-stopping_N", "prange-list-c_tilde_base"],
 )
 def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
     # a level above the cap, an off-grid shift or step, a one-point slope
-    # fit, an audit without samples, a study without paths, and a CI99 of
-    # one path
+    # fit, an audit without samples, a study without paths, a CI99 of one
+    # path, a field that is not a number or not a list of numbers, and a
+    # stopping threshold that is not positive
     path = _write_config(tmp_path, study=study)
     assert main([command, "--config", str(path)]) == 1
     assert field in capsys.readouterr().err

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from levyspde import estimates
-from levyspde.estimates import (
-    discrete_energy_residual,
-    discrete_energy_residuals,
-    energy_estimate_mc,
-    energy_table,
-    modulus_of_continuity,
-    path_energy_functionals,
-)
+from levyspde.estimates import discrete_energy_residuals, energy_table, modulus_of_continuity
 from levyspde.models import builtin
 from levyspde.noise import JumpEvent, MarkSpace, sample_noise
 from levyspde.parallel import batch_seeds
@@ -30,6 +23,7 @@ def _record_from_states(times, states, dt, T, weights=None):
         times=np.asarray(times, dtype=float),
         states=states,
         is_jump_post=np.zeros(len(times), dtype=bool),
+        is_grid=np.ones(len(times), dtype=bool),
         norm_h=np.sqrt(np.einsum("ij,ij->i", states, states)),
         norm_v=np.sqrt(np.einsum("ij,ij->i", states * w, states)),
         level=states.shape[1],
@@ -55,7 +49,7 @@ def test_zero_model_energy_is_exact(quiet_heat_spec):
     bundle = _zero_bundle(3)
     x0 = quiet_heat_spec.default_x0
     cfg = SolverConfig(dt=0.1, T=2.0, level=3)
-    stats = energy_estimate_mc(bundle, triple, x0, 2.0, cfg, n_paths=4, seed=0)
+    stats = energy_table(bundle, triple, x0, [2.0], cfg, n_paths=4, seed=0)[0]
     pm = triple.project(x0, 3).coeffs
     h = float(np.linalg.norm(pm))
     v = quiet_heat_spec.bundle.v_norm_of(triple, pm)
@@ -67,8 +61,8 @@ def test_zero_model_energy_is_exact(quiet_heat_spec):
 def test_deterministic_heat_sup_is_initial_norm(quiet_heat_spec):
     spec = quiet_heat_spec
     cfg = SolverConfig(dt=1e-3, T=0.5, level=4)
-    stats = energy_estimate_mc(spec.bundle, spec.triple, spec.default_x0, 2.0, cfg,
-                               n_paths=2, seed=0)
+    stats = energy_table(spec.bundle, spec.triple, spec.default_x0, [2.0], cfg,
+                         n_paths=2, seed=0)[0]
     pm = spec.triple.project(spec.default_x0, 4).coeffs
     assert stats.sup_h_p == pytest.approx(float(np.dot(pm, pm)), rel=1e-12)
 
@@ -76,11 +70,11 @@ def test_deterministic_heat_sup_is_initial_norm(quiet_heat_spec):
 def test_energy_requires_two_paths(heat_spec):
     cfg = SolverConfig(dt=0.1, T=1.0, level=2)
     with pytest.raises(ValueError):
-        energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                           2.0, cfg, n_paths=1, seed=0)
+        energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                     [2.0], cfg, n_paths=1, seed=0)
     with pytest.raises(ValueError):
-        energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                           1.5, cfg, n_paths=4, seed=0)
+        energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                     [1.5], cfg, n_paths=4, seed=0)
 
 
 def test_ratio_bounded_across_levels(heat_spec):
@@ -88,27 +82,27 @@ def test_ratio_bounded_across_levels(heat_spec):
     ratios = []
     for m in (4, 8):
         cfg = SolverConfig(dt=5e-3, T=0.5, level=m)
-        stats = energy_estimate_mc(heat_spec.bundle, heat_spec.triple,
-                                   heat_spec.default_x0, 2.0, cfg, n_paths=200, seed=0)
+        stats = energy_table(heat_spec.bundle, heat_spec.triple,
+                             heat_spec.default_x0, [2.0], cfg, n_paths=200, seed=0)[0]
         ratios.append(stats.ratio)
     assert max(ratios) / min(ratios) <= 2.0
 
 
 def test_estimates_consistent_under_doubling(heat_spec):
     cfg = SolverConfig(dt=5e-3, T=0.5, level=4)
-    a = energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                           2.0, cfg, n_paths=150, seed=0)
-    b = energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                           2.0, cfg, n_paths=300, seed=90001)
+    a = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                     [2.0], cfg, n_paths=150, seed=0)[0]
+    b = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                     [2.0], cfg, n_paths=300, seed=90001)[0]
     assert abs(a.sup_h_p - b.sup_h_p) <= a.ci99["sup_h_p"] + b.ci99["sup_h_p"]
 
 
 def test_ci_scales_inverse_sqrt_n(heat_spec):
     cfg = SolverConfig(dt=5e-3, T=0.5, level=4)
-    small = energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                               2.0, cfg, n_paths=100, seed=1)
-    large = energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                               2.0, cfg, n_paths=400, seed=1)
+    small = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                         [2.0], cfg, n_paths=100, seed=1)[0]
+    large = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                         [2.0], cfg, n_paths=400, seed=1)[0]
     ratio = small.ci99["sup_h_p"] / large.ci99["sup_h_p"]
     assert 1.4 <= ratio <= 2.9  # expected factor 2 up to sampling noise
 
@@ -116,19 +110,18 @@ def test_ci_scales_inverse_sqrt_n(heat_spec):
 def test_sup_dominates_endpoint_per_path(heat_spec):
     cfg = SolverConfig(dt=5e-3, T=1.0, level=4)
     for seed in range(5):
-        rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
-                         heat_spec.bundle.mark_space, seed=seed)
-        sup_p, _, _ = path_energy_functionals(rec, 2.0, 2.0)
-        assert sup_p >= float(np.dot(rec.final_state(), rec.final_state())) - 1e-15
+        rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, seed=seed)
+        sup_h, _, _ = estimates._energy_parts(rec, [2.0], 2.0)
+        assert sup_h**2 >= float(np.dot(rec.states[-1], rec.states[-1])) - 1e-15
 
 
 def test_medians_reported_for_heavy_tails(heat_spec):
     cfg = SolverConfig(dt=1e-2, T=0.5, level=3)
-    stats = energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                               4.0, cfg, n_paths=50, seed=0)
+    stats = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                         [4.0], cfg, n_paths=50, seed=0)[0]
     assert stats.medians is not None and stats.medians["sup_h_p"] > 0.0
-    stats2 = energy_estimate_mc(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                                2.0, cfg, n_paths=50, seed=0)
+    stats2 = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                          [2.0], cfg, n_paths=50, seed=0)[0]
     assert stats2.medians is None
 
 
@@ -160,9 +153,8 @@ def test_residual_identically_zero_for_zero_model():
     triple = GelfandTriple(dimension_cap=2, v_weights=np.ones(2))
     cfg = SolverConfig(dt=0.1, T=1.0, level=2)
     real = sample_noise(2, 1.0, 0.1, MarkSpace.zero(), seed=0)
-    rec = solve_path(bundle, triple, np.array([1.0, -1.0]), cfg, MarkSpace.zero(),
-                     seed=0, realization=real)
-    series = discrete_energy_residual(rec, bundle, real, MarkSpace.zero(), cfg)
+    rec = solve_paths(bundle, triple, np.array([1.0, -1.0]), cfg, [0], noise=[real])[0]
+    series = discrete_energy_residuals([rec], bundle, [real], cfg)[0]
     assert np.all(series.per_step == 0.0)
     assert series.total == 0.0
 
@@ -174,8 +166,8 @@ def test_residual_pure_jump_identity_exact():
     cfg = SolverConfig(dt=0.05, T=2.0, level=2)
     real = sample_noise(2, 2.0, 0.05, marks, seed=8)
     assert len(real.jumps) > 0
-    rec = solve_path(bundle, triple, np.array([1.0, 1.0]), cfg, marks, seed=8, realization=real)
-    series = discrete_energy_residual(rec, bundle, real, marks, cfg)
+    rec = solve_paths(bundle, triple, np.array([1.0, 1.0]), cfg, [8], noise=[real])[0]
+    series = discrete_energy_residuals([rec], bundle, [real], cfg)[0]
     assert series.per_jump.size == len(real.jumps)
     assert np.all(series.per_jump == 0.0)
     # the compensator cross terms leave an O(dt) per-step trace
@@ -194,9 +186,8 @@ def test_residual_scalar_wiener_dyadic_slope():
         totals = np.empty(n_paths)
         for i in range(n_paths):
             real = sample_noise(1, T, dt, MarkSpace.zero(), seed=1000 + i)
-            rec = solve_path(bundle, triple, np.array([1.0]), cfg, MarkSpace.zero(),
-                             seed=1000 + i, realization=real)
-            series = discrete_energy_residual(rec, bundle, real, MarkSpace.zero(), cfg)
+            rec = solve_paths(bundle, triple, np.array([1.0]), cfg, [1000 + i], noise=[real])[0]
+            series = discrete_energy_residuals([rec], bundle, [real], cfg)[0]
             totals[i] = series.total
         means.append(abs(totals.mean()))
     slope = np.polyfit(np.log2(dts), np.log2(means), 1)[0]
@@ -211,16 +202,15 @@ def test_residual_rejects_non_finite_record_state():
     rec = _record_from_states(times, states, 0.1, 1.0)
     real = sample_noise(2, 1.0, 0.1, MarkSpace.zero(), seed=0)
     with pytest.raises(ValueError, match="finite"):
-        discrete_energy_residual(rec, _zero_bundle(2), real, MarkSpace.zero())
+        discrete_energy_residuals([rec], _zero_bundle(2), [real])
 
 
 def test_residual_rejects_mismatched_realization(heat_spec):
     cfg = SolverConfig(dt=0.1, T=1.0, level=3)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
-                     heat_spec.bundle.mark_space, seed=1)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, seed=1)
     other = sample_noise(3, 1.0, 0.1, heat_spec.bundle.mark_space, seed=2)
     with pytest.raises(ValueError):
-        discrete_energy_residual(rec, heat_spec.bundle, other, heat_spec.bundle.mark_space, cfg)
+        discrete_energy_residuals([rec], heat_spec.bundle, [other], cfg)
 
 
 def _replay_batch(spec, cfg, n_paths, seed, noise=None):
@@ -229,17 +219,16 @@ def _replay_batch(spec, cfg, n_paths, seed, noise=None):
     seeds = batch_seeds(seed, n_paths, n_paths)[0]
     if noise is None:
         noise = [sample_noise(cfg.level, cfg.T, cfg.dt, ms, s) for s in seeds]
-    records = solve_paths(spec.bundle, spec.triple, spec.default_x0, cfg, ms, seeds, noise=noise)
+    records = solve_paths(spec.bundle, spec.triple, spec.default_x0, cfg, seeds, noise=noise)
     assert all(rec.truncated_at is None for rec in records)
     return records, noise
 
 
 def _assert_matches_serial(spec, cfg, records, noise):
-    ms = spec.bundle.mark_space
-    batched = discrete_energy_residuals(records, spec.bundle, noise, ms, cfg)
+    batched = discrete_energy_residuals(records, spec.bundle, noise, cfg)
     assert len(batched) == len(records)
     for rec, real, got in zip(records, noise, batched):
-        want = serial_replay.discrete_energy_residual(rec, spec.bundle, real, ms, cfg)
+        want = serial_replay.discrete_energy_residual(rec, spec.bundle, real, cfg)
         np.testing.assert_array_equal(got.per_step, want.per_step)
         np.testing.assert_array_equal(got.per_jump, want.per_jump)
         assert got.total == want.total
@@ -260,7 +249,7 @@ def test_batched_replay_matches_serial_replay(model, scheme, n_paths):
     records, noise = _replay_batch(spec, cfg, n_paths, seed=5)
     batched = _assert_matches_serial(spec, cfg, records, noise)
     assert sum(s.per_jump.size for s in batched) > 0
-    one = discrete_energy_residual(records[-1], spec.bundle, noise[-1], spec.bundle.mark_space, cfg)
+    one = discrete_energy_residuals([records[-1]], spec.bundle, [noise[-1]], cfg)[0]
     np.testing.assert_array_equal(one.per_step, batched[-1].per_step)
 
 
@@ -292,7 +281,7 @@ def test_batched_replay_rejects_a_corrupted_jump_in_a_later_path(heat_spec):
     states[post, 0] = np.nextafter(states[post, 0], np.inf)
     records[p] = dataclasses.replace(records[p], states=states)
     with pytest.raises(ValueError, match="does not replay bit-exactly"):
-        discrete_energy_residuals(records, heat_spec.bundle, noise, heat_spec.bundle.mark_space, cfg)
+        discrete_energy_residuals(records, heat_spec.bundle, noise, cfg)
 
 
 def test_batched_replay_rejects_a_wrong_seed_and_mixed_grids(heat_spec):
@@ -301,14 +290,14 @@ def test_batched_replay_rejects_a_wrong_seed_and_mixed_grids(heat_spec):
     records, noise = _replay_batch(heat_spec, cfg, 3, seed=5)
     wrong = noise[:2] + [sample_noise(4, cfg.T, cfg.dt, ms, seed=12345)]
     with pytest.raises(ValueError, match="seed"):
-        discrete_energy_residuals(records, heat_spec.bundle, wrong, ms, cfg)
+        discrete_energy_residuals(records, heat_spec.bundle, wrong, cfg)
 
     fine = SolverConfig(dt=0.005, T=0.3, level=4)
     fine_records, fine_noise = _replay_batch(heat_spec, fine, 1, seed=6)
     with pytest.raises(ValueError, match="share one step grid"):
         discrete_energy_residuals(records[:1] + fine_records, heat_spec.bundle,
-                                  noise[:1] + fine_noise, ms, cfg)
-    assert discrete_energy_residuals([], heat_spec.bundle, [], ms, cfg) == []
+                                  noise[:1] + fine_noise, cfg)
+    assert discrete_energy_residuals([], heat_spec.bundle, [], cfg) == []
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +334,7 @@ def test_modulus_wiener_rooted_slope_matches_brownian_exponent(heat_spec):
     dt, T = 1e-3, 1.0
     cfg = SolverConfig(dt=dt, T=T, level=2)
     paths = [
-        solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
-                   heat_spec.bundle.mark_space, seed=200 + i)
+        solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, seed=200 + i)
         for i in range(60)
     ]
     deltas = [4 * dt, 8 * dt, 16 * dt, 32 * dt, 64 * dt]

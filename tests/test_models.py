@@ -93,10 +93,10 @@ def test_heat_noise_off_matches_exponential_decay():
     spec = builtin("heat", c_wiener=0.0, sigma_jump=0.0, marks=MarkSpace.zero())
     dt, T, m = 1e-3, 0.5, 2
     cfg = SolverConfig(dt=dt, T=T, level=m)
-    rec = solve_path(spec.bundle, spec.triple, spec.default_x0, cfg, MarkSpace.zero(), seed=0)
+    rec = solve_path(spec.bundle, spec.triple, spec.default_x0, cfg, seed=0)
     w = spec.triple.v_weights[:m]
     exact = spec.default_x0[:m] * np.exp(-w * T)
-    rel = np.abs(rec.final_state() - exact) / np.abs(exact)
+    rel = np.abs(rec.states[-1] - exact) / np.abs(exact)
     assert np.all(rel <= 10.0 * dt)
 
 

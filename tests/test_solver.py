@@ -38,8 +38,7 @@ def test_zero_dynamics_keeps_state(quiet_heat_spec):
     )
     x0 = np.array([1.0, -2.0, 0.5])
     cfg = SolverConfig(dt=0.1, T=0.2, level=3)
-    rec = solve_path(zero_bundle, triple, x0, cfg, MarkSpace.zero(), seed=0,
-                     realization=_quiet(3, 0.1, 0.2))
+    rec = solve_paths(zero_bundle, triple, x0, cfg, [0], noise=[_quiet(3, 0.1, 0.2)])[0]
     np.testing.assert_array_equal(rec.states[1], x0)
 
 
@@ -50,8 +49,7 @@ def test_backward_euler_closed_form():
     newton_bundle = dataclasses.replace(bundle, drift_implicit_solve=None)
     cfg = SolverConfig(dt=dt, T=1.0, level=1)
     for b in (bundle, newton_bundle):
-        rec = solve_path(b, triple, np.array([1.7]), cfg, MarkSpace.zero(), seed=0,
-                         realization=_quiet(1, dt, 1.0))
+        rec = solve_paths(b, triple, np.array([1.7]), cfg, [0], noise=[_quiet(1, dt, 1.0)])[0]
         assert rec.states[1, 0] == pytest.approx(1.7 / (1.0 + mu * dt), rel=1e-12)
 
 
@@ -62,8 +60,8 @@ def test_constant_jump_step_with_compensator():
     triple, bundle, _ = make_pure_jump(g, marks=marks)
     x0 = np.array([1.0, 1.0])
     dt = 0.2
-    rec = solve_path(bundle, triple, x0, SolverConfig(dt=dt, T=1.0, level=2), marks, seed=0,
-                     realization=_quiet(2, dt, 1.0, jumps=(JumpEvent(0.13, 0),)))
+    rec = solve_paths(bundle, triple, x0, SolverConfig(dt=dt, T=1.0, level=2), [0],
+                      noise=[_quiet(2, dt, 1.0, jumps=(JumpEvent(0.13, 0),))])[0]
     _, grid_states = rec.step_grid_view()
     np.testing.assert_allclose(grid_states[1], x0 + g - dt * 1.5 * g, rtol=1e-14)
 
@@ -74,8 +72,8 @@ def test_jump_outside_step_rejected():
     marks = MarkSpace(marks=np.array([1.0]), weights=np.array([1.0]))
     triple, bundle, _ = make_pure_jump(g, marks=marks, level=1)
     with pytest.raises(ValueError):
-        solve_path(bundle, triple, np.array([0.0]), SolverConfig(dt=0.1, T=1.0, level=1), marks,
-                   seed=0, realization=_quiet(1, 0.1, 1.0, jumps=(JumpEvent(0.0, 0),)))
+        solve_paths(bundle, triple, np.array([0.0]), SolverConfig(dt=0.1, T=1.0, level=1),
+                    [0], noise=[_quiet(1, 0.1, 1.0, jumps=(JumpEvent(0.0, 0),))])
 
 
 def test_solve_path_constant_for_zero_coefficients(quiet_heat_spec):
@@ -88,7 +86,7 @@ def test_solve_path_constant_for_zero_coefficients(quiet_heat_spec):
     )
     x0 = np.array([2.0, -1.0, 0.0, 3.0])
     cfg = SolverConfig(dt=0.1, T=1.0, level=3)
-    rec = solve_path(bundle, triple, x0, cfg, MarkSpace.zero(), seed=0)
+    rec = solve_path(bundle, triple, x0, cfg, seed=0)
     for row in rec.states:
         np.testing.assert_array_equal(row, x0[:3])
     np.testing.assert_array_equal(rec.states[0], triple.project(x0, 3).coeffs)
@@ -100,11 +98,11 @@ def test_heat_flow_monotone_decay_and_per_mode_accuracy(quiet_heat_spec):
     spec = quiet_heat_spec
     dt, T, m = 1e-3, 1.0, 2
     cfg = SolverConfig(dt=dt, T=T, level=m)
-    rec = solve_path(spec.bundle, spec.triple, spec.default_x0, cfg, MarkSpace.zero(), seed=0)
+    rec = solve_path(spec.bundle, spec.triple, spec.default_x0, cfg, seed=0)
     assert np.all(np.diff(rec.norm_h) <= 1e-14)
     w = spec.triple.v_weights[:m]
     exact = spec.default_x0[:m] * np.exp(-w * T)
-    rel = np.abs(rec.final_state() - exact) / np.abs(exact)
+    rel = np.abs(rec.states[-1] - exact) / np.abs(exact)
     assert np.all(rel <= 10.0 * dt)
 
 
@@ -124,18 +122,17 @@ def test_jump_only_event_bookkeeping_oracle():
     )
     cfg = SolverConfig(dt=0.05, T=2.0, level=2)
     real = sample_noise(2, 2.0, 0.05, marks, seed=21)
-    rec = solve_path(bundle, triple, np.array([0.7, 0.0]), cfg, marks, seed=21, realization=real)
+    rec = solve_paths(bundle, triple, np.array([0.7, 0.0]), cfg, [21], noise=[real])[0]
     n_plus = sum(1 for ev in real.jumps if marks.marks[ev.mark_index] > 0)
     n_minus = len(real.jumps) - n_plus
-    assert rec.final_state()[0] == pytest.approx(0.7 + n_plus - n_minus, abs=1e-12)
+    assert rec.states[-1, 0] == pytest.approx(0.7 + n_plus - n_minus, abs=1e-12)
     assert rec.n_jump_entries == len(real.jumps)
 
 
 def test_cadlag_structure_bit_exact_replay(heat_spec):
     spec = heat_spec
     cfg = SolverConfig(dt=0.01, T=2.0, level=4)
-    rec = solve_path(spec.bundle, spec.triple, spec.default_x0, cfg,
-                     spec.bundle.mark_space, seed=3)
+    rec = solve_path(spec.bundle, spec.triple, spec.default_x0, cfg, seed=3)
     assert rec.n_jump_entries > 0
     real = sample_noise(4, 2.0, 0.01, spec.bundle.mark_space, seed=3)
     jumps = list(real.jumps)
@@ -154,8 +151,7 @@ def test_cadlag_structure_bit_exact_replay(heat_spec):
 
 def test_record_times_strictly_increase_between_jump_rows(heat_spec):
     cfg = SolverConfig(dt=0.01, T=1.0, level=3)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
-                     heat_spec.bundle.mark_space, seed=5)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, seed=5)
     for k in range(rec.times.size - 1):
         if rec.is_jump_post[k + 1]:
             assert rec.times[k + 1] == rec.times[k]
@@ -165,8 +161,7 @@ def test_record_times_strictly_increase_between_jump_rows(heat_spec):
 
 def test_norm_cache_coherence(heat_spec):
     cfg = SolverConfig(dt=0.02, T=1.0, level=5)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
-                     heat_spec.bundle.mark_space, seed=11)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, seed=11)
     w = heat_spec.triple.v_weights[:5]
     for k in range(rec.times.size):
         u = rec.states[k]
@@ -179,13 +174,11 @@ def test_linearity_probe_exact_scaling(quiet_heat_spec):
     # scheme reproduces c * path bit-exactly
     spec = quiet_heat_spec
     cfg = SolverConfig(dt=0.01, T=0.5, level=4)
-    base = solve_path(spec.bundle, spec.triple, spec.default_x0, cfg, MarkSpace.zero(), seed=7)
-    scaled = solve_path(spec.bundle, spec.triple, 4.0 * spec.default_x0, cfg,
-                        MarkSpace.zero(), seed=7)
+    base = solve_path(spec.bundle, spec.triple, spec.default_x0, cfg, seed=7)
+    scaled = solve_path(spec.bundle, spec.triple, 4.0 * spec.default_x0, cfg, seed=7)
     np.testing.assert_array_equal(scaled.states, 4.0 * base.states)
     # general scalings agree to rounding
-    scaled3 = solve_path(spec.bundle, spec.triple, 3.0 * spec.default_x0, cfg,
-                         MarkSpace.zero(), seed=7)
+    scaled3 = solve_path(spec.bundle, spec.triple, 3.0 * spec.default_x0, cfg, seed=7)
     np.testing.assert_allclose(scaled3.states, 3.0 * base.states, rtol=1e-13)
 
 
@@ -226,9 +219,8 @@ def test_strong_order_one_against_exact_coupled_ou():
                 wiener=dw[i][:, None], jumps=(), seed=0, m=1, dt=dt, T=T
             )
             cfg = SolverConfig(dt=dt, T=T, level=1)
-            rec = solve_path(bundle, triple, np.array([x0]), cfg, MarkSpace.zero(),
-                             seed=0, realization=real)
-            endpoint[i] = rec.final_state()[0]
+            rec = solve_paths(bundle, triple, np.array([x0]), cfg, [0], noise=[real])[0]
+            endpoint[i] = rec.states[-1, 0]
         errs.append(np.abs(endpoint - x_exact).mean())
         dts.append(dt)
     slope = np.polyfit(np.log2(dts), np.log2(errs), 1)[0]
@@ -237,8 +229,7 @@ def test_strong_order_one_against_exact_coupled_ou():
 
 def test_stopping_void_set_returns_horizon(heat_spec):
     cfg = SolverConfig(dt=0.1, T=1.0, level=3)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
-                     heat_spec.bundle.mark_space, seed=2)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, seed=2)
     out, tau = apply_stopping(rec, StoppingTimeRule(N=1e6), beta=2.0)
     assert tau == 1.0
     assert out.times.size == rec.times.size
@@ -253,6 +244,7 @@ def test_stopping_threshold_crossing_detected():
         times=times,
         states=states,
         is_jump_post=np.zeros(3, dtype=bool),
+        is_grid=np.ones(3, dtype=bool),
         norm_h=np.abs(states[:, 0]),
         norm_v=np.abs(states[:, 0]),
         level=1, dt=0.5, T=1.0,
@@ -268,8 +260,7 @@ def test_stopping_threshold_crossing_detected():
 def test_stopping_running_integral_crossing_oracle(heat_spec):
     # independent left-Riemann accumulation locates the first grid crossing
     cfg = SolverConfig(dt=0.05, T=1.0, level=4)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, 5.0 * heat_spec.default_x0, cfg,
-                     heat_spec.bundle.mark_space, seed=4)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, 5.0 * heat_spec.default_x0, cfg, seed=4)
     beta = 2.0
     n_threshold = 0.5 * float(np.dot(rec.norm_v[:-1] ** beta, np.diff(rec.times)))
     out, tau = apply_stopping(rec, StoppingTimeRule(N=n_threshold), beta=beta)
@@ -286,8 +277,7 @@ def test_stopping_running_integral_crossing_oracle(heat_spec):
 
 def test_jump_count_conserved_after_stopping(heat_spec):
     cfg = SolverConfig(dt=0.02, T=2.0, level=3)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
-                     heat_spec.bundle.mark_space, seed=6)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, seed=6)
     real = sample_noise(3, 2.0, 0.02, heat_spec.bundle.mark_space, seed=6)
     assert rec.n_jump_entries == sum(1 for ev in real.jumps if ev.time <= 2.0)
     out, tau = apply_stopping(rec, StoppingTimeRule(N=0.2), beta=2.0)
@@ -307,7 +297,7 @@ def test_step_failure_annotates_truncation():
         mark_space=MarkSpace.zero(),
     )
     cfg = SolverConfig(dt=0.1, T=1.0, level=1, newton_max_iter=8)
-    rec = solve_path(bundle, triple, np.array([1.0]), cfg, MarkSpace.zero(), seed=0)
+    rec = solve_path(bundle, triple, np.array([1.0]), cfg, seed=0)
     assert rec.truncated_at is not None
 
 
@@ -323,7 +313,7 @@ def test_solver_config_validation():
 def test_tamed_explicit_scheme_runs(allen_cahn_spec):
     cfg = SolverConfig(dt=1e-3, T=0.05, level=6, scheme="tamed_explicit")
     rec = solve_path(allen_cahn_spec.bundle, allen_cahn_spec.triple,
-                     allen_cahn_spec.default_x0, cfg, allen_cahn_spec.bundle.mark_space, seed=9)
+                     allen_cahn_spec.default_x0, cfg, seed=9)
     assert rec.truncated_at is None
     assert np.all(np.isfinite(rec.states))
 
@@ -337,12 +327,12 @@ def test_grid_view_excludes_pre_jump_rows_near_grid_times(heat_spec):
         seed=0, m=2, dt=0.01, T=0.1,
     )
     cfg = SolverConfig(dt=0.01, T=0.1, level=2)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
-                     heat_spec.bundle.mark_space, seed=0, realization=real)
+    rec = solve_paths(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, [0],
+                      noise=[real])[0]
     assert rec.n_jump_entries == 2
     times, states = rec.step_grid_view()
     np.testing.assert_array_equal(times, np.arange(11) * 0.01)
-    np.testing.assert_array_equal(states[-1], rec.final_state())
+    np.testing.assert_array_equal(states[-1], rec.states[-1])
     # the grid row at 0.03 ends the step, after both jumps and the compensator
     np.testing.assert_array_equal(states[3], rec.states[7])
 
@@ -372,7 +362,7 @@ def test_batch_rows_equal_single_path_solves(model_id, scheme):
     spec = builtin(model_id)
     cfg = SolverConfig(dt=0.01, T=1.0, level=5, scheme=scheme)  # 100 steps: two Wiener chunks
     seeds = [path_seed(3, i) for i in range(6)]
-    args = (spec.bundle, spec.triple, spec.default_x0, cfg, spec.bundle.mark_space)
+    args = (spec.bundle, spec.triple, spec.default_x0, cfg)
     batch = solve_paths(*args, seeds)
     norms_only = solve_paths(*args, seeds, keep_states=False)
     assert spec.bundle.mark_space.is_zero or sum(rec.n_jump_entries > 0 for rec in batch) >= 3
@@ -398,24 +388,21 @@ def _stalling_bundle():
 def test_batch_newton_rows_truncate_independently():
     # a path whose drift solve has no root is truncated; the others go on
     bundle = _stalling_bundle()
-    marks = bundle.mark_space
     triple = GelfandTriple(dimension_cap=1, v_weights=np.ones(1))
     cfg = SolverConfig(dt=0.01, T=1.0, level=1, newton_max_iter=20)
     seeds = list(range(8))
-    batch = solve_paths(bundle, triple, np.array([0.8]), cfg, marks, seeds)
+    batch = solve_paths(bundle, triple, np.array([0.8]), cfg, seeds)
     truncated = [rec.truncated_at is not None for rec in batch]
     assert any(truncated) and not all(truncated)
     for seed, rec in zip(seeds, batch):
-        _assert_same_record(rec, solve_path(bundle, triple, np.array([0.8]), cfg, marks, seed=seed))
+        _assert_same_record(rec, solve_path(bundle, triple, np.array([0.8]), cfg, seed=seed))
 
 
 def test_non_finite_norm_truncates_the_record(heat_spec):
     cfg = SolverConfig(dt=0.1, T=1.0, level=2)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, np.array([1e308, 1e308]), cfg,
-                     heat_spec.bundle.mark_space, seed=0)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, np.array([1e308, 1e308]), cfg, seed=0)
     assert rec.truncated_at == 0.0 and rec.times.size == 0
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, np.array([1e154, 0.0]), cfg,
-                     heat_spec.bundle.mark_space, seed=0)
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, np.array([1e154, 0.0]), cfg, seed=0)
     assert rec.truncated_at is None and np.all(np.isfinite(rec.norm_v))
 
 
@@ -532,15 +519,13 @@ def test_any_subset_of_a_batch_keeps_each_rows_bits():
     rows = np.array([0.5, 1.0, 2.0, -1.0, 4.0, 8.0])[:, None] * base
     seeds = [path_seed(9, i) for i in range(len(rows))]
     args = (spec.bundle, spec.triple)
-    alone = [solve_path(*args, rows[i], cfg, spec.bundle.mark_space, seed=s)
-             for i, s in enumerate(seeds)]
+    alone = [solve_path(*args, rows[i], cfg, seed=s) for i, s in enumerate(seeds)]
 
     @hypothesis.settings(max_examples=25, deadline=None, database=None)
     @hypothesis.given(st.permutations(range(len(rows))), st.integers(1, len(rows)))
     def check(order, size):
         order = list(order[:size])
-        batch = solve_paths(*args, rows[order], cfg, spec.bundle.mark_space,
-                            [seeds[i] for i in order])
+        batch = solve_paths(*args, rows[order], cfg, [seeds[i] for i in order])
         for i, rec in zip(order, batch):
             _assert_same_record(rec, alone[i])
 

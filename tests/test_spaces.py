@@ -27,7 +27,7 @@ def _recorded_norms(triple, u):
         mark_space=MarkSpace.zero(),
     )
     cfg = SolverConfig(dt=0.5, T=1.0, level=len(u))
-    rec = solve_path(zero, triple, u, cfg, MarkSpace.zero(), seed=0)
+    rec = solve_path(zero, triple, u, cfg, seed=0)
     return float(rec.norm_h[0]), float(rec.norm_v[0])
 
 
@@ -137,7 +137,7 @@ def test_state_validation():
 def test_triple_from_config_rules():
     t = triple_from_config({"dimension_cap": 4, "rule": "quadratic", "name": "q"})
     np.testing.assert_allclose(t.v_weights, [1.0, 4.0, 9.0, 16.0])
-    t2 = triple_from_config({"dimension_cap": 3, "weights": [1.0, 2.0, 10.0], "grid_size": 32})
-    assert t2.grid_size == 32
+    t2 = triple_from_config({"dimension_cap": 3, "weights": [1.0, 2.0, 10.0]})
+    np.testing.assert_array_equal(t2.v_weights, [1.0, 2.0, 10.0])
     with pytest.raises(ValueError):
         triple_from_config({"dimension_cap": 3, "rule": "unknown"})
