@@ -19,7 +19,7 @@ import numpy as np
 
 from . import estimates, models, noise, wellposedness
 from .coefficients import admissible_p_range
-from .config import ConfigError, ExperimentConfig, checked_seed, load_config
+from .config import ConfigError, ExperimentConfig, checked_seed, checked_vector, is_number, load_config
 from .parallel import worker_count
 from .solver import StoppingTimeRule, apply_stopping, solve_path
 
@@ -110,23 +110,27 @@ def _study_paths(exp: ExperimentConfig, default: int, least: int = 1) -> int:
     return n_paths
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _study_float(exp: ExperimentConfig, name: str, default=None):
     """``study.<name>`` as a float; ``default`` when it is absent or null."""
     value = exp.study.get(name)
     if value is None:
         return default
-    if not _is_number(value):
+    if not is_number(value):
         raise ConfigError(f"study.{name}", "expected a number")
     return float(value)
 
 
+def _study_bool(exp: ExperimentConfig, name: str) -> bool:
+    """``study.<name>``, false when absent; only a JSON boolean is accepted."""
+    value = exp.study.get(name, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"study.{name}", "expected true or false")
+    return value
+
+
 def _study_floats(exp: ExperimentConfig, name: str, default) -> list[float]:
     value = exp.study.get(name, default)
-    if not isinstance(value, (list, tuple)) or not value or not all(map(_is_number, value)):
+    if not isinstance(value, (list, tuple)) or not value or not all(map(is_number, value)):
         raise ConfigError(f"study.{name}", "expected a nonempty list of numbers")
     return [float(v) for v in value]
 
@@ -213,7 +217,7 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     m_list = _study_levels(exp, [exp.solver.level])
     n_paths = _study_paths(exp, 200, least=2)
     _check_p_admissibility(exp, p_list)
-    if not exp.study.get("skip_audit", False):
+    if not _study_bool(exp, "skip_audit"):
         # warn-only precondition: the estimate is still computed when the
         # declared hypothesis constants fail their quick audit
         quick = models.validate(exp.model, samples=64, seed=exp.master_seed)
@@ -317,7 +321,7 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     n_paths = _study_paths(exp, 16)
-    stress = bool(exp.study.get("stress", False))
+    stress = _study_bool(exp, "stress")
     sup = wellposedness.pathwise_uniqueness_test(
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver,
         n_paths, exp.master_seed, stress=stress, workers=workers,
@@ -335,7 +339,7 @@ def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     n_paths = _study_paths(exp, 200)
     x0 = exp.initial_state()
     if "x0_b" in exp.study:
-        x0_b = np.asarray(exp.study["x0_b"], dtype=float)
+        x0_b = checked_vector(exp.study["x0_b"], "study.x0_b")
     else:
         x0_b = x0.copy()
         x0_b[0] += 0.1
@@ -425,14 +429,15 @@ _ISOMETRY_INTEGRANDS = {
 def _cmd_isometry(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     n_paths = _study_paths(exp, 10000, least=100)
     names = exp.study.get("integrands", list(_ISOMETRY_INTEGRANDS))
+    if not isinstance(names, list) or not names or not all(
+            isinstance(n, str) and n in _ISOMETRY_INTEGRANDS for n in names):
+        raise ConfigError("study.integrands", f"expected a nonempty list of {list(_ISOMETRY_INTEGRANDS)}")
     mark_space = exp.model.bundle.mark_space
     if mark_space.is_zero:
         raise ConfigError("model", "isometry study needs a model with jump noise")
     rows = []
     ok = True
     for name in names:
-        if name not in _ISOMETRY_INTEGRANDS:
-            raise ConfigError("study.integrands", f"unknown integrand {name!r}")
         res = noise.ito_isometry_check(
             _ISOMETRY_INTEGRANDS[name], mark_space, exp.solver.T, exp.solver.dt,
             n_paths, exp.master_seed,

@@ -15,9 +15,9 @@ the cap every batched call keeps to bound memory.  Every row keeps the bits
 of its 1-D call, so the margins do not depend on the grouping.  The descent
 stays serial, one-row batches through the same term functions, because each
 trial starts from the last accepted point.  A non-finite coefficient row
-raises ``AuditFailure`` naming the coefficient, the row's t and u, and the
-entry; ``audit_coercivity_growth``, ``audit_sequential_continuity`` and
-``models.validate`` turn it into that entry's failing entry.
+ends its entry's scan, and the entry fails with margin NaN and the
+coefficient, the row's t and u as its witness; no audit raises for it, and
+the other entries still run.
 
 Inequality catalogue, by entry name:
 
@@ -52,7 +52,6 @@ __all__ = [
     "HypothesisConstants",
     "HypothesisEntry",
     "HypothesisReport",
-    "AuditFailure",
     "audit_hemicontinuity",
     "audit_local_monotonicity",
     "audit_coercivity_growth",
@@ -80,24 +79,12 @@ AUDIT_BATCH_ROWS = 128
 class AuditFailure(RuntimeError):
     """A coefficient evaluation returned a non-finite value during an audit.
 
-    ``witness`` names the coefficient and holds the offending row's t and u;
-    ``hypothesis`` names the entry whose scan raised it.
+    ``witness`` names the coefficient and holds the offending row's t and u.
     """
 
-    def __init__(self, message: str, witness=None, hypothesis: str | None = None):
+    def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-        self.hypothesis = hypothesis
-
-    def entry(self, samples: int) -> "HypothesisEntry":
-        """The failing entry this evaluation stands for (margin NaN)."""
-        return HypothesisEntry(
-            name=self.hypothesis,
-            worst_margin=math.nan,
-            witness=self.witness,
-            samples_used=samples,
-            tolerance=0.0,
-        )
 
 
 @dataclass(frozen=True)
@@ -327,14 +314,16 @@ def _audit_entry(name, bundle, samples, scan, tol_rule=_rel_tol) -> HypothesisEn
 
     records are (margin, scale, witness) tuples; the entry keeps the first
     smallest margin.  The scan sees a copy of the bundle that counts the rows
-    it evaluates, and an AuditFailure it raises is tagged with ``name``.
+    it evaluates.  A non-finite coefficient ends the scan in the failing
+    entry: margin NaN, tolerance 0, the coefficient with its t and u as the
+    witness.
     """
     counted, rows = _counting(bundle)
     try:
         records, gain = scan(counted)
     except AuditFailure as exc:
-        exc.hypothesis = name
-        raise
+        return HypothesisEntry(name=name, worst_margin=math.nan, witness=exc.witness,
+                               samples_used=samples, tolerance=0.0)
     worst = min(records, key=lambda r: r[0])
     return HypothesisEntry(
         name=name,
@@ -401,14 +390,15 @@ def _sample_states(triple: GelfandTriple, level: int, seed: int, name: str, coun
     return np.array(out)
 
 
-def _descend(margin_fn, t: float, u: np.ndarray, v: np.ndarray | None, rounds: int = 4):
+def _descend(margin_fn, t: float, vecs: list, rounds: int = 4):
     """Deterministic coordinate perturbation descent from the worst witness.
 
-    Serial by nature: each trial starts from the last accepted point.
+    ``vecs`` holds the witness's operands, (u,) or (u, v); returns the best
+    margin and its operands.  Serial by nature: each trial starts from the
+    last accepted point.
     """
-    best = margin_fn(t, u, v)
+    best = margin_fn(t, *vecs)
     steps = (0.3, 0.1, 0.03, 0.01)
-    vecs = [u] if v is None else [u, v]
     for r in range(rounds):
         delta = steps[min(r, len(steps) - 1)]
         for vec_idx, vec in enumerate(vecs):
@@ -416,11 +406,52 @@ def _descend(margin_fn, t: float, u: np.ndarray, v: np.ndarray | None, rounds: i
                 for sign in (1.0, -1.0):
                     trial = [w.copy() for w in vecs]
                     trial[vec_idx][j] += sign * delta * (1.0 + abs(vec[j]))
-                    m = margin_fn(t, trial[0], trial[1] if v is not None else None)
+                    m = margin_fn(t, *trial)
                     if m < best:
                         best = m
                         vecs = trial
-    return best, vecs[0], (vecs[1] if v is not None else None)
+    return best, vecs
+
+
+def _inequality_scan(terms, times, operands, kind=None):
+    """The scan of ``terms(b, t, *rows)`` -> (LHS, RHS) over sampled ``operands``.
+
+    ``operands`` is ``(u,)`` or ``(u, v)``, arrays of sample rows; row i is
+    audited at ``times[i % times.size]``.  The descent refines the first
+    smallest margin, and the refined record joins the sampled ones when it
+    is smaller.  Witnesses hold t, u, v and ``kind`` (when given), in that
+    order.  Returns ``scan(b)`` -> (records, descent_gain).
+    """
+
+    keys = ("t", "u", "v")[: 1 + len(operands)] + (() if kind is None else ("kind",))
+    tail = () if kind is None else (kind,)
+
+    def witness(t, rows):
+        return dict(zip(keys, (t, *rows, *tail)))
+
+    def scan(b):
+        def margin_fn(t, *rows):
+            lhs, rhs = terms(b, t, *[r[None] for r in rows])
+            return float(rhs[0] - lhs[0])
+
+        lhs, rhs = _by_time(times, lambda t, *rows: terms(b, t, *rows), *operands)
+        ts, columns = times.tolist(), [x.tolist() for x in operands]
+        records = [
+            (r - l, abs(l) + abs(r), witness(ts[i % len(ts)], rows))
+            for i, (l, r, *rows) in enumerate(zip(lhs.tolist(), rhs.tolist(), *columns))
+        ]
+        i = min(range(len(records)), key=lambda k: records[k][0])
+        t = ts[i % len(ts)]
+        refined, rows = _descend(margin_fn, t, [x[i] for x in operands])
+        gain = 0.0
+        if refined < records[i][0]:
+            gain = refined - records[i][0]
+            lhs1, rhs1 = terms(b, t, *[r[None] for r in rows])
+            scale = abs(float(lhs1[0])) + abs(float(rhs1[0]))
+            records.append((refined, scale, witness(t, [r.tolist() for r in rows])))
+        return records, gain
+
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -574,34 +605,13 @@ def audit_local_monotonicity(bundle, constants, triple, mode, samples, seed,
     n_pairs = len(states) // 2
     us, vs = states[0:2 * n_pairs:2], states[1:2 * n_pairs:2]
 
+    inequality = _inequality_scan(
+        lambda b, t, u, v: local_monotonicity_terms(b, constants, triple, mode, t, u, v),
+        times, (us, vs), "inequality",
+    )
+
     def scan(b):
-        def terms(t, u, v):
-            return local_monotonicity_terms(b, constants, triple, mode, t, u, v)
-
-        def margin_fn(t, u, v):
-            lhs, rhs = terms(t, u[None], v[None])
-            return float(rhs[0] - lhs[0])
-
-        lhs, rhs = _by_time(times, terms, us, vs)
-        records = [
-            (r - l, abs(l) + abs(r),
-             {"t": float(times[i % times.size]), "u": us[i].tolist(), "v": vs[i].tolist(),
-              "kind": "inequality"})
-            for i, (l, r) in enumerate(zip(lhs.tolist(), rhs.tolist()))
-        ]
-
-        worst = min(records, key=lambda r: r[0])
-        wt, wu, wv = worst[2]["t"], np.array(worst[2]["u"]), np.array(worst[2]["v"])
-        refined, ru, rv = _descend(margin_fn, wt, wu, wv)
-        gain = 0.0
-        if refined < worst[0]:
-            gain = refined - worst[0]
-            lhs1, rhs1 = terms(wt, ru[None], rv[None])
-            records.append(
-                (refined, abs(float(lhs1[0])) + abs(float(rhs1[0])),
-                 {"t": wt, "u": ru.tolist(), "v": rv.tolist(), "kind": "inequality"})
-            )
-
+        records, gain = inequality(b)
         if mode in ("H2", "H2star"):
             lhs, rhs = _batched(lambda u: envelope_terms(b, constants, triple, mode, u), states)
             records.extend(
@@ -676,45 +686,13 @@ def jump_growth_terms(bundle, constants, triple, part, p, t, u):
     return lhs, rhs
 
 
-def _scan_inequality(name, terms, bundle, constants, triple, samples, seed, level):
-    """The entry ``name``: ``terms(bundle, t, u)`` on every sample, then the descent."""
-    times = _time_grid(constants)
-    states = _sample_states(triple, level, seed, name, samples)
-
-    def scan(b):
-        def margin_fn(t, u, _v):
-            lhs, rhs = terms(b, t, u[None])
-            return float(rhs[0] - lhs[0])
-
-        lhs, rhs = _by_time(times, lambda t, u: terms(b, t, u), states)
-        records = [
-            (r - l, abs(l) + abs(r), {"t": float(times[i % times.size]), "u": states[i].tolist()})
-            for i, (l, r) in enumerate(zip(lhs.tolist(), rhs.tolist()))
-        ]
-        worst = min(records, key=lambda r: r[0])
-        wt, wu = worst[2]["t"], np.array(worst[2]["u"])
-        refined, ru, _ = _descend(margin_fn, wt, wu, None)
-        gain = 0.0
-        if refined < worst[0]:
-            gain = refined - worst[0]
-            lhs1, rhs1 = terms(b, wt, ru[None])
-            records.append((refined, abs(float(lhs1[0])) + abs(float(rhs1[0])), {"t": wt, "u": ru.tolist()}))
-        return records, gain
-
-    return _audit_entry(name, bundle, samples, scan)
-
-
 def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
                             level: int | None = None) -> list:
-    """Audit coercivity and the three growth bounds; ``part`` in {"I", "II"}.
-
-    An entry whose coefficients evaluate to a non-finite value becomes a
-    failing entry (margin NaN) that names the coefficient in its witness,
-    and the other entries still run.
-    """
+    """Audit coercivity and the three growth bounds; ``part`` in {"I", "II"}."""
     if part not in ("I", "II"):
         raise ValueError(f"part must be 'I' or 'II', got {part!r}")
     level = level or min(triple.dimension_cap, 8)
+    times = _time_grid(constants)
     star = "" if part == "I" else "star"
     scans = [
         (f"H3{star}", lambda b, t, u: coercivity_terms(b, constants, triple, t, u)),
@@ -727,10 +705,8 @@ def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
     ]
     entries = []
     for name, terms in scans:
-        try:
-            entries.append(_scan_inequality(name, terms, bundle, constants, triple, samples, seed, level))
-        except AuditFailure as exc:
-            entries.append(exc.entry(samples))
+        states = _sample_states(triple, level, seed, name, samples)
+        entries.append(_audit_entry(name, bundle, samples, _inequality_scan(terms, times, (states,))))
     return entries
 
 
@@ -746,9 +722,6 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     Genuine sequential continuity over all H-convergent sequences is not
     numerically decidable; this audits the constructed test sequences only
     and passes when the distance at depth k has collapsed relative to k=0.
-    H5-continuity and H6-continuity run on their own: a non-finite
-    coefficient in one becomes its failing entry (margin NaN) that names the
-    coefficient in its witness, and the other still runs.
     """
     level = level or min(triple.dimension_cap, 8)
     times = _time_grid(constants)
@@ -793,13 +766,7 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     scans = [("H5-continuity", b_dists)]
     if not bundle.mark_space.is_zero:
         scans.append(("H6-continuity", g_dists))
-    entries = []
-    for name, dists in scans:
-        try:
-            entries.append(_audit_entry(name, bundle, samples, continuity_scan(dists)))
-        except AuditFailure as exc:
-            entries.append(exc.entry(samples))
-    return entries
+    return [_audit_entry(name, bundle, samples, continuity_scan(dists)) for name, dists in scans]
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,28 @@ def checked_seed(value, field_name: str) -> int:
     return value
 
 
+def is_number(value) -> bool:
+    """An int or float as JSON gives it; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def checked_vector(value, field_name: str) -> np.ndarray:
+    """A nonempty finite 1-D list of numbers as a float array.
+
+    Text, nested or empty lists and values that overflow a float (1e400
+    parses as inf) raise a ConfigError naming the field.
+    """
+    arr = None
+    if isinstance(value, list) and value and all(map(is_number, value)):
+        try:
+            arr = np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ConfigError(field_name, "expected a nonempty finite 1-D list of numbers")
+    return arr
+
+
 def _require(cfg: dict, name: str, kind, where: str):
     if name not in cfg:
         raise ConfigError(f"{where}.{name}" if where else name, "missing")
@@ -111,11 +133,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(study, dict):
         raise ConfigError("study", "expected an object")
 
-    x0 = None
-    if "x0" in raw:
-        x0 = np.asarray(raw["x0"], dtype=float)
-        if x0.ndim != 1 or not np.all(np.isfinite(x0)):
-            raise ConfigError("x0", "expected a finite 1-D array")
+    x0 = checked_vector(raw["x0"], "x0") if "x0" in raw else None
 
     out_dir = Path(raw.get("output_dir", "out"))
     return ExperimentConfig(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
-    AuditFailure,
     CoefficientBundle,
     HypothesisConstants,
     HypothesisEntry,
@@ -117,13 +116,11 @@ class ModelSpec:
             c = self.constants
             if c.theta_exp >= c.beta:
                 raise ValueError(f"model {self.id}: part2 requires theta_exp < beta")
-            chi = chi_exponent(c)
-            lhs = c.L_B + 2.0 * c1_of(2.0) * c.L_gamma
-            rhs = (2.0 * c.L_A + c.L_B) / chi
-            if not lhs < rhs:
+            sides = _admissibility_entry(c, 0).witness
+            if not sides["lhs"] < sides["rhs"]:
                 raise ValueError(
                     f"model {self.id}: admissibility violated, "
-                    f"L_B + 2 C1 L_gamma = {lhs:g} must be < {rhs:g}"
+                    f"L_B + 2 C1 L_gamma = {sides['lhs']:g} must be < {sides['rhs']:g}"
                 )
 
 
@@ -507,10 +504,9 @@ def builtin(model_id: str, **overrides) -> ModelSpec:
 def validate(spec: ModelSpec, samples: int = 1000, seed: int = 0) -> HypothesisReport:
     """Run the regime-appropriate audit set and return the report.
 
-    An audit whose coefficients evaluate to a non-finite value ends in a
-    failing entry (margin NaN) that names the coefficient in its witness.
-    Every other entry still runs, the other coercivity and growth entries
-    included.
+    An entry whose coefficients evaluate to a non-finite value fails with
+    margin NaN and names the coefficient in its witness; every other entry
+    still runs.
     """
     bundle, constants, triple = spec.bundle, spec.constants, spec.triple
     if spec.regime == "part1":
@@ -518,21 +514,15 @@ def validate(spec: ModelSpec, samples: int = 1000, seed: int = 0) -> HypothesisR
         part = "I"
     else:
         mode, part = "H2star", "II"
-    audits = [
-        lambda: [audit_hemicontinuity(bundle, triple, samples, seed, constants=constants)],
-        lambda: [audit_local_monotonicity(bundle, constants, triple, mode, samples, seed)],
-        lambda: audit_coercivity_growth(bundle, constants, triple, part, samples, seed),
+    entries = [
+        audit_hemicontinuity(bundle, triple, samples, seed, constants=constants),
+        audit_local_monotonicity(bundle, constants, triple, mode, samples, seed),
+        *audit_coercivity_growth(bundle, constants, triple, part, samples, seed),
     ]
     if spec.regime == "part1":
-        audits.append(lambda: audit_sequential_continuity(bundle, constants, triple, samples, seed))
+        entries += audit_sequential_continuity(bundle, constants, triple, samples, seed)
     else:
-        audits.append(lambda: [_admissibility_entry(constants, samples)])
-    entries = []
-    for audit in audits:
-        try:
-            entries.extend(audit())
-        except AuditFailure as exc:
-            entries.append(exc.entry(samples))
+        entries.append(_admissibility_entry(constants, samples))
     return HypothesisReport(entries=entries)
 
 

@@ -206,10 +206,10 @@ def _compensator_grid(
     dt: float,
     T: float,
 ):
-    """Left-endpoint quadrature of ∫_0^T Σ_i lam_i ζ(t, z_i) dt."""
+    """Left-endpoint quadrature of ∫_0^T Σ_i lam_i ζ(t, z_i) dt; dt must divide T."""
+    n = grid_steps(T, dt)
     if mark_space.is_zero:
         return None
-    n = round(T / dt)
     comp = None
     for k in range(n):
         t = k * dt
@@ -228,10 +228,13 @@ def compensated_integral(
     """∫∫ ζ dπ̃ = Σ_events ζ(τ_i, z_i) − ∫_0^T Σ_i lam_i ζ(t, z_i) dt.
 
     The compensator time integral uses left endpoints of the realization's
-    dt grid, matching the predictable-integrand convention.
+    dt grid, matching the predictable-integrand convention.  T must be a
+    node of that grid, at most ``realization.T``.
     """
     if T is None:
         T = realization.T
+    if T > realization.T:
+        raise ValueError(f"T={T} lies past the realization's horizon {realization.T}")
     comp = _compensator_grid(integrand, mark_space, realization.dt, T)
     return _compensated(integrand, realization.jumps, mark_space, T, comp)
 
@@ -263,9 +266,8 @@ def ito_isometry_check(
     """
     if n_paths < 100:
         raise ValueError(f"n_paths must be >= 100, got {n_paths}")
-    grid_steps(T, dt)
 
-    # the compensator is deterministic; compute once and reuse per path
+    # the compensator is deterministic; compute once and reuse per path (dt must divide T)
     comp = _compensator_grid(integrand, mark_space, dt, T)
     sq_norms = np.empty(n_paths)
     for i in range(n_paths):

@@ -180,6 +180,11 @@ def test_config_loader_errors():
             "solver": {"dt": 0.01, "T": 1.0, "level": 2},
             "master_seed": -4,
         })
+    for x0 in ([], "abc", [1.0, "2"], [[1.0]]):  # the initial state is a nonempty list of numbers
+        with pytest.raises(ConfigError) as err:
+            parse_config({"schema_version": 1, "model": "heat",
+                          "solver": {"dt": 0.01, "T": 1.0, "level": 2}, "x0": x0})
+        assert err.value.field_name == "x0"
 
 
 def test_remaining_subcommands_smoke(tmp_path):
@@ -357,19 +362,31 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("simulate", {"stopping_N": "x"}, "study.stopping_N"),
         ("simulate", {"stopping_N": 0}, "study.stopping_N"),
         ("prange", {"c_tilde_base": [4.0]}, "study.c_tilde_base"),
+        ("uniqueness", {"n_paths": 4, "stress": "false"}, "study.stress"),
+        ("energy", {"n_paths": 4, "skip_audit": "false"}, "study.skip_audit"),
+        ("isometry", {"n_paths": 100, "integrands": 5}, "study.integrands"),
+        ("isometry", {"n_paths": 100, "integrands": "constant"}, "study.integrands"),
+        ("stability", {"n_paths": 4, "x0_b": "abc"}, "study.x0_b"),
+        ("stability", {"n_paths": 4, "x0_b": [1e400]}, "study.x0_b"),
+        ("stability", {"n_paths": 4, "x0_b": [10**400]}, "study.x0_b"),
+        ("stability", {"n_paths": 4, "x0_b": [[1, 2]]}, "study.x0_b"),
+        ("stability", {"n_paths": 4, "x0_b": []}, "study.x0_b"),
     ],
     ids=["energy", "converge", "modulus", "residual", "residual-dt-not-dividing-T",
          "check-zero-samples", "check-bool-samples", "residual-no-paths", "modulus-no-paths",
          "uniqueness-no-paths", "stability-no-paths", "depend-no-paths", "converge-no-paths",
          "modulus-one-path", "converge-one-path", "depend-text-p", "energy-text-p_list",
          "energy-scalar-m_list", "converge-text-level", "modulus-text-beta_exp",
-         "simulate-text-stopping_N", "simulate-zero-stopping_N", "prange-list-c_tilde_base"],
+         "simulate-text-stopping_N", "simulate-zero-stopping_N", "prange-list-c_tilde_base",
+         "uniqueness-text-stress", "energy-text-skip_audit", "isometry-scalar-integrands",
+         "isometry-text-integrands", "stability-text-x0_b", "stability-inf-x0_b",
+         "stability-huge-int-x0_b", "stability-nested-x0_b", "stability-empty-x0_b"],
 )
 def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
     # a level above the cap, an off-grid shift or step, a one-point slope
     # fit, an audit without samples, a study without paths, a CI99 of one
-    # path, a field that is not a number or not a list of numbers, and a
-    # stopping threshold that is not positive
+    # path, a field that is not a number, a list of numbers, a boolean or a
+    # list of names, and a stopping threshold that is not positive
     path = _write_config(tmp_path, study=study)
     assert main([command, "--config", str(path)]) == 1
     assert field in capsys.readouterr().err

@@ -12,6 +12,7 @@ from levyspde.coefficients import (
     audit_coercivity_growth,
     audit_hemicontinuity,
     audit_local_monotonicity,
+    audit_sequential_continuity,
     c1_of,
     c2_of,
     chi_exponent,
@@ -76,16 +77,15 @@ def test_hemicontinuity_detects_planted_step(heat_spec):
 
 
 def test_hemicontinuity_rejects_nonfinite(heat_spec):
-    import levyspde.coefficients as co
-
     bundle = dataclasses.replace(
         heat_spec.bundle,
         drift=lambda t, u: np.full(u.shape, np.nan),
         drift_implicit_solve=None,
         drift_jacobian=None,
     )
-    with pytest.raises(co.AuditFailure):
-        audit_hemicontinuity(bundle, heat_spec.triple, samples=64, seed=0)
+    entry = audit_hemicontinuity(bundle, heat_spec.triple, samples=64, seed=0)
+    assert entry.name == "H1" and not entry.passed and math.isnan(entry.worst_margin)
+    assert entry.tolerance == 0.0 and entry.witness["coefficient"] == "drift"
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +344,62 @@ def test_nan_row_inside_a_batch_raises(heat_spec, coefficient, hypothesis):
     entry = report.entry(hypothesis)
     assert not entry.passed and math.isnan(entry.worst_margin)
     assert entry.witness["coefficient"] == coefficient
+
+
+#: the entries ``validate`` lists for heat, in order
+HEAT_ENTRIES = ["H1", "H2", "H3", "H4", "H5", "H6-p2", "H6-p4", "H5-continuity", "H6-continuity"]
+
+
+@pytest.mark.parametrize("mode", ["H2", "H2prime"])
+def test_nonfinite_drift_fails_local_monotonicity(heat_spec, mode):
+    # validate audits H2prime when the model declares no rho and eta
+    bundle = dataclasses.replace(heat_spec.bundle, drift=lambda t, u: np.full(u.shape, np.nan))
+    if mode == "H2prime":
+        bundle = dataclasses.replace(bundle, rho=None, eta=None)
+    entry = audit_local_monotonicity(bundle, heat_spec.constants, heat_spec.triple, mode, 64, 0)
+    first = _sample_states(heat_spec.triple, 8, 0, mode, 64)[0]
+    assert entry.name == mode and not entry.passed and math.isnan(entry.worst_margin)
+    assert entry.witness == {"coefficient": "drift", "t": 0.0, "u": first.tolist()}
+
+    report = validate(dataclasses.replace(heat_spec, bundle=bundle), samples=64, seed=0)
+    assert [e.name for e in report.entries] == [mode if n == "H2" else n for n in HEAT_ENTRIES]
+    assert report.entry(mode).witness == entry.witness
+
+
+def test_nonfinite_rho_fails_the_h2_envelope(heat_spec):
+    # rho is NaN at one v sample only, which the inequality never passes to
+    # rho (it evaluates rho at u and eta at v); the envelope evaluates both
+    target = _sample_states(heat_spec.triple, 8, 0, "H2", 64)[1]
+
+    def rho(u):
+        out = np.array(heat_spec.bundle.rho(u), dtype=float)
+        out[np.all(u == target, axis=-1)] = np.nan
+        return out
+
+    bundle = dataclasses.replace(heat_spec.bundle, rho=rho)
+    entry = audit_local_monotonicity(bundle, heat_spec.constants, heat_spec.triple, "H2", 64, 0)
+    assert not entry.passed and math.isnan(entry.worst_margin)
+    assert entry.witness == {"coefficient": "rho", "t": None, "u": target.tolist()}
+
+    report = validate(dataclasses.replace(heat_spec, bundle=bundle), samples=64, seed=0)
+    assert [e.name for e in report.entries] == HEAT_ENTRIES
+    assert [e.name for e in report.entries if not e.passed] == ["H2"]
+
+
+def test_nonfinite_jump_fails_its_entries_and_keeps_the_rest(heat_spec):
+    bundle = dataclasses.replace(
+        heat_spec.bundle, jump=lambda t, u, z: np.full(u.shape, np.nan), jump_weighted_sum=None
+    )
+    h2 = audit_local_monotonicity(bundle, heat_spec.constants, heat_spec.triple, "H2", 64, 0)
+    assert not h2.passed and h2.witness["coefficient"] == "jump"
+    continuity = audit_sequential_continuity(bundle, heat_spec.constants, heat_spec.triple, 64, 0)
+    assert [e.name for e in continuity] == ["H5-continuity", "H6-continuity"]
+    assert continuity[0].passed
+    assert math.isnan(continuity[1].worst_margin) and continuity[1].witness["coefficient"] == "jump"
+
+    report = validate(dataclasses.replace(heat_spec, bundle=bundle), samples=64, seed=0)
+    assert [e.name for e in report.entries] == HEAT_ENTRIES
+    assert [e.name for e in report.entries if not e.passed] == ["H2", "H6-p2", "H6-p4", "H6-continuity"]
 
 
 def test_audit_counters_repeat_across_reruns(allen_cahn_spec):

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,15 @@ def test_bench_tracer_wraps_names_that_exist():
     fields = {f.name for f in dataclasses.fields(CoefficientBundle) if f.init}
     assert set(tracer.BUNDLE_CALLABLES) <= fields
     assert "__post_init__" in vars(GalerkinState)
+    # bench/child.py wraps solve_path; the tracer wraps the rest
+    from levyspde import cli, config, models, noise, parallel, solver
+
+    assert inspect.isfunction(solver.solve_path)
+    assert list(inspect.signature(parallel.map_indexed).parameters) == ["fn", "ctx", "n", "workers"]
+    for fn in (models.resolve, models.validate, noise.sample_noise, cli.main, config.load_config):
+        assert inspect.isfunction(fn), fn
+    report = validate(builtin("heat"), samples=8, seed=0)
+    assert report.entries[0].samples_used == 8
 
 
 def test_every_public_name_resolves():

@@ -104,6 +104,17 @@ def test_compensated_integral_time_linear_closed_form():
     assert left_riemann == pytest.approx(0.5, abs=dt)
 
 
+def test_compensated_integral_horizon_must_lie_on_the_realization_grid():
+    # no events and one unit-intensity mark: the value is minus the compensator, -T
+    real = NoiseRealization(wiener=np.zeros((10, 1)), jumps=(), seed=0, m=1, dt=0.1, T=1.0)
+    one = lambda t, z: np.array([1.0])  # noqa: E731
+    assert compensated_integral(one, real, UNIT_MARK)[0] == -1.0
+    assert compensated_integral(one, real, UNIT_MARK, T=0.5)[0] == -0.5
+    for T in (0.54, 0.55, 2.0):  # off the dt grid, or past the realization's horizon
+        with pytest.raises(ValueError):
+            compensated_integral(one, real, UNIT_MARK, T=T)
+
+
 def test_martingale_surrogate_mean_zero():
     # ensemble mean of the compensated integral vanishes within 4 SE
     for integrand in (lambda t, z: np.array([1.0]), lambda t, z: np.array([t * z])):
