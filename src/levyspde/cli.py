@@ -19,9 +19,10 @@ import numpy as np
 
 from . import estimates, models, noise, wellposedness
 from .coefficients import admissible_p_range
-from .config import ConfigError, ExperimentConfig, checked_seed, checked_vector, is_number, load_config
+from .config import ConfigError, ExperimentConfig, checked_seed, checked_vector, load_config
 from .parallel import worker_count
 from .solver import StoppingTimeRule, apply_stopping, solve_path
+from .spaces import is_number
 
 #: inequality/estimate anchor named in each artifact's header comment row
 ANCHORS = {
@@ -352,11 +353,15 @@ def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
                  ("time", "weighted_mean_sq_difference", "ci99"), rows, fmt)
     _write_sidecar(out / "stability_meta.json", exp, "stability", result.passed,
                    {"bound": result.bound, "eps_scheme": result.eps_scheme,
-                    "worst_t": result.worst_t, "worst_margin": result.worst_margin})
-    return result.passed, (
+                    "worst_t": result.worst_t, "worst_margin": result.worst_margin,
+                    "truncated_paths": result.truncated_paths})
+    summary = (
         f"lhs <= {result.bound:.6g}*(1+{result.eps_scheme:g}) at every grid time; "
         f"worst margin {result.worst_margin:.3e} at t={result.worst_t:g}"
     )
+    if result.truncated_paths:
+        summary += f"; {result.truncated_paths} of {n_paths} paths truncated"
+    return result.passed, summary
 
 
 def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):

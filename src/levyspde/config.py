@@ -14,6 +14,7 @@ import numpy as np
 
 from .models import ModelSpec, resolve
 from .solver import SolverConfig
+from .spaces import finite_vector
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "checked_seed"]
 
@@ -50,24 +51,10 @@ def checked_seed(value, field_name: str) -> int:
     return value
 
 
-def is_number(value) -> bool:
-    """An int or float as JSON gives it; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def checked_vector(value, field_name: str) -> np.ndarray:
-    """A nonempty finite 1-D list of numbers as a float array.
-
-    Text, nested or empty lists and values that overflow a float (1e400
-    parses as inf) raise a ConfigError naming the field.
-    """
-    arr = None
-    if isinstance(value, list) and value and all(map(is_number, value)):
-        try:
-            arr = np.array(value, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if arr is None or not np.all(np.isfinite(arr)):
+    """``spaces.finite_vector``, or a ConfigError naming the field."""
+    arr = finite_vector(value)
+    if arr is None:
         raise ConfigError(field_name, "expected a nonempty finite 1-D list of numbers")
     return arr
 

@@ -35,7 +35,7 @@ from .coefficients import (
     chi_exponent,
 )
 from .noise import MarkSpace
-from .spaces import GelfandTriple, dot_rows, libm_pow, triple_from_config
+from .spaces import GelfandTriple, dot_rows, finite_vector, libm_pow, triple_from_config
 
 __all__ = ["ModelSpec", "SpectralGrid", "builtin", "validate", "from_config", "resolve", "BUILTIN_IDS"]
 
@@ -71,6 +71,10 @@ class SpectralGrid:
         self.phi = phi
         self.wavenumbers = wavenumbers
         self.mu = (2.0 * np.sin(np.pi * wavenumbers * self.h) / self.h) ** 2
+        # periodic neighbours of each grid point: the stencils gather with
+        # them, which gives np.roll's values without its per-call slicing
+        self._next = (np.arange(n) + 1) % n
+        self._prev = (np.arange(n) - 1) % n
         # the grid operators applied to each basis column, for the Jacobians
         self.dphi = self.d_centered(phi, axis=0)
         self.gphi = self.grad(phi, axis=0)
@@ -87,14 +91,15 @@ class SpectralGrid:
         return self.h * (self.phi[:, :m].T @ values[..., None])[..., 0]
 
     def grad(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        return (np.roll(values, -1, axis) - values) / self.h
+        return (np.take(values, self._next, axis=axis) - values) / self.h
 
     def div_back(self, flux: np.ndarray, axis: int = -1) -> np.ndarray:
         # adjoint pair of grad: h sum u div_back(psi) = -h sum grad(u) psi
-        return (flux - np.roll(flux, 1, axis)) / self.h
+        return (flux - np.take(flux, self._prev, axis=axis)) / self.h
 
     def d_centered(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * self.h)
+        return (np.take(values, self._next, axis=axis)
+                - np.take(values, self._prev, axis=axis)) / (2.0 * self.h)
 
 
 @dataclass(frozen=True)
@@ -307,18 +312,21 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
     triple = _grid_triple("allen_cahn", grid)
     mu = grid.mu
     h = grid.h
+    linear_jac = np.diag(1.0 - mu)
 
     def drift(t, u):
         m = u.shape[-1]
         vals = grid.to_grid(u)
-        cubic = grid.to_coeffs(vals**3, m)
+        # products, not vals**3: numpy's SIMD power rounds some inputs
+        # differently from libm, and it is far slower
+        cubic = grid.to_coeffs(vals * vals * vals, m)
         return (1.0 - mu[:m]) * u - cubic
 
     def drift_jacobian(t, u):
         m = u.shape[-1]
         vals = grid.to_grid(u)
         phi = grid.phi[:, :m]
-        return np.diag(1.0 - mu[:m]) - 3.0 * h * (phi.T * (vals**2)[..., None, :]) @ phi
+        return linear_jac[:m, :m] - 3.0 * h * (phi.T * (vals**2)[..., None, :]) @ phi
 
     def sup_norm_sq(u):
         return libm_pow(np.max(np.abs(grid.to_grid(u)), axis=-1), 2.0)
@@ -361,6 +369,7 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
     mu = grid.mu
     h = grid.h
     w = triple.v_weights
+    viscous_jac = -nu * np.diag(mu)
 
     def convection(vals):
         # skew form of u u_x: exactly energy free on the periodic grid
@@ -381,7 +390,7 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
         jac_grid = (col * grid.dphi[:, :m] + grid.d_centered(vals)[..., :, None] * phi) / 3.0
         jac_grid += 2.0 * grid.d_centered(col * phi, axis=-2) / 3.0
         conv_jac = h * phi.T @ jac_grid
-        return -nu * np.diag(mu[:m]) - conv_jac
+        return viscous_jac[:m, :m] - conv_jac
 
     k_mono = 8.0 * (1.0 + 1.0 / nu)
 
@@ -585,6 +594,7 @@ def from_config(cfg: dict) -> ModelSpec:
         poly = np.asarray(reaction, dtype=float)
         dpoly = np.polyder(np.poly1d(poly[::-1]))
         implicit_solve = None
+        linear_jac = -np.diag(spectrum)
 
         def drift(t, u):
             m = u.shape[-1]
@@ -594,7 +604,7 @@ def from_config(cfg: dict) -> ModelSpec:
             m = u.shape[-1]
             vals = grid.to_grid(u)
             phi = grid.phi[:, :m]
-            return -np.diag(spectrum[:m]) + grid.h * (phi.T * dpoly(vals)[..., None, :]) @ phi
+            return linear_jac[:m, :m] + grid.h * (phi.T * dpoly(vals)[..., None, :]) @ phi
 
     mcfg = cfg.get("marks", {"points": [], "weights": []})
     marks = (
@@ -638,7 +648,9 @@ def from_config(cfg: dict) -> ModelSpec:
         ccfg["h_p_integrals"] = {float(k): float(v) for k, v in ccfg["h_p_integrals"].items()}
     constants = HypothesisConstants(**ccfg)
 
-    x0 = np.asarray(cfg["x0"], dtype=float) if "x0" in cfg else 1.0 / np.arange(1, cap + 1)
+    x0 = finite_vector(cfg["x0"]) if "x0" in cfg else 1.0 / np.arange(1, cap + 1)
+    if x0 is None:
+        raise ValueError("x0 must be a nonempty finite 1-D list of numbers")
     bundle = CoefficientBundle(
         drift=drift,
         diffusion=diffusion,

@@ -158,6 +158,7 @@ def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next: float, dt: fl
     nf = np.sqrt(dot_rows(f, f))
     live = np.arange(x.shape[0])
     failed = {}
+    eye = np.eye(m)
     for it in range(config.newton_max_iter):
         live = live[~(nf[live] < tol[live])]
         if live.size == 0:
@@ -166,7 +167,7 @@ def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next: float, dt: fl
             ja = np.asarray(bundle.drift_jacobian(t_next, y[live]), dtype=float)
         else:
             ja = _fd_jacobian(bundle, y[live], t_next)
-        delta = _solve_rows(np.eye(m) - dt * ja, -f[live])
+        delta = _solve_rows(eye - dt * ja, -f[live])
         # every row still searching has had its step halved the same number
         # of times, so one step length s serves them all
         s = 1.0
@@ -182,9 +183,11 @@ def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next: float, dt: fl
             if search.size == 0:
                 break
             s *= 0.5
-        for r in live[search].tolist():
+        stuck = np.zeros(live.size, dtype=bool)
+        stuck[search] = True
+        for r in live[stuck].tolist():
             failed[r] = StepFailure(time=t_next, residual=float(nf[r]), iterations=it + 1)
-        live = np.delete(live, search)
+        live = live[~stuck]
     for r in live[~(nf[live] < tol[live])].tolist():
         failed[r] = StepFailure(time=t_next, residual=float(nf[r]), iterations=config.newton_max_iter)
     return y, failed

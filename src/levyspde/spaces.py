@@ -114,6 +114,26 @@ def libm_pow(x, e: float) -> np.ndarray:
     return np.reshape([v**e for v in x.reshape(-1).tolist()], x.shape)
 
 
+def is_number(value) -> bool:
+    """An int or float as JSON gives it; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def finite_vector(value) -> np.ndarray | None:
+    """A nonempty finite 1-D list of numbers as a float array, else None.
+
+    Text, nested or empty lists and values that overflow a float (1e400
+    parses as inf) give None.
+    """
+    if not (isinstance(value, list) and value and all(map(is_number, value))):
+        return None
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr if np.all(np.isfinite(arr)) else None
+
+
 def triple_from_config(spec: dict) -> GelfandTriple:
     """Build a triple from a config record.
 

@@ -133,6 +133,7 @@ class StabilityResult:
     passed: bool
     worst_t: float
     worst_margin: float
+    truncated_paths: int  # pairs with a truncated record, whose curves are NaN
 
 
 def _stability_worker(ctx, b: int):
@@ -147,13 +148,14 @@ def _stability_worker(ctx, b: int):
 
 
 def _stability_curve(bundle, constants, config, rec_a, rec_b):
+    """(truncated, curve) of one pair; a truncated pair's curve is all NaN."""
     if rec_a.truncated_at is not None or rec_b.truncated_at is not None:
-        return np.full(config.n_steps + 1, np.nan)
+        return True, np.full(config.n_steps + 1, np.nan)
     t_a, s_a = rec_a.step_grid_view()
     _, s_b = rec_b.step_grid_view()
     phis = _stability_weights(constants.f_at, bundle.rho, bundle.eta, t_a, s_a, s_b)
     sq = dot_rows(s_a - s_b, s_a - s_b)
-    return np.concatenate([sq[:1], phis * sq[1:]])
+    return False, np.concatenate([sq[:1], phis * sq[1:]])
 
 
 def weighted_stability_mc(
@@ -180,7 +182,8 @@ def weighted_stability_mc(
     batches = batch_seeds(seed, n_paths)
     ctx = (bundle, triple, constants, x0_a, x0_b, config, batches)
     per_batch = map_indexed(_stability_worker, ctx, len(batches), workers)
-    curves = np.stack([curve for batch in per_batch for curve in batch])
+    pairs = [pair for batch in per_batch for pair in batch]
+    curves = np.stack([curve for _, curve in pairs])
     lhs = curves.mean(axis=0)
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
     times = grid_times(config.T, config.dt)
@@ -201,6 +204,7 @@ def weighted_stability_mc(
         passed=bool(np.all(margins >= 0.0)),
         worst_t=float(times[worst]),
         worst_margin=float(margins[worst]),
+        truncated_paths=sum(truncated for truncated, _ in pairs),
     )
 
 

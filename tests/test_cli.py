@@ -187,6 +187,17 @@ def test_config_loader_errors():
         assert err.value.field_name == "x0"
 
 
+@pytest.mark.parametrize("x0", [[], "abc", [[1.0]]], ids=["empty", "text", "nested"])
+def test_custom_model_x0_is_checked(tmp_path, capsys, x0):
+    # the record's own initial state follows the top-level x0 rule
+    model = dict(_custom_model({}), triple={"dimension_cap": 4}, x0=x0)
+    path = _write_config(tmp_path, model=model, study={"n_paths": 4})
+    for command in ("uniqueness", "stability"):
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'model'" in err and "x0 must be a nonempty finite" in err
+
+
 def test_remaining_subcommands_smoke(tmp_path):
     # residual / stability / depend / converge / modulus / isometry all
     # produce anchored artifacts and pass on the default model
@@ -422,6 +433,23 @@ def test_residual_sidecar_counts_truncated_paths(tmp_path, capsys):
     assert "truncated" not in capsys.readouterr().out
     meta = json.loads((tmp_path / "out" / "residual_meta.json").read_text())
     assert meta["truncated_paths"] == [0, 0]
+
+
+def test_stability_sidecar_counts_truncated_paths(tmp_path, capsys):
+    # ‖x0‖_H overflows: both members of every pair are truncated
+    path = _write_config(tmp_path, x0=[1e308, 1e308], study={"n_paths": 4})
+    assert main(["stability", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out and out.rstrip().endswith("; 4 of 4 paths truncated")
+    meta = json.loads((tmp_path / "out" / "stability_meta.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert meta["pass"] is False and meta["truncated_paths"] == 4
+
+    path = _write_config(tmp_path, study={"n_paths": 4})
+    assert main(["stability", "--config", str(path)]) == 0
+    assert "truncated" not in capsys.readouterr().out
+    meta = json.loads((tmp_path / "out" / "stability_meta.json").read_text())
+    assert meta["truncated_paths"] == 0
 
 
 #: a custom model whose cubic reaction overflows to inf on moderate states

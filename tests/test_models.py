@@ -109,6 +109,52 @@ def test_spectral_grid_roundtrip_exact():
     np.testing.assert_allclose(back, coeffs, atol=1e-13)
 
 
+def _roll_grad(grid, v, axis):
+    return (np.roll(v, -1, axis) - v) / grid.h
+
+
+def _roll_div_back(grid, v, axis):
+    return (v - np.roll(v, 1, axis)) / grid.h
+
+
+def _roll_d_centered(grid, v, axis):
+    return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * grid.h)
+
+
+@pytest.mark.parametrize("n, cap", [(16, 7), (64, 33)])
+def test_gathered_stencils_equal_the_roll_formulas(n, cap):
+    # the stencils gather their neighbours; np.roll gives the same bits
+    grid = SpectralGrid(n, cap)
+    rng = np.random.default_rng(n)
+    cases = [(rng.standard_normal(n), -1), (rng.standard_normal((5, n)), -1),
+             (rng.standard_normal((5, n, 3)), -2)]
+    for v, axis in cases:
+        for op, ref in ((grid.grad, _roll_grad), (grid.div_back, _roll_div_back),
+                        (grid.d_centered, _roll_d_centered)):
+            got = op(v, axis=axis)
+            assert got.shape == v.shape
+            assert got.tobytes() == ref(grid, v, axis).tobytes(), (op.__name__, v.shape)
+    assert grid.dphi.tobytes() == _roll_d_centered(grid, grid.phi, 0).tobytes()
+    assert grid.gphi.tobytes() == _roll_grad(grid, grid.phi, 0).tobytes()
+
+
+def test_allen_cahn_cube_is_a_product_of_floats():
+    # the cubic is vals * vals * vals, whose bits IEEE fixes on every
+    # machine; numpy's vectorized power is not libm's and may differ
+    spec = builtin("allen_cahn")
+    grid, mu = spec.grid, spec.grid.mu
+    m = 9
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((3, m)) * np.array([[0.1], [1.0], [10.0]])
+    vals = grid.to_grid(u)
+    cube = np.array([[v * v * v for v in row] for row in vals.tolist()])
+    reference = (1.0 - mu[:m]) * u - grid.to_coeffs(cube, m)
+    got = spec.bundle.drift(0.0, u)
+    assert got.tobytes() == reference.tobytes()
+    power = (1.0 - mu[:m]) * u - grid.to_coeffs(vals**3, m)
+    assert np.max(np.abs(got - power) / np.max(np.abs(power), axis=-1, keepdims=True)) <= 1e-14
+
+
 def test_spectral_grid_rejects_aliasing():
     with pytest.raises(ValueError):
         SpectralGrid(16, 16)
