@@ -71,8 +71,9 @@ AUDIT_SCALES = (0.1, 1.0, 10.0)
 #: number of time points audited on the uniform grid over [0, horizon]
 AUDIT_TIME_POINTS = 8
 
-#: most state rows in one coefficient call of a scan; bounds the temporaries
-#: of grid models (each row holds several grid-sized arrays)
+#: most state rows in one coefficient call of a scan or of the residual
+#: replay; bounds the temporaries of grid models (each row holds several
+#: grid-sized arrays)
 AUDIT_BATCH_ROWS = 128
 
 
@@ -118,6 +119,15 @@ class CoefficientBundle:
     path's record does not depend on the batch it ran in.  On a grid the
     stacked product ``phi @ u[..., None]`` keeps that rule for every batch
     size; ``u @ phi.T`` and ``einsum`` change last bits with the batch size.
+
+    The time ``t`` of ``drift``, ``drift_jacobian``, ``diffusion``, ``jump``,
+    ``drift_implicit_solve``, ``diffusion_matvec`` and ``jump_weighted_sum``
+    is a float, or an array of shape ``u.shape[:-1] + (1,)`` (``x`` for the
+    implicit solve) that holds one time per row; each row's result must then
+    equal its scalar-``t`` call bit for bit.  Elementwise use such as
+    ``t * u`` broadcasts as it is; a matrix result reads ``t[..., None]``.
+    The stepping and the audits pass floats, and the residual replay passes
+    one time per (step, path) row.  ``local_bound`` takes scalars only.
 
     The closed forms are solver fast paths only.  Audits always evaluate the
     full ``drift``, ``diffusion`` matrix and ``jump``, so a wrong closed form

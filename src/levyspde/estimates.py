@@ -18,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import CoefficientBundle
+from .coefficients import AUDIT_BATCH_ROWS, CoefficientBundle
 from .noise import ci99, sample_noise, step_index
 from .parallel import batch_seeds, map_indexed
-from .solver import PathRecord, SolverConfig, _newton_rows, solve_paths
+from .solver import PathRecord, SolverConfig, _drift_rows, solve_paths
 from .spaces import GelfandTriple, dot_rows, sum_squares
 
 __all__ = [
@@ -178,6 +178,53 @@ def _jump_identity_residual(pre: np.ndarray, post: np.ndarray) -> float:
     return float(acc)
 
 
+def _ito_terms(bundle: CoefficientBundle, t: np.ndarray, x: np.ndarray, dw: np.ndarray,
+               dt: float, config: SolverConfig):
+    """The Itô terms of one step's squared-norm balance for each row of x (R, m).
+
+    Row r starts at the time ``t[r, 0]`` with the Wiener increment ``dw[r]``.
+    Returns (R,) arrays (drift, wiener, compensator):
+
+    * 2⟨A, Y⟩ dt at the point where the scheme evaluated the drift: the
+      implicit endpoint, or the tamed start.  A row that the solver's
+      halved-drift retry recovered sums its two substep pairings, each
+      weighted by dt/2; a row that fails both has a NaN drift term.
+    * ‖B‖_{L2}² dt + 2(B ΔW, x), with B at the step start.
+    * 2 dt Σ_i λ_i (γ(t, x, z_i), x), the compensator pairing.
+    """
+    if config.scheme == "drift_implicit":
+        # the solver's own drift rule and retry; only the tamed scheme reads a triple
+        y, failed, midpoints = _drift_rows(bundle, None, x, t, dt, config)
+        a_eval = np.asarray(bundle.drift(t + dt, y), dtype=float)
+        drift_term = 2.0 * dot_rows(a_eval, y) * dt
+        if midpoints:
+            r = np.array(list(midpoints))
+            half = np.stack(list(midpoints.values()))
+            t_half = t[r] + dt / 2.0
+            a_half = np.asarray(bundle.drift(t_half, half), dtype=float)
+            a_end = np.asarray(bundle.drift(t_half + dt / 2.0, y[r]), dtype=float)
+            drift_term[r] = (2.0 * dot_rows(a_half, half) * (dt / 2.0)
+                             + 2.0 * dot_rows(a_end, y[r]) * (dt / 2.0))
+        if failed:
+            drift_term[list(failed)] = np.nan
+    else:
+        a_eval = np.asarray(bundle.drift(t, x), dtype=float)
+        drift_term = 2.0 * dot_rows(a_eval, x) * dt
+
+    b = np.asarray(bundle.diffusion(t, x), dtype=float)
+    b_dw = (b @ dw[..., None])[..., 0]
+    wiener_terms = sum_squares(b) * dt + 2.0 * dot_rows(b_dw, x)
+
+    comp_term = np.zeros(x.shape[0])
+    mark_space = bundle.mark_space
+    if not mark_space.is_zero:
+        for z, lam in zip(mark_space.marks, mark_space.weights):
+            gz = np.asarray(bundle.jump(t, x, float(z)), dtype=float)
+            comp_term = comp_term + lam * 2.0 * dot_rows(gz, x)
+        comp_term = comp_term * dt
+    return drift_term, wiener_terms, comp_term
+
+
 def discrete_energy_residuals(
     records,
     bundle: CoefficientBundle,
@@ -189,14 +236,21 @@ def discrete_energy_residuals(
     Each step compares Δ‖Y‖² against 2⟨A, Y⟩ dt + ‖B‖_{L2}² dt + 2(B ΔW, Y)
     plus the jump quadratic-variation and compensated-martingale terms; the
     drift pairing is evaluated at the same point the scheme used (implicit
-    endpoint or tamed start).  The records must share one step grid: their
-    grid states are stacked into a (K+1, P, m) array, and each step makes one
-    call per coefficient on its (P, m) step-start rows.  Pairings go through
-    ``dot_rows`` and Hilbert-Schmidt sums through ``sum_squares``, so a path's
-    series has the bits of its replay alone.  Recorded jumps are checked one
-    by one: each must reproduce bit-exactly from ``bundle.jump``.  Marks and
-    compensator weights come from ``bundle.mark_space``, the measure the
-    solver drew the jumps from.
+    endpoint or tamed start, and both halved substeps where the solver's
+    retry took them).  The records must share one step grid.  Time is a
+    batch axis: a chunk of C steps stacks the grid states and Wiener
+    increments of every path into (C, P, m) arrays, flattened to one row per
+    (step, path) whose ``t`` is the step's start time, and makes one call
+    per coefficient and one ``jump`` call per mark for the compensator.  A
+    chunk holds at most ``AUDIT_BATCH_ROWS`` rows (16 steps of an 8-path
+    batch, 128 steps of one path).  Pairings go through ``dot_rows`` and
+    Hilbert-Schmidt sums through ``sum_squares``, so a path's series has the
+    bits of its replay alone, step by step at scalar times.  Recorded jumps
+    are checked one by one, before the chunks: each must reproduce
+    bit-exactly from ``bundle.jump``.  Marks and compensator weights come
+    from ``bundle.mark_space``, the measure the solver drew the jumps from.
+    A step whose drift solve fails even on the halved retry, which cannot
+    happen on a record the solver finished, gets a NaN residual.
     """
     mark_space = bundle.mark_space
     records, realizations = list(records), list(realizations)
@@ -241,51 +295,37 @@ def discrete_energy_residuals(
             jumps_at.setdefault(k, []).append((p, states[k + 1 + 2 * i], states[k + 2 + 2 * i], ev))
 
     n_paths = len(records)
-    grid_states = np.stack(grid_states, axis=1)  # (K+1, P, m)
-    wiener = np.stack([real.wiener[:n_steps, :m] for real in realizations], axis=1)  # (K, P, m)
+    wiener = [real.wiener[:n_steps, :m] for real in realizations]
 
-    per_step = np.empty((n_paths, n_steps))
+    jump_terms = np.zeros((n_steps, n_paths))
     per_jump = [[] for _ in range(n_paths)]
-    for k in range(n_steps):
-        t, x, x_next = grid_t[k], grid_states[k], grid_states[k + 1]
-
-        # the drift pairing is evaluated where the scheme evaluated the drift
-        if config.scheme == "drift_implicit":
-            if bundle.drift_implicit_solve is not None:
-                y1 = np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float)
-            else:
-                y1, failed = _newton_rows(bundle, x, t + dt, dt, config)
-                if failed:
-                    raise failed[min(failed)]
-            a_eval = np.asarray(bundle.drift(t + dt, y1), dtype=float)
-            drift_term = 2.0 * dot_rows(a_eval, y1) * dt
-        else:
-            a_eval = np.asarray(bundle.drift(t, x), dtype=float)
-            drift_term = 2.0 * dot_rows(a_eval, x) * dt
-
-        b = np.asarray(bundle.diffusion(t, x), dtype=float)
-        b_dw = (b @ wiener[k][..., None])[..., 0]
-        wiener_terms = sum_squares(b) * dt + 2.0 * dot_rows(b_dw, x)
-
-        jump_terms = np.zeros(n_paths)
-        for p, pre, post, ev in jumps_at.get(k, ()):
+    for k in sorted(jumps_at):
+        for p, pre, post, ev in jumps_at[k]:
             # bit-exact replay: the recorded jump must reproduce from the bundle
             z = float(mark_space.marks[ev.mark_index])
             g_check = np.asarray(bundle.jump(ev.time, pre, z), dtype=float)
             if not np.array_equal(pre + g_check, post):
                 raise ValueError(f"jump at t={ev.time} does not replay bit-exactly")
             g = post - pre
-            jump_terms[p] += float(np.dot(g, g)) + 2.0 * float(np.dot(g, pre))
+            jump_terms[k, p] += float(np.dot(g, g)) + 2.0 * float(np.dot(g, pre))
             per_jump[p].append(_jump_identity_residual(pre, post))
-        comp_term = np.zeros(n_paths)
-        if not mark_space.is_zero:
-            for z, lam in zip(mark_space.marks, mark_space.weights):
-                gz = np.asarray(bundle.jump(t, x, float(z)), dtype=float)
-                comp_term = comp_term + lam * 2.0 * dot_rows(gz, x)
-            comp_term = comp_term * dt
 
+    # chunk rows are k * P + p; at most AUDIT_BATCH_ROWS of them (one step
+    # when the batch is wider) keep the temporaries small, and stacking per
+    # chunk never holds the whole record twice
+    chunk = max(1, AUDIT_BATCH_ROWS // n_paths)
+    per_step = np.empty((n_steps, n_paths))
+    for k0 in range(0, n_steps, chunk):
+        k1 = min(k0 + chunk, n_steps)
+        states = np.stack([g[k0:k1 + 1] for g in grid_states], axis=1)  # (C+1, P, m)
+        x, x_next = states[:-1].reshape(-1, m), states[1:].reshape(-1, m)
+        dw = np.stack([w[k0:k1] for w in wiener], axis=1).reshape(-1, m)
+        t = np.repeat(grid_t[k0:k1], n_paths)[:, None]
+        drift_term, wiener_terms, comp_term = _ito_terms(bundle, t, x, dw, dt, config)
         delta_sq = dot_rows(x_next, x_next) - dot_rows(x, x)
-        per_step[:, k] = delta_sq - (drift_term + wiener_terms + jump_terms - comp_term)
+        per_step[k0:k1] = (delta_sq - (drift_term + wiener_terms + jump_terms[k0:k1].reshape(-1)
+                                       - comp_term)).reshape(k1 - k0, n_paths)
+    per_step = per_step.T.copy()
 
     out = []
     for steps, pj in zip(per_step, per_jump):

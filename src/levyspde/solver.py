@@ -137,21 +137,34 @@ class PathRecord:
         return self.times[self.is_grid], self.states[self.is_grid]
 
 
-def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next: float, dt: float,
+def _per_row(t) -> bool:
+    """Whether ``t`` holds one time per row; a type check, as ``np.ndim`` on a
+    float costs microseconds and the stepping asks once per drift solve."""
+    return isinstance(t, np.ndarray) and t.ndim > 0
+
+
+def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next, dt: float,
                  config: SolverConfig):
     """Damped Newton for y - dt A(t_next, y) = x, each row of x (R, m) on its own.
 
-    The residual, the Jacobian and the linear solve take all rows still
+    ``t_next`` is one time for every row, or an (R, 1) array of one time per
+    row.  The residual, the Jacobian and the linear solve take all rows still
     iterating in one call, and each row does exactly the arithmetic of a lone
     solve.  A row's step is halved up to 30 times until its residual norm is
     finite and lower.  Returns (y, {row: StepFailure}); a failed row of y is
-    meaningless.
+    meaningless, and its failure carries the row's own time.
     """
     m = x.shape[-1]
+    per_row = _per_row(t_next)
     tol = config.newton_tol * (1.0 + np.sqrt(dot_rows(x, x)))
 
     def residual(y, rows):
-        return y - dt * np.asarray(bundle.drift(t_next, y), dtype=float) - x[rows]
+        t = t_next[rows] if per_row else t_next
+        return y - dt * np.asarray(bundle.drift(t, y), dtype=float) - x[rows]
+
+    def failure(r, iterations):
+        t = float(t_next[r, 0]) if per_row else t_next
+        return StepFailure(time=t, residual=float(nf[r]), iterations=iterations)
 
     y = x.copy()
     f = residual(y, slice(None))
@@ -163,10 +176,11 @@ def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next: float, dt: fl
         live = live[~(nf[live] < tol[live])]
         if live.size == 0:
             break
+        t_live = t_next[live] if per_row else t_next
         if bundle.drift_jacobian is not None:
-            ja = np.asarray(bundle.drift_jacobian(t_next, y[live]), dtype=float)
+            ja = np.asarray(bundle.drift_jacobian(t_live, y[live]), dtype=float)
         else:
-            ja = _fd_jacobian(bundle, y[live], t_next)
+            ja = _fd_jacobian(bundle, y[live], t_live)
         delta = _solve_rows(eye - dt * ja, -f[live])
         # every row still searching has had its step halved the same number
         # of times, so one step length s serves them all
@@ -186,10 +200,10 @@ def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next: float, dt: fl
         stuck = np.zeros(live.size, dtype=bool)
         stuck[search] = True
         for r in live[stuck].tolist():
-            failed[r] = StepFailure(time=t_next, residual=float(nf[r]), iterations=it + 1)
+            failed[r] = failure(r, it + 1)
         live = live[~stuck]
     for r in live[~(nf[live] < tol[live])].tolist():
-        failed[r] = StepFailure(time=t_next, residual=float(nf[r]), iterations=config.newton_max_iter)
+        failed[r] = failure(r, config.newton_max_iter)
     return y, failed
 
 
@@ -207,14 +221,18 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _fd_jacobian(bundle: CoefficientBundle, y: np.ndarray, t: float) -> np.ndarray:
-    """Forward differences of the drift at each row of y (R, m); y_j moves alone."""
+def _fd_jacobian(bundle: CoefficientBundle, y: np.ndarray, t) -> np.ndarray:
+    """Forward differences of the drift at each row of y (R, m); y_j moves alone.
+
+    ``t`` is one time, or an (R, 1) array of one time per row.
+    """
     m = y.shape[-1]
     base = np.asarray(bundle.drift(t, y), dtype=float)
     h = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(y))
     moved = np.repeat(y[:, None, :], m, axis=1)
     moved[:, np.arange(m), np.arange(m)] += h
-    diff = np.asarray(bundle.drift(t, moved), dtype=float) - base[:, None, :]
+    t_moved = t[:, None] if _per_row(t) else t  # (R, 1, 1): one time per moved row
+    diff = np.asarray(bundle.drift(t_moved, moved), dtype=float) - base[:, None, :]
     return np.swapaxes(diff / h[:, :, None], -1, -2)
 
 
@@ -227,33 +245,39 @@ def _drift_update(bundle, triple, x, t, dt, config):
     return _newton_rows(bundle, x, t + dt, dt, config)
 
 
-def _drift_rows(bundle, triple, x, t, dt, config, dead):
-    """Drift substep of every row of x (P, m); returns (y, {row: StepFailure}).
+def _drift_rows(bundle, triple, x, t, dt, config, dead=frozenset()):
+    """Drift substep of every row of x (P, m) from the time ``t``, one time for
+    every row or an (P, 1) array of one per row.
 
     The closed-form implicit solve takes the whole batch.  Otherwise the live
     rows take one batched substep; the rows that stall retry together with
     two halved drift substeps, and a row that fails both is reported (its
-    row of y is meaningless).
+    row of y is meaningless).  Returns (y, {row: StepFailure}, {row: midpoint
+    state of a retried row that the halved substeps recovered}).
     """
     if config.scheme == "drift_implicit" and bundle.drift_implicit_solve is not None:
-        return np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float), {}
+        return np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float), {}, {}
     y = x.copy()
     rows = np.array([p for p in range(x.shape[0]) if p not in dead], dtype=int)
     if rows.size == 0:
-        return y, {}
-    y[rows], stalled = _drift_update(bundle, triple, x[rows], t, dt, config)
+        return y, {}, {}
+    per_row = _per_row(t)
+    y[rows], stalled = _drift_update(bundle, triple, x[rows], t[rows] if per_row else t, dt, config)
     if not stalled:
-        return y, {}
+        return y, {}, {}
     retry = rows[list(stalled)]
-    half, stalled = _drift_update(bundle, triple, x[retry], t, dt / 2.0, config)
+    t_retry = t[retry] if per_row else t
+    half, stalled = _drift_update(bundle, triple, x[retry], t_retry, dt / 2.0, config)
     failed = {int(retry[j]): exc for j, exc in stalled.items()}
     ok = np.array([j for j in range(retry.size) if j not in stalled], dtype=int)
     if ok.size:
+        t_ok = t_retry[ok] if per_row else t_retry
         y[retry[ok]], stalled = _drift_update(
-            bundle, triple, half[ok], t + dt / 2.0, dt / 2.0, config
+            bundle, triple, half[ok], t_ok + dt / 2.0, dt / 2.0, config
         )
         failed.update({int(retry[ok[j]]): exc for j, exc in stalled.items()})
-    return y, failed
+    midpoints = {int(retry[j]): half[j] for j in ok.tolist() if int(retry[j]) not in failed}
+    return y, failed, midpoints
 
 
 def _step_rows(x, t, dt, bundle, triple, dw, events, config, dead=frozenset()):
@@ -264,7 +288,7 @@ def _step_rows(x, t, dt, bundle, triple, dw, events, config, dead=frozenset()):
     and rows whose drift solve failed get no jumps, and their end states are
     meaningless.  Returns (end states, [(row, tau, pre, post), ...], failed).
     """
-    y, failed = _drift_rows(bundle, triple, x, t, dt, config, dead)
+    y, failed, _ = _drift_rows(bundle, triple, x, t, dt, config, dead)
     y = y + bundle.apply_diffusion(t, x, dw)
     entries = []
     for p, ev in events:

@@ -66,6 +66,35 @@ def make_pure_jump(gamma_vec, marks=None, level=2):
     return triple, bundle, constants
 
 
+def make_time_dependent(level=3, sigma=0.3, sigma_jump=0.2, marks=None):
+    """A linear model that reads its time: drift -(1 + t) u, diffusion
+    sigma (1 + t) diag(u), jump (1 + t) sigma_jump z u, with every closed form.
+
+    Each callable takes ``t`` as a float or as one time per row, (..., 1).
+    """
+    marks = marks or MarkSpace(marks=np.array([1.0, -0.5]), weights=np.array([2.0, 1.0]))
+    triple = GelfandTriple(dimension_cap=level, v_weights=np.ones(level))
+    mark_mean = float(np.sum(marks.weights * marks.marks))
+
+    def scale(t):
+        return 1.0 + np.asarray(t, dtype=float)
+
+    def diag(v):
+        return v[..., :, None] * np.eye(v.shape[-1])
+
+    bundle = CoefficientBundle(
+        drift=lambda t, u: -scale(t) * u,
+        diffusion=lambda t, u: diag(sigma * scale(t) * u),
+        jump=lambda t, u, z: scale(t) * sigma_jump * z * u,
+        mark_space=marks,
+        drift_jacobian=lambda t, u: diag(-scale(t) * np.ones(u.shape)),
+        drift_implicit_solve=lambda t, x, dt: x / (1.0 + dt * scale(t)),
+        diffusion_matvec=lambda t, u, dw: sigma * scale(t) * u * dw,
+        jump_weighted_sum=lambda t, u: scale(t) * sigma_jump * mark_mean * u,
+    )
+    return triple, bundle
+
+
 @pytest.fixture(scope="session")
 def heat_spec():
     return builtin("heat")

@@ -1,6 +1,7 @@
 """Runner behavior: exit codes, artifact determinism, output content."""
 
 import json
+import math
 
 import pytest
 
@@ -433,6 +434,20 @@ def test_residual_sidecar_counts_truncated_paths(tmp_path, capsys):
     assert "truncated" not in capsys.readouterr().out
     meta = json.loads((tmp_path / "out" / "residual_meta.json").read_text())
     assert meta["truncated_paths"] == [0, 0]
+
+
+def test_residual_replays_a_step_the_solver_retried_with_halved_drift(tmp_path, capsys):
+    # at dt 0.05 burgers1d's full implicit step from x0 stalls and two dt/2
+    # substeps finish it; the replay takes the same retry, so the dt 0.05
+    # records give finite totals and the study ends in a verdict
+    path = _write_config(tmp_path, model="burgers1d", x0=[30, 30, 30, 30],
+                         solver={"dt": 0.05, "T": 0.2, "level": 4},
+                         study={"n_paths": 4, "dt_levels": [0.1, 0.05]}, master_seed=0)
+    assert main(["residual", "--config", str(path)]) in (0, 2)
+    assert "residual [burgers1d]" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "residual.csv").read_text().splitlines()[2:]
+    fine = [row.split(",") for row in rows if row.startswith("0.05,")]
+    assert len(fine) == 1 and all(math.isfinite(float(v)) for v in fine[0][1:3])
 
 
 def test_stability_sidecar_counts_truncated_paths(tmp_path, capsys):

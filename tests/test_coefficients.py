@@ -28,6 +28,7 @@ from levyspde.models import BUILTIN_IDS, builtin, from_config, validate
 import serial_audits
 from conftest import (
     make_scalar_linear,
+    make_time_dependent,
     misdeclared_beta_constants,
     step_discontinuous_bundle,
 )
@@ -413,6 +414,54 @@ def test_audit_counters_repeat_across_reruns(allen_cahn_spec):
     first = runs[0].entries[0].to_json_dict()
     assert first["evaluations"] == runs[0].entries[0].evaluations
     assert first["descent_gain"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# time as a batch axis
+# ---------------------------------------------------------------------------
+
+
+def _time_cases():
+    _, bundle = make_time_dependent(level=4)
+    yield "time_dependent", bundle, 4
+    for model in BUILTIN_IDS:
+        yield model, builtin(model).bundle, 6
+
+
+def _time_calls(bundle, m, rng):
+    """(name, fn(t, u)) for every callable of the bundle that takes a time."""
+    dw = rng.normal(size=m)
+    calls = [("drift", bundle.drift), ("diffusion", bundle.diffusion)]
+    for z in bundle.mark_space.marks.tolist() or [1.0]:
+        calls.append((f"jump[{z}]", lambda t, u, z=z: bundle.jump(t, u, z)))
+    if bundle.drift_jacobian is not None:
+        calls.append(("drift_jacobian", bundle.drift_jacobian))
+    if bundle.drift_implicit_solve is not None:
+        calls.append(("drift_implicit_solve", lambda t, u: bundle.drift_implicit_solve(t, u, 0.01)))
+    if bundle.diffusion_matvec is not None:
+        calls.append(("diffusion_matvec",
+                      lambda t, u: bundle.diffusion_matvec(t, u, np.broadcast_to(dw, u.shape))))
+    if bundle.jump_weighted_sum is not None:
+        calls.append(("jump_weighted_sum", bundle.jump_weighted_sum))
+    return calls
+
+
+@pytest.mark.parametrize("name, bundle, m", list(_time_cases()), ids=[c[0] for c in _time_cases()])
+@pytest.mark.parametrize("lead", [(7,), (3, 4)], ids=["rows", "steps-paths"])
+def test_array_time_rows_equal_their_scalar_time_calls(name, bundle, m, lead):
+    # one time per row, (..., 1): every row has the bits of its own call at
+    # its time as a float
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=lead + (m,)) * np.geomspace(0.1, 4.0, num=lead[-1])[:, None]
+    t = rng.uniform(0.0, 1.0, size=lead + (1,))
+    for call_name, fn in _time_calls(bundle, m, rng):
+        got = np.asarray(fn(t, u), dtype=float)
+        for idx in np.ndindex(*lead):
+            want = np.asarray(fn(float(t[idx][0]), u[idx]), dtype=float)
+            np.testing.assert_array_equal(got[idx], want, err_msg=f"{name} {call_name} row {idx}")
+        if name == "time_dependent":
+            # the oracle bundle does read its time
+            assert not np.array_equal(got, np.asarray(fn(0.0, u), dtype=float)), call_name
 
 
 # ---------------------------------------------------------------------------

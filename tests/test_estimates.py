@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from levyspde import estimates
+from levyspde.coefficients import AUDIT_BATCH_ROWS
 from levyspde.estimates import discrete_energy_residuals, energy_table, modulus_of_continuity
 from levyspde.models import builtin
 from levyspde.noise import JumpEvent, MarkSpace, sample_noise
 from levyspde.parallel import batch_seeds
-from levyspde.solver import PathRecord, SolverConfig, solve_path, solve_paths
+from levyspde.solver import PathRecord, SolverConfig, _newton_rows, solve_path, solve_paths
 
 import serial_replay
-from conftest import make_pure_jump, make_scalar_linear
+from conftest import make_pure_jump, make_scalar_linear, make_time_dependent
 
 
 def _record_from_states(times, states, dt, T, weights=None):
@@ -298,6 +299,93 @@ def test_batched_replay_rejects_a_wrong_seed_and_mixed_grids(heat_spec):
         discrete_energy_residuals(records[:1] + fine_records, heat_spec.bundle,
                                   noise[:1] + fine_noise, cfg)
     assert discrete_energy_residuals([], heat_spec.bundle, [], cfg) == []
+
+
+@pytest.mark.parametrize("variant", ["closed-form", "newton", "fd-newton", "tamed"])
+@pytest.mark.parametrize("n_paths, T, dt", [(8, 0.3, 0.01), (3, 0.5, 0.005)], ids=["8x30", "3x100"])
+def test_stacked_replay_of_a_time_dependent_bundle_matches_serial_replay(variant, n_paths, T, dt):
+    # every coefficient reads t, so a replay that gave a row the wrong time,
+    # or none, would change its bits; 3 paths take chunks of 42 steps
+    triple, bundle = make_time_dependent(level=3)
+    if variant != "closed-form":
+        bundle = dataclasses.replace(bundle, drift_implicit_solve=None)
+    if variant == "fd-newton":
+        bundle = dataclasses.replace(bundle, drift_jacobian=None)
+    scheme = "tamed_explicit" if variant == "tamed" else "drift_implicit"
+    cfg = SolverConfig(dt=dt, T=T, level=3, scheme=scheme)
+    seeds = batch_seeds(21, n_paths, n_paths)[0]
+    noise = [sample_noise(3, T, dt, bundle.mark_space, s) for s in seeds]
+    records = solve_paths(bundle, triple, np.array([1.0, -0.5, 0.25]), cfg, seeds, noise=noise)
+    batched = discrete_energy_residuals(records, bundle, noise, cfg)
+    for rec, real, got in zip(records, noise, batched):
+        want = serial_replay.discrete_energy_residual(rec, bundle, real, cfg)
+        np.testing.assert_array_equal(got.per_step, want.per_step)
+        np.testing.assert_array_equal(got.per_jump, want.per_jump)
+        assert got.total == want.total
+    assert sum(s.per_jump.size for s in batched) > 0
+
+
+def _recording(bundle):
+    """The bundle with every time-taking callable wrapped to log (name, rows)."""
+    calls = []
+
+    def wrap(name, fn):
+        def logged(t, u, *rest):
+            calls.append((name, int(np.prod(u.shape[:-1]))))
+            return fn(t, u, *rest)
+        return logged
+
+    names = ("drift", "diffusion", "jump", "drift_jacobian", "drift_implicit_solve",
+             "diffusion_matvec", "jump_weighted_sum")
+    fields = {n: wrap(n, getattr(bundle, n)) for n in names if getattr(bundle, n) is not None}
+    return dataclasses.replace(bundle, **fields), calls
+
+
+@pytest.mark.parametrize("n_paths", [1, 8])
+def test_replay_calls_stay_within_the_row_cap(heat_spec, n_paths):
+    # 500 steps: 128 steps of one path, or 16 steps of 8 paths, per chunk
+    cfg = SolverConfig(dt=1e-3, T=0.5, level=4)
+    records, noise = _replay_batch(heat_spec, cfg, n_paths, seed=2)
+    bundle, calls = _recording(heat_spec.bundle)
+    series = discrete_energy_residuals(records, bundle, noise, cfg)
+    assert [s.per_step.size for s in series] == [500] * n_paths
+    assert max(rows for _, rows in calls) <= AUDIT_BATCH_ROWS
+    diffusion = [rows for name, rows in calls if name == "diffusion"]
+    assert len(diffusion) == -(-500 * n_paths // AUDIT_BATCH_ROWS)
+    assert sum(diffusion) == 500 * n_paths
+
+
+def test_replay_runs_the_solvers_halved_drift_retry():
+    # from ‖x0‖ = 60 burgers1d's full implicit step at dt 0.05 stalls, and
+    # the solver finishes it with two dt/2 substeps: the replay takes the
+    # same retry, so the record replays to finite residuals
+    spec = builtin("burgers1d")
+    x0 = np.array([30.0, 30.0, 30.0, 30.0])
+    cfg = SolverConfig(dt=0.05, T=0.2, level=4)
+    seeds = batch_seeds(0, 4)[0]
+    noise = [sample_noise(4, cfg.T, cfg.dt, spec.bundle.mark_space, s) for s in seeds]
+    records = solve_paths(spec.bundle, spec.triple, x0, cfg, seeds, noise=noise)
+    assert all(rec.truncated_at is None for rec in records)
+    series = discrete_energy_residuals(records, spec.bundle, noise, cfg)
+    assert all(np.all(np.isfinite(s.per_step)) for s in series)
+
+    # step 0 of path 0 by hand: the two substep pairings, each weighted dt/2
+    bundle, dt = spec.bundle, cfg.dt
+    t, grid = records[0].step_grid_view()
+    x, x_next = grid[0], grid[1]
+    assert _newton_rows(bundle, x[None], t[0] + dt, dt, cfg)[1]
+    half, failed = _newton_rows(bundle, x[None], t[0] + dt / 2, dt / 2, cfg)
+    y, failed_end = _newton_rows(bundle, half, t[0] + dt / 2 + dt / 2, dt / 2, cfg)
+    assert not failed and not failed_end
+    ends = ((t[0] + dt / 2, half[0]), (t[0] + dt / 2 + dt / 2, y[0]))
+    drift = dt * sum(float(np.dot(bundle.drift(s, v), v)) for s, v in ends)
+    b = bundle.diffusion(t[0], x)
+    wiener = float(np.sum(b * b)) * dt + 2.0 * float(np.dot(b @ noise[0].wiener[0, :4], x))
+    comp = dt * sum(lam * 2.0 * float(np.dot(bundle.jump(t[0], x, z), x))
+                    for z, lam in zip(bundle.mark_space.marks, bundle.mark_space.weights))
+    assert records[0].times[1] == t[1]  # no jump in step 0
+    want = float(np.dot(x_next, x_next) - np.dot(x, x)) - (drift + wiener - comp)
+    assert series[0].per_step[0] == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

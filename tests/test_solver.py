@@ -20,7 +20,7 @@ from levyspde.solver import (
 )
 from levyspde.spaces import GelfandTriple
 
-from conftest import make_pure_jump, make_scalar_linear
+from conftest import make_pure_jump, make_scalar_linear, make_time_dependent
 
 
 def _quiet(m, dt, T, jumps=()):
@@ -508,6 +508,56 @@ def test_batch_newton_matches_one_state_oracle(name):
         np.testing.assert_array_equal(got.residual, exc.residual)
     assert len(failed) < len(rows)
     assert failed or name != "stalling"
+
+
+def _time_newton_bundle(fd):
+    """The time-dependent oracle's drift plus a cubic, -(1 + t) u - u³, so
+    that Newton iterates; ``fd`` drops the Jacobian for finite differences."""
+    _, bundle = make_time_dependent(level=4)
+
+    def jacobian(t, u):
+        return -(1.0 + np.asarray(t) + 3.0 * u**2)[..., :, None] * np.eye(u.shape[-1])
+
+    return dataclasses.replace(
+        bundle, drift=lambda t, u: -(1.0 + np.asarray(t)) * u - u**3,
+        drift_jacobian=None if fd else jacobian, drift_implicit_solve=None,
+    )
+
+
+@pytest.mark.parametrize("name", ["allen_cahn", "time_dependent", "time_dependent-fd"])
+def test_per_row_times_newton_matches_one_row_calls(name):
+    # t_next of shape (R, 1): each row has the bits of its own scalar solve
+    rng = np.random.default_rng(23)
+    if name == "allen_cahn":
+        bundle, rows, dt, cfg = _newton_case("allen_cahn")
+    else:
+        bundle = _time_newton_bundle(fd=name.endswith("-fd"))
+        rows = np.array([0.1, 0.5, 1.0, 3.0, 6.0])[:, None] * rng.normal(size=(5, 4))
+        dt, cfg = 0.1, SolverConfig(dt=0.1, T=1.0, level=4)
+    t_next = rng.uniform(0.0, 2.0, size=(rows.shape[0], 1))
+    y, failed = _newton_rows(bundle, rows, t_next, dt, cfg)
+    assert not failed
+    for r in range(rows.shape[0]):
+        want, want_failed = _newton_rows(bundle, rows[r:r + 1], float(t_next[r, 0]), dt, cfg)
+        assert not want_failed
+        np.testing.assert_array_equal(y[r], want[0])
+
+
+def test_per_row_times_newton_failure_carries_its_rows_time():
+    bundle, rows, dt, cfg = _newton_case("stalling")
+    t_next = 0.25 + 0.01 * np.arange(rows.shape[0], dtype=float)[:, None]
+    y, failed = _newton_rows(bundle, rows, t_next, dt, cfg)
+    assert failed and len(failed) < len(rows)
+    for r in range(rows.shape[0]):
+        want, want_failed = _newton_rows(bundle, rows[r:r + 1], float(t_next[r, 0]), dt, cfg)
+        assert (r in failed) == bool(want_failed)
+        if want_failed:
+            got, exc = failed[r], want_failed[0]
+            assert got.time == t_next[r, 0] == exc.time
+            assert got.iterations == exc.iterations
+            np.testing.assert_array_equal(got.residual, exc.residual)
+        else:
+            np.testing.assert_array_equal(y[r], want[0])
 
 
 def test_any_subset_of_a_batch_keeps_each_rows_bits():
