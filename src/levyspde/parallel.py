@@ -36,18 +36,40 @@ def _run(i: int):
     return fn(ctx, i)
 
 
+def _place(cpus: list[int], started) -> None:
+    """Pool initializer: move the k-th worker to ``cpus[k % len(cpus)]``, k
+    taken from the queue ``started``, then allow it the whole set again.
+
+    Some kernels leave every fork child on the parent's CPU and do not
+    balance them, so two workers on two idle CPUs would share one.  The
+    placement is a start, not a pin: the kernel may still move the worker.
+    """
+    k = started.get()
+    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+    os.sched_setaffinity(0, cpus)
+
+
 def map_indexed(fn, ctx, n: int, workers: int = 1) -> list:
-    """[fn(ctx, 0), ..., fn(ctx, n-1)], possibly computed on fork workers."""
+    """[fn(ctx, 0), ..., fn(ctx, n-1)], possibly computed on fork workers,
+    which start spread over the CPUs this process may use."""
     if workers <= 1 or n <= 1:
         return [fn(ctx, i) for i in range(n)]
     try:
         mp = multiprocessing.get_context("fork")
     except ValueError:
         return [fn(ctx, i) for i in range(n)]
+    place = {}
+    if hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) > 1:
+            started = mp.SimpleQueue()
+            for k in range(min(workers, n)):
+                started.put(k)
+            place = {"initializer": _place, "initargs": (cpus, started)}
     global _TASK
     _TASK = (fn, ctx)
     try:
-        with mp.Pool(processes=min(workers, n)) as pool:
+        with mp.Pool(processes=min(workers, n), **place) as pool:
             chunk = max(1, n // (workers * 4))
             return pool.map(_run, range(n), chunksize=chunk)
     finally:

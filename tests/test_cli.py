@@ -2,6 +2,8 @@
 
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
@@ -122,6 +124,30 @@ def test_rerun_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
             assert main([command, "--config", str(path), "--workers", workers]) == code, command
             bodies.append((tmp_path / "out" / artifact).read_bytes())
         assert len(set(bodies)) == 1, (command, extra, model)
+
+
+def _worker_mask(ctx, i):
+    return i, sorted(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_fork_workers_start_on_distinct_cpus_without_a_pin(monkeypatch):
+    # the k-th worker is moved to cpus[k % n] and then given back the whole set
+    calls = []
+    monkeypatch.setattr(parallel.os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus)))
+    started = multiprocessing.get_context("fork").SimpleQueue()
+    for k in range(3):
+        started.put(k)
+    for _ in range(3):
+        parallel._place([0, 3], started)
+    assert calls == [{0}, {0, 3}, {3}, {0, 3}, {0}, {0, 3}]
+    assert started.empty()
+    monkeypatch.undo()
+
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("placement needs two CPUs")
+    mask = sorted(os.sched_getaffinity(0))
+    assert parallel.map_indexed(_worker_mask, None, 6, workers=2) == [(i, mask) for i in range(6)]
 
 
 def test_seed_override_changes_artifacts(tmp_path):
