@@ -323,17 +323,24 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     n_paths = _study_paths(exp, 16)
     stress = _study_bool(exp, "stress")
-    sup = wellposedness.pathwise_uniqueness_test(
+    sups = wellposedness.uniqueness_sups(
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver,
         n_paths, exp.master_seed, stress=stress, workers=workers,
     )
+    sup = float(np.max(sups))
     _write_table(out / "uniqueness.csv", ANCHORS["uniqueness"],
                  ("mode", "n_paths", "max_sup_difference", "seed"),
                  [("stress" if stress else "replay", n_paths, sup, exp.master_seed)], fmt)
     scale = float(np.linalg.norm(exp.initial_state()))
-    ok = sup == 0.0 if not stress else sup <= 1e-9 * max(scale, 1.0)
-    _write_sidecar(out / "uniqueness_meta.json", exp, "uniqueness", ok, {"max_sup_difference": sup})
-    return ok, f"max sup-difference {sup:.3e} over {n_paths} paths"
+    truncated = int(np.isnan(sups).sum())
+    # a truncated path's sup is NaN, which fails the comparisons too
+    ok = truncated == 0 and (sup == 0.0 if not stress else sup <= 1e-9 * max(scale, 1.0))
+    _write_sidecar(out / "uniqueness_meta.json", exp, "uniqueness", ok,
+                   {"max_sup_difference": sup, "truncated_paths": truncated})
+    summary = f"max sup-difference {sup:.3e} over {n_paths} paths"
+    if truncated:
+        summary += f"; {truncated} of {n_paths} paths truncated"
+    return ok, summary
 
 
 def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
@@ -381,9 +388,14 @@ def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     order = np.argsort(table.deltas)
     slope = table.log_slope()
     # a truncated path makes the table NaN, which fails the comparisons too
-    ok = bool(np.all(np.diff(table.values[order]) >= 0.0) and np.isfinite(slope))
-    _write_sidecar(out / "depend_meta.json", exp, "depend", ok, {"log_slope": slope, "p": p})
-    return ok, f"table log-log slope {slope:.3f} at p={p:g}"
+    ok = bool(table.truncated_paths == 0 and np.all(np.diff(table.values[order]) >= 0.0)
+              and np.isfinite(slope))
+    _write_sidecar(out / "depend_meta.json", exp, "depend", ok,
+                   {"log_slope": slope, "p": p, "truncated_paths": table.truncated_paths})
+    summary = f"table log-log slope {slope:.3f} at p={p:g}"
+    if table.truncated_paths:
+        summary += f"; {table.truncated_paths} of {n_paths} paths truncated"
+    return ok, summary
 
 
 def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):

@@ -4,8 +4,12 @@ Workers receive only the task index; the task context (bundles hold
 closures, which do not pickle) is inherited through fork.  Results come
 back in index order, so every aggregation downstream reduces in a fixed
 order and the output is bit-identical for any worker count.  An ensemble
-study splits its paths into fixed batches (``batch_seeds``), one task each,
-so the batches never depend on the workers either.
+study splits its paths into batches, one task each: most into fixed batches
+(``batch_seeds``), which do not depend on the workers, and the stability
+study into one near-equal batch per worker (``split_seeds``), as it keeps no
+path's states.  Its batches then follow ``--workers``, but its bits do not:
+the solver gives every row of a batch exactly the arithmetic it would do
+alone, and the study reduces each pair's curve in pair order.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import os
 
 from .rng import path_seed
 
-__all__ = ["map_indexed", "worker_count", "batch_seeds"]
+__all__ = ["map_indexed", "worker_count", "batch_seeds", "split_seeds"]
 
 #: paths per study task when the study names no batch size of its own
 STUDY_BATCH = 8
@@ -29,6 +33,16 @@ def batch_seeds(seed: int, n_paths: int, batch: int | None = None) -> list[list[
     batch = batch or STUDY_BATCH
     seeds = [path_seed(seed, i) for i in range(n_paths)]
     return [seeds[i : i + batch] for i in range(0, n_paths, batch)]
+
+
+def split_seeds(seed: int, n_paths: int, tasks: int) -> list[list[int]]:
+    """Path seeds 0 .. n_paths-1 under ``seed``, split into min(tasks,
+    n_paths) tasks whose sizes differ by at most one, the longer ones first."""
+    seeds = [path_seed(seed, i) for i in range(n_paths)]
+    tasks = min(tasks, n_paths)
+    size, extra = divmod(n_paths, tasks)
+    bounds = [i * size + min(i, extra) for i in range(tasks + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run(i: int):

@@ -49,8 +49,9 @@ __all__ = [
     "apply_stopping",
 ]
 
-#: Wiener steps an ensemble solve draws and holds at a time
-WIENER_CHUNK = 64
+#: (step, path) rows of Wiener increments an ensemble solve draws and holds
+#: at a time; a chunk spans ``max(1, WIENER_ROWS // P)`` steps of P paths
+WIENER_ROWS = 1024
 
 
 class StepFailure(RuntimeError):
@@ -319,12 +320,14 @@ def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray)
     return norm_h.reshape(shape), norm_v.reshape(shape)
 
 
-def _solve(bundle, triple, x0, config, seeds, chunks, jumps, keep_states):
+def _solve(bundle, triple, x0, config, seeds, chunks, jumps, keep_states, on_grid=None):
     """The stepping core: P = len(seeds) paths as one (P, m) array.
 
     ``x0`` is the shared initial datum (m0,) or one row per path (P, m0);
     ``chunks`` yields the Wiener increments in time chunks of shape
     (steps, P, m); ``jumps[p]`` is path p's time-sorted event list.
+    ``on_grid(k, block)`` receives the grid states k .. k + len(block) - 1
+    of every path as each chunk is finished.
     """
     m, dt, n_steps = config.level, config.dt, config.n_steps
     if m > triple.dimension_cap:
@@ -347,6 +350,8 @@ def _solve(bundle, triple, x0, config, seeds, chunks, jumps, keep_states):
     states = np.empty((n_steps + 1, n_paths, m)) if keep_states else None
     if keep_states:
         states[0] = x
+    if on_grid is not None:
+        on_grid(0, x[None])
     entries = [[] for _ in range(n_paths)]
     steps_done = [n_steps] * n_paths
     dead: set[int] = set()
@@ -368,6 +373,8 @@ def _solve(bundle, triple, x0, config, seeds, chunks, jumps, keep_states):
             x = y
             k += 1
         norm_h[k0 + 1 : k + 1], norm_v[k0 + 1 : k + 1] = _norms(bundle, triple, block)
+        if on_grid is not None:
+            on_grid(k0 + 1, block)
     return [
         _record(bundle, triple, config, seeds[p], grid, norm_h[:, p], norm_v[:, p],
                 None if states is None else states[:, p], entries[p], steps_done[p])
@@ -452,25 +459,37 @@ def solve_paths(
     seeds,
     keep_states: bool = True,
     noise=None,
+    on_grid=None,
 ) -> list[PathRecord]:
     """One record per seed, the paths advanced as one batch.
 
     ``x0`` is shared (m0,) or gives each path its own row (P, m0).  A path's
     record does not depend on the batch it ran in, and paths that repeat a
     seed share its noise.  Each path draws its Wiener increments from its
-    own sub-stream, in chunks of ``WIENER_CHUNK`` steps, so the
-    whole-horizon noise is never held, and its jumps from
-    ``bundle.mark_space``, the measure the compensator integrates against.
+    own sub-stream and its jumps from ``bundle.mark_space``, the measure the
+    compensator integrates against.  The batch steps through its Wiener
+    increments in chunks of at most ``WIENER_ROWS`` (step, path) rows (one
+    step when the batch is wider), so the whole-horizon noise is never held;
+    a chunk only splits each path's stream, so its size moves no bit.
     ``noise``, when given, holds one realization per path on the solver's
     grid, with mark indices into that same measure: path p then consumes the
     first ``config.level`` Wiener modes of ``noise[p]`` and its jumps up to
     T, and ``seeds[p]`` only labels the record.  With ``keep_states=False``
     the records carry times and norms only.
+
+    ``on_grid``, when given, is called as ``on_grid(k, block)`` with the
+    grid states of every path: first ``k = 0`` and the initial rows (1, P,
+    m), then, as each chunk is finished, the index of its first grid row
+    and its states (steps, P, m).  A truncated path's rows past the end of
+    its record are meaningless and may be non-finite.  The records then
+    carry times and norms only, so a study can reduce the states as they
+    come and keep none.
     """
     seeds = [int(s) for s in seeds]
     m, n_steps = config.level, config.n_steps
+    chunk = max(1, WIENER_ROWS // len(seeds))
     if noise is None:
-        chunks = wiener_chunks(seeds, m, n_steps, config.dt, WIENER_CHUNK)
+        chunks = wiener_chunks(seeds, m, n_steps, config.dt, chunk)
         jumps_of = {s: sample_jumps(config.T, bundle.mark_space, s) for s in dict.fromkeys(seeds)}
         jumps = [jumps_of[s] for s in seeds]
     else:
@@ -481,11 +500,12 @@ def solve_paths(
                 raise ValueError("realization grid does not match the solver config")
         wiener = [real.wiener[:n_steps, :m] for real in noise]
         chunks = (
-            np.stack([w[k0 : k0 + WIENER_CHUNK] for w in wiener], axis=1)
-            for k0 in range(0, n_steps, WIENER_CHUNK)
+            np.stack([w[k0 : k0 + chunk] for w in wiener], axis=1)
+            for k0 in range(0, n_steps, chunk)
         )
         jumps = [tuple(ev for ev in real.jumps if ev.time <= config.T) for real in noise]
-    return _solve(bundle, triple, x0, config, seeds, chunks, jumps, keep_states)
+    return _solve(bundle, triple, x0, config, seeds, chunks, jumps,
+                  keep_states and on_grid is None, on_grid)
 
 
 def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0):

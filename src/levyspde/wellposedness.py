@@ -21,9 +21,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .coefficients import CoefficientBundle, HypothesisConstants
+from .coefficients import AUDIT_BATCH_ROWS, CoefficientBundle, HypothesisConstants, _batched
 from .noise import JumpEvent, NoiseRealization, ci99, grid_times, sample_noise, step_index
-from .parallel import batch_seeds, map_indexed
+from .parallel import batch_seeds, map_indexed, split_seeds
 from .solver import SolverConfig, solve_paths
 from .spaces import GelfandTriple, dot_rows
 
@@ -32,23 +32,31 @@ __all__ = [
     "DependenceTable",
     "ConvergenceTable",
     "pathwise_uniqueness_test",
+    "uniqueness_sups",
     "weighted_stability_mc",
     "continuous_dependence_study",
     "galerkin_convergence",
 ]
 
 
-def _stability_weights(f_at, rho, eta, times, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """φ(t) = exp(−∫_0^t [f + ρ(Y1) + η(Y2)] ds) at each step end t_1 .. t_K.
+def _stability_weights(rates, times) -> np.ndarray:
+    """φ(t) = exp(−∫_0^t [f + ρ(Y_a) + η(Y_b)] ds) at each step end t_1 .. t_K.
 
-    ``times`` holds the step grid t_0 .. t_K and ``y1``, ``y2`` the states
-    there (K + 1, m).  The integral is a left-Riemann sum, so for
-    nonnegative f, ρ, η the weight stays in (0, 1] and is nonincreasing.
+    ``times`` holds the step grid t_0 .. t_K, and ``rates`` the integrand
+    (f + ρ(Y_a)) + η(Y_b) at t_0 .. t_{K-1}: shape (K,) for one pair, or
+    (K, n) with one column per pair.  The integral is a left-Riemann sum, so
+    for nonnegative f, ρ, η the weight stays in (0, 1] and is nonincreasing.
     """
-    f = np.array([f_at(t) for t in times[:-1].tolist()])
-    increments = (f + rho(y1[:-1]) + eta(y2[:-1])) * np.diff(times)
-    # cumsum adds in step order, so each entry is the running sum's value
-    return np.array([math.exp(-v) for v in np.cumsum(increments).tolist()])
+    dt = np.diff(times)
+    increments = rates * (dt if np.ndim(rates) == 1 else dt[:, None])
+    # cumsum adds in step order down each column, so every entry is its
+    # pair's running sum; math.exp, as numpy's exp rounds differently, one
+    # column at a time, so no more than K Python floats are ever held
+    running = np.cumsum(increments, axis=0)
+    phis = np.empty_like(running)
+    for v, phi in zip(running.reshape(len(running), -1).T, phis.reshape(len(running), -1).T):
+        phi[:] = [math.exp(-x) for x in v.tolist()]
+    return phis
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +104,29 @@ def _uniqueness_worker(ctx, b: int):
     return sups
 
 
+def uniqueness_sups(
+    bundle: CoefficientBundle,
+    triple: GelfandTriple,
+    x0,
+    config: SolverConfig,
+    n_paths: int,
+    seed: int,
+    stress: bool = False,
+    workers: int = 1,
+) -> np.ndarray:
+    """sup_t ‖Y1 − Y2‖_H of each path, for two solves on identical data.
+
+    With the default deterministic scheme the two solves are bit-identical
+    and every entry is exactly 0.  ``stress=True`` reverses the application
+    order of marks that share a step, measuring the reordering effect.  A
+    path with a truncated record gives NaN.
+    """
+    batches = batch_seeds(seed, n_paths)
+    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, batches, stress)
+    sups = map_indexed(_uniqueness_worker, ctx, len(batches), workers)
+    return np.array([s for batch in sups for s in batch])
+
+
 def pathwise_uniqueness_test(
     bundle: CoefficientBundle,
     triple: GelfandTriple,
@@ -106,16 +137,10 @@ def pathwise_uniqueness_test(
     stress: bool = False,
     workers: int = 1,
 ) -> float:
-    """max over paths of sup_t ‖Y1 − Y2‖_H for two solves on identical data.
-
-    With the default deterministic scheme the two solves are bit-identical
-    and the result is exactly 0.  ``stress=True`` reverses the application
-    order of marks that share a step, measuring the reordering effect.
-    """
-    batches = batch_seeds(seed, n_paths)
-    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, batches, stress)
-    sups = map_indexed(_uniqueness_worker, ctx, len(batches), workers)
-    return float(np.max([s for batch in sups for s in batch]))
+    """max over paths of sup_t ‖Y1 − Y2‖_H (``uniqueness_sups``); NaN when a
+    path was truncated."""
+    return float(np.max(uniqueness_sups(bundle, triple, x0, config, n_paths, seed,
+                                        stress=stress, workers=workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +162,39 @@ class StabilityResult:
 
 
 def _stability_worker(ctx, b: int):
-    # rows [x0_a] * n + [x0_b] * n: path i's pair shares its seed's noise
+    # rows [x0_a] * n + [x0_b] * n: path i's pair shares its seed's noise;
+    # each finished chunk of grid states is reduced to the pair curves' terms
     bundle, triple, constants, x0_a, x0_b, config, batches = ctx
     seeds = batches[b]
-    n = len(seeds)
-    x0 = np.stack([triple.project(u, config.level).coeffs for u in (x0_a, x0_b)])
-    records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds)
-    return [_stability_curve(bundle, constants, config, rec_a, rec_b)
-            for rec_a, rec_b in zip(records[:n], records[n:])]
+    n, m = len(seeds), config.level
+    x0 = np.stack([triple.project(u, m).coeffs for u in (x0_a, x0_b)])
+    times = grid_times(config.T, config.dt)
+    f = np.array([constants.f_at(t) for t in times.tolist()])[:, None]
+    sq, rates = np.empty((times.size, n)), np.empty((times.size, n))
 
+    def reduce(k, block):
+        a, b = block[:, :n], block[:, n:]
+        rows = slice(k, k + len(block))
+        # a truncated pair's rows are meaningless; its curve is NaN below
+        with np.errstate(all="ignore"):
+            d = a - b
+            sq[rows] = dot_rows(d, d)
+            rho_a, eta_b = _batched(lambda u, v: (bundle.rho(u), bundle.eta(v)),
+                                    a.reshape(-1, m), b.reshape(-1, m))
+            rates[rows] = f[rows] + rho_a.reshape(len(block), n)
+            rates[rows] += eta_b.reshape(len(block), n)
 
-def _stability_curve(bundle, constants, config, rec_a, rec_b):
-    """(truncated, curve) of one pair; a truncated pair's curve is all NaN."""
-    if rec_a.truncated_at is not None or rec_b.truncated_at is not None:
-        return True, np.full(config.n_steps + 1, np.nan)
-    t_a, s_a = rec_a.step_grid_view()
-    _, s_b = rec_b.step_grid_view()
-    phis = _stability_weights(constants.f_at, bundle.rho, bundle.eta, t_a, s_a, s_b)
-    sq = dot_rows(s_a - s_b, s_a - s_b)
-    return False, np.concatenate([sq[:1], phis * sq[1:]])
+    records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds,
+                          on_grid=reduce)
+    # a pair is truncated when either member is; the norms-only records go
+    # before the weights are formed
+    truncated = np.array([rec.truncated_at is not None for rec in records]).reshape(2, n).any(axis=0)
+    del records
+    rates[:, truncated] = np.nan  # so no weight is taken of a truncated pair's rows
+    curves = sq.copy()
+    curves[1:] *= _stability_weights(rates[:-1], times)
+    curves[:, truncated] = np.nan
+    return truncated, curves
 
 
 def weighted_stability_mc(
@@ -179,11 +218,12 @@ def weighted_stability_mc(
         raise ValueError("weighted stability requires the bundle to declare rho and eta")
     x0_a = np.asarray(x0_a, dtype=float)
     x0_b = np.asarray(x0_b, dtype=float)
-    batches = batch_seeds(seed, n_paths)
+    # one task per worker, of at most AUDIT_BATCH_ROWS solver rows (two per pair)
+    batches = split_seeds(seed, n_paths, max(workers, -(-2 * n_paths // AUDIT_BATCH_ROWS)))
     ctx = (bundle, triple, constants, x0_a, x0_b, config, batches)
     per_batch = map_indexed(_stability_worker, ctx, len(batches), workers)
-    pairs = [pair for batch in per_batch for pair in batch]
-    curves = np.stack([curve for _, curve in pairs])
+    # one C-ordered row per pair, so the mean adds the pairs in seed order
+    curves = np.concatenate([batch_curves for _, batch_curves in per_batch], axis=1).T.copy()
     lhs = curves.mean(axis=0)
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
     times = grid_times(config.T, config.dt)
@@ -204,7 +244,7 @@ def weighted_stability_mc(
         passed=bool(np.all(margins >= 0.0)),
         worst_t=float(times[worst]),
         worst_margin=float(margins[worst]),
-        truncated_paths=sum(truncated for truncated, _ in pairs),
+        truncated_paths=int(sum(truncated.sum() for truncated, _ in per_batch)),
     )
 
 
@@ -219,6 +259,7 @@ class DependenceTable:
     values: np.ndarray  # E[sup_t ‖Y(x0+Δd) − Y(x0)‖_H^p]
     ci99: np.ndarray
     p: float
+    truncated_paths: int  # paths with a truncated record, whose rows are NaN
 
     def log_slope(self) -> float:
         """Least-squares slope of log value against log Δ; NaN below 2 usable points."""
@@ -279,6 +320,7 @@ def continuous_dependence_study(
         values=rows.mean(axis=0),
         ci99=np.array([ci99(rows[:, j]) for j in range(rows.shape[1])]),
         p=float(p),
+        truncated_paths=int(np.isnan(rows).any(axis=1).sum()),
     )
 
 

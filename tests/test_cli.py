@@ -493,6 +493,24 @@ def test_stability_sidecar_counts_truncated_paths(tmp_path, capsys):
     assert meta["truncated_paths"] == 0
 
 
+@pytest.mark.parametrize("command", ["depend", "uniqueness"])
+def test_depend_and_uniqueness_sidecars_count_truncated_paths(tmp_path, capsys, command):
+    # ‖x0‖_H overflows: every path is truncated, and the study fails closed
+    path = _write_config(tmp_path, x0=[1e308, 1e308], study={"n_paths": 4})
+    assert main([command, "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out and out.rstrip().endswith("; 4 of 4 paths truncated")
+    meta = json.loads((tmp_path / "out" / f"{command}_meta.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert meta["pass"] is False and meta["truncated_paths"] == 4
+
+    path = _write_config(tmp_path, study={"n_paths": 4})
+    assert main([command, "--config", str(path)]) == 0
+    assert "truncated" not in capsys.readouterr().out
+    meta = json.loads((tmp_path / "out" / f"{command}_meta.json").read_text())
+    assert meta["truncated_paths"] == 0
+
+
 #: a custom model whose cubic reaction overflows to inf on moderate states
 BLOWUP_MODEL = {
     "name": "blowup",

@@ -373,6 +373,32 @@ def test_batch_rows_equal_single_path_solves(model_id, scheme):
         assert light.states is None
 
 
+@pytest.mark.parametrize("model_id", ["heat", "allen_cahn"])
+@pytest.mark.parametrize("drawn", [True, False], ids=["drawn", "noise"])
+def test_on_grid_blocks_are_the_kept_grid_states(model_id, drawn):
+    # 40 rows step in Wiener chunks of 1024 // 40 = 25 steps; the hook sees
+    # the initial rows, then each finished chunk, and the records keep norms
+    spec = builtin(model_id)
+    cfg = SolverConfig(dt=0.01, T=0.5, level=5)
+    seeds = [path_seed(5, i) for i in range(40)]
+    noise = {} if drawn else {
+        "noise": [sample_noise(5, cfg.T, cfg.dt, spec.bundle.mark_space, s) for s in seeds]}
+    args = (spec.bundle, spec.triple, spec.default_x0, cfg, seeds)
+    blocks = []
+    streamed = solve_paths(*args, on_grid=lambda k, block: blocks.append((k, block.copy())),
+                           **noise)
+    kept = solve_paths(*args, **noise)
+    norms_only = solve_paths(*args, keep_states=False, **noise)
+    assert [k for k, _ in blocks] == [0, 1, 26]
+    assert [block.shape for _, block in blocks] == [(1, 40, 5), (25, 40, 5), (25, 40, 5)]
+    states = np.concatenate([block for _, block in blocks])
+    assert sum(rec.n_jump_entries > 0 for rec in kept) >= 10
+    for p, (rec, full, light) in enumerate(zip(streamed, kept, norms_only)):
+        assert full.truncated_at is None and rec.states is None
+        np.testing.assert_array_equal(states[:, p], full.states[full.is_grid])
+        _assert_same_record(rec, light, states=False)
+
+
 def _stalling_bundle():
     # past u = 1.0100003 the implicit equation y - dt(-y + 1e8 (y-1)_+^2) = u
     # has no root at dt = 0.01

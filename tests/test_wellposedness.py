@@ -1,21 +1,25 @@
 """Uniqueness replay, weighted stability, dependence, level convergence."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from levyspde import parallel
-from levyspde.coefficients import CoefficientBundle, HypothesisConstants
-from levyspde.noise import JumpEvent, MarkSpace, NoiseRealization, sample_noise
+from levyspde import parallel, solver, wellposedness
+from levyspde.coefficients import AUDIT_BATCH_ROWS, CoefficientBundle, HypothesisConstants
+from levyspde.models import builtin
+from levyspde.noise import JumpEvent, MarkSpace, NoiseRealization, ci99, sample_noise
+from levyspde.parallel import batch_seeds
 from levyspde.solver import SolverConfig, solve_paths
-from levyspde.spaces import GelfandTriple
+from levyspde.spaces import GelfandTriple, dot_rows
 from levyspde.wellposedness import (
     _reorder_same_step_marks,
     _stability_weights,
     continuous_dependence_study,
     galerkin_convergence,
     pathwise_uniqueness_test,
+    uniqueness_sups,
     weighted_stability_mc,
 )
 
@@ -126,9 +130,9 @@ def test_stability_requires_functionals(heat_spec):
 def test_stability_weight_stays_in_unit_interval():
     # f + rho + eta = 0.6: phi(t_k) = exp(-0.6 t_k) up to the summation's rounding
     constants = HypothesisConstants(beta=2.0, f_integral=0.3)
-    times, states = np.arange(21) * 0.1, np.zeros((21, 1))
-    phis = _stability_weights(constants.f_at, lambda s: np.full(s.shape[:-1], 0.1),
-                              lambda s: np.full(s.shape[:-1], 0.2), times, states, states)
+    times = np.arange(21) * 0.1
+    rates = (np.full(20, constants.f_at(0.0)) + 0.1) + 0.2
+    phis = _stability_weights(rates, times)
     assert phis.shape == (20,)
     assert np.all((phis > 0.0) & (phis <= 1.0))
     assert np.all(np.diff(phis) <= 0.0)
@@ -259,3 +263,187 @@ def test_stability_and_dependence_independent_of_workers_and_batches(allen_cahn_
     monkeypatch.setattr(parallel, "STUDY_BATCH", 1)
     assert_same(run(1), reference)
     assert_same(run(2), reference)
+
+
+# ---------------------------------------------------------------------------
+# the streamed stability curves against the per-pair records they replace
+# ---------------------------------------------------------------------------
+
+
+def _per_pair_stability(bundle, triple, constants, x0_a, x0_b, config, n_paths, seed):
+    """The stability study from whole-state records: each pair's states on
+    the step grid, its own weight sum and curve, then the study's reduction."""
+    x0 = np.stack([triple.project(u, config.level).coeffs for u in (x0_a, x0_b)])
+    pairs = []
+    for seeds in batch_seeds(seed, n_paths):
+        n = len(seeds)
+        records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds)
+        for rec_a, rec_b in zip(records[:n], records[n:]):
+            if rec_a.truncated_at is not None or rec_b.truncated_at is not None:
+                pairs.append((True, np.full(config.n_steps + 1, np.nan)))
+                continue
+            times, s_a = rec_a.step_grid_view()
+            _, s_b = rec_b.step_grid_view()
+            f = np.array([constants.f_at(t) for t in times[:-1].tolist()])
+            increments = (f + bundle.rho(s_a[:-1]) + bundle.eta(s_b[:-1])) * np.diff(times)
+            phis = np.array([math.exp(-v) for v in np.cumsum(increments).tolist()])
+            sq = dot_rows(s_a - s_b, s_a - s_b)
+            pairs.append((False, np.concatenate([sq[:1], phis * sq[1:]])))
+    curves = np.stack([curve for _, curve in pairs])
+    lhs = curves.mean(axis=0)
+    da = np.zeros(max(x0_a.size, x0_b.size))
+    da[: x0_a.size] = x0_a
+    da[: x0_b.size] -= x0_b
+    margins = float(np.dot(da, da)) * (1.0 + 10.0 * config.dt) - lhs
+    worst = int(np.argmin(margins))
+    return {
+        "lhs_curve": lhs,
+        "ci99": np.array([ci99(curves[:, k]) for k in range(curves.shape[1])]),
+        "passed": bool(np.all(margins >= 0.0)),
+        "worst_t": float(config.dt * worst),
+        "worst_margin": float(margins[worst]),
+        "truncated_paths": sum(truncated for truncated, _ in pairs),
+    }
+
+
+def _stalling_pair_bundle():
+    # past u = 1.0100003 the implicit step y - dt(-y + 1e8 (y-1)_+^2) = u has
+    # no root at dt = 0.01, so the pairs whose noise lifts them stop there
+    marks = MarkSpace(marks=np.array([0.5]), weights=np.array([1.0]))
+    return CoefficientBundle(
+        drift=lambda t, u: -u + 1e8 * np.maximum(u - 1.0, 0.0) ** 2,
+        diffusion=lambda t, u: 0.8 * u[..., None],
+        jump=lambda t, u, z: z * u,
+        mark_space=marks,
+        rho=lambda u: 0.5 * u[..., 0] ** 2,
+        eta=lambda u: 0.25 * np.abs(u[..., 0]),
+    )
+
+
+def _stability_case(case):
+    if case == "planted-truncation":
+        triple = GelfandTriple(dimension_cap=1, v_weights=np.ones(1))
+        constants = HypothesisConstants(beta=2.0, f_integral=0.3)
+        return _stalling_pair_bundle(), triple, constants, np.array([0.8]), np.array([0.7])
+    marks = MarkSpace(marks=np.array([1.0, -1.0]), weights=np.array([3.0, 3.0]))
+    spec = builtin("heat", marks=marks) if case == "heat-jumps" else builtin(case)
+    x0_b = spec.default_x0.copy()
+    x0_b[0] += 0.3
+    return spec.bundle, spec.triple, spec.constants, spec.default_x0, x0_b
+
+
+@pytest.mark.parametrize("scheme", ["drift_implicit", "tamed_explicit"])
+@pytest.mark.parametrize(
+    "case", ["allen_cahn", "burgers1d", "p_laplacian", "heat-jumps", "planted-truncation"])
+def test_streamed_stability_equals_the_per_pair_records(case, scheme):
+    # 40 pairs: 80 solver rows step in Wiener chunks of 12 steps, against
+    # the per-pair computation on whole records in batches of 8
+    bundle, triple, constants, x0_a, x0_b = _stability_case(case)
+    cfg = SolverConfig(dt=0.01, T=0.3, level=min(6, triple.dimension_cap), scheme=scheme)
+    result = weighted_stability_mc(bundle, triple, constants, x0_a, x0_b, cfg, n_paths=40, seed=2)
+    want = _per_pair_stability(bundle, triple, constants, x0_a, x0_b, cfg, 40, 2)
+    for key, value in want.items():
+        np.testing.assert_array_equal(getattr(result, key), value, err_msg=key)
+    if case == "planted-truncation" and scheme == "drift_implicit":
+        assert 0 < result.truncated_paths < 40
+        assert not result.passed and np.isnan(result.worst_margin)
+    else:
+        assert result.truncated_paths == 0
+
+
+def test_stability_takes_no_weight_of_a_truncated_pairs_rows(heat_spec):
+    # ‖x0‖_H overflows, so every pair is truncated at t = 0; its finite first
+    # rows would give ρ = -1e308 and a weight exp(1e306) that math.exp
+    # cannot represent, and its later rows are not finite
+    bundle = dataclasses.replace(heat_spec.bundle, rho=lambda u: -u[..., 0])
+    cfg = SolverConfig(dt=0.01, T=0.1, level=2)
+    x0 = np.array([1e308, 1e308])
+    result = weighted_stability_mc(bundle, heat_spec.triple, heat_spec.constants,
+                                   x0, 0.5 * x0, cfg, n_paths=5, seed=0)
+    assert result.truncated_paths == 5 and not result.passed
+    assert np.all(np.isnan(result.lhs_curve))
+
+
+@pytest.mark.parametrize("pairs_per_batch", [1, 3, None], ids=["one-pair", "three-pairs", "whole-study"])
+def test_stability_independent_of_its_batch_count_and_workers(allen_cahn_spec, monkeypatch,
+                                                              pairs_per_batch):
+    # the batch rule is one task per worker; any other split gives the same bits
+    spec = allen_cahn_spec
+    cfg = SolverConfig(dt=0.01, T=0.2, level=4)
+    x0_b = spec.default_x0.copy()
+    x0_b[0] += 0.1
+
+    def run(workers):
+        result = weighted_stability_mc(spec.bundle, spec.triple, spec.constants, spec.default_x0,
+                                       x0_b, cfg, n_paths=10, seed=4, workers=workers)
+        return dataclasses.asdict(result)
+
+    reference = run(1)
+    monkeypatch.setattr(wellposedness, "split_seeds",
+                        lambda seed, n_paths, tasks: batch_seeds(seed, n_paths, pairs_per_batch or n_paths))
+    for workers in (1, 2):
+        got = run(workers)
+        assert got.keys() == reference.keys()
+        for key in reference:
+            np.testing.assert_array_equal(got[key], reference[key], err_msg=key)
+
+
+def test_stability_calls_stay_within_the_row_caps(allen_cahn_spec, monkeypatch):
+    # 100 pairs: two tasks of 100 solver rows; every coefficient call sees at
+    # most AUDIT_BATCH_ROWS rows and every Wiener chunk at most 1024
+    spec = allen_cahn_spec
+    seen = {name: [] for name in ("drift", "drift_jacobian", "rho", "eta", "wiener")}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            seen[name].append(int(np.prod(np.shape(args[-1])[:-1])))
+            return fn(*args)
+        return wrapped
+
+    bundle = dataclasses.replace(spec.bundle, **{
+        name: counted(name, getattr(spec.bundle, name))
+        for name in ("drift", "drift_jacobian", "rho", "eta")})
+    draw = solver.wiener_chunks
+
+    def wiener_chunks(*args):
+        for chunk in draw(*args):
+            seen["wiener"].append(chunk.shape[0] * chunk.shape[1])
+            yield chunk
+
+    tasks = []
+    run_tasks = wellposedness.map_indexed
+
+    def serial_map(fn, ctx, n, workers):
+        tasks.append(n)
+        return run_tasks(fn, ctx, n, 1)
+
+    monkeypatch.setattr(solver, "wiener_chunks", wiener_chunks)
+    monkeypatch.setattr(wellposedness, "map_indexed", serial_map)
+    cfg = SolverConfig(dt=0.01, T=0.3, level=8)
+    x0_b = spec.default_x0.copy()
+    x0_b[0] += 0.1
+    weighted_stability_mc(bundle, spec.triple, spec.constants, spec.default_x0, x0_b, cfg,
+                          n_paths=100, seed=0)
+    assert tasks == [2]  # max(workers, ceil(2 * 100 / 128))
+    assert seen["wiener"] == [1000] * 6  # 10 steps of 100 rows, three chunks per task
+    for name, rows in seen.items():
+        assert rows and max(rows) <= (1024 if name == "wiener" else AUDIT_BATCH_ROWS), name
+    # more workers than the row cap asks for: one task each
+    weighted_stability_mc(bundle, spec.triple, spec.constants, spec.default_x0, x0_b, cfg,
+                          n_paths=10, seed=0, workers=3)
+    assert tasks == [2, 3]
+
+
+def test_depend_and_uniqueness_count_the_truncated_paths():
+    # the pairs whose noise lifts them past the stall stop; the rest go on
+    bundle = _stalling_pair_bundle()
+    triple = GelfandTriple(dimension_cap=1, v_weights=np.ones(1))
+    cfg = SolverConfig(dt=0.01, T=0.3, level=1)
+    x0 = np.array([0.8])
+    sups = uniqueness_sups(bundle, triple, x0, cfg, n_paths=40, seed=2)
+    stopped = np.isnan(sups)
+    assert 0 < stopped.sum() < 40 and np.all(sups[~stopped] == 0.0)
+    assert np.isnan(pathwise_uniqueness_test(bundle, triple, x0, cfg, n_paths=40, seed=2))
+    table = continuous_dependence_study(bundle, triple, x0, [1e-2, 1e-3], 2.0, cfg,
+                                        n_paths=40, seed=2)
+    assert table.truncated_paths >= stopped.sum() and np.all(np.isnan(table.values))
