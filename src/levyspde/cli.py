@@ -96,6 +96,11 @@ def _strict(value):
     return value
 
 
+def _truncation_suffix(truncated: int, total: int) -> str:
+    """The end of a path study's summary line: "; N of M paths truncated", or nothing."""
+    return f"; {truncated} of {total} paths truncated" if truncated else ""
+
+
 def _study_int(exp: ExperimentConfig, name: str, default: int) -> int:
     value = exp.study.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -181,7 +186,7 @@ def _cmd_check(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
         return False, "; ".join(
             f"{e.name}: {e.witness['coefficient']} evaluated to a non-finite value" for e in broken
         )
-    worst = min(report.entries, key=lambda e: e.worst_margin)
+    worst = report.worst()
     return ok, f"{len(report.entries)} hypotheses audited, worst margin {worst.worst_margin:.3e} ({worst.name})"
 
 
@@ -232,6 +237,7 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     beta = exp.model.constants.beta
     rows = []
     ratios = {p: [] for p in p_list}
+    truncated = []
     for m in m_list:
         cfg = replace(exp.solver, level=m)
         stats = estimates.energy_table(
@@ -247,6 +253,7 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
             ):
                 rows.append((qty, st.p, m, st.dt, n_paths, est, ci, exp.master_seed))
             ratios[st.p].append(st.ratio)
+        truncated.append(stats[0].truncated_paths)
     _write_table(
         out / "energy.csv", ANCHORS["energy"],
         ("quantity", "p", "m", "dt", "n_paths", "estimate", "ci99", "seed"), rows, fmt,
@@ -258,8 +265,10 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     elif len(m_list) > 1:
         spread = max(max(v) / min(v) for v in ratios.values() if min(v) > 0)
         ok = spread <= 2.0
-    _write_sidecar(out / "energy_meta.json", exp, "energy", ok, {"ratio_spread": spread})
-    return ok, f"levels {m_list}, ratio spread {spread:.3f} (uniformity threshold 2.0)"
+    _write_sidecar(out / "energy_meta.json", exp, "energy", ok,
+                   {"ratio_spread": spread, "truncated_paths": truncated})
+    summary = f"levels {m_list}, ratio spread {spread:.3f} (uniformity threshold 2.0)"
+    return ok, summary + _truncation_suffix(sum(truncated), n_paths * len(m_list))
 
 
 def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
@@ -289,9 +298,7 @@ def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     _write_sidecar(out / "residual_meta.json", exp, "residual", ok,
                    {"slope": slope, "dt_levels": [cfg.dt for cfg in levels], "truncated_paths": truncated})
     summary = f"summed-residual refinement slope {slope:.3f} (target [0.7, 1.3])"
-    if sum(truncated):
-        summary += f"; {sum(truncated)} of {totals.size} paths truncated"
-    return ok, summary
+    return ok, summary + _truncation_suffix(sum(truncated), totals.size)
 
 
 def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
@@ -316,8 +323,10 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
                  ("delta", "value", "ci99", "rooted_value"), rows, fmt)
     ok = result.consistent_with_tightness
     _write_sidecar(out / "modulus_meta.json", exp, "modulus", ok,
-                   {"slope": result.log_slope(), "label": result.label})
-    return ok, f"{result.label}; rooted log-log slope {result.log_slope():.3f}"
+                   {"slope": result.log_slope(), "label": result.label,
+                    "truncated_paths": result.truncated_paths})
+    summary = f"{result.label}; rooted log-log slope {result.log_slope():.3f}"
+    return ok, summary + _truncation_suffix(result.truncated_paths, n_paths)
 
 
 def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
@@ -338,9 +347,7 @@ def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     _write_sidecar(out / "uniqueness_meta.json", exp, "uniqueness", ok,
                    {"max_sup_difference": sup, "truncated_paths": truncated})
     summary = f"max sup-difference {sup:.3e} over {n_paths} paths"
-    if truncated:
-        summary += f"; {truncated} of {n_paths} paths truncated"
-    return ok, summary
+    return ok, summary + _truncation_suffix(truncated, n_paths)
 
 
 def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
@@ -366,9 +373,7 @@ def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
         f"lhs <= {result.bound:.6g}*(1+{result.eps_scheme:g}) at every grid time; "
         f"worst margin {result.worst_margin:.3e} at t={result.worst_t:g}"
     )
-    if result.truncated_paths:
-        summary += f"; {result.truncated_paths} of {n_paths} paths truncated"
-    return result.passed, summary
+    return result.passed, summary + _truncation_suffix(result.truncated_paths, n_paths)
 
 
 def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
@@ -393,9 +398,7 @@ def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     _write_sidecar(out / "depend_meta.json", exp, "depend", ok,
                    {"log_slope": slope, "p": p, "truncated_paths": table.truncated_paths})
     summary = f"table log-log slope {slope:.3f} at p={p:g}"
-    if table.truncated_paths:
-        summary += f"; {table.truncated_paths} of {n_paths} paths truncated"
-    return ok, summary
+    return ok, summary + _truncation_suffix(table.truncated_paths, n_paths)
 
 
 def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
@@ -409,10 +412,12 @@ def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     _write_table(out / "converge.csv", ANCHORS["converge"],
                  ("m", "distance_to_reference", "ci99"), rows, fmt)
     d, c = table.distances, table.ci99
-    ok = all(d[i + 1] <= d[i] + c[i] + c[i + 1] for i in range(d.size - 1))
+    # a truncated path makes its distances NaN, which fails the comparisons too
+    ok = table.truncated_paths == 0 and all(d[i + 1] <= d[i] + c[i] + c[i + 1] for i in range(d.size - 1))
     _write_sidecar(out / "converge_meta.json", exp, "converge", ok,
-                   {"reference_level": table.reference_level})
-    return ok, f"distances {['%.3e' % v for v in d]} vs reference m={table.reference_level}"
+                   {"reference_level": table.reference_level, "truncated_paths": table.truncated_paths})
+    summary = f"distances {['%.3e' % v for v in d]} vs reference m={table.reference_level}"
+    return ok, summary + _truncation_suffix(table.truncated_paths, n_paths)
 
 
 def _cmd_prange(exp: ExperimentConfig, out: Path, fmt: str, workers: int):

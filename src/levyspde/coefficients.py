@@ -7,17 +7,19 @@ the witness that attained it.  A short deterministic perturbation descent
 refines the worst witness, since thin violation regions are easy to miss
 with raw sampling.
 
-Scans are batched: each one groups its samples by audit time point and
-evaluates a group in one call per coefficient (drift, the full diffusion
-matrix, jump per mark, rho, eta, v_norm), and the hemicontinuity scan
-evaluates its fine grid in drift calls of up to ``AUDIT_BATCH_ROWS`` rows,
-the cap every batched call keeps to bound memory.  Every row keeps the bits
-of its 1-D call, so the margins do not depend on the grouping.  The descent
-stays serial, one-row batches through the same term functions, because each
+Scans are batched: each sample row carries its own audit time as an (R, 1)
+column, and a scan evaluates all its rows in one call per coefficient
+(drift, the full diffusion matrix, jump per mark, rho, eta, v_norm) per
+chunk of at most ``AUDIT_BATCH_ROWS`` states, the cap every batched call
+keeps to bound memory (a call that stacks u and v takes half as many rows);
+the hemicontinuity scan evaluates its fine grid the same way.
+Every row keeps the bits of its 1-D call at its time as a float, so the
+margins do not depend on the batching.  The descent stays serial, one-row
+batches at a float time through the same term functions, because each
 trial starts from the last accepted point.  A non-finite coefficient row
 ends its entry's scan, and the entry fails with margin NaN and the
-coefficient, the row's t and u as its witness; no audit raises for it, and
-the other entries still run.
+coefficient, the row's own t and its u as its witness; no audit raises for
+it, and the other entries still run.
 
 Inequality catalogue, by entry name:
 
@@ -126,8 +128,9 @@ class CoefficientBundle:
     implicit solve) that holds one time per row; each row's result must then
     equal its scalar-``t`` call bit for bit.  Elementwise use such as
     ``t * u`` broadcasts as it is; a matrix result reads ``t[..., None]``.
-    The stepping and the audits pass floats, and the residual replay passes
-    one time per (step, path) row.  ``local_bound`` takes scalars only.
+    The audit scans pass one time per sample row, the residual replay one
+    per (step, path) row, and the stepping and the audit descent pass
+    floats.  ``local_bound`` takes scalars only.
 
     The closed forms are solver fast paths only.  Audits always evaluate the
     full ``drift``, ``diffusion`` matrix and ``jump``, so a wrong closed form
@@ -263,28 +266,40 @@ class HypothesisReport:
                 return e
         raise KeyError(name)
 
+    def worst(self) -> HypothesisEntry:
+        """The first entry with a NaN margin, else the first with the smallest margin."""
+        return _first_worst(self.entries, lambda e: e.worst_margin)
+
 
 # ---------------------------------------------------------------------------
 # shared audit plumbing
 # ---------------------------------------------------------------------------
 #
-# Every term function takes states ``u`` of shape (..., m) and returns one
-# (LHS, RHS) value per row, so a scan evaluates each time point's rows in one
-# coefficient call per callable.  Row results keep the bits of a 1-D call:
+# Every term function takes a time ``t``, a float or one time per row of
+# shape (R, 1), and states ``u`` of shape (R, m), and returns one (LHS, RHS)
+# value per row, so a scan evaluates its rows in one coefficient call per
+# callable.  Row results keep the bits of a 1-D call:
 # dot products go through ``dot_rows``, Hilbert-Schmidt sums through
 # ``sum_squares`` and scalar powers through the C library's ``pow``.
 
 
 def _finite_or_raise(value, name: str, t, u: np.ndarray) -> np.ndarray:
-    """``value`` as a float array; a non-finite row raises with its t and u."""
+    """``value`` as a float array; a non-finite row raises with its own t and u."""
     arr = np.asarray(value, dtype=float)
     finite = np.isfinite(arr)
     if not finite.all():
         bad = ~finite.reshape(u.shape[:-1] + (-1,)).all(axis=-1)
-        row = u[tuple(np.argwhere(bad)[0])]
+        # the first failing sample row, then its first failing stacked state (u before v)
+        row = tuple(np.argwhere(bad.T)[0][::-1])
+        t_row = t if np.ndim(t) == 0 else float(t[row][0])
         raise AuditFailure(f"{name} evaluated to a non-finite value",
-                           witness={"coefficient": name, "t": t, "u": row.tolist()})
+                           witness={"coefficient": name, "t": t_row, "u": u[row].tolist()})
     return arr
+
+
+def _stacked_time(t, u: np.ndarray):
+    """``t`` for a stacked call on ``u`` (k, R, m): a float as it is, else (k, R, 1)."""
+    return t if np.ndim(t) == 0 else np.broadcast_to(t, u.shape[:-1] + (1,))
 
 
 def _v_norm(bundle, triple, t, u):
@@ -314,6 +329,11 @@ def _counting(bundle: CoefficientBundle):
     return replace(bundle, **hooks), rows
 
 
+def _first_worst(items, margin):
+    """The first item whose margin is NaN (``min`` alone passes over it), else the first smallest."""
+    return min(items, key=lambda x: (not math.isnan(margin(x)), margin(x)))
+
+
 def _rel_tol(scale: float) -> float:
     # relative floor absorbing quadrature noise in the margin evaluation
     return 1e-9 * (1.0 + scale)
@@ -323,10 +343,10 @@ def _audit_entry(name, bundle, samples, scan, tol_rule=_rel_tol) -> HypothesisEn
     """Run ``scan(bundle)`` -> (records, descent_gain) as the entry ``name``.
 
     records are (margin, scale, witness) tuples; the entry keeps the first
-    smallest margin.  The scan sees a copy of the bundle that counts the rows
-    it evaluates.  A non-finite coefficient ends the scan in the failing
-    entry: margin NaN, tolerance 0, the coefficient with its t and u as the
-    witness.
+    NaN margin, else the first smallest.  The scan sees a copy of the bundle
+    that counts the rows it evaluates.  A non-finite coefficient ends the
+    scan in the failing entry: margin NaN, tolerance 0, the coefficient with
+    its t and u as the witness.
     """
     counted, rows = _counting(bundle)
     try:
@@ -334,7 +354,7 @@ def _audit_entry(name, bundle, samples, scan, tol_rule=_rel_tol) -> HypothesisEn
     except AuditFailure as exc:
         return HypothesisEntry(name=name, worst_margin=math.nan, witness=exc.witness,
                                samples_used=samples, tolerance=0.0)
-    worst = min(records, key=lambda r: r[0])
+    worst = _first_worst(records, lambda r: r[0])
     return HypothesisEntry(
         name=name,
         worst_margin=float(worst[0]),
@@ -351,32 +371,21 @@ def _time_grid(constants: HypothesisConstants | None) -> np.ndarray:
     return np.linspace(0.0, horizon, AUDIT_TIME_POINTS)
 
 
-def _batched(fn, *rows):
-    """``fn(*chunk)`` on chunks of at most AUDIT_BATCH_ROWS rows, joined per output.
+def _batched(fn, *rows, stack: int = 1):
+    """``fn(*chunk)`` -> per-row arrays on chunks of rows, joined per output.
 
-    ``fn`` returns a sequence of per-row arrays for its chunk.
+    ``fn`` stacks ``stack`` states per row into each coefficient call, so a
+    chunk holds AUDIT_BATCH_ROWS // stack rows and no call exceeds the cap.
     """
-    n = len(rows[0])
-    parts = [fn(*(r[lo:lo + AUDIT_BATCH_ROWS] for r in rows)) for lo in range(0, n, AUDIT_BATCH_ROWS)]
+    n, size = len(rows[0]), AUDIT_BATCH_ROWS // stack
+    parts = [fn(*(r[lo:lo + size] for r in rows)) for lo in range(0, n, size)]
     return [np.concatenate(values) for values in zip(*parts)]
 
 
-def _by_time(times: np.ndarray, fn, *rows):
-    """``fn(t, *chunk)`` on the rows of each time point, reassembled in row order.
-
-    Row i is audited at ``times[i % times.size]``; ``fn`` returns a sequence
-    of per-row arrays for its chunk.
-    """
-    n = len(rows[0])
-    out = None
-    for k, t in enumerate(times.tolist()[:n]):
-        group = slice(k, n, times.size)
-        values = _batched(lambda *chunk: fn(t, *chunk), *(r[group] for r in rows))
-        if out is None:
-            out = [np.empty(n) for _ in values]
-        for dest, value in zip(out, values):
-            dest[group] = value
-    return out
+def _row_times(constants: HypothesisConstants | None, n: int) -> np.ndarray:
+    """The audit time of each of ``n`` sample rows, (n, 1): row i at ``times[i % times.size]``."""
+    times = _time_grid(constants)
+    return times[np.arange(n) % times.size][:, None]
 
 
 def _sample_states(triple: GelfandTriple, level: int, seed: int, name: str, count: int) -> np.ndarray:
@@ -423,35 +432,36 @@ def _descend(margin_fn, t: float, vecs: list, rounds: int = 4):
     return best, vecs
 
 
-def _inequality_scan(terms, times, operands, kind=None):
+def _inequality_scan(terms, constants, operands, kind=None):
     """The scan of ``terms(b, t, *rows)`` -> (LHS, RHS) over sampled ``operands``.
 
-    ``operands`` is ``(u,)`` or ``(u, v)``, arrays of sample rows; row i is
-    audited at ``times[i % times.size]``.  The descent refines the first
-    smallest margin, and the refined record joins the sampled ones when it
-    is smaller.  Witnesses hold t, u, v and ``kind`` (when given), in that
-    order.  Returns ``scan(b)`` -> (records, descent_gain).
+    ``operands`` is ``(u,)`` or ``(u, v)``, arrays of sample rows, each row
+    at its own audit time (``_row_times``).  The descent refines the first
+    smallest margin at its row's time as a float, and the refined record
+    joins the sampled ones when it is smaller.  Witnesses hold t, u, v and
+    ``kind`` (when given), in that order.  Returns ``scan(b)`` -> (records,
+    descent_gain).
     """
-
-    keys = ("t", "u", "v")[: 1 + len(operands)] + (() if kind is None else ("kind",))
-    tail = () if kind is None else (kind,)
+    row_times = _row_times(constants, len(operands[0]))
+    ts = row_times[:, 0].tolist()
 
     def witness(t, rows):
-        return dict(zip(keys, (t, *rows, *tail)))
+        w = dict(zip(("t", "u", "v"), (t, *rows)))
+        return w if kind is None else {**w, "kind": kind}
 
     def scan(b):
         def margin_fn(t, *rows):
             lhs, rhs = terms(b, t, *[r[None] for r in rows])
             return float(rhs[0] - lhs[0])
 
-        lhs, rhs = _by_time(times, lambda t, *rows: terms(b, t, *rows), *operands)
-        ts, columns = times.tolist(), [x.tolist() for x in operands]
+        lhs, rhs = _batched(lambda t, *rows: terms(b, t, *rows), row_times, *operands, stack=len(operands))
+        columns = [x.tolist() for x in operands]
         records = [
-            (r - l, abs(l) + abs(r), witness(ts[i % len(ts)], rows))
-            for i, (l, r, *rows) in enumerate(zip(lhs.tolist(), rhs.tolist(), *columns))
+            (r - l, abs(l) + abs(r), witness(t, rows))
+            for t, l, r, *rows in zip(ts, lhs.tolist(), rhs.tolist(), *columns)
         ]
         i = min(range(len(records)), key=lambda k: records[k][0])
-        t = ts[i % len(ts)]
+        t = ts[i]
         refined, rows = _descend(margin_fn, t, [x[i] for x in operands])
         gain = 0.0
         if refined < records[i][0]:
@@ -469,38 +479,26 @@ def _inequality_scan(terms, times, operands, kind=None):
 # ---------------------------------------------------------------------------
 
 
-def hemicontinuity_jump_estimate(bundle, triple, t, u, v, w, s_lo=-1.0, s_hi=1.5):
-    """Estimate the largest jump of s -> <A(t, u + s v), w> on [s_lo, s_hi].
+def hemicontinuity_jump_estimate(bundle, triple, t, u, v, w):
+    """Estimate the largest jump of s -> <A(t, u + s v), w> on [-1, 1.5].
 
     Scans three nested grids (1025/257/65 points) and removes the smooth
     O(h) and O(h^2) parts of the max adjacent difference by two rounds of
     Richardson extrapolation; what survives is the jump size.  The fine grid
-    is evaluated in batched drift calls; the coarser grids reuse its values
-    through the rounded s and evaluate only the points it misses.
+    is evaluated in batched drift calls; its spacing 5/2048 is a binary
+    fraction, so the coarser grids are exactly its every 4th and 16th point.
     Returns (jump_estimate, s_witness, value_range).
     """
-    values = {}
 
     def segment(points):
         a = _finite_or_raise(bundle.drift(t, points), "drift", t, points)
         return (dot_rows(a, w),)
 
-    def scan(n):
-        grid = np.linspace(s_lo, s_hi, n)
-        keys = np.round(grid, 14).tolist()  # the same keys as round(s, 14) per point
-        missing = [k for k, key in enumerate(keys) if key not in values]
-        if missing:
-            (pairing,) = _batched(segment, u + grid[missing][:, None] * v)
-            for k, value in zip(missing, pairing.tolist()):
-                values.setdefault(keys[k], value)
-        vals = np.array([values[key] for key in keys])
-        diffs = np.abs(np.diff(vals))
-        k = int(np.argmax(diffs))
-        return float(diffs[k]), float(grid[k]), vals
-
-    d_fine, s_fine, vals_fine = scan(1025)
-    d_mid, _, _ = scan(257)
-    d_coarse, _, _ = scan(65)
+    grid = np.linspace(-1.0, 1.5, 1025)
+    (vals_fine,) = _batched(segment, u + grid[:, None] * v)
+    diffs = [np.abs(np.diff(vals_fine[::stride])) for stride in (1, 4, 16)]
+    d_fine, d_mid, d_coarse = (float(d.max()) for d in diffs)
+    s_fine = float(grid[int(np.argmax(diffs[0]))])
     a1 = (4.0 * d_fine - d_mid) / 3.0
     a2 = (4.0 * d_mid - d_coarse) / 3.0
     jump = max(0.0, (16.0 * a1 - a2) / 15.0)
@@ -561,18 +559,20 @@ def local_monotonicity_terms(bundle, constants, triple, mode, t, u, v):
     elif bundle.rho is None or bundle.eta is None:
         raise ValueError(f"mode {mode} requires the bundle to declare rho and eta")
     uv = np.stack([u, v])
-    a = _finite_or_raise(bundle.drift(t, uv), "drift", t, uv)
+    t_uv = _stacked_time(t, uv)
+    a = _finite_or_raise(bundle.drift(t_uv, uv), "drift", t_uv, uv)
     diff = u - v
     pair = dot_rows(a[0] - a[1], diff)
     h2 = dot_rows(diff, diff)
 
     if mode == "H2prime":
-        vn = _v_norm(bundle, triple, t, uv)
+        vn = _v_norm(bundle, triple, t_uv, uv)
         r = np.where(vn[1] > vn[0], vn[1], vn[0])
-        bound = np.reshape([float(bundle.local_bound(t, x)) for x in r.reshape(-1).tolist()], r.shape)
-        return pair, bound * h2
+        ts = np.broadcast_to(t, r.shape + (1,)).reshape(-1).tolist()
+        bound = [float(bundle.local_bound(s, x)) for s, x in zip(ts, r.reshape(-1).tolist())]
+        return pair, np.reshape(bound, r.shape) * h2
 
-    lhs = 2.0 * pair + _noise_difference_terms(bundle, t, uv)
+    lhs = 2.0 * pair + _noise_difference_terms(bundle, t_uv, uv)
     rho = _finite_or_raise(bundle.rho(u), "rho", t, u)
     eta = _finite_or_raise(bundle.eta(v), "eta", t, v)
     rhs = (constants.f_at(t) + rho + eta) * h2
@@ -610,14 +610,12 @@ def audit_local_monotonicity(bundle, constants, triple, mode, samples, seed,
     if mode == "H2star" and constants.theta_exp >= constants.beta:
         raise ValueError("H2star requires theta_exp < beta")
     level = level or min(triple.dimension_cap, 8)
-    times = _time_grid(constants)
     states = _sample_states(triple, level, seed, mode, samples)
-    n_pairs = len(states) // 2
-    us, vs = states[0:2 * n_pairs:2], states[1:2 * n_pairs:2]
+    us, vs = states[:-1:2], states[1::2]
 
     inequality = _inequality_scan(
         lambda b, t, u, v: local_monotonicity_terms(b, constants, triple, mode, t, u, v),
-        times, (us, vs), "inequality",
+        constants, (us, vs), "inequality",
     )
 
     def scan(b):
@@ -702,7 +700,6 @@ def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
     if part not in ("I", "II"):
         raise ValueError(f"part must be 'I' or 'II', got {part!r}")
     level = level or min(triple.dimension_cap, 8)
-    times = _time_grid(constants)
     star = "" if part == "I" else "star"
     scans = [
         (f"H3{star}", lambda b, t, u: coercivity_terms(b, constants, triple, t, u)),
@@ -716,7 +713,7 @@ def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
     entries = []
     for name, terms in scans:
         states = _sample_states(triple, level, seed, name, samples)
-        entries.append(_audit_entry(name, bundle, samples, _inequality_scan(terms, times, (states,))))
+        entries.append(_audit_entry(name, bundle, samples, _inequality_scan(terms, constants, (states,))))
     return entries
 
 
@@ -734,7 +731,6 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     and passes when the distance at depth k has collapsed relative to k=0.
     """
     level = level or min(triple.dimension_cap, 8)
-    times = _time_grid(constants)
     n_seq = max(1, samples // 16)
     us, ds = [], []
     for i in range(n_seq):
@@ -742,18 +738,20 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
         us.append(AUDIT_SCALES[i % len(AUDIT_SCALES)] * rng.standard_normal(level))
         ds.append(rng.standard_normal(level))
     us, ds = np.array(us), np.array(ds)
+    row_times = _row_times(constants, n_seq)
 
-    def sequence(u, d):
-        # the limit u, then the sequence at k = 0 and k = depth: (3, ..., m)
-        return np.stack([u] + [u + 2.0**-k * d for k in (0, depth)])
+    def sequence(t, u, d):
+        # the limit u, then the sequence at k = 0 and k = depth, (3, ..., m), with their times
+        seq = np.stack([u] + [u + 2.0**-k * d for k in (0, depth)])
+        return _stacked_time(t, seq), seq
 
     def b_dists(b, t, u, d):
-        seq = sequence(u, d)
+        t, seq = sequence(t, u, d)
         bs = _finite_or_raise(b.diffusion(t, seq), "diffusion", t, seq)
         return np.sqrt(sum_squares(bs[1:] - bs[0]))
 
     def g_dists(b, t, u, d):
-        seq = sequence(u, d)
+        t, seq = sequence(t, u, d)
         total = np.zeros(seq.shape[:-1])[1:]
         for z, lam in zip(b.mark_space.marks, b.mark_space.weights):
             g = _finite_or_raise(b.jump(t, seq, float(z)), "jump", t, seq)
@@ -763,11 +761,11 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
 
     def continuity_scan(dists):
         def scan(b):
-            d0, dk = _by_time(times, lambda t, u, d: dists(b, t, u, d), us, ds)
+            # each row's call stacks its sequence's three states
+            d0, dk = _batched(lambda t, u, d: dists(b, t, u, d), row_times, us, ds, stack=3)
             records = [
-                (1e-2 * (1.0 + a) - c, a,
-                 {"t": float(times[i % times.size]), "u": us[i].tolist(), "d0": a, "dk": c})
-                for i, (a, c) in enumerate(zip(d0.tolist(), dk.tolist()))
+                (1e-2 * (1.0 + a) - c, a, {"t": t, "u": u, "d0": a, "dk": c})
+                for t, u, a, c in zip(row_times[:, 0].tolist(), us.tolist(), d0.tolist(), dk.tolist())
             ]
             return records, 0.0
 

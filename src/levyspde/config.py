@@ -59,18 +59,25 @@ def checked_vector(value, field_name: str) -> np.ndarray:
     return arr
 
 
-def _require(cfg: dict, name: str, kind, where: str):
+_MISSING = object()
+
+
+def _require(cfg: dict, name: str, kind, where: str, default=_MISSING):
+    """``cfg[name]`` checked against ``kind``, or ``default`` when it is absent.
+
+    A bool is neither a float nor an int here, and an int is read as a float
+    where a float is asked for.
+    """
+    field_name = f"{where}.{name}" if where else name
     if name not in cfg:
-        raise ConfigError(f"{where}.{name}" if where else name, "missing")
+        if default is _MISSING:
+            raise ConfigError(field_name, "missing")
+        return default
     value = cfg[name]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"{where}.{name}" if where else name,
-            f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
-        )
-    return value
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(field_name, f"expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -97,15 +104,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("model", str(exc))
 
     scfg = _require(raw, "solver", dict, "")
+    fields = {
+        "dt": _require(scfg, "dt", float, "solver"),
+        "T": _require(scfg, "T", float, "solver"),
+        "level": _require(scfg, "level", int, "solver"),
+        "newton_tol": _require(scfg, "newton_tol", float, "solver", 1e-10),
+        "newton_max_iter": _require(scfg, "newton_max_iter", int, "solver", 50),
+    }
+    if fields["newton_max_iter"] < 1:
+        raise ConfigError("solver.newton_max_iter", "the Newton solve needs at least one iteration")
     try:
-        solver = SolverConfig(
-            dt=float(_require(scfg, "dt", float, "solver")),
-            T=float(_require(scfg, "T", float, "solver")),
-            level=int(_require(scfg, "level", int, "solver")),
-            scheme=scfg.get("scheme", "drift_implicit"),
-            newton_tol=float(scfg.get("newton_tol", 1e-10)),
-            newton_max_iter=int(scfg.get("newton_max_iter", 50)),
-        )
+        solver = SolverConfig(scheme=scfg.get("scheme", "drift_implicit"), **fields)
     except ValueError as exc:
         raise ConfigError("solver", str(exc))
     if solver.level > model.triple.dimension_cap:

@@ -54,6 +54,7 @@ class EnergyStats:
     ci99: dict
     medians: dict | None
     ratio: float  # r_m, the uniformity-in-level diagnostic
+    truncated_paths: int  # paths with a truncated record, which make every figure NaN
 
 
 def _energy_parts(record: PathRecord, p_list, beta: float):
@@ -110,6 +111,7 @@ def energy_table(
     sup_h = np.array([r[0] for r in rows])
     int_v = np.array([r[1] for r in rows])
     mixed = np.array([r[2] for r in rows])  # (n_paths, len(p_list))
+    truncated = int(np.isnan(sup_h).sum())
 
     x0_h = float(np.linalg.norm(x0))
     out = []
@@ -143,6 +145,7 @@ def energy_table(
                 else None
             ),
             ratio=(est_sup + est_int) / (1.0 + x0_h**p),
+            truncated_paths=truncated,
         )
         out.append(stats)
     return out
@@ -382,6 +385,7 @@ class ModulusResult:
     beta: float
     consistent_with_tightness: bool
     label: str
+    truncated_paths: int  # paths with a truncated record, whose columns are NaN
 
     def rooted_values(self) -> np.ndarray:
         return self.values ** (1.0 / self.beta)
@@ -453,7 +457,8 @@ def _modulus_result(deltas, rows: np.ndarray, beta_exp: float) -> ModulusResult:
             else "not consistent with a vanishing modulus (diagnostic, not a proof)"
         )
     return ModulusResult(deltas=deltas, values=values, ci99=ci, beta=beta_exp,
-                         consistent_with_tightness=ok, label=label)
+                         consistent_with_tightness=ok, label=label,
+                         truncated_paths=int(np.isnan(rows).any(axis=0).sum()))
 
 
 def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:

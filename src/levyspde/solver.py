@@ -31,6 +31,7 @@ path's record does not depend on the batch it ran in.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,9 @@ class SolverConfig:
             raise ValueError("level must be positive")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        iters = self.newton_max_iter
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+            raise ValueError(f"newton_max_iter must be an integer >= 1, got {iters!r}")
         if self.scheme not in ("drift_implicit", "tamed_explicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         grid_steps(self.T, self.dt)

@@ -13,6 +13,7 @@ product, and the Galerkin projection P_m is coordinate truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +109,24 @@ def libm_pow(x, e: float) -> np.ndarray:
 
     numpy's vectorized power can round the last bit differently, so scalar
     functionals and audit terms use this one for a single state and a batch
-    alike.
+    alike.  Where C pow overflows to ±inf, a float's ``**`` raises
+    OverflowError; those elements are ±inf here, as in C.
     """
     x = np.asarray(x, dtype=float)
-    return np.reshape([v**e for v in x.reshape(-1).tolist()], x.shape)
+    flat = x.reshape(-1).tolist()
+    try:
+        values = [v**e for v in flat]
+    except OverflowError:
+        values = [_pow_or_inf(v, e) for v in flat]
+    return np.reshape(values, x.shape)
+
+
+def _pow_or_inf(v: float, e: float) -> float:
+    try:
+        return v**e
+    except OverflowError:
+        # a negative base keeps its sign under an odd integer exponent
+        return math.copysign(math.inf, v) if e % 2.0 == 1.0 else math.inf
 
 
 def is_number(value) -> bool:

@@ -336,6 +336,7 @@ class ConvergenceTable:
     ci99: np.ndarray
     beta: float
     reference_level: int
+    truncated_paths: int  # paths with a truncated record at some level, whose rows are NaN
 
 
 def _convergence_worker(ctx, b: int):
@@ -394,4 +395,5 @@ def galerkin_convergence(
         ci99=np.array([ci99(rows[:, j]) for j in range(rows.shape[1])]),
         beta=float(beta),
         reference_level=levels[-1],
+        truncated_paths=int(np.isnan(rows).any(axis=1).sum()),
     )

@@ -212,6 +212,14 @@ def test_config_loader_errors():
             parse_config({"schema_version": 1, "model": "heat",
                           "solver": {"dt": 0.01, "T": 1.0, "level": 2}, "x0": x0})
         assert err.value.field_name == "x0"
+    # solver fields: numbers that are not strings or bools, and at least one Newton iteration
+    for name, value in [("newton_max_iter", 0), ("newton_max_iter", -3), ("newton_max_iter", 2.9),
+                        ("newton_max_iter", True), ("newton_tol", "1e-10"), ("newton_tol", False),
+                        ("dt", True), ("dt", "0.01"), ("T", True), ("T", "1"), ("level", True)]:
+        solver = {"dt": 0.01, "T": 1.0, "level": 2, name: value}
+        with pytest.raises(ConfigError) as err:
+            parse_config({"schema_version": 1, "model": "heat", "solver": solver})
+        assert err.value.field_name == f"solver.{name}", (name, value)
 
 
 @pytest.mark.parametrize("x0", [[], "abc", [[1.0]]], ids=["empty", "text", "nested"])
@@ -493,22 +501,30 @@ def test_stability_sidecar_counts_truncated_paths(tmp_path, capsys):
     assert meta["truncated_paths"] == 0
 
 
-@pytest.mark.parametrize("command", ["depend", "uniqueness"])
-def test_depend_and_uniqueness_sidecars_count_truncated_paths(tmp_path, capsys, command):
-    # ‖x0‖_H overflows: every path is truncated, and the study fails closed
-    path = _write_config(tmp_path, x0=[1e308, 1e308], study={"n_paths": 4})
+@pytest.mark.parametrize(
+    "command, m_list",
+    [pytest.param(c, [2, 4], id=c) for c in ("depend", "uniqueness", "energy", "modulus", "converge")]
+    + [pytest.param("converge", [4], id="converge-one-level")],
+)
+def test_depend_and_uniqueness_sidecars_count_truncated_paths(tmp_path, capsys, command, m_list):
+    # ‖x0‖_H overflows: every path is truncated, and the study fails closed,
+    # also where no comparison of levels is left to fail; energy counts per level
+    study = {"n_paths": 4, "delta_list": [0.02, 0.04], "m_list": m_list}
+    levels = len(m_list) if command == "energy" else 1
+    path = _write_config(tmp_path, x0=[1e308, 1e308], study=study)
     assert main([command, "--config", str(path)]) == 2
     out = capsys.readouterr().out
-    assert "FAIL" in out and out.rstrip().endswith("; 4 of 4 paths truncated")
+    assert "FAIL" in out and out.rstrip().endswith(f"; {4 * levels} of {4 * levels} paths truncated")
     meta = json.loads((tmp_path / "out" / f"{command}_meta.json").read_text(),
                       parse_constant=_reject_constant)
-    assert meta["pass"] is False and meta["truncated_paths"] == 4
+    assert meta["pass"] is False
+    assert meta["truncated_paths"] == ([4] * levels if command == "energy" else 4)
 
-    path = _write_config(tmp_path, study={"n_paths": 4})
+    path = _write_config(tmp_path, study=study)
     assert main([command, "--config", str(path)]) == 0
     assert "truncated" not in capsys.readouterr().out
     meta = json.loads((tmp_path / "out" / f"{command}_meta.json").read_text())
-    assert meta["truncated_paths"] == 0
+    assert meta["truncated_paths"] == ([0] * levels if command == "energy" else 0)
 
 
 #: a custom model whose cubic reaction overflows to inf on moderate states
@@ -577,3 +593,24 @@ def test_overflowing_diffusion_keeps_the_jump_continuity_entry(tmp_path):
                         parse_constant=_reject_constant)
     h5 = next(e for e in report if e["hypothesis"] == "H5-continuity")
     assert h5["worst_margin"] is None and h5["witness_coeffs"]["coefficient"] == "diffusion"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_audit_term_fails_closed(tmp_path, capsys):
+    # ‖u‖_V^β overflows a float's ** on the affine weights of scale 1e200;
+    # the terms it enters turn NaN, and each such entry fails on its NaN row
+    # even when finite rows come first
+    model = {"triple": {"dimension_cap": 8, "rule": "affine", "scale": 1e200},
+             "constants": {"beta": 4.0}}
+    path = _write_config(tmp_path, model=model, study={"samples": 64, "n_paths": 4})
+    assert main(["check", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out and out.rstrip().endswith("worst margin nan (H2)")
+    report = json.loads((tmp_path / "out" / "check_report.json").read_text(),
+                        parse_constant=_reject_constant)
+    failing = {e["hypothesis"]: e["worst_margin"] for e in report if e["verdict"] == "fail"}
+    assert failing == {"H2": None, "H3": None, "H4": None}
+
+    # the energy study's quick audit warns instead of raising
+    main(["energy", "--config", str(path)])
+    assert "fails its hypothesis audit (H2, H3, H4)" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from levyspde.coefficients import (
     local_monotonicity_terms,
 )
 from levyspde.coefficients import _sample_states, _time_grid
-from levyspde.models import BUILTIN_IDS, builtin, from_config, validate
+from levyspde.models import BUILTIN_IDS, ModelSpec, builtin, from_config, validate
 
 import serial_audits
 from conftest import (
@@ -283,15 +283,28 @@ AUDIT_CUSTOM_MODELS = {
 }
 
 
+def _time_reading_model():
+    """conftest's time-dependent linear model with zero rho and eta, as a part-I model."""
+    triple, bundle = make_time_dependent(level=4)
+    zero = lambda u: np.zeros(u.shape[:-1])  # noqa: E731
+    bundle = dataclasses.replace(bundle, rho=zero, eta=zero)
+    constants = HypothesisConstants(beta=2.0, g_integral=0.4, L_A=1.0, C_growth=4.0, C_monotone=1.0,
+                                    h_p_integrals={2.0: 0.2, 4.0: 0.1})
+    return ModelSpec("time_dependent", triple, bundle, constants, "part1", np.ones(4))
+
+
 def _audit_model(model_id):
+    if model_id == "time_dependent":
+        return _time_reading_model()
     if model_id in AUDIT_CUSTOM_MODELS:
         return from_config(AUDIT_CUSTOM_MODELS[model_id])
     return builtin(model_id)
 
 
-@pytest.mark.parametrize("model_id", [*BUILTIN_IDS, *AUDIT_CUSTOM_MODELS])
+@pytest.mark.parametrize("model_id", [*BUILTIN_IDS, *AUDIT_CUSTOM_MODELS, "time_dependent"])
 def test_batched_audits_match_serial_scans(model_id):
-    # every entry keeps the serial scan's margin, witness and tolerance bits
+    # every entry keeps the serial scan's margin, witness and tolerance bits;
+    # the time-dependent model reads the time each sample row carries
     spec = _audit_model(model_id)
     for seed in (0, 5):
         batched = validate(spec, samples=128, seed=seed).entries
@@ -313,31 +326,37 @@ def test_hemicontinuity_estimate_matches_serial_scan(allen_cahn_spec, heat_spec)
         assert got == serial_audits.hemicontinuity_jump_estimate(bundle, triple, 0.3, u, v, w)
 
 
-def _poisoned(fn, target):
-    """``fn(t, u)`` with NaN in the rows of ``u`` equal to ``target``."""
+def _poisoned(fn, targets):
+    """``fn(t, u)`` with NaN in the rows of ``u`` equal to one of ``targets``."""
 
     def call(t, u):
         out = np.array(fn(t, u), dtype=float)
-        out[np.all(u == target, axis=-1)] = np.nan
+        for target in targets:
+            out[np.all(u == target, axis=-1)] = np.nan
         return out
 
     return call
 
 
-@pytest.mark.parametrize("coefficient, hypothesis", [("drift", "H3"), ("diffusion", "H5")])
-def test_nan_row_inside_a_batch_raises(heat_spec, coefficient, hypothesis):
-    # one sample of a time group turns non-finite; its neighbours in the
-    # same coefficient call stay finite, and the failing entry names that row
-    row = 37
-    target = _sample_states(heat_spec.triple, 8, 0, hypothesis, 64)[row]
-    poisoned = _poisoned(getattr(heat_spec.bundle, coefficient), target)
+@pytest.mark.parametrize(
+    "coefficient, hypothesis, rows",
+    [("drift", "H3", (37,)), ("diffusion", "H5", (37,)), ("drift", "H3", (3, 8))],
+    ids=["drift-H3", "diffusion-H5", "drift-H3-two-rows"],
+)
+def test_nan_row_inside_a_batch_raises(heat_spec, coefficient, hypothesis, rows):
+    # samples turn non-finite among finite neighbours in the same coefficient
+    # call, and the failing entry names the first of them at its own time,
+    # as the serial scan does
+    samples = _sample_states(heat_spec.triple, 8, 0, hypothesis, 64)
+    targets = samples[list(rows)]
+    poisoned = _poisoned(getattr(heat_spec.bundle, coefficient), targets)
     bundle = dataclasses.replace(heat_spec.bundle, **{coefficient: poisoned})
     entries = audit_coercivity_growth(bundle, heat_spec.constants, heat_spec.triple, "I", 64, 0)
     entry = next(e for e in entries if e.name == hypothesis)
     times = _time_grid(heat_spec.constants)
     assert not entry.passed and math.isnan(entry.worst_margin)
     assert entry.witness == {
-        "coefficient": coefficient, "t": float(times[row % times.size]), "u": target.tolist(),
+        "coefficient": coefficient, "t": float(times[rows[0] % times.size]), "u": targets[0].tolist(),
     }
 
     # validate turns it into a failing entry
@@ -345,6 +364,19 @@ def test_nan_row_inside_a_batch_raises(heat_spec, coefficient, hypothesis):
     entry = report.entry(hypothesis)
     assert not entry.passed and math.isnan(entry.worst_margin)
     assert entry.witness["coefficient"] == coefficient
+
+
+def test_nan_in_a_stacked_pair_names_the_first_failing_pair(heat_spec):
+    # pair 5's u and pair 3's v turn non-finite in one stacked drift call;
+    # the entry names pair 3's v at its own time, the row the serial scan
+    # meets first
+    states = _sample_states(heat_spec.triple, 8, 0, "H2", 64)
+    us, vs = states[:-1:2], states[1::2]
+    bundle = dataclasses.replace(heat_spec.bundle, drift=_poisoned(heat_spec.bundle.drift, [us[5], vs[3]]))
+    entry = audit_local_monotonicity(bundle, heat_spec.constants, heat_spec.triple, "H2", 64, 0)
+    times = _time_grid(heat_spec.constants)
+    assert not entry.passed and math.isnan(entry.worst_margin)
+    assert entry.witness == {"coefficient": "drift", "t": float(times[3]), "u": vs[3].tolist()}
 
 
 #: the entries ``validate`` lists for heat, in order
@@ -409,7 +441,7 @@ def test_audit_counters_repeat_across_reruns(allen_cahn_spec):
     assert counters[0] == counters[1]
     for e in runs[0].entries:
         assert e.evaluations > 0 and e.descent_gain <= 0.0
-    # one scan on the 1025-point grid, plus the coarse points it misses
+    # one scan on the 1025-point grid, whose strides are the coarse grids
     assert runs[0].entry("H1").evaluations >= 1025
     first = runs[0].entries[0].to_json_dict()
     assert first["evaluations"] == runs[0].entries[0].evaluations

@@ -308,6 +308,9 @@ def test_solver_config_validation():
         SolverConfig(dt=0.3, T=1.0, level=1)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, level=1, scheme="magic")
+    for iters in (0, -3, 2.9, True):  # the Newton solve needs at least one iteration
+        with pytest.raises(ValueError, match="newton_max_iter"):
+            SolverConfig(dt=0.1, T=1.0, level=1, newton_max_iter=iters)
 
 
 def test_tamed_explicit_scheme_runs(allen_cahn_spec):

@@ -6,7 +6,7 @@ import pytest
 from levyspde.coefficients import CoefficientBundle
 from levyspde.noise import MarkSpace
 from levyspde.solver import SolverConfig, solve_path
-from levyspde.spaces import GalerkinState, GelfandTriple, triple_from_config
+from levyspde.spaces import GalerkinState, GelfandTriple, libm_pow, triple_from_config
 
 
 @pytest.fixture
@@ -141,3 +141,15 @@ def test_triple_from_config_rules():
     np.testing.assert_array_equal(t2.v_weights, [1.0, 2.0, 10.0])
     with pytest.raises(ValueError):
         triple_from_config({"dimension_cap": 3, "rule": "unknown"})
+
+
+def test_libm_pow_overflows_to_signed_inf_as_c_pow():
+    # a float's ** raises OverflowError where C pow returns ±inf; the finite
+    # elements keep the ** bits
+    x = np.array([[2.0, 1e200], [-1e200, -1e-200]])
+    for e in (3.0, 2.0, -3.0):
+        with np.errstate(over="ignore", divide="ignore"):
+            want = np.power(x, e)
+        got = libm_pow(x, e)
+        np.testing.assert_array_equal(got, want)
+        assert got[0, 0] == 2.0**e
