@@ -382,6 +382,12 @@ def _batched(fn, *rows, stack: int = 1):
     return [np.concatenate(values) for values in zip(*parts)]
 
 
+def _audit_level(triple: GelfandTriple, level: int | None) -> int:
+    """The Galerkin level an audit samples: ``level``, by default 8, or the
+    triple's dimension_cap where that is smaller."""
+    return level or min(triple.dimension_cap, 8)
+
+
 def _row_times(constants: HypothesisConstants | None, n: int) -> np.ndarray:
     """The audit time of each of ``n`` sample rows, (n, 1): row i at ``times[i % times.size]``."""
     times = _time_grid(constants)
@@ -510,7 +516,7 @@ def audit_hemicontinuity(bundle, triple, samples: int, seed: int, level: int | N
                          constants: HypothesisConstants | None = None) -> HypothesisEntry:
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    level = level or min(triple.dimension_cap, 8)
+    level = _audit_level(triple, level)
     times = _time_grid(constants)
     n_scans = max(1, samples // 64)  # each scan evaluates the drift at ~1300 points
 
@@ -609,7 +615,7 @@ def audit_local_monotonicity(bundle, constants, triple, mode, samples, seed,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "H2star" and constants.theta_exp >= constants.beta:
         raise ValueError("H2star requires theta_exp < beta")
-    level = level or min(triple.dimension_cap, 8)
+    level = _audit_level(triple, level)
     states = _sample_states(triple, level, seed, mode, samples)
     us, vs = states[:-1:2], states[1::2]
 
@@ -699,7 +705,7 @@ def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
     """Audit coercivity and the three growth bounds; ``part`` in {"I", "II"}."""
     if part not in ("I", "II"):
         raise ValueError(f"part must be 'I' or 'II', got {part!r}")
-    level = level or min(triple.dimension_cap, 8)
+    level = _audit_level(triple, level)
     star = "" if part == "I" else "star"
     scans = [
         (f"H3{star}", lambda b, t, u: coercivity_terms(b, constants, triple, t, u)),
@@ -730,7 +736,7 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     numerically decidable; this audits the constructed test sequences only
     and passes when the distance at depth k has collapsed relative to k=0.
     """
-    level = level or min(triple.dimension_cap, 8)
+    level = _audit_level(triple, level)
     n_seq = max(1, samples // 16)
     us, ds = [], []
     for i in range(n_seq):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import ModelSpec, resolve
-from .solver import SolverConfig
+from .solver import SolverConfig, SolverFieldError
 from .spaces import finite_vector
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "checked_seed"]
@@ -111,12 +111,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "newton_tol": _require(scfg, "newton_tol", float, "solver", 1e-10),
         "newton_max_iter": _require(scfg, "newton_max_iter", int, "solver", 50),
     }
-    if fields["newton_max_iter"] < 1:
-        raise ConfigError("solver.newton_max_iter", "the Newton solve needs at least one iteration")
     try:
         solver = SolverConfig(scheme=scfg.get("scheme", "drift_implicit"), **fields)
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc))
+    except SolverFieldError as exc:
+        raise ConfigError(f"solver.{exc.field}", str(exc)) from None
     if solver.level > model.triple.dimension_cap:
         raise ConfigError(
             "solver.level",

@@ -7,8 +7,7 @@ the Galerkin level of the normalized ratio
 
     r_m = (E[sup_t ‖Y‖_H^p] + E[(∫ ‖Y‖_V^β dt)^{p/2}]) / (1 + ‖x0‖_H^p).
 
-Confidence intervals are normal-approximation 99% half-widths; medians are
-reported alongside for p >= 4, where jump-driven moments get heavy-tailed.
+Confidence intervals are normal-approximation 99% half-widths.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .coefficients import AUDIT_BATCH_ROWS, CoefficientBundle
-from .noise import ci99, sample_noise, step_index
-from .parallel import batch_seeds, map_indexed
-from .solver import PathRecord, SolverConfig, _drift_rows, solve_paths
+from .noise import ci99, grid_steps, sample_noise, step_index
+from .parallel import batch_seeds, map_indexed, split_by_rows
+from .solver import PathRecord, SolverConfig, _drift_rows, _shared_step_grid, solve_paths
 from .spaces import GelfandTriple, dot_rows, sum_squares
 
 __all__ = [
@@ -36,10 +35,6 @@ __all__ = [
     "delta_steps",
 ]
 
-#: paths per energy task; fixed, so the batches never depend on the workers
-ENERGY_BATCH = 25
-
-
 @dataclass
 class EnergyStats:
     p: float
@@ -52,7 +47,6 @@ class EnergyStats:
     int_v_beta_p2: float
     mixed: float
     ci99: dict
-    medians: dict | None
     ratio: float  # r_m, the uniformity-in-level diagnostic
     truncated_paths: int  # paths with a truncated record, which make every figure NaN
 
@@ -104,7 +98,7 @@ def energy_table(
     if any(p < 2.0 for p in p_list):
         raise ValueError("moment orders must satisfy p >= 2")
     x0 = np.asarray(x0, dtype=float)
-    batches = batch_seeds(seed, n_paths, ENERGY_BATCH)
+    batches = split_by_rows(seed, n_paths, 1, workers)
     ctx = (bundle, triple, x0, config, batches, p_list, beta)
     rows = [row for batch in map_indexed(_energy_batch_worker, ctx, len(batches), workers)
             for row in batch]
@@ -135,15 +129,6 @@ def energy_table(
                 "int_v_beta_p2": ci99(int_pow),
                 "mixed": ci99(mix),
             },
-            medians=(
-                {
-                    "sup_h_p": float(np.median(sup_pow)),
-                    "int_v_beta_p2": float(np.median(int_pow)),
-                    "mixed": float(np.median(mix)),
-                }
-                if p >= 4.0
-                else None
-            ),
             ratio=(est_sup + est_int) / (1.0 + x0_h**p),
             truncated_paths=truncated,
         )
@@ -240,7 +225,9 @@ def discrete_energy_residuals(
     plus the jump quadratic-variation and compensated-martingale terms; the
     drift pairing is evaluated at the same point the scheme used (implicit
     endpoint or tamed start, and both halved substeps where the solver's
-    retry took them).  The records must share one step grid.  Time is a
+    retry took them).  The records must share one step grid
+    (``solver._shared_step_grid``), and each realization must cover it
+    (``NoiseRealization.check_covers``), as in ``solve_paths``.  Time is a
     batch axis: a chunk of C steps stacks the grid states and Wiener
     increments of every path into (C, P, m) arrays, flattened to one row per
     (step, path) whose ``t`` is the step's start time, and makes one call
@@ -265,33 +252,27 @@ def discrete_energy_residuals(
     if config is None:
         config = SolverConfig(dt=first.dt, T=first.T, level=first.level)
     m, dt, T = first.level, first.dt, first.T
-    n_steps = round((first.times[-1] - first.times[0]) / dt)
-    grid_t = None
+    n_steps = grid_steps(T, dt)
+    grid_t = _shared_step_grid(records)
     grid_states = []
     jumps_at: dict[int, list] = {}  # step -> (path, pre, post, event), in time order per path
     for p, (record, realization) in enumerate(zip(records, realizations)):
-        if abs(realization.dt - record.dt) > 1e-12 or realization.m < record.level:
-            raise ValueError("realization does not match the record grid")
+        realization.check_covers(m, dt, T)
         if record.seed is not None and realization.seed != record.seed:
             raise ValueError("realization seed does not match the record")
         if record.truncated_at is not None or record.stopped_at is not None:
             raise ValueError("residual replay needs the full record, not a truncated one")
         times = record.times
         states = np.asarray(record.states, dtype=float)
-        if states.shape != (times.size, record.level) or not np.all(np.isfinite(states)):
-            raise ValueError(f"record states must be finite with shape ({times.size}, {record.level})")
-        evs = [ev for ev in realization.jumps if ev.time <= record.T]
-        if record.n_jump_entries != len(evs):
-            raise ValueError("record jump entries do not match the realization")
-        ks = step_index([ev.time for ev in evs], record.T, record.dt).astype(int)
-        counts = np.bincount(ks, minlength=round((times[-1] - times[0]) / record.dt))
+        if states.shape != (times.size, m) or not np.all(np.isfinite(states)):
+            raise ValueError(f"record states must be finite with shape ({times.size}, {m})")
+        evs = [ev for ev in realization.jumps if ev.time <= T]
+        ks = step_index([ev.time for ev in evs], T, dt).astype(int)
         # grid row k follows the (pre, post) rows of the jumps of earlier steps
-        rows = np.arange(counts.size + 1) + 2 * np.concatenate(([0], np.cumsum(counts)))
-        if grid_t is None:
-            grid_t = times[rows]
-        if ((record.level, record.dt, record.T) != (m, dt, T) or counts.size != n_steps
-                or not np.array_equal(times[rows], grid_t)):
-            raise ValueError("records must share one step grid")
+        counts = np.bincount(ks, minlength=n_steps)
+        rows = np.arange(n_steps + 1) + 2 * np.concatenate(([0], np.cumsum(counts)))
+        if len(evs) != record.n_jump_entries or not np.array_equal(rows, np.flatnonzero(record.is_grid)):
+            raise ValueError("record jump entries do not match the realization")
         grid_states.append(states[rows])
         # the path's jump i, in step k, has its pre row at k + 1 + 2i
         for i, (k, ev) in enumerate(zip(ks.tolist(), evs)):
@@ -404,10 +385,10 @@ class ModulusResult:
 def delta_steps(delta: float, dt: float, n_steps: int) -> int:
     """Grid steps in the shift ``delta``: a positive multiple of ``dt`` and
     at most ``n_steps`` of them."""
-    ratio = delta / dt
-    steps = round(ratio)
-    if steps < 1 or abs(ratio - steps) > 1e-9:
-        raise ValueError(f"delta={delta} is not a positive multiple of dt={dt}")
+    try:
+        steps = grid_steps(delta, dt)
+    except ValueError:
+        raise ValueError(f"delta={delta} is not a positive multiple of dt={dt}") from None
     if steps > n_steps:
         raise ValueError(f"delta={delta} exceeds the horizon {n_steps * dt}")
     return steps
@@ -424,14 +405,10 @@ def _modulus_rows(paths, deltas, beta_exp: float) -> np.ndarray:
     whole = [p for p, rec in enumerate(paths) if rec.truncated_at is None]
     if not whole:
         return out
-    grids = [paths[p].step_grid_view() for p in whole]
-    times0 = grids[0][0]
-    dt = paths[whole[0]].dt
-    for tms, _ in grids[1:]:
-        if tms.shape != times0.shape or not np.allclose(tms, times0):
-            raise ValueError("paths must share a common step grid")
-    states = np.stack([g[1] for g in grids])  # (paths, K+1, m)
-    n_nodes = states.shape[1]
+    records = [paths[p] for p in whole]
+    n_nodes = _shared_step_grid(records).size
+    states = np.stack([rec.states[rec.is_grid] for rec in records])  # (paths, K+1, m)
+    dt = records[0].dt
     for i, d in enumerate(deltas):
         steps = delta_steps(d, dt, n_nodes - 1)
         diff = states[:, steps:, :] - states[:, : n_nodes - steps, :]

@@ -161,34 +161,44 @@ def _diagonal_drift(spectrum: np.ndarray):
     return drift, drift_jacobian, implicit_solve
 
 
-def _multiplicative_diffusion(c: float):
+def _multiplicative_noise(sqrt_w: np.ndarray | None, c: float = 0.0, sigma: float = 0.0,
+                          marks: MarkSpace | None = None) -> dict:
+    """Bundle fields of B(u) = c diag(s u) and γ(u, z) = σ z s u for a mode scale s.
+
+    ``sqrt_w`` is None for the H family (s = 1) and √w for the V family,
+    whose noise grows with the V-norm (part II).  Returns ``diffusion`` and
+    ``diffusion_matvec``, plus ``jump`` and ``jump_weighted_sum`` when
+    ``marks`` is given.  In the H family every factor of s is the float 1,
+    so c u and σ z u keep their bits and their scalar speed.
+    """
+
+    def times_s(factor: float):
+        """m -> factor s_1..m, formed once; a float in the H family."""
+        if sqrt_w is None:
+            return lambda m: factor
+        scaled = factor * sqrt_w
+        return lambda m: scaled[:m]
+
+    s, c_s = times_s(1.0), times_s(c)
+
     def diffusion(t, u):
-        return c * _diag(u)
+        return c * _diag(s(u.shape[-1]) * u)
 
-    return diffusion
+    def diffusion_matvec(t, u, dw):
+        return c_s(u.shape[-1]) * u * dw
 
+    fields = {"diffusion": diffusion, "diffusion_matvec": diffusion_matvec}
+    if marks is None:
+        return fields
+    density_s = times_s(sigma * float(np.sum(marks.weights * marks.marks)))
 
-def _multiplicative_diffusion_matvec(c: float):
-    def matvec(t, u, dw):
-        return c * u * dw
-
-    return matvec
-
-
-def _multiplicative_jump(sigma: float):
     def jump(t, u, z):
-        return sigma * z * u
+        return sigma * z * s(u.shape[-1]) * u
 
-    return jump
+    def jump_weighted_sum(t, u):
+        return density_s(u.shape[-1]) * u
 
-
-def _multiplicative_jump_weighted_sum(sigma: float, marks: MarkSpace):
-    scale = sigma * float(np.sum(marks.weights * marks.marks))
-
-    def weighted_sum(t, u):
-        return scale * u
-
-    return weighted_sum
+    return dict(fields, jump=jump, jump_weighted_sum=jump_weighted_sum)
 
 
 def _zero_diffusion(t, u):
@@ -199,29 +209,27 @@ def _zero_jump(t, u, z):
     return np.zeros(u.shape)
 
 
-def _heat(cap: int = 48, c_wiener: float = 0.25, sigma_jump: float = 0.2,
-          marks: MarkSpace = _DEFAULT_MARKS) -> ModelSpec:
-    j = np.arange(1, cap + 1, dtype=float)
-    weights = j**2
-    triple = GelfandTriple(dimension_cap=cap, v_weights=weights, name="heat")
-    w = triple.v_weights
-
-    drift, drift_jacobian, implicit_solve = _diagonal_drift(w)
-
-    m2 = marks.moment(2.0)
-    bundle = CoefficientBundle(
+def _diagonal_bundle(triple: GelfandTriple, marks: MarkSpace, noise: dict) -> CoefficientBundle:
+    """A(u) = -w u on the triple's weights with the given noise fields, and
+    zero monotonicity functionals."""
+    drift, drift_jacobian, implicit_solve = _diagonal_drift(triple.v_weights)
+    return CoefficientBundle(
         drift=drift,
-        diffusion=_multiplicative_diffusion(c_wiener),
-        jump=_multiplicative_jump(sigma_jump),
         mark_space=marks,
         rho=_zero_functional,
         eta=_zero_functional,
         local_bound=lambda t, r: 0.0,
         drift_jacobian=drift_jacobian,
         drift_implicit_solve=implicit_solve,
-        diffusion_matvec=_multiplicative_diffusion_matvec(c_wiener),
-        jump_weighted_sum=_multiplicative_jump_weighted_sum(sigma_jump, marks),
+        **noise,
     )
+
+
+def _heat(cap: int = 48, c_wiener: float = 0.25, sigma_jump: float = 0.2,
+          marks: MarkSpace = _DEFAULT_MARKS) -> ModelSpec:
+    triple = triple_from_config({"dimension_cap": cap, "name": "heat"})
+    bundle = _diagonal_bundle(triple, marks, _multiplicative_noise(None, c_wiener, sigma_jump, marks))
+    m2 = marks.moment(2.0)
     constants = HypothesisConstants(
         beta=2.0,
         f_integral=0.0,
@@ -243,41 +251,10 @@ def _heat(cap: int = 48, c_wiener: float = 0.25, sigma_jump: float = 0.2,
 
 def _grad_noise_linear(cap: int = 32, c_b: float = 0.1, c_gamma: float = 0.05,
                        marks: MarkSpace = _DEFAULT_MARKS) -> ModelSpec:
-    j = np.arange(1, cap + 1, dtype=float)
-    triple = GelfandTriple(dimension_cap=cap, v_weights=j**2, name="grad_noise_linear")
-    w = triple.v_weights
-    sqrt_w = np.sqrt(w)
-
-    drift, drift_jacobian, implicit_solve = _diagonal_drift(w)
-
-    def diffusion(t, u):
-        return c_b * _diag(sqrt_w[: u.shape[-1]] * u)
-
-    def jump(t, u, z):
-        return c_gamma * z * sqrt_w[: u.shape[-1]] * u
-
-    def diffusion_matvec(t, u, dw):
-        return c_b * sqrt_w[: u.shape[-1]] * u * dw
-
-    gamma_scale = c_gamma * float(np.sum(marks.weights * marks.marks))
-
-    def jump_weighted_sum(t, u):
-        return gamma_scale * sqrt_w[: u.shape[-1]] * u
-
+    triple = triple_from_config({"dimension_cap": cap, "name": "grad_noise_linear"})
+    noise = _multiplicative_noise(np.sqrt(triple.v_weights), c_b, c_gamma, marks)
+    bundle = _diagonal_bundle(triple, marks, noise)
     m2 = marks.moment(2.0)
-    bundle = CoefficientBundle(
-        drift=drift,
-        diffusion=diffusion,
-        jump=jump,
-        mark_space=marks,
-        rho=_zero_functional,
-        eta=_zero_functional,
-        local_bound=lambda t, r: 0.0,
-        drift_jacobian=drift_jacobian,
-        drift_implicit_solve=implicit_solve,
-        diffusion_matvec=diffusion_matvec,
-        jump_weighted_sum=jump_weighted_sum,
-    )
     constants = HypothesisConstants(
         beta=2.0,
         C_monotone=1.0,
@@ -334,15 +311,12 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
         drift=drift,
-        diffusion=_multiplicative_diffusion(c_wiener),
-        jump=_multiplicative_jump(sigma_jump),
         mark_space=marks,
         rho=lambda u: 1.5 * sup_norm_sq(u),
         eta=lambda u: 1.5 * sup_norm_sq(u),
         local_bound=lambda t, r: 1.0,
         drift_jacobian=drift_jacobian,
-        diffusion_matvec=_multiplicative_diffusion_matvec(c_wiener),
-        jump_weighted_sum=_multiplicative_jump_weighted_sum(sigma_jump, marks),
+        **_multiplicative_noise(None, c_wiener, sigma_jump, marks),
     )
     constants = HypothesisConstants(
         beta=2.0,
@@ -401,15 +375,12 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
     m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
         drift=drift,
-        diffusion=_multiplicative_diffusion(c_wiener),
-        jump=_multiplicative_jump(sigma_jump),
         mark_space=marks,
         rho=rho,
         eta=rho,
         local_bound=lambda t, r: 2.0 * k_mono * (1.0 + r ** (4.0 / 3.0)),
         drift_jacobian=drift_jacobian,
-        diffusion_matvec=_multiplicative_diffusion_matvec(c_wiener),
-        jump_weighted_sum=_multiplicative_jump_weighted_sum(sigma_jump, marks),
+        **_multiplicative_noise(None, c_wiener, sigma_jump, marks),
     )
     constants = HypothesisConstants(
         beta=2.0,
@@ -462,7 +433,6 @@ def _p_laplacian(n: int = 64, cap: int = 33, p: float = 4.0, c_wiener: float = 0
 
     bundle = CoefficientBundle(
         drift=drift,
-        diffusion=_multiplicative_diffusion(c_wiener),
         jump=_zero_jump,
         mark_space=marks,
         rho=_zero_functional,
@@ -470,7 +440,7 @@ def _p_laplacian(n: int = 64, cap: int = 33, p: float = 4.0, c_wiener: float = 0
         local_bound=lambda t, r: 0.0,
         v_norm=v_norm,
         drift_jacobian=drift_jacobian,
-        diffusion_matvec=_multiplicative_diffusion_matvec(c_wiener),
+        **_multiplicative_noise(None, c_wiener),
     )
     constants = HypothesisConstants(
         beta=p,
@@ -569,15 +539,15 @@ def from_config(cfg: dict) -> ModelSpec:
     grid_size = cfg["triple"].get("grid_size")
     reaction = cfg.get("reaction")
 
-    tcfg = dict(cfg["triple"], name=name)
     grid = None
     if grid_size:
         # the grid's own weights make the diagonal V-norm the discrete H1 norm
         grid = SpectralGrid(int(grid_size), cap)
-        tcfg["weights"] = 1.0 + grid.mu
+        triple = _grid_triple(name, grid)
     elif reaction:
         raise ValueError("polynomial reaction terms require triple.grid_size")
-    triple = triple_from_config(tcfg)
+    else:
+        triple = triple_from_config(dict(cfg["triple"], name=name))
 
     dcfg = cfg.get("drift", {"type": "diagonal", "scale": 1.0})
     if dcfg["type"] == "diagonal":
@@ -614,31 +584,23 @@ def from_config(cfg: dict) -> ModelSpec:
         else MarkSpace.zero()
     )
 
+    # the H family scales every mode by 1 (None), the V family by sqrt(w_j)
+    sqrt_w = np.sqrt(triple.v_weights)
     bcfg = cfg.get("diffusion", {"type": "zero"})
     if bcfg["type"] == "zero":
         diffusion = _zero_diffusion
-    elif bcfg["type"] == "multiplicative_h":
-        diffusion = _multiplicative_diffusion(float(bcfg["c"]))
-    elif bcfg["type"] == "multiplicative_v":
-        sqrt_w = np.sqrt(triple.v_weights)
-        c_b = float(bcfg["c"])
-
-        def diffusion(t, u):
-            return c_b * _diag(sqrt_w[: u.shape[-1]] * u)
+    elif bcfg["type"] in ("multiplicative_h", "multiplicative_v"):
+        scale = sqrt_w if bcfg["type"] == "multiplicative_v" else None
+        diffusion = _multiplicative_noise(scale, c=float(bcfg["c"]))["diffusion"]
     else:
         raise ValueError(f"unknown diffusion type {bcfg['type']!r}")
 
     jcfg = cfg.get("jump", {"type": "zero"})
     if jcfg["type"] == "zero":
         jump = _zero_jump
-    elif jcfg["type"] == "multiplicative_mark":
-        jump = _multiplicative_jump(float(jcfg["sigma"]))
-    elif jcfg["type"] == "multiplicative_v_mark":
-        sqrt_wj = np.sqrt(triple.v_weights)
-        sig = float(jcfg["sigma"])
-
-        def jump(t, u, z):
-            return sig * z * sqrt_wj[: u.shape[-1]] * u
+    elif jcfg["type"] in ("multiplicative_mark", "multiplicative_v_mark"):
+        scale = sqrt_w if jcfg["type"] == "multiplicative_v_mark" else None
+        jump = _multiplicative_noise(scale, sigma=float(jcfg["sigma"]), marks=marks)["jump"]
     else:
         raise ValueError(f"unknown jump type {jcfg['type']!r}")
 

@@ -111,6 +111,17 @@ class NoiseRealization:
             raise ValueError("jump times must be strictly increasing")
         wiener.setflags(write=False)
 
+    def check_covers(self, level: int, dt: float, T: float) -> None:
+        """Raise ValueError unless this realization holds the noise a level-m
+        solve on the dt grid of [0, T] consumes: ``level`` Wiener modes on
+        that grid through T."""
+        if (self.m < level or abs(self.dt - dt) > 1e-12 or self.T < T - 1e-12
+                or self.wiener.shape[0] < grid_steps(T, dt)):
+            raise ValueError(
+                f"realization (m={self.m}, dt={self.dt}, T={self.T}, {self.wiener.shape[0]} steps) "
+                f"does not cover level {level}, dt={dt}, T={T}"
+            )
+
 
 def grid_steps(T: float, dt: float) -> int:
     """Number of steps of the uniform grid k dt on [0, T]; dt must divide T."""

@@ -4,12 +4,13 @@ Workers receive only the task index; the task context (bundles hold
 closures, which do not pickle) is inherited through fork.  Results come
 back in index order, so every aggregation downstream reduces in a fixed
 order and the output is bit-identical for any worker count.  An ensemble
-study splits its paths into batches, one task each: most into fixed batches
-(``batch_seeds``), which do not depend on the workers, and the stability
-study into one near-equal batch per worker (``split_seeds``), as it keeps no
-path's states.  Its batches then follow ``--workers``, but its bits do not:
-the solver gives every row of a batch exactly the arithmetic it would do
-alone, and the study reduces each pair's curve in pair order.
+study splits its paths into batches, one task each: the studies that keep
+their paths' states into fixed batches (``batch_seeds``), and energy and
+stability, which keep none, into one near-equal batch per worker, or more
+where a batch would pass ``AUDIT_BATCH_ROWS`` solver rows (``split_by_rows``).
+Those batches follow ``--workers``, but their bits do not: the solver gives
+every row of a batch exactly the arithmetic it would do alone, and each
+study reduces its paths in path order.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 
+from .coefficients import AUDIT_BATCH_ROWS
 from .rng import path_seed
 
-__all__ = ["map_indexed", "worker_count", "batch_seeds", "split_seeds"]
+__all__ = ["map_indexed", "worker_count", "batch_seeds", "split_by_rows"]
 
 #: paths per study task when the study names no batch size of its own
 STUDY_BATCH = 8
@@ -35,11 +37,13 @@ def batch_seeds(seed: int, n_paths: int, batch: int | None = None) -> list[list[
     return [seeds[i : i + batch] for i in range(0, n_paths, batch)]
 
 
-def split_seeds(seed: int, n_paths: int, tasks: int) -> list[list[int]]:
-    """Path seeds 0 .. n_paths-1 under ``seed``, split into min(tasks,
-    n_paths) tasks whose sizes differ by at most one, the longer ones first."""
+def split_by_rows(seed: int, n_paths: int, rows_per_path: int, workers: int) -> list[list[int]]:
+    """Path seeds 0 .. n_paths-1 under ``seed``, split into max(workers,
+    ceil(rows_per_path n_paths / AUDIT_BATCH_ROWS)) tasks, at most one per
+    path, whose sizes differ by at most one, the longer ones first; a path
+    solves ``rows_per_path`` solver rows (two for a stability pair)."""
     seeds = [path_seed(seed, i) for i in range(n_paths)]
-    tasks = min(tasks, n_paths)
+    tasks = min(max(workers, -(-rows_per_path * n_paths // AUDIT_BATCH_ROWS)), n_paths)
     size, extra = divmod(n_paths, tasks)
     bounds = [i * size + min(i, extra) for i in range(tasks + 1)]
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

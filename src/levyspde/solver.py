@@ -68,6 +68,14 @@ class StepFailure(RuntimeError):
         self.iterations = iterations
 
 
+class SolverFieldError(ValueError):
+    """A ``SolverConfig`` value outside its range; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -78,18 +86,24 @@ class SolverConfig:
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0 or self.dt >= self.T:
-            raise ValueError("need 0 < dt < T")
+        if self.T <= 0:
+            raise SolverFieldError("T", "need 0 < dt < T")
+        if self.dt <= 0 or self.dt >= self.T:
+            raise SolverFieldError("dt", "need 0 < dt < T")
         if self.level <= 0:
-            raise ValueError("level must be positive")
+            raise SolverFieldError("level", "level must be positive")
         if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+            raise SolverFieldError("newton_tol", "newton_tol must be positive")
         iters = self.newton_max_iter
         if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
-            raise ValueError(f"newton_max_iter must be an integer >= 1, got {iters!r}")
+            raise SolverFieldError("newton_max_iter",
+                                   f"newton_max_iter must be an integer >= 1, got {iters!r}")
         if self.scheme not in ("drift_implicit", "tamed_explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        grid_steps(self.T, self.dt)
+            raise SolverFieldError("scheme", f"unknown scheme {self.scheme!r}")
+        try:
+            grid_steps(self.T, self.dt)
+        except ValueError as exc:
+            raise SolverFieldError("dt", str(exc)) from None
 
     @property
     def n_steps(self) -> int:
@@ -140,6 +154,18 @@ class PathRecord:
     def step_grid_view(self):
         """(times, states) restricted to the uniform step grid (no jump rows)."""
         return self.times[self.is_grid], self.states[self.is_grid]
+
+
+def _shared_step_grid(records) -> np.ndarray:
+    """The step-grid times that every record shares; ValueError unless each
+    has the first one's level, dt and T and exactly its grid times."""
+    first = records[0]
+    times = first.times[first.is_grid]
+    for rec in records[1:]:
+        if ((rec.level, rec.dt, rec.T) != (first.level, first.dt, first.T)
+                or not np.array_equal(rec.times[rec.is_grid], times)):
+            raise ValueError("records must share one step grid")
+    return times
 
 
 def _per_row(t) -> bool:
@@ -498,10 +524,7 @@ def solve_paths(
         jumps = [jumps_of[s] for s in seeds]
     else:
         for real in noise:
-            if real.m < m:
-                raise ValueError(f"realization has {real.m} Wiener modes, need {m}")
-            if abs(real.dt - config.dt) > 1e-12 or real.T < config.T - 1e-12:
-                raise ValueError("realization grid does not match the solver config")
+            real.check_covers(m, config.dt, config.T)
         wiener = [real.wiener[:n_steps, :m] for real in noise]
         chunks = (
             np.stack([w[k0 : k0 + chunk] for w in wiener], axis=1)

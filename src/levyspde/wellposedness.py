@@ -6,10 +6,13 @@ realization drives both members of a pair, and in the level study the
 level-m solve consumes the first m Wiener modes of the reference
 realization together with the identical jump event list, mirroring the
 nesting of the truncated noise projections.  Every study advances its paths
-in fixed batches of ``parallel.STUDY_BATCH`` through ``solver.solve_paths``;
-a pair shares a seed, and an explicit coupling passes the realizations in
-through its ``noise=`` argument.  A path whose record was truncated yields
-NaN, so the study fails instead of comparing a prefix.
+in batches through ``solver.solve_paths``: uniqueness, dependence and
+convergence in fixed batches of ``parallel.STUDY_BATCH``, and stability,
+which keeps no path's states, in ``parallel.split_by_rows``'s batches, one
+per worker and two solver rows per pair.  A pair shares a seed, and an
+explicit coupling passes the realizations in through its ``noise=``
+argument.  A path whose record was truncated yields NaN, so the study fails
+instead of comparing a prefix.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .coefficients import AUDIT_BATCH_ROWS, CoefficientBundle, HypothesisConstants, _batched
+from .coefficients import CoefficientBundle, HypothesisConstants, _batched
 from .noise import JumpEvent, NoiseRealization, ci99, grid_times, sample_noise, step_index
-from .parallel import batch_seeds, map_indexed, split_seeds
+from .parallel import batch_seeds, map_indexed, split_by_rows
 from .solver import SolverConfig, solve_paths
 from .spaces import GelfandTriple, dot_rows
 
@@ -218,8 +221,7 @@ def weighted_stability_mc(
         raise ValueError("weighted stability requires the bundle to declare rho and eta")
     x0_a = np.asarray(x0_a, dtype=float)
     x0_b = np.asarray(x0_b, dtype=float)
-    # one task per worker, of at most AUDIT_BATCH_ROWS solver rows (two per pair)
-    batches = split_seeds(seed, n_paths, max(workers, -(-2 * n_paths // AUDIT_BATCH_ROWS)))
+    batches = split_by_rows(seed, n_paths, 2, workers)  # each pair solves two rows
     ctx = (bundle, triple, constants, x0_a, x0_b, config, batches)
     per_batch = map_indexed(_stability_worker, ctx, len(batches), workers)
     # one C-ordered row per pair, so the mean adds the pairs in seed order

@@ -212,10 +212,13 @@ def test_config_loader_errors():
             parse_config({"schema_version": 1, "model": "heat",
                           "solver": {"dt": 0.01, "T": 1.0, "level": 2}, "x0": x0})
         assert err.value.field_name == "x0"
-    # solver fields: numbers that are not strings or bools, and at least one Newton iteration
+    # solver fields: numbers that are not strings or bools, inside their ranges,
+    # and at least one Newton iteration; dt 0.3 does not divide T 1.0
     for name, value in [("newton_max_iter", 0), ("newton_max_iter", -3), ("newton_max_iter", 2.9),
                         ("newton_max_iter", True), ("newton_tol", "1e-10"), ("newton_tol", False),
-                        ("dt", True), ("dt", "0.01"), ("T", True), ("T", "1"), ("level", True)]:
+                        ("dt", True), ("dt", "0.01"), ("T", True), ("T", "1"), ("level", True),
+                        ("dt", -1.0), ("dt", 0.3), ("dt", 2.0), ("T", -1.0), ("level", 0),
+                        ("scheme", "magic"), ("newton_tol", -1.0)]:
         solver = {"dt": 0.01, "T": 1.0, "level": 2, name: value}
         with pytest.raises(ConfigError) as err:
             parse_config({"schema_version": 1, "model": "heat", "solver": solver})

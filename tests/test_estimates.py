@@ -116,16 +116,6 @@ def test_sup_dominates_endpoint_per_path(heat_spec):
         assert sup_h**2 >= float(np.dot(rec.states[-1], rec.states[-1])) - 1e-15
 
 
-def test_medians_reported_for_heavy_tails(heat_spec):
-    cfg = SolverConfig(dt=1e-2, T=0.5, level=3)
-    stats = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                         [4.0], cfg, n_paths=50, seed=0)[0]
-    assert stats.medians is not None and stats.medians["sup_h_p"] > 0.0
-    stats2 = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                          [2.0], cfg, n_paths=50, seed=0)[0]
-    assert stats2.medians is None
-
-
 def test_energy_table_independent_of_workers_and_batches(heat_spec, monkeypatch):
     cfg = SolverConfig(dt=0.01, T=0.5, level=4)
 
@@ -137,7 +127,8 @@ def test_energy_table_independent_of_workers_and_batches(heat_spec, monkeypatch)
     reference = run(1)
     assert run(2) == reference
     assert run(4) == reference
-    monkeypatch.setattr(estimates, "ENERGY_BATCH", 1)
+    monkeypatch.setattr(estimates, "split_by_rows",
+                        lambda seed, n_paths, rows, workers: batch_seeds(seed, n_paths, 1))
     assert run(1) == reference
     assert run(2) == reference
 
@@ -301,6 +292,24 @@ def test_batched_replay_rejects_a_wrong_seed_and_mixed_grids(heat_spec):
     assert discrete_energy_residuals([], heat_spec.bundle, [], cfg) == []
 
 
+def test_replay_rejects_a_realization_shorter_than_its_record(heat_spec):
+    # the replay and solve_paths(noise=) share one coverage check and its message
+    cfg = SolverConfig(dt=0.01, T=0.3, level=4)
+    records, noise = _replay_batch(heat_spec, cfg, 2, seed=5)
+    short = sample_noise(4, 0.2, cfg.dt, heat_spec.bundle.mark_space, noise[1].seed)
+    with pytest.raises(ValueError, match="does not cover level 4, dt=0.01, T=0.3") as replay:
+        discrete_energy_residuals(records, heat_spec.bundle, [noise[0], short], cfg)
+    with pytest.raises(ValueError) as solve:
+        solve_paths(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
+                    [short.seed], noise=[short])
+    assert str(replay.value) == str(solve.value)
+    # nor does a Wiener matrix shorter than the realization's own horizon
+    clipped = dataclasses.replace(noise[1], wiener=noise[1].wiener[:10])
+    with pytest.raises(ValueError, match="10 steps. does not cover"):
+        solve_paths(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg,
+                    [clipped.seed], noise=[clipped])
+
+
 @pytest.mark.parametrize("variant", ["closed-form", "newton", "fd-newton", "tamed"])
 @pytest.mark.parametrize("n_paths, T, dt", [(8, 0.3, 0.01), (3, 0.5, 0.005)], ids=["8x30", "3x100"])
 def test_stacked_replay_of_a_time_dependent_bundle_matches_serial_replay(variant, n_paths, T, dt):
@@ -429,6 +438,18 @@ def test_modulus_wiener_rooted_slope_matches_brownian_exponent(heat_spec):
     result = modulus_of_continuity(paths, deltas, 2.0)
     assert 0.35 <= result.log_slope() <= 0.65
     assert result.consistent_with_tightness
+
+
+def test_modulus_rejects_records_off_one_step_grid():
+    # one exact rule with the replay: grid times 1e-9 apart are two grids
+    dt, T = 0.05, 1.0
+    times = np.arange(0.0, T + dt / 2, dt)
+    moved = times.copy()
+    moved[3] *= 1.0 + 1e-9
+    states = np.tile([1.5, -0.5], (times.size, 1))
+    paths = [_record_from_states(times, states, dt, T), _record_from_states(moved, states, dt, T)]
+    with pytest.raises(ValueError, match="share one step grid"):
+        modulus_of_continuity(paths, [2 * dt], 2.0)
 
 
 def test_modulus_rejects_off_grid_delta():

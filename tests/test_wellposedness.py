@@ -379,8 +379,8 @@ def test_stability_independent_of_its_batch_count_and_workers(allen_cahn_spec, m
         return dataclasses.asdict(result)
 
     reference = run(1)
-    monkeypatch.setattr(wellposedness, "split_seeds",
-                        lambda seed, n_paths, tasks: batch_seeds(seed, n_paths, pairs_per_batch or n_paths))
+    monkeypatch.setattr(wellposedness, "split_by_rows", lambda seed, n_paths, rows, workers:
+                        batch_seeds(seed, n_paths, pairs_per_batch or n_paths))
     for workers in (1, 2):
         got = run(workers)
         assert got.keys() == reference.keys()
