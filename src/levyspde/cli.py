@@ -19,10 +19,10 @@ import numpy as np
 
 from . import estimates, models, noise, wellposedness
 from .coefficients import admissible_p_range
-from .config import ConfigError, ExperimentConfig, checked_seed, checked_vector, load_config
+from .config import ConfigError, ExperimentConfig, checked_seed, load_config
 from .parallel import worker_count
 from .solver import StoppingTimeRule, apply_stopping, solve_path
-from .spaces import is_number
+from .spaces import read
 
 #: inequality/estimate anchor named in each artifact's header comment row
 ANCHORS = {
@@ -101,51 +101,20 @@ def _truncation_suffix(truncated: int, total: int) -> str:
     return f"; {truncated} of {total} paths truncated" if truncated else ""
 
 
-def _study_int(exp: ExperimentConfig, name: str, default: int) -> int:
-    value = exp.study.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"study.{name}", "expected a nonnegative integer")
-    return value
-
-
 def _study_paths(exp: ExperimentConfig, default: int, least: int = 1) -> int:
     """``study.n_paths``, at least ``least``: a verdict that reads a CI99 needs two."""
-    n_paths = _study_int(exp, "n_paths", default)
+    n_paths = read(exp.study, "n_paths", "study", int, default)
     if n_paths < least:
         raise ConfigError("study.n_paths", f"n_paths must be >= {least}")
     return n_paths
 
 
-def _study_float(exp: ExperimentConfig, name: str, default=None):
-    """``study.<name>`` as a float; ``default`` when it is absent or null."""
-    value = exp.study.get(name)
-    if value is None:
-        return default
-    if not is_number(value):
-        raise ConfigError(f"study.{name}", "expected a number")
-    return float(value)
-
-
-def _study_bool(exp: ExperimentConfig, name: str) -> bool:
-    """``study.<name>``, false when absent; only a JSON boolean is accepted."""
-    value = exp.study.get(name, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"study.{name}", "expected true or false")
-    return value
-
-
-def _study_floats(exp: ExperimentConfig, name: str, default) -> list[float]:
-    value = exp.study.get(name, default)
-    if not isinstance(value, (list, tuple)) or not value or not all(map(is_number, value)):
-        raise ConfigError(f"study.{name}", "expected a nonempty list of numbers")
-    return [float(v) for v in value]
-
-
-def _study_levels(exp: ExperimentConfig, default) -> list[int]:
-    values = _study_floats(exp, "m_list", default)
+def _study_levels(exp: ExperimentConfig, default: list[int]) -> list[int]:
+    """``study.m_list``: whole Galerkin levels in [1, dimension_cap]."""
+    values = read(exp.study, "m_list", "study", list, default)
     cap = exp.model.triple.dimension_cap
-    if any(not 1 <= m <= cap for m in values):
-        raise ConfigError("study.m_list", f"expected levels in [1, {cap}], got {values}")
+    if any(not 1 <= m <= cap or m != int(m) for m in values):
+        raise ConfigError("study.m_list", f"expected whole levels in [1, {cap}], got {values}")
     return [int(m) for m in values]
 
 
@@ -169,7 +138,7 @@ def _check_p_admissibility(exp: ExperimentConfig, p_list) -> None:
 
 
 def _cmd_check(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    samples = _study_int(exp, "samples", 1000)
+    samples = read(exp.study, "samples", "study", int, 1000)
     if samples < 1:
         raise ConfigError("study.samples", "the audits need at least one sample")
     report = models.validate(exp.model, samples=samples, seed=exp.master_seed)
@@ -191,7 +160,7 @@ def _cmd_check(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 
 def _cmd_simulate(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    stopping_n = _study_float(exp, "stopping_N")
+    stopping_n = read(exp.study, "stopping_N", "study", float, None)
     try:
         rule = None if stopping_n is None else StoppingTimeRule(stopping_n)
     except ValueError as exc:
@@ -219,11 +188,11 @@ def _cmd_simulate(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 
 def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    p_list = _study_floats(exp, "p_list", [2.0])
+    p_list = read(exp.study, "p_list", "study", list, [2.0])
     m_list = _study_levels(exp, [exp.solver.level])
     n_paths = _study_paths(exp, 200, least=2)
     _check_p_admissibility(exp, p_list)
-    if not _study_bool(exp, "skip_audit"):
+    if not read(exp.study, "skip_audit", "study", bool, False):
         # warn-only precondition: the estimate is still computed when the
         # declared hypothesis constants fail their quick audit
         quick = models.validate(exp.model, samples=64, seed=exp.master_seed)
@@ -272,7 +241,7 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 
 def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    dt_levels = _study_floats(exp, "dt_levels", [4e-3, 2e-3, 1e-3])
+    dt_levels = read(exp.study, "dt_levels", "study", list, [4e-3, 2e-3, 1e-3])
     if len(set(dt_levels)) < 2:
         raise ConfigError("study.dt_levels", "the slope fit needs at least two distinct levels")
     n_paths = _study_paths(exp, 256)
@@ -303,14 +272,14 @@ def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     dt = exp.solver.dt
-    deltas = _study_floats(exp, "delta_list", [4 * dt, 8 * dt, 16 * dt, 32 * dt])
+    deltas = read(exp.study, "delta_list", "study", list, [4 * dt, 8 * dt, 16 * dt, 32 * dt])
     n_paths = _study_paths(exp, 200, least=2)
     for d in deltas:
         try:
             estimates.delta_steps(d, dt, exp.solver.n_steps)
         except ValueError as exc:
             raise ConfigError("study.delta_list", str(exc)) from None
-    beta = _study_float(exp, "beta_exp", float(exp.model.constants.beta))
+    beta = read(exp.study, "beta_exp", "study", float, exp.model.constants.beta)
     result = estimates.modulus_study(
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver, deltas, beta,
         n_paths, exp.master_seed, workers=workers,
@@ -331,7 +300,7 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     n_paths = _study_paths(exp, 16)
-    stress = _study_bool(exp, "stress")
+    stress = read(exp.study, "stress", "study", bool, False)
     sups = wellposedness.uniqueness_sups(
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver,
         n_paths, exp.master_seed, stress=stress, workers=workers,
@@ -353,9 +322,8 @@ def _cmd_uniqueness(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     n_paths = _study_paths(exp, 200)
     x0 = exp.initial_state()
-    if "x0_b" in exp.study:
-        x0_b = checked_vector(exp.study["x0_b"], "study.x0_b")
-    else:
+    x0_b = read(exp.study, "x0_b", "study", np.ndarray, None)
+    if x0_b is None:
         x0_b = x0.copy()
         x0_b[0] += 0.1
     result = wellposedness.weighted_stability_mc(
@@ -377,10 +345,10 @@ def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 
 def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
-    deltas = _study_floats(exp, "perturbations", [1e-1, 1e-2, 1e-3])
+    deltas = read(exp.study, "perturbations", "study", list, [1e-1, 1e-2, 1e-3])
     if sum(d > 0.0 for d in deltas) < 2:
         raise ConfigError("study.perturbations", "the slope fit needs at least two positive entries")
-    p = _study_float(exp, "p", 2.0)
+    p = read(exp.study, "p", "study", float, 2.0)
     _check_p_admissibility(exp, [p])
     n_paths = _study_paths(exp, 200)
     table = wellposedness.continuous_dependence_study(
@@ -423,7 +391,7 @@ def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 def _cmd_prange(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     # the moment side condition depends on an imported constant the source
     # material never pins; the study may replace the default guess by base^p
-    base = _study_float(exp, "c_tilde_base")
+    base = read(exp.study, "c_tilde_base", "study", float, None)
     result = admissible_p_range(exp.model.constants,
                                 c_tilde=None if base is None else lambda p: base**p)
     rows = [

@@ -17,6 +17,7 @@ point, deliberately not shipped.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .coefficients import (
     chi_exponent,
 )
 from .noise import MarkSpace
-from .spaces import GelfandTriple, dot_rows, finite_vector, libm_pow, triple_from_config
+from .spaces import ConfigError, GelfandTriple, dot_rows, libm_pow, read, triple_from_config
 
 __all__ = ["ModelSpec", "SpectralGrid", "builtin", "validate", "from_config", "resolve", "BUILTIN_IDS"]
 
@@ -533,42 +534,48 @@ def from_config(cfg: dict) -> ModelSpec:
     ``multiplicative_h`` (c u per mode), ``multiplicative_v`` (c sqrt(w) u).
     Jump types: ``zero``, ``multiplicative_mark`` (sigma z u),
     ``multiplicative_v_mark`` (sigma z sqrt(w) u).
+
+    A value of the wrong kind raises ``ConfigError``, a ``ValueError`` that
+    names its field under ``model.``, such as ``model.triple.dimension_cap``;
+    the triple, grid, marks, constants and regime check their own ranges.
     """
-    name = cfg.get("name", "custom")
-    cap = int(cfg["triple"]["dimension_cap"])
-    grid_size = cfg["triple"].get("grid_size")
-    reaction = cfg.get("reaction")
+    name = read(cfg, "name", "model", str, "custom")
+    tcfg = read(cfg, "triple", "model", dict)
+    cap = read(tcfg, "dimension_cap", "model.triple", int)
+    grid_size = read(tcfg, "grid_size", "model.triple", int, None)
+    reaction = read(cfg, "reaction", "model", np.ndarray, None)
 
     grid = None
     if grid_size:
         # the grid's own weights make the diagonal V-norm the discrete H1 norm
-        grid = SpectralGrid(int(grid_size), cap)
+        grid = SpectralGrid(grid_size, cap)
         triple = _grid_triple(name, grid)
-    elif reaction:
-        raise ValueError("polynomial reaction terms require triple.grid_size")
+    elif reaction is not None:
+        raise ConfigError("model.triple.grid_size", "polynomial reaction terms require a grid")
     else:
-        triple = triple_from_config(dict(cfg["triple"], name=name))
+        triple = triple_from_config(dict(tcfg, name=name))
 
-    dcfg = cfg.get("drift", {"type": "diagonal", "scale": 1.0})
-    if dcfg["type"] == "diagonal":
-        spectrum = float(dcfg.get("scale", 1.0)) * triple.v_weights
-    elif dcfg["type"] == "diagonal_spectrum":
-        spectrum = np.asarray(dcfg["values"], dtype=float)
+    dcfg = read(cfg, "drift", "model", dict, {"type": "diagonal"})
+    dtype = read(dcfg, "type", "model.drift", str)
+    if dtype == "diagonal":
+        spectrum = read(dcfg, "scale", "model.drift", float, 1.0) * triple.v_weights
+    elif dtype == "diagonal_spectrum":
+        spectrum = read(dcfg, "values", "model.drift", np.ndarray)
         if spectrum.shape != (cap,):
-            raise ValueError(f"drift.values must have length {cap}")
+            raise ConfigError("model.drift.values", f"expected length {cap}")
     else:
-        raise ValueError(f"unknown drift type {dcfg['type']!r}")
-    if not reaction:
+        raise ConfigError("model.drift.type", f"unknown drift type {dtype!r}")
+    if reaction is None:
         drift, drift_jacobian, implicit_solve = _diagonal_drift(spectrum)
     else:
-        poly = np.asarray(reaction, dtype=float)
-        dpoly = np.polyder(np.poly1d(poly[::-1]))
+        poly = reaction[::-1]  # highest power first, as np.polyval takes it
+        dpoly = np.polyder(np.poly1d(poly))
         implicit_solve = None
         linear_jac = -np.diag(spectrum)
 
         def drift(t, u):
             m = u.shape[-1]
-            return -spectrum[:m] * u + grid.to_coeffs(np.polyval(poly[::-1], grid.to_grid(u)), m)
+            return -spectrum[:m] * u + grid.to_coeffs(np.polyval(poly, grid.to_grid(u)), m)
 
         def drift_jacobian(t, u):
             m = u.shape[-1]
@@ -576,51 +583,46 @@ def from_config(cfg: dict) -> ModelSpec:
             phi = grid.phi[:, :m]
             return linear_jac[:m, :m] + grid.h * (phi.T * dpoly(vals)[..., None, :]) @ phi
 
-    mcfg = cfg.get("marks", {"points": [], "weights": []})
+    mcfg = read(cfg, "marks", "model", dict, {})
+    points = read(mcfg, "points", "model.marks", np.ndarray, None)
     marks = (
-        MarkSpace(marks=np.asarray(mcfg["points"], dtype=float),
-                  weights=np.asarray(mcfg["weights"], dtype=float))
-        if mcfg.get("points")
-        else MarkSpace.zero()
+        MarkSpace.zero() if points is None
+        else MarkSpace(marks=points, weights=read(mcfg, "weights", "model.marks", np.ndarray))
     )
 
     # the H family scales every mode by 1 (None), the V family by sqrt(w_j)
     sqrt_w = np.sqrt(triple.v_weights)
-    bcfg = cfg.get("diffusion", {"type": "zero"})
-    if bcfg["type"] == "zero":
+    bcfg = read(cfg, "diffusion", "model", dict, {"type": "zero"})
+    btype = read(bcfg, "type", "model.diffusion", str)
+    if btype == "zero":
         diffusion = _zero_diffusion
-    elif bcfg["type"] in ("multiplicative_h", "multiplicative_v"):
-        scale = sqrt_w if bcfg["type"] == "multiplicative_v" else None
-        diffusion = _multiplicative_noise(scale, c=float(bcfg["c"]))["diffusion"]
+    elif btype in ("multiplicative_h", "multiplicative_v"):
+        scale = sqrt_w if btype == "multiplicative_v" else None
+        diffusion = _multiplicative_noise(scale, c=read(bcfg, "c", "model.diffusion", float))["diffusion"]
     else:
-        raise ValueError(f"unknown diffusion type {bcfg['type']!r}")
+        raise ConfigError("model.diffusion.type", f"unknown diffusion type {btype!r}")
 
-    jcfg = cfg.get("jump", {"type": "zero"})
-    if jcfg["type"] == "zero":
+    jcfg = read(cfg, "jump", "model", dict, {"type": "zero"})
+    jtype = read(jcfg, "type", "model.jump", str)
+    if jtype == "zero":
         jump = _zero_jump
-    elif jcfg["type"] in ("multiplicative_mark", "multiplicative_v_mark"):
-        scale = sqrt_w if jcfg["type"] == "multiplicative_v_mark" else None
-        jump = _multiplicative_noise(scale, sigma=float(jcfg["sigma"]), marks=marks)["jump"]
+    elif jtype in ("multiplicative_mark", "multiplicative_v_mark"):
+        scale = sqrt_w if jtype == "multiplicative_v_mark" else None
+        sigma = read(jcfg, "sigma", "model.jump", float)
+        jump = _multiplicative_noise(scale, sigma=sigma, marks=marks)["jump"]
     else:
-        raise ValueError(f"unknown jump type {jcfg['type']!r}")
+        raise ConfigError("model.jump.type", f"unknown jump type {jtype!r}")
 
-    ccfg = dict(cfg.get("constants", {}))
-    ccfg.setdefault("beta", 2.0)
-    if "h_p_integrals" in ccfg:
-        ccfg["h_p_integrals"] = {float(k): float(v) for k, v in ccfg["h_p_integrals"].items()}
-    constants = HypothesisConstants(**ccfg)
-
-    x0 = finite_vector(cfg["x0"]) if "x0" in cfg else 1.0 / np.arange(1, cap + 1)
-    if x0 is None:
-        raise ValueError("x0 must be a nonempty finite 1-D list of numbers")
+    x0 = read(cfg, "x0", "model", np.ndarray, None)
+    local_bound = read(cfg, "local_bound_const", "model", float, 0.0)
     bundle = CoefficientBundle(
         drift=drift,
         diffusion=diffusion,
         jump=jump,
         mark_space=marks,
-        rho=_const_functional(cfg.get("rho_const", 0.0)),
-        eta=_const_functional(cfg.get("eta_const", 0.0)),
-        local_bound=(lambda t, r: float(cfg.get("local_bound_const", 0.0))),
+        rho=_const_functional(read(cfg, "rho_const", "model", float, 0.0)),
+        eta=_const_functional(read(cfg, "eta_const", "model", float, 0.0)),
+        local_bound=lambda t, r: local_bound,
         drift_jacobian=drift_jacobian,
         drift_implicit_solve=implicit_solve,
     )
@@ -628,15 +630,37 @@ def from_config(cfg: dict) -> ModelSpec:
         id=name,
         triple=triple,
         bundle=bundle,
-        constants=constants,
-        regime=cfg.get("regime", "part1"),
-        default_x0=x0,
+        constants=_constants_from_config(read(cfg, "constants", "model", dict, {})),
+        regime=read(cfg, "regime", "model", str, "part1"),
+        default_x0=1.0 / np.arange(1, cap + 1) if x0 is None else x0,
         grid=grid,
     )
 
 
-def _const_functional(value: float):
-    v = float(value)
+#: every scalar field of ``HypothesisConstants`` and its default; beta is 2 in a config
+_SCALAR_CONSTANTS = {f.name: f.default for f in dataclasses.fields(HypothesisConstants)
+                     if f.name != "h_p_integrals"} | {"beta": 2.0}
+
+
+def _constants_from_config(ccfg: dict) -> HypothesisConstants:
+    """``model.constants``: finite numbers, and ``h_p_integrals`` an object
+    from moment orders (keys such as "2" or "4.0") to finite numbers."""
+    for key in ccfg:
+        if key not in _SCALAR_CONSTANTS and key != "h_p_integrals":
+            raise ConfigError(f"model.constants.{key}", "unknown constant")
+    where = "model.constants.h_p_integrals"
+    h_p = read(ccfg, "h_p_integrals", "model.constants", dict, {})
+    try:
+        orders = [float(p) for p in h_p]
+    except ValueError:
+        raise ConfigError(where, "expected numeric moment orders as keys") from None
+    h_p = {order: read(h_p, p, where, float) for order, p in zip(orders, h_p)}
+    scalars = {key: read(ccfg, key, "model.constants", float, default)
+               for key, default in _SCALAR_CONSTANTS.items()}
+    return HypothesisConstants(**scalars, h_p_integrals=h_p)
+
+
+def _const_functional(v: float):
     return lambda u: np.full(np.shape(u)[:-1], v)
 
 

@@ -20,6 +20,7 @@ import os
 
 from .coefficients import AUDIT_BATCH_ROWS
 from .rng import path_seed
+from .spaces import ConfigError
 
 __all__ = ["map_indexed", "worker_count", "batch_seeds", "split_by_rows"]
 
@@ -95,13 +96,11 @@ def map_indexed(fn, ctx, n: int, workers: int = 1) -> list:
 
 
 def worker_count(flag_value: int | None = None) -> int:
-    """Resolve the worker count from a flag or the LEVYSPDE_WORKERS env var."""
-    if flag_value is not None and flag_value > 0:
-        return flag_value
-    env = os.environ.get("LEVYSPDE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """The worker count: ``--workers``, else the LEVYSPDE_WORKERS env var, else
+    1; anything but a positive integer is a ConfigError naming its source."""
+    name, value = "--workers", str(flag_value)
+    if flag_value is None:
+        name, value = "LEVYSPDE_WORKERS", os.environ.get("LEVYSPDE_WORKERS") or "1"
+    if not value.isdecimal() or int(value) < 1:
+        raise ConfigError(name, f"expected a positive integer, got {value!r}")
+    return int(value)

@@ -129,44 +129,78 @@ def _pow_or_inf(v: float, e: float) -> float:
         return math.copysign(math.inf, v) if e % 2.0 == 1.0 else math.inf
 
 
-def is_number(value) -> bool:
-    """An int or float as JSON gives it; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+class ConfigError(ValueError):
+    """A config value of the wrong kind or range; ``field_name`` is its dotted name."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"config field {field_name!r}: {message}")
+        self.field_name = field_name
 
 
-def finite_vector(value) -> np.ndarray | None:
-    """A nonempty finite 1-D list of numbers as a float array, else None.
+#: what each kind of ``read`` expects, as its errors say it
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+             dict: "an object", list: "a nonempty list of finite numbers",
+             np.ndarray: "a nonempty list of finite numbers"}
+_MISSING = object()
 
-    Text, nested or empty lists and values that overflow a float (1e400
-    parses as inf) give None.
+
+def read(record: dict, name: str, where: str, kind, default=_MISSING):
+    """``record[name]`` read as ``kind``, or ``default`` when it is absent or null.
+
+    The kinds are ``int``, ``float`` (finite; an int is read as a float),
+    ``bool``, ``str``, ``dict`` (a JSON object), ``list`` (a nonempty list of
+    finite numbers, read as floats) and ``np.ndarray`` (the same list as a
+    float vector).  A bool is not a number, and a fraction or a string is not
+    an int.  Errors name the dotted field ``where.name``.
     """
-    if not (isinstance(value, list) and value and all(map(is_number, value))):
+    field_name = f"{where}.{name}" if where else name
+    value = record.get(name)
+    if value is None:
+        if default is _MISSING:
+            raise ConfigError(field_name, "missing")
+        return default
+    if kind is float:
+        if (number := _finite(value)) is not None:
+            return number
+    elif kind in (list, np.ndarray):
+        numbers = [_finite(v) for v in value] if isinstance(value, list) and value else [None]
+        if None not in numbers:
+            return numbers if kind is list else np.array(numbers)
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(field_name, f"expected {_EXPECTED[kind]}, got {value!r:.40}")
+
+
+def _finite(value) -> float | None:
+    """A JSON number as a finite float, else None: a bool or text is not a
+    number, and 1e400 (inf) or an integer beyond the float range not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     try:
-        arr = np.array(value, dtype=float)
-    except OverflowError:  # an integer beyond the float range
+        number = float(value)
+    except OverflowError:
         return None
-    return arr if np.all(np.isfinite(arr)) else None
+    return number if math.isfinite(number) else None
 
 
 def triple_from_config(spec: dict) -> GelfandTriple:
-    """Build a triple from a config record.
+    """Build a triple from a config record, a custom model's ``triple``.
 
     Recognized weight rules: ``{"rule": "quadratic"}`` (w_j = j², floored at
     1), ``{"rule": "affine", "scale": c}`` (w_j = 1 + c·j²), or an explicit
-    ``{"weights": [...]}`` table.
+    ``{"weights": [...]}`` table.  Errors name fields under ``model.triple``.
     """
-    cap = int(spec["dimension_cap"])
-    name = spec.get("name", "triple")
-    if "weights" in spec:
-        w = np.asarray(spec["weights"], dtype=float)
-    else:
-        rule = spec.get("rule", "quadratic")
+    where = "model.triple"
+    cap = read(spec, "dimension_cap", where, int)
+    name = read(spec, "name", where, str, "triple")
+    w = read(spec, "weights", where, np.ndarray, None)
+    if w is None:
+        rule = read(spec, "rule", where, str, "quadratic")
         j = np.arange(1, cap + 1, dtype=float)
         if rule == "quadratic":
             w = np.maximum(j**2, 1.0)
         elif rule == "affine":
-            w = 1.0 + float(spec.get("scale", 1.0)) * j**2
+            w = 1.0 + read(spec, "scale", where, float, 1.0) * j**2
         else:
-            raise ValueError(f"unknown weight rule: {rule!r}")
+            raise ConfigError(f"{where}.rule", f"unknown weight rule {rule!r}")
     return GelfandTriple(dimension_cap=cap, v_weights=w, name=name)

@@ -38,15 +38,17 @@ def _custom_model(constants):
 
 
 @pytest.mark.parametrize(
-    "model",
-    ["mystery", _custom_model({"f_profile": 1.0}), _custom_model({"g_profile": 1.0})],
+    "model, field",
+    [("mystery", "model"),
+     (_custom_model({"f_profile": 1.0}), "model.constants.f_profile"),
+     (_custom_model({"g_profile": 1.0}), "model.constants.g_profile")],
     ids=["unknown-builtin", "f_profile-constant", "g_profile-constant"],
 )
-def test_unknown_model_exits_usage_error(tmp_path, capsys, model):
+def test_unknown_model_exits_usage_error(tmp_path, capsys, model, field):
     # a constant the hypothesis system does not declare is a config error
     path = _write_config(tmp_path, model=model)
     assert main(["check", "--config", str(path)]) == 1
-    assert "config field 'model'" in capsys.readouterr().err
+    assert f"config field '{field}'" in capsys.readouterr().err
 
 
 def test_bad_schema_version_exits_usage_error(tmp_path, capsys):
@@ -196,9 +198,12 @@ def test_custom_model_config_via_cli(tmp_path):
     assert main(["uniqueness", "--config", str(path)]) == 0
 
 
-def test_config_loader_errors():
-    with pytest.raises(ConfigError):
-        load_config("/nonexistent/config.json")
+def test_config_loader_errors(tmp_path):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    for path in ("/nonexistent/config.json", tmp_path, tmp_path / "binary.json"):
+        with pytest.raises(ConfigError) as err:  # missing, a directory, not UTF-8
+            load_config(path)
+        assert err.value.field_name == "config"
     with pytest.raises(ConfigError):
         parse_config({"schema_version": 1, "model": "heat", "solver": {"dt": 0.01}})
     with pytest.raises(ConfigError):
@@ -218,11 +223,27 @@ def test_config_loader_errors():
                         ("newton_max_iter", True), ("newton_tol", "1e-10"), ("newton_tol", False),
                         ("dt", True), ("dt", "0.01"), ("T", True), ("T", "1"), ("level", True),
                         ("dt", -1.0), ("dt", 0.3), ("dt", 2.0), ("T", -1.0), ("level", 0),
-                        ("scheme", "magic"), ("newton_tol", -1.0)]:
+                        ("scheme", "magic"), ("newton_tol", -1.0), ("T", 10**400)]:
         solver = {"dt": 0.01, "T": 1.0, "level": 2, name: value}
         with pytest.raises(ConfigError) as err:
             parse_config({"schema_version": 1, "model": "heat", "solver": solver})
         assert err.value.field_name == f"solver.{name}", (name, value)
+    with pytest.raises(ConfigError) as err:  # a config is an object
+        parse_config([])
+    assert err.value.field_name == "config"
+    with pytest.raises(ConfigError) as err:  # a path is text
+        parse_config({"schema_version": 1, "model": "heat",
+                      "solver": {"dt": 0.01, "T": 1.0, "level": 2}, "output_dir": 5})
+    assert err.value.field_name == "output_dir"
+
+
+def test_null_optional_fields_mean_their_defaults():
+    bare = {"schema_version": 1, "model": "heat", "solver": {"dt": 0.01, "T": 1.0, "level": 2}}
+    nulls = dict(bare, solver=dict(bare["solver"], newton_tol=None, scheme=None),
+                 x0=None, output_dir=None, master_seed=None, study=None)
+    want, got = parse_config(bare), parse_config(nulls)
+    assert (got.solver, got.master_seed, got.output_dir, got.study, got.x0) == \
+        (want.solver, want.master_seed, want.output_dir, want.study, want.x0)
 
 
 @pytest.mark.parametrize("x0", [[], "abc", [[1.0]]], ids=["empty", "text", "nested"])
@@ -233,7 +254,7 @@ def test_custom_model_x0_is_checked(tmp_path, capsys, x0):
     for command in ("uniqueness", "stability"):
         assert main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "config field 'model'" in err and "x0 must be a nonempty finite" in err
+        assert "config field 'model.x0'" in err and "expected a nonempty list of finite numbers" in err
 
 
 def test_remaining_subcommands_smoke(tmp_path):
@@ -274,7 +295,7 @@ def test_usage_error_exit_code():
     assert main(["check"]) == 1  # missing --config
 
 
-def test_workers_env_var(tmp_path, monkeypatch):
+def test_workers_env_var(tmp_path, monkeypatch, capsys):
     path = _write_config(tmp_path)
     monkeypatch.setenv("LEVYSPDE_WORKERS", "4")
     assert main(["energy", "--config", str(path)]) == 0
@@ -282,6 +303,15 @@ def test_workers_env_var(tmp_path, monkeypatch):
     monkeypatch.delenv("LEVYSPDE_WORKERS")
     assert main(["energy", "--config", str(path)]) == 0
     assert env_body == (tmp_path / "out" / "energy.csv").read_bytes()
+    # a worker count that is not a positive integer fails closed
+    capsys.readouterr()
+    for flag in ("0", "-2"):
+        assert main(["energy", "--config", str(path), "--workers", flag]) == 1
+        assert "config field '--workers'" in capsys.readouterr().err
+    for env in ("abc", "0"):
+        monkeypatch.setenv("LEVYSPDE_WORKERS", env)
+        assert main(["energy", "--config", str(path)]) == 1
+        assert "config field 'LEVYSPDE_WORKERS'" in capsys.readouterr().err
 
 
 def test_energy_warns_on_failing_audit(tmp_path, capsys):
@@ -420,6 +450,10 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("stability", {"n_paths": 4, "x0_b": [10**400]}, "study.x0_b"),
         ("stability", {"n_paths": 4, "x0_b": [[1, 2]]}, "study.x0_b"),
         ("stability", {"n_paths": 4, "x0_b": []}, "study.x0_b"),
+        ("energy", {"n_paths": 4, "m_list": [2.7, 4]}, "study.m_list"),
+        ("converge", {"n_paths": 4, "m_list": [2.7, 4]}, "study.m_list"),
+        ("depend", {"n_paths": 4, "p": 10**400}, "study.p"),
+        ("depend", {"n_paths": 4, "perturbations": [0.1, 10**400]}, "study.perturbations"),
     ],
     ids=["energy", "converge", "modulus", "residual", "residual-dt-not-dividing-T",
          "check-zero-samples", "check-bool-samples", "residual-no-paths", "modulus-no-paths",
@@ -429,7 +463,9 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
          "simulate-text-stopping_N", "simulate-zero-stopping_N", "prange-list-c_tilde_base",
          "uniqueness-text-stress", "energy-text-skip_audit", "isometry-scalar-integrands",
          "isometry-text-integrands", "stability-text-x0_b", "stability-inf-x0_b",
-         "stability-huge-int-x0_b", "stability-nested-x0_b", "stability-empty-x0_b"],
+         "stability-huge-int-x0_b", "stability-nested-x0_b", "stability-empty-x0_b",
+         "energy-fractional-m_list", "converge-fractional-m_list", "depend-huge-int-p",
+         "depend-huge-int-perturbations"],
 )
 def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
     # a level above the cap, an off-grid shift or step, a one-point slope

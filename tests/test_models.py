@@ -337,7 +337,39 @@ def test_custom_triple_follows_the_weight_rule():
     with pytest.raises(ConfigError) as err:
         parse_config({"schema_version": 1, "model": model,
                       "solver": {"dt": 0.1, "T": 1.0, "level": 2}})
-    assert err.value.field_name == "model"
+    assert err.value.field_name == "model.triple.rule"
+
+
+#: a custom model with noise of both kinds, to put one bad field in
+_FIELD_MODEL = {"name": "fields", "triple": {"dimension_cap": 8},
+                "drift": {"type": "diagonal", "scale": 1.0},
+                "diffusion": {"type": "multiplicative_h", "c": 0.1},
+                "jump": {"type": "multiplicative_mark", "sigma": 0.1},
+                "marks": {"points": [1.0, -1.0], "weights": [0.5, 0.5]},
+                "constants": {"beta": 2.0}}
+
+
+@pytest.mark.parametrize(
+    "part, key, value, field",
+    [("triple", "dimension_cap", 8.7, "model.triple.dimension_cap"),
+     ("triple", "dimension_cap", "8", "model.triple.dimension_cap"),
+     ("triple", "grid_size", 16.9, "model.triple.grid_size"),
+     ("diffusion", "c", "0.1", "model.diffusion.c"),
+     ("jump", "sigma", "0.1", "model.jump.sigma"),
+     ("drift", "scale", "1", "model.drift.scale"),
+     ("constants", "beta", "3", "model.constants.beta"),
+     ("constants", "f_profile", 1.0, "model.constants.f_profile")],
+    ids=["fractional-cap", "text-cap", "fractional-grid_size", "text-c", "text-sigma",
+         "text-scale", "text-beta", "unknown-constant"],
+)
+def test_custom_model_field_names_its_field(part, key, value, field):
+    # every model value follows the one type rule: a fraction is not an
+    # integer, text is not a number, and no constant is made up
+    model = dict(_FIELD_MODEL, **{part: dict(_FIELD_MODEL[part], **{key: value})})
+    with pytest.raises(ConfigError) as err:
+        parse_config({"schema_version": 1, "model": model,
+                      "solver": {"dt": 0.1, "T": 1.0, "level": 2}})
+    assert err.value.field_name == field
 
 
 def test_resolve_dispatch():
