@@ -418,7 +418,8 @@ _ISOMETRY_INTEGRANDS = {
 
 def _cmd_isometry(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     n_paths = _study_paths(exp, 10000, least=100)
-    names = exp.study.get("integrands", list(_ISOMETRY_INTEGRANDS))
+    names = exp.study.get("integrands")
+    names = list(_ISOMETRY_INTEGRANDS) if names is None else names
     if not isinstance(names, list) or not names or not all(
             isinstance(n, str) and n in _ISOMETRY_INTEGRANDS for n in names):
         raise ConfigError("study.integrands", f"expected a nonempty list of {list(_ISOMETRY_INTEGRANDS)}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficients import AUDIT_BATCH_ROWS, CoefficientBundle
 from .noise import ci99, grid_steps, sample_noise, step_index
-from .parallel import batch_seeds, map_indexed, split_by_rows
+from .parallel import map_indexed, split_by_rows
 from .solver import PathRecord, SolverConfig, _drift_rows, _shared_step_grid, solve_paths
 from .spaces import GelfandTriple, dot_rows, sum_squares
 
@@ -217,28 +217,29 @@ def discrete_energy_residuals(
     records,
     bundle: CoefficientBundle,
     realizations,
-    config: SolverConfig | None = None,
+    config: SolverConfig,
 ) -> list[ResidualSeries]:
     """Replay the squared-H-norm balance along recorded paths, one series each.
 
     Each step compares Δ‖Y‖² against 2⟨A, Y⟩ dt + ‖B‖_{L2}² dt + 2(B ΔW, Y)
     plus the jump quadratic-variation and compensated-martingale terms; the
-    drift pairing is evaluated at the same point the scheme used (implicit
-    endpoint or tamed start, and both halved substeps where the solver's
-    retry took them).  The records must share one step grid
-    (``solver._shared_step_grid``), and each realization must cover it
-    (``NoiseRealization.check_covers``), as in ``solve_paths``.  Time is a
-    batch axis: a chunk of C steps stacks the grid states and Wiener
-    increments of every path into (C, P, m) arrays, flattened to one row per
-    (step, path) whose ``t`` is the step's start time, and makes one call
-    per coefficient and one ``jump`` call per mark for the compensator.  A
-    chunk holds at most ``AUDIT_BATCH_ROWS`` rows (16 steps of an 8-path
-    batch, 128 steps of one path).  Pairings go through ``dot_rows`` and
-    Hilbert-Schmidt sums through ``sum_squares``, so a path's series has the
-    bits of its replay alone, step by step at scalar times.  Recorded jumps
-    are checked one by one, before the chunks: each must reproduce
-    bit-exactly from ``bundle.jump``.  Marks and compensator weights come
-    from ``bundle.mark_space``, the measure the solver drew the jumps from.
+    drift pairing is evaluated at the same point the scheme of ``config``,
+    the one the records were solved with, used (implicit endpoint or tamed
+    start, and both halved substeps where the solver's retry took them).
+    The records must share one step grid (``solver._shared_step_grid``), and
+    each realization must cover it (``NoiseRealization.check_covers``), as
+    in ``solve_paths``.  Time is a batch axis: a chunk of C steps stacks the
+    grid states and Wiener increments of every path into (C, P, m) arrays,
+    flattened to one row per (step, path) whose ``t`` is the step's start
+    time, and makes one call per coefficient and one ``jump`` call per mark
+    for the compensator.  A chunk holds at most ``AUDIT_BATCH_ROWS`` rows
+    (128 steps of one path, 2 steps of a 64-path batch, one step of a wider
+    one).  Pairings go through ``dot_rows`` and Hilbert-Schmidt sums through
+    ``sum_squares``, so a path's series has the bits of its replay alone,
+    step by step at scalar times.  Recorded jumps are checked one by one,
+    before the chunks: each must reproduce bit-exactly from ``bundle.jump``.
+    Marks and compensator weights come from ``bundle.mark_space``, the
+    measure the solver drew the jumps from.
     A step whose drift solve fails even on the halved retry, which cannot
     happen on a record the solver finished, gets a NaN residual.
     """
@@ -249,8 +250,6 @@ def discrete_energy_residuals(
     if not records:
         return []
     first = records[0]
-    if config is None:
-        config = SolverConfig(dt=first.dt, T=first.T, level=first.level)
     m, dt, T = first.level, first.dt, first.T
     n_steps = grid_steps(T, dt)
     grid_t = _shared_step_grid(records)
@@ -345,9 +344,9 @@ def residual_totals(
 ) -> np.ndarray:
     """The summed balance residual of each path of an ensemble, one row per
     solver config; NaN where a path was truncated.  Every (config, batch)
-    pair is one task."""
+    pair is one task, each config's paths split by ``split_by_rows``."""
     configs = list(configs)
-    batches = batch_seeds(seed, n_paths)
+    batches = split_by_rows(seed, n_paths, 1, workers)
     ctx = (bundle, triple, np.asarray(x0, dtype=float), configs, batches)
     per_task = map_indexed(_residual_worker, ctx, len(configs) * len(batches), workers)
     return np.reshape([t for batch in per_task for t in batch], (len(configs), n_paths))
@@ -471,7 +470,7 @@ def modulus_study(
 ) -> ModulusResult:
     """``modulus_of_continuity`` of an ensemble of ``n_paths`` paths under ``seed``."""
     deltas = sorted(float(d) for d in delta_list)
-    batches = batch_seeds(seed, n_paths)
+    batches = split_by_rows(seed, n_paths, 1, workers)
     ctx = (bundle, triple, np.asarray(x0, dtype=float), config, deltas, beta_exp, batches)
     rows = np.concatenate(map_indexed(_modulus_worker, ctx, len(batches), workers), axis=1)
     return _modulus_result(deltas, rows, beta_exp)

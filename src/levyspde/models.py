@@ -49,6 +49,8 @@ class SpectralGrid:
     """Periodic trig basis on n uniform points with cap coefficient modes."""
 
     def __init__(self, n: int, cap: int):
+        if cap < 1:
+            raise ValueError("dimension_cap must be positive")
         if cap >= n // 2 * 2:
             raise ValueError("cap must keep every wavenumber below n/2")
         self.n = n
@@ -537,7 +539,9 @@ def from_config(cfg: dict) -> ModelSpec:
 
     A value of the wrong kind raises ``ConfigError``, a ``ValueError`` that
     names its field under ``model.``, such as ``model.triple.dimension_cap``;
-    the triple, grid, marks, constants and regime check their own ranges.
+    the triple, grid, marks, constants and regime check their own ranges,
+    and a range error names the record it was read from (``model.triple``,
+    ``model.marks``, ``model.constants``, ``model.regime``).
     """
     name = read(cfg, "name", "model", str, "custom")
     tcfg = read(cfg, "triple", "model", dict)
@@ -548,12 +552,12 @@ def from_config(cfg: dict) -> ModelSpec:
     grid = None
     if grid_size:
         # the grid's own weights make the diagonal V-norm the discrete H1 norm
-        grid = SpectralGrid(grid_size, cap)
-        triple = _grid_triple(name, grid)
+        grid = _built("model.triple", SpectralGrid, grid_size, cap)
+        triple = _built("model.triple", _grid_triple, name, grid)
     elif reaction is not None:
         raise ConfigError("model.triple.grid_size", "polynomial reaction terms require a grid")
     else:
-        triple = triple_from_config(dict(tcfg, name=name))
+        triple = _built("model.triple", triple_from_config, dict(tcfg, name=name))
 
     dcfg = read(cfg, "drift", "model", dict, {"type": "diagonal"})
     dtype = read(dcfg, "type", "model.drift", str)
@@ -587,7 +591,8 @@ def from_config(cfg: dict) -> ModelSpec:
     points = read(mcfg, "points", "model.marks", np.ndarray, None)
     marks = (
         MarkSpace.zero() if points is None
-        else MarkSpace(marks=points, weights=read(mcfg, "weights", "model.marks", np.ndarray))
+        else _built("model.marks", MarkSpace, points,
+                    read(mcfg, "weights", "model.marks", np.ndarray))
     )
 
     # the H family scales every mode by 1 (None), the V family by sqrt(w_j)
@@ -626,11 +631,14 @@ def from_config(cfg: dict) -> ModelSpec:
         drift_jacobian=drift_jacobian,
         drift_implicit_solve=implicit_solve,
     )
-    return ModelSpec(
+    return _built(
+        "model.regime",
+        ModelSpec,
         id=name,
         triple=triple,
         bundle=bundle,
-        constants=_constants_from_config(read(cfg, "constants", "model", dict, {})),
+        constants=_built("model.constants", _constants_from_config,
+                         read(cfg, "constants", "model", dict, {})),
         regime=read(cfg, "regime", "model", str, "part1"),
         default_x0=1.0 / np.arange(1, cap + 1) if x0 is None else x0,
         grid=grid,
@@ -658,6 +666,17 @@ def _constants_from_config(ccfg: dict) -> HypothesisConstants:
     scalars = {key: read(ccfg, key, "model.constants", float, default)
                for key, default in _SCALAR_CONSTANTS.items()}
     return HypothesisConstants(**scalars, h_p_integrals=h_p)
+
+
+def _built(field_name: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose range ``ValueError`` becomes a
+    ``ConfigError`` on ``field_name``; a ``ConfigError`` passes unchanged."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(field_name, str(exc)) from None
 
 
 def _const_functional(v: float):

@@ -3,14 +3,13 @@
 Workers receive only the task index; the task context (bundles hold
 closures, which do not pickle) is inherited through fork.  Results come
 back in index order, so every aggregation downstream reduces in a fixed
-order and the output is bit-identical for any worker count.  An ensemble
-study splits its paths into batches, one task each: the studies that keep
-their paths' states into fixed batches (``batch_seeds``), and energy and
-stability, which keep none, into one near-equal batch per worker, or more
-where a batch would pass ``AUDIT_BATCH_ROWS`` solver rows (``split_by_rows``).
-Those batches follow ``--workers``, but their bits do not: the solver gives
-every row of a batch exactly the arithmetic it would do alone, and each
-study reduces its paths in path order.
+order and the output is bit-identical for any worker count.  Every path
+study splits its paths into batches, one task each, by one rule
+(``split_by_rows``): one near-equal batch per worker, or more where a batch
+would pass ``AUDIT_BATCH_ROWS`` solver rows.  Those batches follow
+``--workers``, but their bits do not: the solver gives every row of a batch
+exactly the arithmetic it would do alone, and each study reduces its paths
+in path order.
 """
 
 from __future__ import annotations
@@ -22,29 +21,22 @@ from .coefficients import AUDIT_BATCH_ROWS
 from .rng import path_seed
 from .spaces import ConfigError
 
-__all__ = ["map_indexed", "worker_count", "batch_seeds", "split_by_rows"]
-
-#: paths per study task when the study names no batch size of its own
-STUDY_BATCH = 8
+__all__ = ["map_indexed", "worker_count", "split_by_rows"]
 
 _TASK = None
 
 
-def batch_seeds(seed: int, n_paths: int, batch: int | None = None) -> list[list[int]]:
-    """Path seeds 0 .. n_paths-1 under ``seed``, split into tasks of ``batch``
-    paths (``STUDY_BATCH`` by default); the last task may be shorter."""
-    batch = batch or STUDY_BATCH
-    seeds = [path_seed(seed, i) for i in range(n_paths)]
-    return [seeds[i : i + batch] for i in range(0, n_paths, batch)]
-
-
 def split_by_rows(seed: int, n_paths: int, rows_per_path: int, workers: int) -> list[list[int]]:
     """Path seeds 0 .. n_paths-1 under ``seed``, split into max(workers,
-    ceil(rows_per_path n_paths / AUDIT_BATCH_ROWS)) tasks, at most one per
-    path, whose sizes differ by at most one, the longer ones first; a path
-    solves ``rows_per_path`` solver rows (two for a stability pair)."""
+    ceil(n_paths / per_task)) tasks, at most one per path, whose sizes differ
+    by at most one, the longer ones first; a path solves ``rows_per_path``
+    solver rows (two for a stability pair), and per_task = max(1,
+    AUDIT_BATCH_ROWS // rows_per_path) paths keep a task within the row cap."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     seeds = [path_seed(seed, i) for i in range(n_paths)]
-    tasks = min(max(workers, -(-rows_per_path * n_paths // AUDIT_BATCH_ROWS)), n_paths)
+    per_task = max(1, AUDIT_BATCH_ROWS // rows_per_path)
+    tasks = min(max(workers, -(-n_paths // per_task)), n_paths)
     size, extra = divmod(n_paths, tasks)
     bounds = [i * size + min(i, extra) for i in range(tasks + 1)]
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -151,10 +151,6 @@ class PathRecord:
     def n_jump_entries(self) -> int:
         return int(self.is_jump_post.sum())
 
-    def step_grid_view(self):
-        """(times, states) restricted to the uniform step grid (no jump rows)."""
-        return self.times[self.is_grid], self.states[self.is_grid]
-
 
 def _shared_step_grid(records) -> np.ndarray:
     """The step-grid times that every record shares; ValueError unless each

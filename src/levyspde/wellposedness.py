@@ -6,10 +6,12 @@ realization drives both members of a pair, and in the level study the
 level-m solve consumes the first m Wiener modes of the reference
 realization together with the identical jump event list, mirroring the
 nesting of the truncated noise projections.  Every study advances its paths
-in batches through ``solver.solve_paths``: uniqueness, dependence and
-convergence in fixed batches of ``parallel.STUDY_BATCH``, and stability,
-which keeps no path's states, in ``parallel.split_by_rows``'s batches, one
-per worker and two solver rows per pair.  A pair shares a seed, and an
+through ``solver.solve_paths`` in ``parallel.split_by_rows``'s batches: a
+uniqueness or stability pair solves two rows, a dependence path one plus
+one per nonzero perturbation, and a convergence path one per level.
+Uniqueness and stability compare grid states alone and reduce each finished
+chunk inside the solve (``on_grid``); dependence and convergence read the
+jump rows too and keep whole records.  A pair shares a seed, and an
 explicit coupling passes the realizations in through its ``noise=``
 argument.  A path whose record was truncated yields NaN, so the study fails
 instead of comparing a prefix.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .coefficients import CoefficientBundle, HypothesisConstants, _batched
 from .noise import JumpEvent, NoiseRealization, ci99, grid_times, sample_noise, step_index
-from .parallel import batch_seeds, map_indexed, split_by_rows
+from .parallel import map_indexed, split_by_rows
 from .solver import SolverConfig, solve_paths
 from .spaces import GelfandTriple, dot_rows
 
@@ -86,24 +88,30 @@ def _reorder_same_step_marks(realization: NoiseRealization, dt: float) -> NoiseR
 
 
 def _uniqueness_worker(ctx, b: int):
-    # each realization drives row i and its (possibly reordered) copy row n + i
+    # seed i's noise drives rows i and n + i (under stress, row n + i with its
+    # same-step marks reordered); each finished chunk of grid states is
+    # reduced to the pairs' running sups, so no state is held
     bundle, triple, x0, config, batches, stress = ctx
     seeds = batches[b]
-    n = len(seeds)
-    first = [sample_noise(config.level, config.T, config.dt, bundle.mark_space, s) for s in seeds]
-    second = [_reorder_same_step_marks(r, config.dt) for r in first] if stress else first
-    records = solve_paths(bundle, triple, x0, config, seeds + seeds, noise=first + second)
-    sups = []
-    for rec1, rec2 in zip(records[:n], records[n:]):
-        if rec1.truncated_at is not None or rec2.truncated_at is not None:
-            sups.append(float("nan"))
-            continue
+    n, m = len(seeds), config.level
+    noise = None
+    if stress:
+        first = [sample_noise(m, config.T, config.dt, bundle.mark_space, s) for s in seeds]
+        noise = first + [_reorder_same_step_marks(r, config.dt) for r in first]
+    sups = np.zeros(n)
+
+    def reduce(k, block):
         # compare on the step grid: within-step jump sequencing is an artifact
-        # of the splitting, the path itself is its end-of-step skeleton
-        _, s1 = rec1.step_grid_view()
-        _, s2 = rec2.step_grid_view()
-        diff = s1 - s2
-        sups.append(float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()))
+        # of the splitting, the path itself is its end-of-step skeleton; a
+        # truncated pair's rows are meaningless, and its sup is NaN below
+        with np.errstate(all="ignore"):
+            diff = (block[:, :n] - block[:, n:]).reshape(-1, m)
+            norms = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(block), n)
+        np.maximum(sups, norms.max(axis=0), out=sups)
+
+    records = solve_paths(bundle, triple, x0, config, seeds + seeds, noise=noise, on_grid=reduce)
+    truncated = np.array([rec.truncated_at is not None for rec in records]).reshape(2, n).any(axis=0)
+    sups[truncated] = np.nan
     return sups
 
 
@@ -124,10 +132,9 @@ def uniqueness_sups(
     order of marks that share a step, measuring the reordering effect.  A
     path with a truncated record gives NaN.
     """
-    batches = batch_seeds(seed, n_paths)
+    batches = split_by_rows(seed, n_paths, 2, workers)  # each pair solves two rows
     ctx = (bundle, triple, np.asarray(x0, dtype=float), config, batches, stress)
-    sups = map_indexed(_uniqueness_worker, ctx, len(batches), workers)
-    return np.array([s for batch in sups for s in batch])
+    return np.concatenate(map_indexed(_uniqueness_worker, ctx, len(batches), workers))
 
 
 def pathwise_uniqueness_test(
@@ -314,7 +321,8 @@ def continuous_dependence_study(
     """Table Δ ↦ E[sup_t ‖Y(x0 + Δ e_1) − Y(x0)‖_H^p] with matched noise."""
     x0 = np.asarray(x0, dtype=float)
     deltas = [float(d) for d in perturbations]
-    batches = batch_seeds(seed, n_paths)
+    # a path solves its base row and one row per nonzero delta
+    batches = split_by_rows(seed, n_paths, 1 + sum(d != 0.0 for d in deltas), workers)
     ctx = (bundle, triple, x0, deltas, float(p), config, batches)
     rows = np.concatenate(map_indexed(_dependence_worker, ctx, len(batches), workers))
     return DependenceTable(
@@ -388,7 +396,7 @@ def galerkin_convergence(
     if levels[-1] > triple.dimension_cap:
         raise ValueError(f"level {levels[-1]} exceeds dimension_cap {triple.dimension_cap}")
     x0 = np.asarray(x0, dtype=float)
-    batches = batch_seeds(seed, n_paths)
+    batches = split_by_rows(seed, n_paths, len(levels), workers)  # one row per level
     ctx = (bundle, triple, x0, levels, config, batches, float(beta))
     rows = np.concatenate(map_indexed(_convergence_worker, ctx, len(batches), workers))
     return ConvergenceTable(

@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from levyspde import parallel
+from levyspde import estimates, parallel, wellposedness
+from levyspde.rng import path_seed
 from levyspde.cli import main
 from levyspde.config import ConfigError, load_config, parse_config
 
@@ -97,6 +98,10 @@ def test_uniqueness_pass_and_artifacts(tmp_path, capsys):
     assert meta["pass"] is True and meta["study"] == "uniqueness"
 
 
+def _one_path_batches(seed, n_paths, rows_per_path, workers):
+    return [[path_seed(seed, i)] for i in range(n_paths)]
+
+
 def test_rerun_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
     path = _write_config(tmp_path)
     bodies = []
@@ -106,7 +111,7 @@ def test_rerun_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
     assert bodies[0] == bodies[1] == bodies[2]
 
     # the other ensemble studies, at 2 workers and in batches of one path too;
-    # 10 paths make one full batch of STUDY_BATCH and a short one
+    # 10 paths make one task, or two at 2 workers
     study = {"n_paths": 10, "m_list": [2, 4], "dt_levels": [0.02, 0.01],
              "delta_list": [0.02, 0.04]}
     # allen_cahn replays its residual steps through the batched Newton; at
@@ -121,10 +126,13 @@ def test_rerun_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
     ):
         path = _write_config(tmp_path, model=model, study={**study, **extra})
         bodies = []
-        for workers, batch in (("1", 8), ("1", 8), ("2", 8), ("1", 1), ("2", 1)):
-            monkeypatch.setattr(parallel, "STUDY_BATCH", batch)
+        for workers, one_path in (("1", False), ("1", False), ("2", False), ("1", True), ("2", True)):
+            if one_path:
+                for module in (estimates, wellposedness):
+                    monkeypatch.setattr(module, "split_by_rows", _one_path_batches)
             assert main([command, "--config", str(path), "--workers", workers]) == code, command
             bodies.append((tmp_path / "out" / artifact).read_bytes())
+        monkeypatch.undo()
         assert len(set(bodies)) == 1, (command, extra, model)
 
 
@@ -237,13 +245,20 @@ def test_config_loader_errors(tmp_path):
     assert err.value.field_name == "output_dir"
 
 
-def test_null_optional_fields_mean_their_defaults():
+def test_null_optional_fields_mean_their_defaults(tmp_path):
     bare = {"schema_version": 1, "model": "heat", "solver": {"dt": 0.01, "T": 1.0, "level": 2}}
     nulls = dict(bare, solver=dict(bare["solver"], newton_tol=None, scheme=None),
                  x0=None, output_dir=None, master_seed=None, study=None)
     want, got = parse_config(bare), parse_config(nulls)
     assert (got.solver, got.master_seed, got.output_dir, got.study, got.x0) == \
         (want.solver, want.master_seed, want.output_dir, want.study, want.x0)
+    # a study field that its subcommand reads: isometry's integrands
+    runs = []
+    for study in ({"n_paths": 100}, {"n_paths": 100, "integrands": None}):
+        path = _write_config(tmp_path, study=study)
+        runs.append((main(["isometry", "--config", str(path)]),
+                     (tmp_path / "out" / "isometry.csv").read_bytes()))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 2)
 
 
 @pytest.mark.parametrize("x0", [[], "abc", [[1.0]]], ids=["empty", "text", "nested"])

@@ -10,11 +10,16 @@ from levyspde.coefficients import AUDIT_BATCH_ROWS
 from levyspde.estimates import discrete_energy_residuals, energy_table, modulus_of_continuity
 from levyspde.models import builtin
 from levyspde.noise import JumpEvent, MarkSpace, sample_noise
-from levyspde.parallel import batch_seeds
+from levyspde.rng import path_seed
 from levyspde.solver import PathRecord, SolverConfig, _newton_rows, solve_path, solve_paths
 
 import serial_replay
 from conftest import make_pure_jump, make_scalar_linear, make_time_dependent
+
+
+def _seeds(seed, n_paths):
+    """The path seeds 0 .. n_paths-1 under ``seed``, as a study draws them."""
+    return [path_seed(seed, i) for i in range(n_paths)]
 
 
 def _record_from_states(times, states, dt, T, weights=None):
@@ -128,7 +133,7 @@ def test_energy_table_independent_of_workers_and_batches(heat_spec, monkeypatch)
     assert run(2) == reference
     assert run(4) == reference
     monkeypatch.setattr(estimates, "split_by_rows",
-                        lambda seed, n_paths, rows, workers: batch_seeds(seed, n_paths, 1))
+                        lambda seed, n_paths, rows, workers: [[s] for s in _seeds(seed, n_paths)])
     assert run(1) == reference
     assert run(2) == reference
 
@@ -194,7 +199,7 @@ def test_residual_rejects_non_finite_record_state():
     rec = _record_from_states(times, states, 0.1, 1.0)
     real = sample_noise(2, 1.0, 0.1, MarkSpace.zero(), seed=0)
     with pytest.raises(ValueError, match="finite"):
-        discrete_energy_residuals([rec], _zero_bundle(2), [real])
+        discrete_energy_residuals([rec], _zero_bundle(2), [real], SolverConfig(dt=0.1, T=1.0, level=2))
 
 
 def test_residual_rejects_mismatched_realization(heat_spec):
@@ -208,7 +213,7 @@ def test_residual_rejects_mismatched_realization(heat_spec):
 def _replay_batch(spec, cfg, n_paths, seed, noise=None):
     """A batch solved on its realizations: (records, realizations)."""
     ms = spec.bundle.mark_space
-    seeds = batch_seeds(seed, n_paths, n_paths)[0]
+    seeds = _seeds(seed, n_paths)
     if noise is None:
         noise = [sample_noise(cfg.level, cfg.T, cfg.dt, ms, s) for s in seeds]
     records = solve_paths(spec.bundle, spec.triple, spec.default_x0, cfg, seeds, noise=noise)
@@ -253,7 +258,7 @@ def test_batched_replay_paths_with_different_jump_counts_in_one_step(heat_spec):
     # step 3 holds two jumps of path 0, one of path 1 and none of path 2
     cfg = SolverConfig(dt=0.01, T=0.1, level=4)
     ms = heat_spec.bundle.mark_space
-    seeds = batch_seeds(3, 3, 3)[0]
+    seeds = _seeds(3, 3)
     base = [sample_noise(4, cfg.T, cfg.dt, ms, s) for s in seeds]
     noise = [_with_jumps(base[0], [0.031, 0.036, 0.072]),
              _with_jumps(base[1], [0.034], mark_index=1), _with_jumps(base[2], [])]
@@ -322,7 +327,7 @@ def test_stacked_replay_of_a_time_dependent_bundle_matches_serial_replay(variant
         bundle = dataclasses.replace(bundle, drift_jacobian=None)
     scheme = "tamed_explicit" if variant == "tamed" else "drift_implicit"
     cfg = SolverConfig(dt=dt, T=T, level=3, scheme=scheme)
-    seeds = batch_seeds(21, n_paths, n_paths)[0]
+    seeds = _seeds(21, n_paths)
     noise = [sample_noise(3, T, dt, bundle.mark_space, s) for s in seeds]
     records = solve_paths(bundle, triple, np.array([1.0, -0.5, 0.25]), cfg, seeds, noise=noise)
     batched = discrete_energy_residuals(records, bundle, noise, cfg)
@@ -371,7 +376,7 @@ def test_replay_runs_the_solvers_halved_drift_retry():
     spec = builtin("burgers1d")
     x0 = np.array([30.0, 30.0, 30.0, 30.0])
     cfg = SolverConfig(dt=0.05, T=0.2, level=4)
-    seeds = batch_seeds(0, 4)[0]
+    seeds = _seeds(0, 4)
     noise = [sample_noise(4, cfg.T, cfg.dt, spec.bundle.mark_space, s) for s in seeds]
     records = solve_paths(spec.bundle, spec.triple, x0, cfg, seeds, noise=noise)
     assert all(rec.truncated_at is None for rec in records)
@@ -380,7 +385,7 @@ def test_replay_runs_the_solvers_halved_drift_retry():
 
     # step 0 of path 0 by hand: the two substep pairings, each weighted dt/2
     bundle, dt = spec.bundle, cfg.dt
-    t, grid = records[0].step_grid_view()
+    t, grid = records[0].times[records[0].is_grid], records[0].states[records[0].is_grid]
     x, x_next = grid[0], grid[1]
     assert _newton_rows(bundle, x[None], t[0] + dt, dt, cfg)[1]
     half, failed = _newton_rows(bundle, x[None], t[0] + dt / 2, dt / 2, cfg)

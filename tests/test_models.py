@@ -358,14 +358,25 @@ _FIELD_MODEL = {"name": "fields", "triple": {"dimension_cap": 8},
      ("jump", "sigma", "0.1", "model.jump.sigma"),
      ("drift", "scale", "1", "model.drift.scale"),
      ("constants", "beta", "3", "model.constants.beta"),
-     ("constants", "f_profile", 1.0, "model.constants.f_profile")],
+     ("constants", "f_profile", 1.0, "model.constants.f_profile"),
+     ("triple", "dimension_cap", 0, "model.triple"),
+     ("triple", None, {"dimension_cap": 0, "grid_size": 16}, "model.triple"),
+     ("triple", None, {"dimension_cap": -2, "grid_size": 16}, "model.triple"),
+     ("triple", "grid_size", 8, "model.triple"),
+     ("marks", "weights", [0.5], "model.marks"),
+     ("constants", "beta", 1.0, "model.constants"),
+     ("regime", None, "part3", "model.regime")],
     ids=["fractional-cap", "text-cap", "fractional-grid_size", "text-c", "text-sigma",
-         "text-scale", "text-beta", "unknown-constant"],
+         "text-scale", "text-beta", "unknown-constant", "zero-cap", "zero-cap-on-a-grid",
+         "negative-cap-on-a-grid", "grid-too-coarse", "short-weights", "beta-one",
+         "unknown-regime"],
 )
 def test_custom_model_field_names_its_field(part, key, value, field):
     # every model value follows the one type rule: a fraction is not an
-    # integer, text is not a number, and no constant is made up
-    model = dict(_FIELD_MODEL, **{part: dict(_FIELD_MODEL[part], **{key: value})})
+    # integer, text is not a number, and no constant is made up; a range
+    # error names the record it was read from (key None replaces the record)
+    record = value if key is None else dict(_FIELD_MODEL[part], **{key: value})
+    model = dict(_FIELD_MODEL, **{part: record})
     with pytest.raises(ConfigError) as err:
         parse_config({"schema_version": 1, "model": model,
                       "solver": {"dt": 0.1, "T": 1.0, "level": 2}})

@@ -62,8 +62,7 @@ def test_constant_jump_step_with_compensator():
     dt = 0.2
     rec = solve_paths(bundle, triple, x0, SolverConfig(dt=dt, T=1.0, level=2), [0],
                       noise=[_quiet(2, dt, 1.0, jumps=(JumpEvent(0.13, 0),))])[0]
-    _, grid_states = rec.step_grid_view()
-    np.testing.assert_allclose(grid_states[1], x0 + g - dt * 1.5 * g, rtol=1e-14)
+    np.testing.assert_allclose(rec.states[rec.is_grid][1], x0 + g - dt * 1.5 * g, rtol=1e-14)
 
 
 def test_jump_outside_step_rejected():
@@ -333,7 +332,7 @@ def test_grid_view_excludes_pre_jump_rows_near_grid_times(heat_spec):
     rec = solve_paths(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0, cfg, [0],
                       noise=[real])[0]
     assert rec.n_jump_entries == 2
-    times, states = rec.step_grid_view()
+    times, states = rec.times[rec.is_grid], rec.states[rec.is_grid]
     np.testing.assert_array_equal(times, np.arange(11) * 0.01)
     np.testing.assert_array_equal(states[-1], rec.states[-1])
     # the grid row at 0.03 ends the step, after both jumps and the compensator

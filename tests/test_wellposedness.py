@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from levyspde import parallel, solver, wellposedness
+from levyspde import estimates, parallel, solver, wellposedness
 from levyspde.coefficients import AUDIT_BATCH_ROWS, CoefficientBundle, HypothesisConstants
 from levyspde.models import builtin
 from levyspde.noise import JumpEvent, MarkSpace, NoiseRealization, ci99, sample_noise
-from levyspde.parallel import batch_seeds
+from levyspde.rng import path_seed
 from levyspde.solver import SolverConfig, solve_paths
 from levyspde.spaces import GelfandTriple, dot_rows
 from levyspde.wellposedness import (
@@ -23,6 +23,11 @@ from levyspde.wellposedness import (
     weighted_stability_mc,
 )
 
+
+def _fixed_batches(seed, n_paths, size):
+    """The path seeds 0 .. n_paths-1 under ``seed``, in tasks of ``size`` paths."""
+    seeds = [path_seed(seed, i) for i in range(n_paths)]
+    return [seeds[i : i + size] for i in range(0, n_paths, size)]
 
 
 def test_uniqueness_exact_zero_for_replay(heat_spec, allen_cahn_spec):
@@ -68,6 +73,48 @@ def test_uniqueness_stress_reports_reordering_effect():
                                    n_paths=8, seed=2, stress=True)
     assert np.isfinite(sup)
     assert 0.0 < sup < 1e-2  # bounded reordering effect, far below the state scale
+
+
+def _per_pair_uniqueness(bundle, triple, x0, config, n_paths, seed, stress):
+    """Each pair's sup_t ‖Y1 − Y2‖_H from whole-state records on the step
+    grid, in batches of 8 pairs; NaN for a pair with a truncated record."""
+    sups = []
+    for seeds in _fixed_batches(seed, n_paths, 8):
+        n = len(seeds)
+        first = [sample_noise(config.level, config.T, config.dt, bundle.mark_space, s) for s in seeds]
+        second = [_reorder_same_step_marks(r, config.dt) for r in first] if stress else first
+        records = solve_paths(bundle, triple, x0, config, seeds + seeds, noise=first + second)
+        for rec1, rec2 in zip(records[:n], records[n:]):
+            if rec1.truncated_at is not None or rec2.truncated_at is not None:
+                sups.append(float("nan"))
+                continue
+            diff = rec1.states[rec1.is_grid] - rec2.states[rec2.is_grid]
+            sups.append(float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()))
+    return np.array(sups)
+
+
+@pytest.mark.parametrize("stress", [False, True], ids=["replay", "stress"])
+@pytest.mark.parametrize("case", ["heat", "allen_cahn", "burgers1d", "planted-truncation"])
+def test_streamed_uniqueness_equals_the_per_pair_records(case, stress):
+    # 40 pairs: one task of 80 solver rows whose grid states are reduced as
+    # they come, against whole records in batches of 8; the heavy marks put
+    # several jumps in one step, so the stress reorder moves the bits
+    if case == "planted-truncation":
+        bundle, x0 = _stalling_pair_bundle(), np.array([0.8])
+        triple = GelfandTriple(dimension_cap=1, v_weights=np.ones(1))
+        cfg = SolverConfig(dt=0.01, T=0.3, level=1)
+    else:
+        marks = MarkSpace(marks=np.array([1.0, -1.0]), weights=np.array([10.0, 10.0]))
+        spec = builtin(case, marks=marks)
+        bundle, triple, x0 = spec.bundle, spec.triple, spec.default_x0
+        cfg = SolverConfig(dt=0.05, T=0.5, level=6)
+    got = uniqueness_sups(bundle, triple, x0, cfg, n_paths=40, seed=2, stress=stress)
+    want = _per_pair_uniqueness(bundle, triple, x0, cfg, 40, 2, stress)
+    np.testing.assert_array_equal(got, want)
+    if case == "planted-truncation":
+        assert 0 < np.isnan(want).sum() < 40
+    else:
+        assert not np.isnan(want).any() and (want.max() > 0.0) == stress
 
 
 def test_stress_reorder_groups_marks_by_solver_step():
@@ -260,7 +307,8 @@ def test_stability_and_dependence_independent_of_workers_and_batches(allen_cahn_
 
     reference = run(1)
     assert_same(run(2), reference)
-    monkeypatch.setattr(parallel, "STUDY_BATCH", 1)
+    monkeypatch.setattr(wellposedness, "split_by_rows",
+                        lambda seed, n_paths, rows, workers: _fixed_batches(seed, n_paths, 1))
     assert_same(run(1), reference)
     assert_same(run(2), reference)
 
@@ -275,15 +323,15 @@ def _per_pair_stability(bundle, triple, constants, x0_a, x0_b, config, n_paths, 
     the step grid, its own weight sum and curve, then the study's reduction."""
     x0 = np.stack([triple.project(u, config.level).coeffs for u in (x0_a, x0_b)])
     pairs = []
-    for seeds in batch_seeds(seed, n_paths):
+    for seeds in _fixed_batches(seed, n_paths, 8):
         n = len(seeds)
         records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds)
         for rec_a, rec_b in zip(records[:n], records[n:]):
             if rec_a.truncated_at is not None or rec_b.truncated_at is not None:
                 pairs.append((True, np.full(config.n_steps + 1, np.nan)))
                 continue
-            times, s_a = rec_a.step_grid_view()
-            _, s_b = rec_b.step_grid_view()
+            times, s_a = rec_a.times[rec_a.is_grid], rec_a.states[rec_a.is_grid]
+            s_b = rec_b.states[rec_b.is_grid]
             f = np.array([constants.f_at(t) for t in times[:-1].tolist()])
             increments = (f + bundle.rho(s_a[:-1]) + bundle.eta(s_b[:-1])) * np.diff(times)
             phis = np.array([math.exp(-v) for v in np.cumsum(increments).tolist()])
@@ -380,7 +428,7 @@ def test_stability_independent_of_its_batch_count_and_workers(allen_cahn_spec, m
 
     reference = run(1)
     monkeypatch.setattr(wellposedness, "split_by_rows", lambda seed, n_paths, rows, workers:
-                        batch_seeds(seed, n_paths, pairs_per_batch or n_paths))
+                        _fixed_batches(seed, n_paths, pairs_per_batch or n_paths))
     for workers in (1, 2):
         got = run(workers)
         assert got.keys() == reference.keys()
@@ -432,6 +480,56 @@ def test_stability_calls_stay_within_the_row_caps(allen_cahn_spec, monkeypatch):
     weighted_stability_mc(bundle, spec.triple, spec.constants, spec.default_x0, x0_b, cfg,
                           n_paths=10, seed=0, workers=3)
     assert tasks == [2, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_path_studies_stay_within_the_row_cap(heat_spec, monkeypatch, workers):
+    # each study splits its paths by split_by_rows at its own rows per path,
+    # and no solve takes more than AUDIT_BATCH_ROWS rows; depend and
+    # converge solve 3 rows per path, which 128 does not divide; a study of
+    # no paths fails closed
+    spec = heat_spec
+    calls, tasks = [], []
+
+    def counted(solve):
+        def wrapped(*args, **kwargs):
+            calls.append(len(args[4]))
+            return solve(*args, **kwargs)
+        return wrapped
+
+    def serial_map(fn, ctx, n, workers):
+        tasks.append(n)
+        return parallel.map_indexed(fn, ctx, n, 1)
+
+    for module in (estimates, wellposedness):
+        monkeypatch.setattr(module, "solve_paths", counted(module.solve_paths))
+        monkeypatch.setattr(module, "map_indexed", serial_map)
+    cfg = SolverConfig(dt=0.02, T=0.1, level=4)
+    args = (spec.bundle, spec.triple, spec.default_x0)
+    # name: (rows per path, paths, solves per path, study); residual solves
+    # each path once per dt level, each level split as a one-row study
+    studies = {
+        "residual": (1, 130, 2, lambda: estimates.residual_totals(
+            *args, [cfg, dataclasses.replace(cfg, dt=0.01)], 130, 0, workers=workers)),
+        "modulus": (1, 130, 1, lambda: estimates.modulus_study(
+            *args, cfg, [0.02, 0.04], 2.0, 130, 0, workers=workers)),
+        "uniqueness": (2, 70, 1, lambda: uniqueness_sups(*args, cfg, 70, 0, workers=workers)),
+        "depend": (3, 50, 1, lambda: continuous_dependence_study(
+            *args, [0.1, 0.0, 0.01], 2.0, cfg, 50, 0, workers=workers)),
+        "converge": (3, 50, 1, lambda: galerkin_convergence(
+            *args, [2, 4, 8], cfg, 50, 0, workers=workers)),
+    }
+    for name, (rows_per_path, n_paths, solves, run) in studies.items():
+        calls.clear()
+        tasks.clear()
+        run()
+        split = parallel.split_by_rows(0, n_paths, rows_per_path, workers)
+        assert tasks == [solves * len(split)], name
+        assert sum(calls) == solves * rows_per_path * n_paths, name
+        assert max(calls) <= AUDIT_BATCH_ROWS, name
+        assert workers > 1 or len(split) == 2, name  # one worker, but the cap splits
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        uniqueness_sups(*args, cfg, 0, 0, workers=workers)
 
 
 def test_depend_and_uniqueness_count_the_truncated_paths():
