@@ -110,23 +110,30 @@ def _study_paths(exp: ExperimentConfig, default: int, least: int = 1) -> int:
 
 
 def _study_levels(exp: ExperimentConfig, default: list[int]) -> list[int]:
-    """``study.m_list``: whole Galerkin levels in [1, dimension_cap]."""
+    """``study.m_list``: distinct whole Galerkin levels in [1, dimension_cap]."""
     values = read(exp.study, "m_list", "study", list, default)
     cap = exp.model.triple.dimension_cap
-    if any(not 1 <= m <= cap or m != int(m) for m in values):
-        raise ConfigError("study.m_list", f"expected whole levels in [1, {cap}], got {values}")
+    if any(not 1 <= m <= cap or m != int(m) for m in values) or len(set(values)) < len(values):
+        raise ConfigError("study.m_list", f"expected distinct whole levels in [1, {cap}], got {values}")
     return [int(m) for m in values]
 
 
-def _check_p_admissibility(exp: ExperimentConfig, p_list) -> None:
-    if exp.model.regime != "part2":
-        return
-    result = admissible_p_range(exp.model.constants)
+def _two_distinct(field: str, values, kind: str = "entries") -> None:
+    """A slope fit or a comparison across entries needs two distinct ones."""
+    if len(set(values)) < 2:
+        raise ConfigError(field, f"expected at least two distinct {kind}, got {values}")
+
+
+def _check_p_admissibility(exp: ExperimentConfig, field: str, p_list) -> None:
+    """Every moment order of ``field`` is at least 2 and, in part II, at most
+    the admissible range's ``p_max`` (any order when it is unbounded)."""
+    result = admissible_p_range(exp.model.constants) if exp.model.regime == "part2" else None
     for p in p_list:
-        row = result.row_at(p)
-        if result.empty or not (row["growth_ok"] and row["admissible_ok"]):
+        if p < 2.0:
+            raise ConfigError(field, f"moment orders start at 2, got p={p:g}")
+        if result is not None and (result.empty or p > result.p_max):
             raise ConfigError(
-                "study.p_list",
+                field,
                 f"p={p:g} lies outside the admissible range "
                 f"(p_max={result.p_max:g}, chi={result.chi:g})",
             )
@@ -191,7 +198,7 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     p_list = read(exp.study, "p_list", "study", list, [2.0])
     m_list = _study_levels(exp, [exp.solver.level])
     n_paths = _study_paths(exp, 200, least=2)
-    _check_p_admissibility(exp, p_list)
+    _check_p_admissibility(exp, "study.p_list", p_list)
     if not read(exp.study, "skip_audit", "study", bool, False):
         # warn-only precondition: the estimate is still computed when the
         # declared hypothesis constants fail their quick audit
@@ -242,8 +249,7 @@ def _cmd_energy(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_residual(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     dt_levels = read(exp.study, "dt_levels", "study", list, [4e-3, 2e-3, 1e-3])
-    if len(set(dt_levels)) < 2:
-        raise ConfigError("study.dt_levels", "the slope fit needs at least two distinct levels")
+    _two_distinct("study.dt_levels", dt_levels)
     n_paths = _study_paths(exp, 256)
     try:
         levels = [replace(exp.solver, dt=dt) for dt in sorted(dt_levels, reverse=True)]
@@ -274,11 +280,12 @@ def _cmd_modulus(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     dt = exp.solver.dt
     deltas = read(exp.study, "delta_list", "study", list, [4 * dt, 8 * dt, 16 * dt, 32 * dt])
     n_paths = _study_paths(exp, 200, least=2)
-    for d in deltas:
-        try:
-            estimates.delta_steps(d, dt, exp.solver.n_steps)
-        except ValueError as exc:
-            raise ConfigError("study.delta_list", str(exc)) from None
+    try:
+        steps = [estimates.delta_steps(d, dt, exp.solver.n_steps) for d in deltas]
+    except ValueError as exc:
+        raise ConfigError("study.delta_list", str(exc)) from None
+    # two shifts a rounding apart are one grid shift
+    _two_distinct("study.delta_list", steps, "shifts in grid steps")
     beta = read(exp.study, "beta_exp", "study", float, exp.model.constants.beta)
     result = estimates.modulus_study(
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver, deltas, beta,
@@ -346,10 +353,9 @@ def _cmd_stability(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     deltas = read(exp.study, "perturbations", "study", list, [1e-1, 1e-2, 1e-3])
-    if sum(d > 0.0 for d in deltas) < 2:
-        raise ConfigError("study.perturbations", "the slope fit needs at least two positive entries")
+    _two_distinct("study.perturbations", [d for d in deltas if d > 0.0], "positive entries")
     p = read(exp.study, "p", "study", float, 2.0)
-    _check_p_admissibility(exp, [p])
+    _check_p_admissibility(exp, "study.p", [p])
     n_paths = _study_paths(exp, 200)
     table = wellposedness.continuous_dependence_study(
         exp.model.bundle, exp.model.triple, exp.initial_state(), deltas, p,
@@ -371,6 +377,7 @@ def _cmd_depend(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
 
 def _cmd_converge(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     m_list = _study_levels(exp, [4, 8, 16, 32])
+    _two_distinct("study.m_list", m_list)
     n_paths = _study_paths(exp, 100, least=2)
     table = wellposedness.galerkin_convergence(
         exp.model.bundle, exp.model.triple, exp.initial_state(), m_list, exp.solver,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficients import AUDIT_BATCH_ROWS, CoefficientBundle
 from .noise import ci99, grid_steps, sample_noise, step_index
-from .parallel import map_indexed, split_by_rows
+from .parallel import path_rows
 from .solver import PathRecord, SolverConfig, _drift_rows, _shared_step_grid, solve_paths
 from .spaces import GelfandTriple, dot_rows, sum_squares
 
@@ -52,7 +52,7 @@ class EnergyStats:
 
 
 def _energy_parts(record: PathRecord, p_list, beta: float):
-    """(sup_t ‖Y‖_H, ∫‖Y‖_V^β dt, [∫‖Y‖_V^β ‖Y‖_H^{p-2} dt for p in p_list]).
+    """(sup_t ‖Y‖_H, ∫‖Y‖_V^β dt, then ∫‖Y‖_V^β ‖Y‖_H^{p-2} dt for each p in p_list).
 
     The sup runs over every recorded entry including jump post-values; the
     integrals are left-Riemann sums over the record's time partition.
@@ -60,19 +60,7 @@ def _energy_parts(record: PathRecord, p_list, beta: float):
     dts = np.diff(record.times)
     vb = record.norm_v[:-1] ** beta
     mixed = [float(np.dot(vb * record.norm_h[:-1] ** (p - 2.0), dts)) for p in p_list]
-    return float(record.norm_h.max()), float(np.dot(vb, dts)), mixed
-
-
-def _energy_batch_worker(ctx, b: int):
-    # a truncated path has no estimate of its own: it turns the ensemble's
-    # figures into NaN, so the study fails instead of averaging a prefix
-    bundle, triple, x0, config, batches, p_list, beta = ctx
-    records = solve_paths(bundle, triple, x0, config, batches[b], keep_states=False)
-    nan = float("nan")
-    return [
-        _energy_parts(rec, p_list, beta) if rec.truncated_at is None else (nan, nan, [nan] * len(p_list))
-        for rec in records
-    ]
+    return float(record.norm_h.max()), float(np.dot(vb, dts)), *mixed
 
 
 def energy_table(
@@ -98,13 +86,17 @@ def energy_table(
     if any(p < 2.0 for p in p_list):
         raise ValueError("moment orders must satisfy p >= 2")
     x0 = np.asarray(x0, dtype=float)
-    batches = split_by_rows(seed, n_paths, 1, workers)
-    ctx = (bundle, triple, x0, config, batches, p_list, beta)
-    rows = [row for batch in map_indexed(_energy_batch_worker, ctx, len(batches), workers)
-            for row in batch]
-    sup_h = np.array([r[0] for r in rows])
-    int_v = np.array([r[1] for r in rows])
-    mixed = np.array([r[2] for r in rows])  # (n_paths, len(p_list))
+
+    def moment_rows(seeds):
+        # a truncated path has no estimate of its own: it turns the ensemble's
+        # figures into NaN, so the study fails instead of averaging a prefix
+        records = solve_paths(bundle, triple, x0, config, seeds, keep_states=False)
+        nan = (float("nan"),) * (2 + len(p_list))
+        return [_energy_parts(rec, p_list, beta) if rec.truncated_at is None else nan
+                for rec in records]
+
+    rows = path_rows(moment_rows, seed, n_paths, 1, workers)
+    sup_h, int_v, mixed = rows[:, 0], rows[:, 1], rows[:, 2:]  # mixed: (n_paths, len(p_list))
     truncated = int(np.isnan(sup_h).sum())
 
     x0_h = float(np.linalg.norm(x0))
@@ -317,22 +309,6 @@ def discrete_energy_residuals(
     return out
 
 
-def _residual_worker(ctx, task: int):
-    # the replay needs each path's realization, so the batch is solved on it;
-    # a truncated path has no balance to replay and keeps a NaN total
-    bundle, triple, x0, configs, batches = ctx
-    config, seeds = configs[task // len(batches)], batches[task % len(batches)]
-    noise = [sample_noise(config.level, config.T, config.dt, bundle.mark_space, s) for s in seeds]
-    records = solve_paths(bundle, triple, x0, config, seeds, noise=noise)
-    whole = [p for p, rec in enumerate(records) if rec.truncated_at is None]
-    series = discrete_energy_residuals([records[p] for p in whole], bundle,
-                                       [noise[p] for p in whole], config)
-    totals = [float("nan")] * len(records)
-    for p, s in zip(whole, series):
-        totals[p] = s.total
-    return totals
-
-
 def residual_totals(
     bundle: CoefficientBundle,
     triple: GelfandTriple,
@@ -343,13 +319,28 @@ def residual_totals(
     workers: int = 1,
 ) -> np.ndarray:
     """The summed balance residual of each path of an ensemble, one row per
-    solver config; NaN where a path was truncated.  Every (config, batch)
-    pair is one task, each config's paths split by ``split_by_rows``."""
+    solver config; NaN where a path was truncated.  Every batch of
+    ``path_rows`` is one task, which solves and replays its paths at each
+    config in turn."""
     configs = list(configs)
-    batches = split_by_rows(seed, n_paths, 1, workers)
-    ctx = (bundle, triple, np.asarray(x0, dtype=float), configs, batches)
-    per_task = map_indexed(_residual_worker, ctx, len(configs) * len(batches), workers)
-    return np.reshape([t for batch in per_task for t in batch], (len(configs), n_paths))
+
+    def replay_totals(seeds):
+        # the replay needs each path's realization, so the batch is solved on
+        # it; a config's noise and records go before the next is solved, and
+        # a truncated path has no balance to replay and keeps a NaN total
+        totals = np.full((len(seeds), len(configs)), np.nan)
+        for j, config in enumerate(configs):
+            noise = [sample_noise(config.level, config.T, config.dt, bundle.mark_space, s)
+                     for s in seeds]
+            records = solve_paths(bundle, triple, x0, config, seeds, noise=noise)
+            whole = [p for p, rec in enumerate(records) if rec.truncated_at is None]
+            series = discrete_energy_residuals([records[p] for p in whole], bundle,
+                                               [noise[p] for p in whole], config)
+            totals[whole, j] = [s.total for s in series]
+            del noise, records, series
+        return totals
+
+    return path_rows(replay_totals, seed, n_paths, 1, workers).T
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +442,6 @@ def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:
     return _modulus_result(deltas, _modulus_rows(paths, deltas, beta_exp), beta_exp)
 
 
-def _modulus_worker(ctx, b: int):
-    bundle, triple, x0, config, deltas, beta_exp, batches = ctx
-    records = solve_paths(bundle, triple, x0, config, batches[b])
-    return _modulus_rows(records, deltas, beta_exp)
-
-
 def modulus_study(
     bundle: CoefficientBundle,
     triple: GelfandTriple,
@@ -470,7 +455,8 @@ def modulus_study(
 ) -> ModulusResult:
     """``modulus_of_continuity`` of an ensemble of ``n_paths`` paths under ``seed``."""
     deltas = sorted(float(d) for d in delta_list)
-    batches = split_by_rows(seed, n_paths, 1, workers)
-    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, deltas, beta_exp, batches)
-    rows = np.concatenate(map_indexed(_modulus_worker, ctx, len(batches), workers), axis=1)
-    return _modulus_result(deltas, rows, beta_exp)
+
+    def shift_rows(seeds):
+        return _modulus_rows(solve_paths(bundle, triple, x0, config, seeds), deltas, beta_exp).T
+
+    return _modulus_result(deltas, path_rows(shift_rows, seed, n_paths, 1, workers).T, beta_exp)

@@ -1,10 +1,12 @@
 """Order-deterministic parallel map over path indices.
 
-Workers receive only the task index; the task context (bundles hold
-closures, which do not pickle) is inherited through fork.  Results come
+Workers receive only the task index; the callable and its context are
+inherited through fork, so a closure over a study's inputs (bundles hold
+closures too, which do not pickle) reaches them as it is.  Results come
 back in index order, so every aggregation downstream reduces in a fixed
 order and the output is bit-identical for any worker count.  Every path
-study splits its paths into batches, one task each, by one rule
+study runs through ``path_rows``, which owns the split, the map and the path
+order.  It splits the paths into batches, one task each, by one rule
 (``split_by_rows``): one near-equal batch per worker, or more where a batch
 would pass ``AUDIT_BATCH_ROWS`` solver rows.  Those batches follow
 ``--workers``, but their bits do not: the solver gives every row of a batch
@@ -14,14 +16,17 @@ in path order.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
+
+import numpy as np
 
 from .coefficients import AUDIT_BATCH_ROWS
 from .rng import path_seed
 from .spaces import ConfigError
 
-__all__ = ["map_indexed", "worker_count", "split_by_rows"]
+__all__ = ["map_indexed", "worker_count", "path_rows"]
 
 _TASK = None
 
@@ -40,6 +45,22 @@ def split_by_rows(seed: int, n_paths: int, rows_per_path: int, workers: int) -> 
     size, extra = divmod(n_paths, tasks)
     bounds = [i * size + min(i, extra) for i in range(tasks + 1)]
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def path_rows(task, seed: int, n_paths: int, rows_per_path: int, workers: int) -> np.ndarray:
+    """``task(seeds)`` on each ``split_by_rows`` batch of the path seeds 0 ..
+    n_paths-1 under ``seed``, one ``map_indexed`` task each, whose callable
+    carries ``task``'s module and name; the k values per path (a 1-D result
+    is one column) are joined in path order into a C-ordered (n_paths, k)
+    float array."""
+    batches = split_by_rows(seed, n_paths, rows_per_path, workers)
+
+    @functools.wraps(task)
+    def run(batches, b):
+        return np.reshape(task(batches[b]), (len(batches[b]), -1))
+
+    return np.ascontiguousarray(np.concatenate(map_indexed(run, batches, len(batches), workers)),
+                                dtype=float)
 
 
 def _run(i: int):

@@ -5,10 +5,11 @@ All studies couple their comparisons through shared noise: the same
 realization drives both members of a pair, and in the level study the
 level-m solve consumes the first m Wiener modes of the reference
 realization together with the identical jump event list, mirroring the
-nesting of the truncated noise projections.  Every study advances its paths
-through ``solver.solve_paths`` in ``parallel.split_by_rows``'s batches: a
-uniqueness or stability pair solves two rows, a dependence path one plus
-one per nonzero perturbation, and a convergence path one per level.
+nesting of the truncated noise projections.  Every study maps a closure
+over its own inputs across its batches through ``parallel.path_rows``, and
+advances each batch through ``solver.solve_paths``: a uniqueness or
+stability pair solves two rows, a dependence path one plus one per nonzero
+perturbation, and a convergence path one per level.
 Uniqueness and stability compare grid states alone and reduce each finished
 chunk inside the solve (``on_grid``); dependence and convergence read the
 jump rows too and keep whole records.  A pair shares a seed, and an
@@ -28,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientBundle, HypothesisConstants, _batched
 from .noise import JumpEvent, NoiseRealization, ci99, grid_times, sample_noise, step_index
-from .parallel import map_indexed, split_by_rows
+from .parallel import path_rows
 from .solver import SolverConfig, solve_paths
 from .spaces import GelfandTriple, dot_rows
 
@@ -87,34 +88,6 @@ def _reorder_same_step_marks(realization: NoiseRealization, dt: float) -> NoiseR
     )
 
 
-def _uniqueness_worker(ctx, b: int):
-    # seed i's noise drives rows i and n + i (under stress, row n + i with its
-    # same-step marks reordered); each finished chunk of grid states is
-    # reduced to the pairs' running sups, so no state is held
-    bundle, triple, x0, config, batches, stress = ctx
-    seeds = batches[b]
-    n, m = len(seeds), config.level
-    noise = None
-    if stress:
-        first = [sample_noise(m, config.T, config.dt, bundle.mark_space, s) for s in seeds]
-        noise = first + [_reorder_same_step_marks(r, config.dt) for r in first]
-    sups = np.zeros(n)
-
-    def reduce(k, block):
-        # compare on the step grid: within-step jump sequencing is an artifact
-        # of the splitting, the path itself is its end-of-step skeleton; a
-        # truncated pair's rows are meaningless, and its sup is NaN below
-        with np.errstate(all="ignore"):
-            diff = (block[:, :n] - block[:, n:]).reshape(-1, m)
-            norms = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(block), n)
-        np.maximum(sups, norms.max(axis=0), out=sups)
-
-    records = solve_paths(bundle, triple, x0, config, seeds + seeds, noise=noise, on_grid=reduce)
-    truncated = np.array([rec.truncated_at is not None for rec in records]).reshape(2, n).any(axis=0)
-    sups[truncated] = np.nan
-    return sups
-
-
 def uniqueness_sups(
     bundle: CoefficientBundle,
     triple: GelfandTriple,
@@ -132,9 +105,33 @@ def uniqueness_sups(
     order of marks that share a step, measuring the reordering effect.  A
     path with a truncated record gives NaN.
     """
-    batches = split_by_rows(seed, n_paths, 2, workers)  # each pair solves two rows
-    ctx = (bundle, triple, np.asarray(x0, dtype=float), config, batches, stress)
-    return np.concatenate(map_indexed(_uniqueness_worker, ctx, len(batches), workers))
+
+    def pair_sups(seeds):
+        # seed i's noise drives rows i and n + i (under stress, row n + i with
+        # its same-step marks reordered); each finished chunk of grid states
+        # is reduced to the pairs' running sups, so no state is held
+        n, m = len(seeds), config.level
+        noise = None
+        if stress:
+            first = [sample_noise(m, config.T, config.dt, bundle.mark_space, s) for s in seeds]
+            noise = first + [_reorder_same_step_marks(r, config.dt) for r in first]
+        sups = np.zeros(n)
+
+        def reduce(k, block):
+            # compare on the step grid: within-step jump sequencing is an artifact
+            # of the splitting, the path itself is its end-of-step skeleton; a
+            # truncated pair's rows are meaningless, and its sup is NaN below
+            with np.errstate(all="ignore"):
+                diff = (block[:, :n] - block[:, n:]).reshape(-1, m)
+                norms = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(block), n)
+            np.maximum(sups, norms.max(axis=0), out=sups)
+
+        records = solve_paths(bundle, triple, x0, config, seeds + seeds, noise=noise, on_grid=reduce)
+        truncated = np.array([rec.truncated_at is not None for rec in records]).reshape(2, n).any(axis=0)
+        sups[truncated] = np.nan
+        return sups
+
+    return path_rows(pair_sups, seed, n_paths, 2, workers)[:, 0]  # each pair solves two rows
 
 
 def pathwise_uniqueness_test(
@@ -171,42 +168,6 @@ class StabilityResult:
     truncated_paths: int  # pairs with a truncated record, whose curves are NaN
 
 
-def _stability_worker(ctx, b: int):
-    # rows [x0_a] * n + [x0_b] * n: path i's pair shares its seed's noise;
-    # each finished chunk of grid states is reduced to the pair curves' terms
-    bundle, triple, constants, x0_a, x0_b, config, batches = ctx
-    seeds = batches[b]
-    n, m = len(seeds), config.level
-    x0 = np.stack([triple.project(u, m).coeffs for u in (x0_a, x0_b)])
-    times = grid_times(config.T, config.dt)
-    f = np.array([constants.f_at(t) for t in times.tolist()])[:, None]
-    sq, rates = np.empty((times.size, n)), np.empty((times.size, n))
-
-    def reduce(k, block):
-        a, b = block[:, :n], block[:, n:]
-        rows = slice(k, k + len(block))
-        # a truncated pair's rows are meaningless; its curve is NaN below
-        with np.errstate(all="ignore"):
-            d = a - b
-            sq[rows] = dot_rows(d, d)
-            rho_a, eta_b = _batched(lambda u, v: (bundle.rho(u), bundle.eta(v)),
-                                    a.reshape(-1, m), b.reshape(-1, m))
-            rates[rows] = f[rows] + rho_a.reshape(len(block), n)
-            rates[rows] += eta_b.reshape(len(block), n)
-
-    records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds,
-                          on_grid=reduce)
-    # a pair is truncated when either member is; the norms-only records go
-    # before the weights are formed
-    truncated = np.array([rec.truncated_at is not None for rec in records]).reshape(2, n).any(axis=0)
-    del records
-    rates[:, truncated] = np.nan  # so no weight is taken of a truncated pair's rows
-    curves = sq.copy()
-    curves[1:] *= _stability_weights(rates[:-1], times)
-    curves[:, truncated] = np.nan
-    return truncated, curves
-
-
 def weighted_stability_mc(
     bundle: CoefficientBundle,
     triple: GelfandTriple,
@@ -228,14 +189,47 @@ def weighted_stability_mc(
         raise ValueError("weighted stability requires the bundle to declare rho and eta")
     x0_a = np.asarray(x0_a, dtype=float)
     x0_b = np.asarray(x0_b, dtype=float)
-    batches = split_by_rows(seed, n_paths, 2, workers)  # each pair solves two rows
-    ctx = (bundle, triple, constants, x0_a, x0_b, config, batches)
-    per_batch = map_indexed(_stability_worker, ctx, len(batches), workers)
+    m = config.level
+    x0 = np.stack([triple.project(u, m).coeffs for u in (x0_a, x0_b)])
+    times = grid_times(config.T, config.dt)
+    f = np.array([constants.f_at(t) for t in times.tolist()])[:, None]
+
+    def pair_curves(seeds):
+        # rows [x0_a] * n + [x0_b] * n: path i's pair shares its seed's noise;
+        # each finished chunk of grid states is reduced to the pair curves'
+        # terms; a pair's row is its truncation flag, then its curve
+        n = len(seeds)
+        sq, rates = np.empty((times.size, n)), np.empty((times.size, n))
+
+        def reduce(k, block):
+            a, b = block[:, :n], block[:, n:]
+            rows = slice(k, k + len(block))
+            # a truncated pair's rows are meaningless; its curve is NaN below
+            with np.errstate(all="ignore"):
+                d = a - b
+                sq[rows] = dot_rows(d, d)
+                rho_a, eta_b = _batched(lambda u, v: (bundle.rho(u), bundle.eta(v)),
+                                        a.reshape(-1, m), b.reshape(-1, m))
+                rates[rows] = f[rows] + rho_a.reshape(len(block), n)
+                rates[rows] += eta_b.reshape(len(block), n)
+
+        records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds,
+                              on_grid=reduce)
+        # a pair is truncated when either member is; the norms-only records
+        # go before the weights are formed
+        truncated = np.array([rec.truncated_at is not None for rec in records]).reshape(2, n).any(axis=0)
+        del records
+        rates[:, truncated] = np.nan  # so no weight is taken of a truncated pair's rows
+        curves = sq  # weighted in place
+        curves[1:] *= _stability_weights(rates[:-1], times)
+        curves[:, truncated] = np.nan
+        return np.column_stack([truncated, curves.T])
+
     # one C-ordered row per pair, so the mean adds the pairs in seed order
-    curves = np.concatenate([batch_curves for _, batch_curves in per_batch], axis=1).T.copy()
+    rows = path_rows(pair_curves, seed, n_paths, 2, workers)  # each pair solves two rows
+    truncated, curves = rows[:, 0], rows[:, 1:]
     lhs = curves.mean(axis=0)
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
-    times = grid_times(config.T, config.dt)
     pad = max(x0_a.size, x0_b.size)
     da = np.zeros(pad)
     da[: x0_a.size] = x0_a
@@ -253,7 +247,7 @@ def weighted_stability_mc(
         passed=bool(np.all(margins >= 0.0)),
         worst_t=float(times[worst]),
         worst_margin=float(margins[worst]),
-        truncated_paths=int(sum(truncated.sum() for truncated, _ in per_batch)),
+        truncated_paths=int(truncated.sum()),
     )
 
 
@@ -280,33 +274,6 @@ class DependenceTable:
         return float(np.polyfit(x, y, 1)[0])
 
 
-def _dependence_worker(ctx, b: int):
-    # per path: the base row, then one row per nonzero delta, all on its seed
-    bundle, triple, x0, deltas, p, config, batches = ctx
-    direction = np.zeros_like(x0)
-    direction[0] = 1.0
-    moved = [d for d in deltas if d != 0.0]
-    starts = [x0] + [x0 + d * direction for d in moved]
-    rows = [triple.project(u, config.level).coeffs for u in starts]
-    seeds = batches[b]
-    records = solve_paths(bundle, triple, np.stack(rows * len(seeds)), config,
-                          [s for s in seeds for _ in rows])
-    out = np.zeros((len(seeds), len(deltas)))
-    for i in range(len(seeds)):
-        base, *perts = records[i * len(rows) : (i + 1) * len(rows)]
-        perts = iter(perts)
-        for j, d in enumerate(deltas):
-            if d == 0.0:
-                continue
-            pert = next(perts)
-            if base.truncated_at is not None or pert.truncated_at is not None:
-                out[i, j] = np.nan
-                continue
-            diff = pert.states - base.states
-            out[i, j] = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()) ** p
-    return out
-
-
 def continuous_dependence_study(
     bundle: CoefficientBundle,
     triple: GelfandTriple,
@@ -321,15 +288,37 @@ def continuous_dependence_study(
     """Table Δ ↦ E[sup_t ‖Y(x0 + Δ e_1) − Y(x0)‖_H^p] with matched noise."""
     x0 = np.asarray(x0, dtype=float)
     deltas = [float(d) for d in perturbations]
-    # a path solves its base row and one row per nonzero delta
-    batches = split_by_rows(seed, n_paths, 1 + sum(d != 0.0 for d in deltas), workers)
-    ctx = (bundle, triple, x0, deltas, float(p), config, batches)
-    rows = np.concatenate(map_indexed(_dependence_worker, ctx, len(batches), workers))
+    p = float(p)
+    direction = np.zeros_like(x0)
+    direction[0] = 1.0
+    starts = [x0] + [x0 + d * direction for d in deltas if d != 0.0]
+    # per path: the base row, then one row per nonzero delta, all on its seed
+    starts = [triple.project(u, config.level).coeffs for u in starts]
+
+    def perturbation_sups(seeds):
+        records = solve_paths(bundle, triple, np.stack(starts * len(seeds)), config,
+                              [s for s in seeds for _ in starts])
+        out = np.zeros((len(seeds), len(deltas)))
+        for i in range(len(seeds)):
+            base, *perts = records[i * len(starts) : (i + 1) * len(starts)]
+            perts = iter(perts)
+            for j, d in enumerate(deltas):
+                if d == 0.0:
+                    continue
+                pert = next(perts)
+                if base.truncated_at is not None or pert.truncated_at is not None:
+                    out[i, j] = np.nan
+                    continue
+                diff = pert.states - base.states
+                out[i, j] = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()) ** p
+        return out
+
+    rows = path_rows(perturbation_sups, seed, n_paths, len(starts), workers)
     return DependenceTable(
         deltas=np.asarray(deltas),
         values=rows.mean(axis=0),
         ci99=np.array([ci99(rows[:, j]) for j in range(rows.shape[1])]),
-        p=float(p),
+        p=p,
         truncated_paths=int(np.isnan(rows).any(axis=1).sum()),
     )
 
@@ -347,32 +336,6 @@ class ConvergenceTable:
     beta: float
     reference_level: int
     truncated_paths: int  # paths with a truncated record at some level, whose rows are NaN
-
-
-def _convergence_worker(ctx, b: int):
-    # every level steps on the first m Wiener modes of the m_ref-wide noise
-    bundle, triple, x0, levels, config, batches, beta = ctx
-    seeds = batches[b]
-    m_ref = levels[-1]
-    noise = [sample_noise(m_ref, config.T, config.dt, bundle.mark_space, s) for s in seeds]
-    records = [
-        solve_paths(bundle, triple, x0, replace(config, level=m), seeds, noise=noise)
-        for m in levels
-    ]
-    out = np.full((len(seeds), len(levels)), np.nan)
-    for i in range(len(seeds)):
-        recs = [by_level[i] for by_level in records]
-        if any(rec.truncated_at is not None for rec in recs):
-            continue
-        ref = recs[-1]
-        dts = np.diff(ref.times)
-        for j, (m, rec) in enumerate(zip(levels, recs)):
-            diff = np.zeros_like(ref.states)
-            diff[:, :m] = rec.states
-            diff -= ref.states
-            norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            out[i, j] = float(np.dot(norms[:-1] ** beta, dts)) ** (1.0 / beta)
-    return out
 
 
 def galerkin_convergence(
@@ -396,14 +359,37 @@ def galerkin_convergence(
     if levels[-1] > triple.dimension_cap:
         raise ValueError(f"level {levels[-1]} exceeds dimension_cap {triple.dimension_cap}")
     x0 = np.asarray(x0, dtype=float)
-    batches = split_by_rows(seed, n_paths, len(levels), workers)  # one row per level
-    ctx = (bundle, triple, x0, levels, config, batches, float(beta))
-    rows = np.concatenate(map_indexed(_convergence_worker, ctx, len(batches), workers))
+    beta = float(beta)
+
+    def level_distances(seeds):
+        # every level steps on the first m Wiener modes of the m_ref-wide noise
+        noise = [sample_noise(levels[-1], config.T, config.dt, bundle.mark_space, s)
+                 for s in seeds]
+        records = [
+            solve_paths(bundle, triple, x0, replace(config, level=m), seeds, noise=noise)
+            for m in levels
+        ]
+        out = np.full((len(seeds), len(levels)), np.nan)
+        for i in range(len(seeds)):
+            recs = [by_level[i] for by_level in records]
+            if any(rec.truncated_at is not None for rec in recs):
+                continue
+            ref = recs[-1]
+            dts = np.diff(ref.times)
+            for j, (m, rec) in enumerate(zip(levels, recs)):
+                diff = np.zeros_like(ref.states)
+                diff[:, :m] = rec.states
+                diff -= ref.states
+                norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                out[i, j] = float(np.dot(norms[:-1] ** beta, dts)) ** (1.0 / beta)
+        return out
+
+    rows = path_rows(level_distances, seed, n_paths, len(levels), workers)  # one row per level
     return ConvergenceTable(
         levels=np.asarray(levels),
         distances=rows.mean(axis=0),
         ci99=np.array([ci99(rows[:, j]) for j in range(rows.shape[1])]),
-        beta=float(beta),
+        beta=beta,
         reference_level=levels[-1],
         truncated_paths=int(np.isnan(rows).any(axis=1).sum()),
     )

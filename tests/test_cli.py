@@ -5,9 +5,12 @@ import math
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
-from levyspde import estimates, parallel, wellposedness
+from levyspde import parallel
+from levyspde.coefficients import admissible_p_range
+from levyspde.models import builtin
 from levyspde.rng import path_seed
 from levyspde.cli import main
 from levyspde.config import ConfigError, load_config, parse_config
@@ -75,6 +78,21 @@ def test_part2_p_outside_admissible_range(tmp_path, capsys):
     assert "p_list" in err and "admissible" in err
 
 
+def test_part2_moment_order_is_read_against_p_max(tmp_path, capsys):
+    # the range ends at p_max, not at the scanned row nearest p: a quarter
+    # step past p_max, p reads p_max's admissible row, and p = 1 the row at
+    # 2; an unbounded range takes any order; the error names the field read
+    p_max = admissible_p_range(builtin("grad_noise_linear").constants).p_max
+    for p, code in ((p_max + 2**-8, 1), (1.0, 1), (p_max, 0)):
+        path = _write_config(tmp_path, model="grad_noise_linear", study={"n_paths": 4, "p": p})
+        assert main(["depend", "--config", str(path)]) == code, p
+        err = capsys.readouterr().err
+        assert ("'study.p'" in err) == (code == 1) and "p_list" not in err, p
+    unbounded = dict(_custom_model({"L_B": 0.0, "L_gamma": 0.0}), regime="part2")
+    path = _write_config(tmp_path, model=unbounded, study={"n_paths": 4, "p": 40.0})
+    assert main(["depend", "--config", str(path)]) == 0
+
+
 def test_solver_level_exceeding_cap(tmp_path):
     path = _write_config(tmp_path, solver={"dt": 0.01, "T": 0.2, "level": 1000})
     assert main(["check", "--config", str(path)]) == 1
@@ -128,8 +146,7 @@ def test_rerun_and_worker_counts_are_byte_identical(tmp_path, monkeypatch):
         bodies = []
         for workers, one_path in (("1", False), ("1", False), ("2", False), ("1", True), ("2", True)):
             if one_path:
-                for module in (estimates, wellposedness):
-                    monkeypatch.setattr(module, "split_by_rows", _one_path_batches)
+                monkeypatch.setattr(parallel, "split_by_rows", _one_path_batches)
             assert main([command, "--config", str(path), "--workers", workers]) == code, command
             bodies.append((tmp_path / "out" / artifact).read_bytes())
         monkeypatch.undo()
@@ -158,6 +175,27 @@ def test_fork_workers_start_on_distinct_cpus_without_a_pin(monkeypatch):
         pytest.skip("placement needs two CPUs")
     mask = sorted(os.sched_getaffinity(0))
     assert parallel.map_indexed(_worker_mask, None, 6, workers=2) == [(i, mask) for i in range(6)]
+
+
+def _seed_columns(seeds):
+    # three values per path from its seed alone, as an F-ordered block (the
+    # layout a transposed (K, paths) table has)
+    return np.asfortranarray([(s % 997, s >> 40, (s % 997) ** 0.5) for s in seeds])
+
+
+@pytest.mark.parametrize("one_path", [False, True], ids=["split", "one-path-batches"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_path_rows_equal_a_serial_loop_over_the_seeds(monkeypatch, workers, one_path):
+    # 10 paths of 40 rows: split_by_rows makes 4 batches; the closures reach
+    # the fork workers as they are, and the rows come back in path order
+    if one_path:
+        monkeypatch.setattr(parallel, "split_by_rows", _one_path_batches)
+    seeds = [path_seed(3, i) for i in range(10)]
+    rows = parallel.path_rows(_seed_columns, 3, 10, 40, workers)
+    np.testing.assert_array_equal(rows, np.concatenate([_seed_columns([s]) for s in seeds]))
+    assert rows.shape == (10, 3) and rows.flags.c_contiguous
+    column = parallel.path_rows(lambda batch: [s % 101 for s in batch], 3, 10, 40, workers)
+    np.testing.assert_array_equal(column, [[s % 101] for s in seeds])
 
 
 def test_seed_override_changes_artifacts(tmp_path):
@@ -469,6 +507,16 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("converge", {"n_paths": 4, "m_list": [2.7, 4]}, "study.m_list"),
         ("depend", {"n_paths": 4, "p": 10**400}, "study.p"),
         ("depend", {"n_paths": 4, "perturbations": [0.1, 10**400]}, "study.perturbations"),
+        ("converge", {"n_paths": 4, "m_list": [4]}, "study.m_list"),
+        ("converge", {"n_paths": 4, "m_list": [4, 4]}, "study.m_list"),
+        ("modulus", {"n_paths": 4, "delta_list": [0.04]}, "study.delta_list"),
+        ("modulus", {"n_paths": 4, "delta_list": [0.04, 0.04]}, "study.delta_list"),
+        ("modulus", {"n_paths": 4, "delta_list": [0.04, 0.04 + 5e-13]}, "study.delta_list"),
+        ("depend", {"n_paths": 4, "perturbations": [0.1, 0.1]}, "study.perturbations"),
+        ("energy", {"n_paths": 4, "m_list": [4, 4]}, "study.m_list"),
+        ("residual", {"n_paths": 4, "dt_levels": [0.01, 0.01]}, "study.dt_levels"),
+        ("energy", {"n_paths": 4, "p_list": [1.0]}, "study.p_list"),
+        ("depend", {"n_paths": 4, "p": 0}, "study.p"),
     ],
     ids=["energy", "converge", "modulus", "residual", "residual-dt-not-dividing-T",
          "check-zero-samples", "check-bool-samples", "residual-no-paths", "modulus-no-paths",
@@ -480,11 +528,15 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
          "isometry-text-integrands", "stability-text-x0_b", "stability-inf-x0_b",
          "stability-huge-int-x0_b", "stability-nested-x0_b", "stability-empty-x0_b",
          "energy-fractional-m_list", "converge-fractional-m_list", "depend-huge-int-p",
-         "depend-huge-int-perturbations"],
+         "depend-huge-int-perturbations", "converge-one-level", "converge-repeated-level",
+         "modulus-one-shift", "modulus-repeated-shift", "modulus-one-grid-shift",
+         "depend-repeated-perturbation", "energy-repeated-level", "residual-repeated-dt",
+         "energy-p-below-2", "depend-p-zero"],
 )
 def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
     # a level above the cap, an off-grid shift or step, a one-point slope
-    # fit, an audit without samples, a study without paths, a CI99 of one
+    # fit or comparison (one entry, or one repeated), a moment order below
+    # 2, an audit without samples, a study without paths, a CI99 of one
     # path, a field that is not a number, a list of numbers, a boolean or a
     # list of names, and a stopping threshold that is not positive
     path = _write_config(tmp_path, study=study)
@@ -555,16 +607,12 @@ def test_stability_sidecar_counts_truncated_paths(tmp_path, capsys):
     assert meta["truncated_paths"] == 0
 
 
-@pytest.mark.parametrize(
-    "command, m_list",
-    [pytest.param(c, [2, 4], id=c) for c in ("depend", "uniqueness", "energy", "modulus", "converge")]
-    + [pytest.param("converge", [4], id="converge-one-level")],
-)
-def test_depend_and_uniqueness_sidecars_count_truncated_paths(tmp_path, capsys, command, m_list):
-    # ‖x0‖_H overflows: every path is truncated, and the study fails closed,
-    # also where no comparison of levels is left to fail; energy counts per level
-    study = {"n_paths": 4, "delta_list": [0.02, 0.04], "m_list": m_list}
-    levels = len(m_list) if command == "energy" else 1
+@pytest.mark.parametrize("command", ["depend", "uniqueness", "energy", "modulus", "converge"])
+def test_depend_and_uniqueness_sidecars_count_truncated_paths(tmp_path, capsys, command):
+    # ‖x0‖_H overflows: every path is truncated, and the study fails closed;
+    # energy counts per level
+    study = {"n_paths": 4, "delta_list": [0.02, 0.04], "m_list": [2, 4]}
+    levels = 2 if command == "energy" else 1
     path = _write_config(tmp_path, x0=[1e308, 1e308], study=study)
     assert main([command, "--config", str(path)]) == 2
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from levyspde import estimates
+from levyspde import estimates, parallel
 from levyspde.coefficients import AUDIT_BATCH_ROWS
 from levyspde.estimates import discrete_energy_residuals, energy_table, modulus_of_continuity
 from levyspde.models import builtin
@@ -132,7 +132,7 @@ def test_energy_table_independent_of_workers_and_batches(heat_spec, monkeypatch)
     reference = run(1)
     assert run(2) == reference
     assert run(4) == reference
-    monkeypatch.setattr(estimates, "split_by_rows",
+    monkeypatch.setattr(parallel, "split_by_rows",
                         lambda seed, n_paths, rows, workers: [[s] for s in _seeds(seed, n_paths)])
     assert run(1) == reference
     assert run(2) == reference

@@ -294,7 +294,7 @@ def test_fast_path_hooks_match_reference_forms(model_id):
                 np.testing.assert_array_equal(y[p], bundle.drift_implicit_solve(0.3, u[p], dt))
 
 
-def test_bench_tracer_wraps_names_that_exist():
+def test_bench_tracer_wraps_names_that_exist(monkeypatch):
     # bench/tracer.py wraps these by name, so a rename would silently drop
     # their spans from a traced benchmark run
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -313,6 +313,34 @@ def test_bench_tracer_wraps_names_that_exist():
         assert inspect.isfunction(fn), fn
     report = validate(builtin("heat"), samples=8, seed=0)
     assert report.entries[0].samples_used == 8
+    # the tracer charges each batch task to the layer of the callable
+    # map_indexed receives and names its span by it, so each study's callable
+    # carries its own module and name
+    from levyspde import estimates, wellposedness
+
+    received = []
+    run_tasks = parallel.map_indexed
+    monkeypatch.setattr(parallel, "map_indexed", lambda fn, ctx, n, workers=1:
+                        received.append(fn) or run_tasks(fn, ctx, n, workers))
+    spec = builtin("heat")
+    args = (spec.bundle, spec.triple, spec.default_x0)
+    cfg = SolverConfig(dt=0.05, T=0.2, level=2)
+    x0_b = spec.default_x0 + 0.1
+    for module, study in (
+        (estimates, lambda: estimates.energy_table(*args, [2.0], cfg, 2, 0)),
+        (estimates, lambda: estimates.residual_totals(
+            *args, [cfg, dataclasses.replace(cfg, dt=0.025)], 2, 0)),
+        (estimates, lambda: estimates.modulus_study(*args, cfg, [0.05, 0.1], 2.0, 2, 0)),
+        (wellposedness, lambda: wellposedness.uniqueness_sups(*args, cfg, 2, 0)),
+        (wellposedness, lambda: wellposedness.weighted_stability_mc(
+            spec.bundle, spec.triple, spec.constants, spec.default_x0, x0_b, cfg, 2, 0)),
+        (wellposedness, lambda: wellposedness.continuous_dependence_study(
+            *args, [0.1, 0.01], 2.0, cfg, 2, 0)),
+        (wellposedness, lambda: wellposedness.galerkin_convergence(*args, [1, 2], cfg, 2, 0)),
+    ):
+        study()
+        assert received[-1].__module__ == module.__name__
+    assert len(received) == len({fn.__name__ for fn in received}) == 7
 
 
 def test_every_public_name_resolves():

@@ -307,7 +307,7 @@ def test_stability_and_dependence_independent_of_workers_and_batches(allen_cahn_
 
     reference = run(1)
     assert_same(run(2), reference)
-    monkeypatch.setattr(wellposedness, "split_by_rows",
+    monkeypatch.setattr(parallel, "split_by_rows",
                         lambda seed, n_paths, rows, workers: _fixed_batches(seed, n_paths, 1))
     assert_same(run(1), reference)
     assert_same(run(2), reference)
@@ -427,7 +427,7 @@ def test_stability_independent_of_its_batch_count_and_workers(allen_cahn_spec, m
         return dataclasses.asdict(result)
 
     reference = run(1)
-    monkeypatch.setattr(wellposedness, "split_by_rows", lambda seed, n_paths, rows, workers:
+    monkeypatch.setattr(parallel, "split_by_rows", lambda seed, n_paths, rows, workers:
                         _fixed_batches(seed, n_paths, pairs_per_batch or n_paths))
     for workers in (1, 2):
         got = run(workers)
@@ -459,14 +459,14 @@ def test_stability_calls_stay_within_the_row_caps(allen_cahn_spec, monkeypatch):
             yield chunk
 
     tasks = []
-    run_tasks = wellposedness.map_indexed
+    run_tasks = parallel.map_indexed
 
     def serial_map(fn, ctx, n, workers):
         tasks.append(n)
         return run_tasks(fn, ctx, n, 1)
 
     monkeypatch.setattr(solver, "wiener_chunks", wiener_chunks)
-    monkeypatch.setattr(wellposedness, "map_indexed", serial_map)
+    monkeypatch.setattr(parallel, "map_indexed", serial_map)
     cfg = SolverConfig(dt=0.01, T=0.3, level=8)
     x0_b = spec.default_x0.copy()
     x0_b[0] += 0.1
@@ -490,6 +490,7 @@ def test_path_studies_stay_within_the_row_cap(heat_spec, monkeypatch, workers):
     # no paths fails closed
     spec = heat_spec
     calls, tasks = [], []
+    run_tasks = parallel.map_indexed
 
     def counted(solve):
         def wrapped(*args, **kwargs):
@@ -499,15 +500,16 @@ def test_path_studies_stay_within_the_row_cap(heat_spec, monkeypatch, workers):
 
     def serial_map(fn, ctx, n, workers):
         tasks.append(n)
-        return parallel.map_indexed(fn, ctx, n, 1)
+        return run_tasks(fn, ctx, n, 1)
 
+    monkeypatch.setattr(parallel, "map_indexed", serial_map)
     for module in (estimates, wellposedness):
         monkeypatch.setattr(module, "solve_paths", counted(module.solve_paths))
-        monkeypatch.setattr(module, "map_indexed", serial_map)
     cfg = SolverConfig(dt=0.02, T=0.1, level=4)
     args = (spec.bundle, spec.triple, spec.default_x0)
     # name: (rows per path, paths, solves per path, study); residual solves
-    # each path once per dt level, each level split as a one-row study
+    # each path once per dt level, one level after the other in its batch's
+    # task, so each solve is one row per path
     studies = {
         "residual": (1, 130, 2, lambda: estimates.residual_totals(
             *args, [cfg, dataclasses.replace(cfg, dt=0.01)], 130, 0, workers=workers)),
@@ -524,7 +526,7 @@ def test_path_studies_stay_within_the_row_cap(heat_spec, monkeypatch, workers):
         tasks.clear()
         run()
         split = parallel.split_by_rows(0, n_paths, rows_per_path, workers)
-        assert tasks == [solves * len(split)], name
+        assert tasks == [len(split)], name
         assert sum(calls) == solves * rows_per_path * n_paths, name
         assert max(calls) <= AUDIT_BATCH_ROWS, name
         assert workers > 1 or len(split) == 2, name  # one worker, but the cap splits
