@@ -411,7 +411,9 @@ def _cmd_prange(exp: ExperimentConfig, out: Path, fmt: str, workers: int):
     p_max = "inf" if result.unbounded else f"{result.p_max:g}"
     _write_sidecar(out / "prange_meta.json", exp, "prange", ok,
                    {"chi": result.chi, "p_max": p_max, "unbounded": result.unbounded})
-    return ok, f"chi={result.chi:g}, admissible p in [2, {p_max})" + (
+    # a bounded p_max is itself admissible; an unbounded range has no end point
+    interval = f"[2, {p_max})" if result.unbounded else f"[2, {p_max}]"
+    return ok, f"chi={result.chi:g}, admissible p in {interval}" + (
         " (unbounded: vanishing noise growth)" if result.unbounded else ""
     )
 

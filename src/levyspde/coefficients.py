@@ -14,9 +14,14 @@ chunk of at most ``AUDIT_BATCH_ROWS`` states, the cap every batched call
 keeps to bound memory (a call that stacks u and v takes half as many rows);
 the hemicontinuity scan evaluates its fine grid the same way.
 Every row keeps the bits of its 1-D call at its time as a float, so the
-margins do not depend on the batching.  The descent stays serial, one-row
-batches at a float time through the same term functions, because each
-trial starts from the last accepted point.  A non-finite coefficient row
+margins do not depend on the batching.  The descent evaluates its trials
+at a float time through the same term functions, speculatively in batches:
+each trial's step is fixed at its round's start, so one call evaluates a
+window of the round's remaining trials from the current point, the first
+one below the best margin is accepted, and the rest of the window is
+evaluated again from there, which gives the serial accept sequence bit for
+bit.  Each sample stream comes from one vectorised derivation per scan
+(``rng.derive_rngs``).  A non-finite coefficient row
 ends its entry's scan, and the entry fails with margin NaN and the
 coefficient, the row's own t and its u as its witness; no audit raises for
 it, and the other entries still run.
@@ -46,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import MarkSpace
-from .rng import derive_rng
+from .rng import derive_rngs
 from .spaces import GelfandTriple, dot_rows, libm_pow, sum_squares
 
 __all__ = [
@@ -220,7 +225,8 @@ class HypothesisEntry:
     """One audited inequality: its worst margin and witness.
 
     ``evaluations`` counts the state rows the audit passed to the bundle's
-    coefficients (drift, diffusion, jump per mark, rho, eta, v_norm), and
+    coefficients (drift, diffusion, jump per mark, rho, eta, v_norm), the
+    descent's speculative trial rows included, and
     ``descent_gain`` is the refined margin minus the raw worst margin, or 0.
     """
 
@@ -408,33 +414,68 @@ def _sample_states(triple: GelfandTriple, level: int, seed: int, name: str, coun
             e = np.zeros(level)
             e[j] = s
             out.append(e)
-    for i in range(count):
-        rng = derive_rng(seed, f"audit-{name}", "state", i)
+    for i, rng in enumerate(derive_rngs(seed, f"audit-{name}", "state", count=count)):
         s = AUDIT_SCALES[i % len(AUDIT_SCALES)]
         out.append(s * rng.standard_normal(level))
     return np.array(out)
 
 
+def _trials(vecs: list, moves: list) -> list:
+    """One trial row per move (operand k, coordinate j, step) from the point ``vecs``, per operand."""
+    trials = [np.repeat(v[None], len(moves), axis=0) for v in vecs]
+    for i, (k, j, step) in enumerate(moves):
+        trials[k][i, j] += step
+    return trials
+
+
 def _descend(margin_fn, t: float, vecs: list, rounds: int = 4):
     """Deterministic coordinate perturbation descent from the worst witness.
 
-    ``vecs`` holds the witness's operands, (u,) or (u, v); returns the best
-    margin and its operands.  Serial by nature: each trial starts from the
-    last accepted point.
+    ``vecs`` holds the witness's operands, (u,) or (u, v), and
+    ``margin_fn(t, *rows)`` gives one margin per trial row; returns the best
+    margin and its operands.  In round r every coordinate of every operand
+    moves by ±delta_r (1 + |x_j|), with x the round's starting point, from
+    the last accepted point; a trial is accepted when its margin is below
+    the best.  A window of the round's remaining trials, at most
+    AUDIT_BATCH_ROWS // len(vecs) so no call exceeds the row cap, is
+    evaluated in one call from the current point; the first trial below the
+    best is accepted and the trials after it are evaluated again from
+    there.  Rows keep the bits of their 1-D call, so this is the serial
+    accept sequence.  A window that raises is replayed one trial at a time,
+    so only a trial the serial descent evaluates can fail the entry.
     """
-    best = margin_fn(t, *vecs)
+    best = float(margin_fn(t, *[v[None] for v in vecs])[0])
     steps = (0.3, 0.1, 0.03, 0.01)
+    cap = AUDIT_BATCH_ROWS // len(vecs)
     for r in range(rounds):
         delta = steps[min(r, len(steps) - 1)]
-        for vec_idx, vec in enumerate(vecs):
-            for j in range(vec.shape[0]):
-                for sign in (1.0, -1.0):
-                    trial = [w.copy() for w in vecs]
-                    trial[vec_idx][j] += sign * delta * (1.0 + abs(vec[j]))
-                    m = margin_fn(t, *trial)
+        moves = [
+            (k, j, sign * delta * (1.0 + abs(vec[j])))
+            for k, vec in enumerate(vecs)
+            for j in range(vec.shape[0])
+            for sign in (1.0, -1.0)
+        ]
+        lo = 0
+        while lo < len(moves):
+            window = moves[lo:lo + cap]
+            trials = _trials(vecs, window)
+            try:
+                margins = margin_fn(t, *trials)
+            except AuditFailure:
+                for move in window:
+                    trial = _trials(vecs, [move])
+                    m = float(margin_fn(t, *trial)[0])
                     if m < best:
-                        best = m
-                        vecs = trial
+                        best, vecs = m, [x[0] for x in trial]
+                lo += len(window)
+                continue
+            below = np.flatnonzero(margins < best)
+            if below.size == 0:
+                lo += len(window)
+                continue
+            i = int(below[0])
+            best, vecs = float(margins[i]), [x[i] for x in trials]
+            lo += i + 1
     return best, vecs
 
 
@@ -457,8 +498,8 @@ def _inequality_scan(terms, constants, operands, kind=None):
 
     def scan(b):
         def margin_fn(t, *rows):
-            lhs, rhs = terms(b, t, *[r[None] for r in rows])
-            return float(rhs[0] - lhs[0])
+            lhs, rhs = terms(b, t, *rows)
+            return rhs - lhs
 
         lhs, rhs = _batched(lambda t, *rows: terms(b, t, *rows), row_times, *operands, stack=len(operands))
         columns = [x.tolist() for x in operands]
@@ -522,8 +563,7 @@ def audit_hemicontinuity(bundle, triple, samples: int, seed: int, level: int | N
 
     def scan(b):
         records = []
-        for i in range(n_scans):
-            rng = derive_rng(seed, "audit-H1", i)
+        for i, rng in enumerate(derive_rngs(seed, "audit-H1", count=n_scans)):
             t = float(times[i % times.size])
             scale = AUDIT_SCALES[i % len(AUDIT_SCALES)]
             u = scale * rng.standard_normal(level)
@@ -739,8 +779,7 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     level = _audit_level(triple, level)
     n_seq = max(1, samples // 16)
     us, ds = [], []
-    for i in range(n_seq):
-        rng = derive_rng(seed, "audit-seqcont", i)
+    for i, rng in enumerate(derive_rngs(seed, "audit-seqcont", count=n_seq)):
         us.append(AUDIT_SCALES[i % len(AUDIT_SCALES)] * rng.standard_normal(level))
         ds.append(rng.standard_normal(level))
     us, ds = np.array(us), np.array(ds)

@@ -3,7 +3,10 @@
 These are the scans as they were before the audits evaluated whole sample
 sets per time point.  ``test_coefficients`` runs them next to the batched
 audits and requires the same margins, witnesses and tolerances, so a change
-in the batching that moves one bit of a margin shows up there.
+in the batching that moves one bit of a margin shows up there.  The sample
+states come from one ``derive_rng`` call per sample and the descent is the
+one-trial-at-a-time loop, so the batched stream derivation and the batched
+descent are checked too.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from levyspde.coefficients import (
     HypothesisEntry,
     HypothesisReport,
     _rel_tol,
-    _sample_states,
     _time_grid,
 )
 from levyspde.models import _admissibility_entry
@@ -44,6 +46,20 @@ def _finite_or_raise(value, name, witness):
     if not np.all(np.isfinite(arr)):
         raise AuditFailure(f"{name} evaluated to a non-finite value", witness=witness)
     return arr
+
+
+def _sample_states(triple, level, seed, name, count):
+    """Axis extremes at each scale, then sample i drawn from its own stream (seed, audit-name, state, i)."""
+    out = []
+    for j in range(min(level, count)):
+        for s in AUDIT_SCALES:
+            e = np.zeros(level)
+            e[j] = s
+            out.append(e)
+    for i in range(count):
+        rng = derive_rng(seed, f"audit-{name}", "state", i)
+        out.append(AUDIT_SCALES[i % len(AUDIT_SCALES)] * rng.standard_normal(level))
+    return np.array(out)
 
 
 def _descend(margin_fn, t: float, u: np.ndarray, v: np.ndarray | None, rounds: int = 4):

@@ -102,10 +102,17 @@ def test_prange_prints_interval(tmp_path, capsys):
     path = _write_config(tmp_path, model="grad_noise_linear")
     assert main(["prange", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "chi=1" in out and "admissible p in [2," in out
+    # p_max passes both rules, so the printed interval includes it
+    assert "chi=1" in out and "admissible p in [2, 8.65625]" in out
     body = (tmp_path / "out" / "prange.csv").read_text()
     assert body.startswith("# verifies:")
     assert "C1" in body.splitlines()[1]
+    row = next(line.split(",") for line in body.splitlines() if line.startswith("8.65625,"))
+    assert row[3:5] == ["true", "true"]
+    unbounded = dict(_custom_model({"L_B": 0.0, "L_gamma": 0.0}), regime="part2")
+    path = _write_config(tmp_path, model=unbounded)
+    assert main(["prange", "--config", str(path)]) == 0
+    assert "admissible p in [2, inf) (unbounded" in capsys.readouterr().out
 
 
 def test_uniqueness_pass_and_artifacts(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from levyspde.coefficients import (
+    AUDIT_BATCH_ROWS,
     HypothesisConstants,
     admissible_p_range,
     audit_coercivity_growth,
@@ -377,6 +378,61 @@ def test_nan_in_a_stacked_pair_names_the_first_failing_pair(heat_spec):
     times = _time_grid(heat_spec.constants)
     assert not entry.passed and math.isnan(entry.worst_margin)
     assert entry.witness == {"coefficient": "drift", "t": float(times[3]), "u": vs[3].tolist()}
+
+
+def _recording(fn, rows):
+    """``fn(t, u)`` that appends each row of ``u`` to ``rows`` as a tuple."""
+
+    def call(t, u):
+        rows.extend(map(tuple, np.reshape(u, (-1, np.shape(u)[-1])).tolist()))
+        return fn(t, u)
+
+    return call
+
+
+def test_descent_fails_only_on_trials_the_serial_descent_evaluates(heat_spec):
+    # the batched descent evaluates some trials from a point the serial
+    # descent has already left; a drift that is NaN at the first such trial
+    # only must leave every margin and witness as the serial scan has them
+    spec, args = heat_spec, (heat_spec.constants, heat_spec.triple, "I", 64, 0)
+    batched, serial = [], []
+    bundle = dataclasses.replace(spec.bundle, drift=_recording(spec.bundle.drift, batched))
+    audit_coercivity_growth(bundle, *args)
+    bundle = dataclasses.replace(spec.bundle, drift=_recording(spec.bundle.drift, serial))
+    reference = serial_audits.audit_coercivity_growth(bundle, *args)
+    reached = set(serial)
+    speculative = [row for row in batched if row not in reached]
+    assert speculative
+    bundle = dataclasses.replace(spec.bundle, drift=_poisoned(spec.bundle.drift, [np.array(speculative[0])]))
+    planted = audit_coercivity_growth(bundle, *args)
+    assert [(e.name, e.worst_margin, e.witness, e.tolerance) for e in planted] == [
+        (e.name, e.worst_margin, e.witness, e.tolerance) for e in reference
+    ]
+    assert all(e.passed for e in planted)
+
+
+def test_level_32_audit_calls_stay_within_the_row_cap(heat_spec):
+    # a round at level 32 has 128 trials of (u, v): the descent splits them
+    # into windows of AUDIT_BATCH_ROWS // 2 so no stacked call passes the cap
+    sizes = []
+
+    def sized(fn, pos):
+        def call(*args):
+            sizes.append(math.prod(np.shape(args[pos])[:-1]))
+            return fn(*args)
+
+        return call
+
+    b = heat_spec.bundle
+    bundle = dataclasses.replace(
+        b, drift=sized(b.drift, 1), diffusion=sized(b.diffusion, 1), jump=sized(b.jump, 1),
+        rho=sized(b.rho, 0), eta=sized(b.eta, 0),
+    )
+    c, triple = heat_spec.constants, heat_spec.triple
+    audit_local_monotonicity(bundle, c, triple, "H2", 64, 0, level=32)
+    audit_coercivity_growth(bundle, c, triple, "I", 64, 0, level=32)
+    audit_sequential_continuity(bundle, c, triple, 64, 0, level=32)
+    assert max(sizes) == AUDIT_BATCH_ROWS
 
 
 #: the entries ``validate`` lists for heat, in order

@@ -13,7 +13,7 @@ from levyspde.noise import (
     sample_noise,
     wiener_chunks,
 )
-from levyspde.rng import derive_rng
+from levyspde.rng import derive_rng, derive_rngs
 
 TWO_MARKS = MarkSpace(marks=np.array([1.0, -1.0]), weights=np.array([2.0, 1.0]))
 UNIT_MARK = MarkSpace(marks=np.array([1.0]), weights=np.array([1.0]))
@@ -189,6 +189,31 @@ def test_substream_independence_keys():
     c = derive_rng(5, "wiener").standard_normal(4)
     np.testing.assert_array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 7])
+@pytest.mark.parametrize("keys", [("audit-H2", "state"), ("audit-H1",), ("audit-seqcont",)])
+@pytest.mark.parametrize("count", [0, 1, 257])
+def test_derive_rngs_equal_one_derivation_per_index(seed, keys, count):
+    # seeds of one and two uint32 words, and 2**64 + 7, which masks to 7
+    batched = [g.standard_normal(6) for g in derive_rngs(seed, *keys, count=count)]
+    serial = [derive_rng(seed, *keys, i).standard_normal(6) for i in range(count)]
+    assert len(batched) == count
+    for a, b in zip(batched, serial):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_derive_rngs_count_is_checked_before_allocating():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for count in (2**32 + 1, 2**40, -1):
+            with pytest.raises(ValueError, match="count"):
+                derive_rngs(0, "audit-H2", "state", count=count)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_chunked_draws_match_one_shot_realization():
