@@ -19,7 +19,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_rngs", "derive_seed_sequence", "path_seed"]
+__all__ = ["derive_rng", "derive_rngs", "path_seed"]
 
 _MASK32 = 0xFFFFFFFF
 
@@ -40,15 +40,10 @@ def _encode_key(key) -> int:
     raise TypeError(f"stream key must be str or int, got {type(key).__name__}")
 
 
-def derive_seed_sequence(seed: int, *keys) -> np.random.SeedSequence:
-    """Build the seed sequence for the sub-stream identified by ``keys``."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_encode_key(k) for k in keys]
-    return np.random.SeedSequence(entropy)
-
-
 def derive_rng(seed: int, *keys) -> np.random.Generator:
     """Generator for the sub-stream (seed, *keys); independent across keys."""
-    return np.random.Generator(np.random.PCG64(derive_seed_sequence(seed, *keys)))
+    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_encode_key(k) for k in keys]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def path_seed(seed: int, index: int) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from levyspde import parallel
 from levyspde.coefficients import admissible_p_range
 from levyspde.models import builtin
 from levyspde.rng import path_seed
-from levyspde.cli import main
+from levyspde.cli import COMMANDS, main
 from levyspde.config import ConfigError, load_config, parse_config
 
 
@@ -524,6 +525,13 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("residual", {"n_paths": 4, "dt_levels": [0.01, 0.01]}, "study.dt_levels"),
         ("energy", {"n_paths": 4, "p_list": [1.0]}, "study.p_list"),
         ("depend", {"n_paths": 4, "p": 0}, "study.p"),
+        ("modulus", {"n_paths": 4, "delta_list": [0.02, 0.04], "beta_exp": 0}, "study.beta_exp"),
+        ("modulus", {"n_paths": 4, "delta_list": [0.02, 0.04], "beta_exp": -1}, "study.beta_exp"),
+        ("prange", {"c_tilde_base": -2}, "study.c_tilde_base"),
+        ("prange", {"c_tilde_base": 0}, "study.c_tilde_base"),
+        ("uniqueness", {"n_paths": 4, "stres": True}, "study.stres"),
+        ("converge", {"n_paths": 4, "m_lsit": [2, 4]}, "study.m_lsit"),
+        ("check", {"n_paths": 4, "smaples": 8}, "study.smaples"),
     ],
     ids=["energy", "converge", "modulus", "residual", "residual-dt-not-dividing-T",
          "check-zero-samples", "check-bool-samples", "residual-no-paths", "modulus-no-paths",
@@ -538,14 +546,17 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
          "depend-huge-int-perturbations", "converge-one-level", "converge-repeated-level",
          "modulus-one-shift", "modulus-repeated-shift", "modulus-one-grid-shift",
          "depend-repeated-perturbation", "energy-repeated-level", "residual-repeated-dt",
-         "energy-p-below-2", "depend-p-zero"],
+         "energy-p-below-2", "depend-p-zero", "modulus-zero-beta_exp", "modulus-negative-beta_exp",
+         "prange-negative-c_tilde_base", "prange-zero-c_tilde_base", "uniqueness-misspelled-stress",
+         "converge-misspelled-m_list", "check-misspelled-samples"],
 )
 def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
     # a level above the cap, an off-grid shift or step, a one-point slope
     # fit or comparison (one entry, or one repeated), a moment order below
     # 2, an audit without samples, a study without paths, a CI99 of one
     # path, a field that is not a number, a list of numbers, a boolean or a
-    # list of names, and a stopping threshold that is not positive
+    # list of names, a stopping threshold, modulus exponent or imported
+    # constant base out of range, and a misspelled key that no subcommand reads
     path = _write_config(tmp_path, study=study)
     assert main([command, "--config", str(path)]) == 1
     assert field in capsys.readouterr().err
@@ -723,3 +734,53 @@ def test_overflowing_audit_term_fails_closed(tmp_path, capsys):
     # the energy study's quick audit warns instead of raising
     main(["energy", "--config", str(path)])
     assert "fails its hypothesis audit (H2, H3, H4)" in capsys.readouterr().err
+
+
+def test_study_keys_are_declared_per_subcommand(tmp_path, capsys):
+    # a key no subcommand reads fails closed and the message lists the
+    # subcommand's own fields; a key another subcommand reads is accepted and
+    # listed as ignored, beside the inputs with their defaults filled in
+    path = _write_config(tmp_path, study={"n_paths": 4, "stres": True})
+    assert main(["uniqueness", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(
+        "config field 'study.stres': no subcommand reads it; this one reads n_paths, stress")
+    path = _write_config(tmp_path, study={"n_paths": 4, "samples": 8, "m_list": [2, 4], "stress": None})
+    assert main(["uniqueness", "--config", str(path)]) == 0
+    meta = json.loads((tmp_path / "out" / "uniqueness_meta.json").read_text())
+    assert meta["inputs"] == {"n_paths": 4, "stress": False}
+    assert meta["ignored"] == ["samples", "m_list"]
+    # the defaults that read the config: energy's level, modulus's shifts and
+    # exponent, and stability's second initial state
+    path = _write_config(tmp_path, solver={"dt": 0.01, "T": 0.4, "level": 3}, study={"n_paths": 4})
+    x0 = builtin("heat").default_x0.tolist()
+    for command, inputs in (
+        ("energy", {"p_list": [2.0], "m_list": [3], "n_paths": 4, "skip_audit": False}),
+        ("modulus", {"delta_list": [0.04, 0.08, 0.16, 0.32], "n_paths": 4,
+                     "beta_exp": builtin("heat").constants.beta}),
+        ("stability", {"n_paths": 4, "x0_b": [x0[0] + 0.1, *x0[1:]]}),
+    ):
+        assert main([command, "--config", str(path)]) == 0, command
+        meta = json.loads((tmp_path / "out" / f"{command}_meta.json").read_text())
+        assert meta["inputs"] == inputs and meta["ignored"] == [], command
+
+
+def test_subcommand_help_lists_its_study_fields(capsys):
+    assert main(["modulus", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.split("study fields:\n")[1].splitlines() == [
+        "  delta_list (default [4, 8, 16, 32] x dt): multiples of dt up to T, at two distinct grid shifts",
+        "  n_paths (default 200): at least 2",
+        "  beta_exp (default the model's beta): above 1",
+    ]
+
+
+def test_readme_field_table_matches_the_declarations():
+    # every declared field appears under its subcommand with its default and
+    # range, and the table lists no undeclared field
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("| Subcommand | Field | Default | Range |\n| --- | --- | --- | --- |\n")[1]
+    rows = [line.strip("| ").split(" | ") for line in section.split("\n\n")[0].splitlines()]
+    table = [(cmd.strip("`"), name.strip("`"), default, limits) for cmd, name, default, limits in rows]
+    declared = [(cmd, f.name, f.shown or json.dumps(f.default), f.limits)
+                for cmd, spec in COMMANDS.items() for f in spec.fields]
+    assert table == declared
