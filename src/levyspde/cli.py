@@ -23,7 +23,7 @@ from . import estimates, models, noise, wellposedness
 from .coefficients import admissible_p_range
 from .config import ConfigError, ExperimentConfig, checked_seed, load_config
 from .parallel import worker_count
-from .solver import StoppingTimeRule, apply_stopping, solve_path
+from .solver import StoppingTimeRule, _truncated_rows, apply_stopping, solve_path
 from .spaces import read
 
 
@@ -61,20 +61,29 @@ class _Run(NamedTuple):
     fmt: str
     workers: int
 
-    def write(self, stem: str, columns, rows, verdict: bool | None = None, **extra) -> None:
-        """The table ``<stem>.csv`` and, given a verdict, its sidecar ``<stem>_meta.json``."""
+    def write(self, stem: str, columns, rows, verdict: bool | None = None, summary: str = "", **extra):
+        """The table ``<stem>.csv`` (``<stem>.json`` under ``--format json``) and,
+        given a verdict, its sidecar ``<stem>_meta.json``; returns the verdict
+        and the summary line.  This is the one truncation rule: a path study's
+        ``truncated_paths`` (a count, or one per dt or Galerkin level) that is
+        not zero makes it FAIL, and its line ends "; N of M paths truncated"."""
         exp, anchor = self.exp, COMMANDS[self.command].anchor
         self.out.mkdir(parents=True, exist_ok=True)
         if self.fmt == "json":
             payload = {"verifies": anchor, "columns": list(columns),
                        "rows": [[_fmt(v) for v in row] for row in rows]}
-            (self.out / f"{stem}.csv").write_text(json.dumps(payload, indent=2) + "\n")
+            text = json.dumps(payload, indent=2)
         else:
             lines = [f"# verifies: {anchor}", ",".join(columns)]
             lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-            (self.out / f"{stem}.csv").write_text("\n".join(lines) + "\n")
+            text = "\n".join(lines)
+        (self.out / f"{stem}.{self.fmt}").write_text(text + "\n")
         if verdict is None:
-            return
+            return None
+        if lost := int(np.sum(extra.get("truncated_paths", 0))):
+            verdict = False
+            total = self.study["n_paths"] * np.size(extra["truncated_paths"])
+            summary += f"; {lost} of {total} paths truncated"
         meta = {
             "study": self.command,
             "verifies": anchor,
@@ -88,15 +97,12 @@ class _Run(NamedTuple):
             **extra,
         }
         (self.out / f"{stem}_meta.json").write_text(json.dumps(_strict(meta), indent=2, allow_nan=False) + "\n")
-
-
-def _truncation_suffix(truncated: int, total: int) -> str:
-    """The end of a path study's summary line: "; N of M paths truncated", or nothing."""
-    return f"; {truncated} of {total} paths truncated" if truncated else ""
+        return bool(verdict), summary
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (verdict, summary_line)
+# subcommand implementations; each returns (verdict, summary_line), through
+# ``_Run.write`` when it writes a sidecar
 # ---------------------------------------------------------------------------
 
 
@@ -126,10 +132,10 @@ def _cmd_simulate(run: _Run):
     cols = ["time", "is_jump_post", *(f"coeff_{j + 1}" for j in range(record.level)), "norm_H", "norm_V"]
     rows = [[record.times[k], bool(record.is_jump_post[k]), *record.states[k],
              record.norm_h[k], record.norm_v[k]] for k in range(record.times.size)]
-    ok = record.truncated_at is None
-    run.write("path", cols, rows, ok, jump_entries=record.n_jump_entries, stopped_at=tau)
     stopped = f", stopped at {tau:g}" if tau is not None and tau < exp.solver.T else ""
-    return ok, f"{record.times.size} entries, {record.n_jump_entries} jumps{stopped}"
+    return run.write("path", cols, rows, record.truncated_at is None,
+                     f"{record.times.size} entries, {record.n_jump_entries} jumps{stopped}",
+                     jump_entries=record.n_jump_entries, stopped_at=tau)
 
 
 def _cmd_energy(run: _Run):
@@ -168,17 +174,16 @@ def _cmd_energy(run: _Run):
     elif len(m_list) > 1:
         spread = max(max(v) / min(v) for v in ratios.values() if min(v) > 0)
         ok = spread <= 2.0
-    run.write("energy", ("quantity", "p", "m", "dt", "n_paths", "estimate", "ci99", "seed"), rows, ok,
-              ratio_spread=spread, truncated_paths=truncated)
-    summary = f"levels {m_list}, ratio spread {spread:.3f} (uniformity threshold 2.0)"
-    return ok, summary + _truncation_suffix(sum(truncated), n_paths * len(m_list))
+    return run.write("energy", ("quantity", "p", "m", "dt", "n_paths", "estimate", "ci99", "seed"), rows, ok,
+                     f"levels {m_list}, ratio spread {spread:.3f} (uniformity threshold 2.0)",
+                     ratio_spread=spread, truncated_paths=truncated)
 
 
 def _cmd_residual(run: _Run):
     exp, n_paths = run.exp, run.study["n_paths"]
     dt_levels = sorted(run.study["dt_levels"], reverse=True)
     levels = [replace(exp.solver, dt=dt) for dt in dt_levels]
-    # a truncated path's total is NaN: no balance to replay, the slope fails
+    # a truncated path's total is NaN: it has no balance to replay
     totals = estimates.residual_totals(
         exp.model.bundle, exp.model.triple, exp.initial_state(), levels,
         n_paths, exp.master_seed, workers=run.workers,
@@ -187,12 +192,10 @@ def _cmd_residual(run: _Run):
     rows = [(cfg.dt, row.mean(), np.abs(row).mean(), n_paths, exp.master_seed)
             for cfg, row in zip(levels, totals)]
     slope = float(np.polyfit(np.log2(dt_levels), np.log2(means), 1)[0])
-    ok = 0.7 <= slope <= 1.3
-    truncated = [int(np.isnan(row).sum()) for row in totals]
-    run.write("residual", ("dt", "mean_total", "mean_abs_total", "n_paths", "seed"), rows, ok,
-              slope=slope, dt_levels=[cfg.dt for cfg in levels], truncated_paths=truncated)
-    summary = f"summed-residual refinement slope {slope:.3f} (target [0.7, 1.3])"
-    return ok, summary + _truncation_suffix(sum(truncated), totals.size)
+    return run.write("residual", ("dt", "mean_total", "mean_abs_total", "n_paths", "seed"), rows,
+                     0.7 <= slope <= 1.3, f"summed-residual refinement slope {slope:.3f} (target [0.7, 1.3])",
+                     slope=slope, dt_levels=[cfg.dt for cfg in levels],
+                     truncated_paths=[_truncated_rows(row) for row in totals])
 
 
 def _cmd_modulus(run: _Run):
@@ -201,11 +204,10 @@ def _cmd_modulus(run: _Run):
         exp.model.bundle, exp.model.triple, exp.initial_state(), exp.solver, s["delta_list"],
         s["beta_exp"], s["n_paths"], exp.master_seed, workers=run.workers)
     rows = list(zip(result.deltas, result.values, result.ci99, result.rooted_values()))
-    ok = result.consistent_with_tightness
-    run.write("modulus", ("delta", "value", "ci99", "rooted_value"), rows, ok,
-              slope=result.log_slope(), label=result.label, truncated_paths=result.truncated_paths)
-    summary = f"{result.label}; rooted log-log slope {result.log_slope():.3f}"
-    return ok, summary + _truncation_suffix(result.truncated_paths, s["n_paths"])
+    return run.write("modulus", ("delta", "value", "ci99", "rooted_value"), rows,
+                     result.consistent_with_tightness,
+                     f"{result.label}; rooted log-log slope {result.log_slope():.3f}",
+                     slope=result.log_slope(), label=result.label, truncated_paths=result.truncated_paths)
 
 
 def _cmd_uniqueness(run: _Run):
@@ -216,14 +218,11 @@ def _cmd_uniqueness(run: _Run):
     )
     sup = float(np.max(sups))
     scale = float(np.linalg.norm(exp.initial_state()))
-    truncated = int(np.isnan(sups).sum())
-    # a truncated path's sup is NaN, which fails the comparisons too
-    ok = truncated == 0 and (sup == 0.0 if not stress else sup <= 1e-9 * max(scale, 1.0))
-    run.write("uniqueness", ("mode", "n_paths", "max_sup_difference", "seed"),
-              [("stress" if stress else "replay", n_paths, sup, exp.master_seed)], ok,
-              max_sup_difference=sup, truncated_paths=truncated)
-    summary = f"max sup-difference {sup:.3e} over {n_paths} paths"
-    return ok, summary + _truncation_suffix(truncated, n_paths)
+    ok = sup == 0.0 if not stress else sup <= 1e-9 * max(scale, 1.0)
+    return run.write("uniqueness", ("mode", "n_paths", "max_sup_difference", "seed"),
+                     [("stress" if stress else "replay", n_paths, sup, exp.master_seed)], ok,
+                     f"max sup-difference {sup:.3e} over {n_paths} paths",
+                     max_sup_difference=sup, truncated_paths=_truncated_rows(sups))
 
 
 def _cmd_stability(run: _Run):
@@ -232,12 +231,11 @@ def _cmd_stability(run: _Run):
         exp.model.bundle, exp.model.triple, exp.model.constants, exp.initial_state(),
         run.study["x0_b"], exp.solver, n_paths, exp.master_seed, workers=run.workers)
     rows = list(zip(result.times, result.lhs_curve, result.ci99))
-    run.write("stability", ("time", "weighted_mean_sq_difference", "ci99"), rows, result.passed,
-              bound=result.bound, eps_scheme=result.eps_scheme, worst_t=result.worst_t,
-              worst_margin=result.worst_margin, truncated_paths=result.truncated_paths)
     summary = (f"lhs <= {result.bound:.6g}*(1+{result.eps_scheme:g}) at every grid time; "
                f"worst margin {result.worst_margin:.3e} at t={result.worst_t:g}")
-    return result.passed, summary + _truncation_suffix(result.truncated_paths, n_paths)
+    return run.write("stability", ("time", "weighted_mean_sq_difference", "ci99"), rows, result.passed,
+                     summary, bound=result.bound, eps_scheme=result.eps_scheme, worst_t=result.worst_t,
+                     worst_margin=result.worst_margin, truncated_paths=result.truncated_paths)
 
 
 def _cmd_depend(run: _Run):
@@ -248,13 +246,10 @@ def _cmd_depend(run: _Run):
     rows = list(zip(table.deltas, table.values, table.ci99))
     order = np.argsort(table.deltas)
     slope = table.log_slope()
-    # a truncated path makes the table NaN, which fails the comparisons too
-    ok = bool(table.truncated_paths == 0 and np.all(np.diff(table.values[order]) >= 0.0)
-              and np.isfinite(slope))
-    run.write("depend", ("delta", "sup_difference_p_moment", "ci99"), rows, ok,
-              log_slope=slope, p=p, truncated_paths=table.truncated_paths)
-    summary = f"table log-log slope {slope:.3f} at p={p:g}"
-    return ok, summary + _truncation_suffix(table.truncated_paths, n_paths)
+    ok = bool(np.all(np.diff(table.values[order]) >= 0.0) and np.isfinite(slope))
+    return run.write("depend", ("delta", "sup_difference_p_moment", "ci99"), rows, ok,
+                     f"table log-log slope {slope:.3f} at p={p:g}",
+                     log_slope=slope, p=p, truncated_paths=table.truncated_paths)
 
 
 def _cmd_converge(run: _Run):
@@ -264,12 +259,10 @@ def _cmd_converge(run: _Run):
         n_paths, exp.master_seed, beta=exp.model.constants.beta, workers=run.workers)
     rows = list(zip(table.levels, table.distances, table.ci99))
     d, c = table.distances, table.ci99
-    # a truncated path makes its distances NaN, which fails the comparisons too
-    ok = table.truncated_paths == 0 and all(d[i + 1] <= d[i] + c[i] + c[i + 1] for i in range(d.size - 1))
-    run.write("converge", ("m", "distance_to_reference", "ci99"), rows, ok,
-              reference_level=table.reference_level, truncated_paths=table.truncated_paths)
-    summary = f"distances {['%.3e' % v for v in d]} vs reference m={table.reference_level}"
-    return ok, summary + _truncation_suffix(table.truncated_paths, n_paths)
+    ok = all(d[i + 1] <= d[i] + c[i] + c[i + 1] for i in range(d.size - 1))
+    return run.write("converge", ("m", "distance_to_reference", "ci99"), rows, ok,
+                     f"distances {['%.3e' % v for v in d]} vs reference m={table.reference_level}",
+                     reference_level=table.reference_level, truncated_paths=table.truncated_paths)
 
 
 def _cmd_prange(run: _Run):
@@ -280,14 +273,13 @@ def _cmd_prange(run: _Run):
                                 c_tilde=None if base is None else lambda p: base**p)
     rows = [(r["p"], r["c1"], r["c2"], r["growth_ok"], r["admissible_ok"], r["moment_ok"])
             for r in result.rows]
-    ok = not result.empty
     p_max = "inf" if result.unbounded else f"{result.p_max:g}"
-    run.write("prange", ("p", "C1", "C2", "growth_ok", "admissible_ok", "moment_ok"), rows, ok,
-              chi=result.chi, p_max=p_max, unbounded=result.unbounded)
     # a bounded p_max is itself admissible; an unbounded range has no end point
     interval = f"[2, {p_max})" if result.unbounded else f"[2, {p_max}]"
-    return ok, f"chi={result.chi:g}, admissible p in {interval}" + (
+    summary = f"chi={result.chi:g}, admissible p in {interval}" + (
         " (unbounded: vanishing noise growth)" if result.unbounded else "")
+    return run.write("prange", ("p", "C1", "C2", "growth_ok", "admissible_ok", "moment_ok"), rows,
+                     not result.empty, summary, chi=result.chi, p_max=p_max, unbounded=result.unbounded)
 
 
 _ISOMETRY_INTEGRANDS = {
@@ -309,9 +301,8 @@ def _cmd_isometry(run: _Run):
         within = abs(res["lhs"] - res["rhs"]) <= 3.0 * res["ci99"]
         rows.append((name, res["lhs"], res["rhs"], res["rel_err"], res["ci99"], within))
     ok = all(row[-1] for row in rows)
-    run.write("isometry", ("integrand", "lhs", "rhs", "rel_err", "ci99", "within_3ci"), rows, ok,
-              n_paths=n_paths)
-    return ok, f"{len(rows)} integrands, all within 3x CI99: {ok}"
+    return run.write("isometry", ("integrand", "lhs", "rhs", "rel_err", "ci99", "within_3ci"), rows, ok,
+                     f"{len(rows)} integrands, all within 3x CI99: {ok}", n_paths=n_paths)
 
 
 class Field(NamedTuple):
@@ -440,7 +431,8 @@ COMMANDS = {
         _paths(200),
         Field("x0_b", np.ndarray, lambda exp: np.concatenate([exp.initial_state()[:1] + 0.1,
                                                               exp.initial_state()[1:]]),
-              "the second initial state", shown="x0 + 0.1 e_1"))),
+              "the second initial state, at most dimension_cap entries",
+              lambda exp, x0_b: exp.model.triple.fits(x0_b), "x0 + 0.1 e_1"))),
     "depend": Subcommand(_cmd_depend, "Theorem 2.2 / Eq. (3.14)", (
         # the log-log slope is fitted through the positive entries only
         Field("perturbations", list, [1e-1, 1e-2, 1e-3], "two distinct positive entries",

@@ -3,7 +3,8 @@
 Every value is read through ``spaces.read``, one type rule for the solver,
 study and model fields alike.  Errors raise ``ConfigError``, a
 ``ValueError`` that names the dotted field (``solver.T``,
-``model.triple.dimension_cap``); the CLI maps these to exit code 1.
+``model.triple.dimension_cap``); the CLI maps these to exit code 1.  A
+record takes only the keys it reads, and a state at most ``dimension_cap``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import ModelSpec, resolve
+from .models import ModelSpec, _built, resolve
 from .solver import SolverConfig, SolverFieldError
-from .spaces import ConfigError, read
+from .spaces import ConfigError, known, read
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "checked_seed"]
 
@@ -63,6 +64,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    known(raw, "", "schema_version", "model", "solver", "master_seed", "output_dir", "study", "x0")
 
     model_ref = raw.get("model")
     if not isinstance(model_ref, (str, dict)):
@@ -83,6 +85,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         "newton_tol": read(scfg, "newton_tol", "solver", float, 1e-10),
         "newton_max_iter": read(scfg, "newton_max_iter", "solver", int, 50),
     }
+    known(scfg, "solver", *fields)
     try:
         solver = SolverConfig(**fields)
     except SolverFieldError as exc:
@@ -98,5 +101,5 @@ def parse_config(raw: dict) -> ExperimentConfig:
         master_seed=checked_seed(read(raw, "master_seed", "", int, 0), "master_seed"),
         output_dir=Path(read(raw, "output_dir", "", str, "out")),
         study=read(raw, "study", "", dict, {}),
-        x0=read(raw, "x0", "", np.ndarray, None),
+        x0=_built("x0", model.triple.fits, read(raw, "x0", "", np.ndarray, None)),
     )

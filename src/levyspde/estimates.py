@@ -20,7 +20,7 @@ import numpy as np
 from .coefficients import AUDIT_BATCH_ROWS, CoefficientBundle
 from .noise import ci99, grid_steps, sample_noise, step_index
 from .parallel import path_rows
-from .solver import PathRecord, SolverConfig, _drift_rows, _shared_step_grid, solve_paths
+from .solver import PathRecord, SolverConfig, _drift_rows, _shared_step_grid, _truncated_rows, solve_paths
 from .spaces import GelfandTriple, dot_rows, sum_squares
 
 __all__ = [
@@ -97,7 +97,7 @@ def energy_table(
 
     rows = path_rows(moment_rows, seed, n_paths, 1, workers)
     sup_h, int_v, mixed = rows[:, 0], rows[:, 1], rows[:, 2:]  # mixed: (n_paths, len(p_list))
-    truncated = int(np.isnan(sup_h).sum())
+    truncated = _truncated_rows(rows)
 
     x0_h = float(np.linalg.norm(x0))
     out = []
@@ -425,7 +425,7 @@ def _modulus_result(deltas, rows: np.ndarray, beta_exp: float) -> ModulusResult:
         )
     return ModulusResult(deltas=deltas, values=values, ci99=ci, beta=beta_exp,
                          consistent_with_tightness=ok, label=label,
-                         truncated_paths=int(np.isnan(rows).any(axis=0).sum()))
+                         truncated_paths=_truncated_rows(rows.T))
 
 
 def modulus_of_continuity(paths, delta_list, beta_exp: float) -> ModulusResult:

@@ -36,7 +36,7 @@ from .coefficients import (
     chi_exponent,
 )
 from .noise import MarkSpace
-from .spaces import ConfigError, GelfandTriple, dot_rows, libm_pow, read, triple_from_config
+from .spaces import ConfigError, GelfandTriple, dot_rows, known, libm_pow, read, triple_from_config
 
 __all__ = ["ModelSpec", "SpectralGrid", "builtin", "validate", "from_config", "resolve", "BUILTIN_IDS"]
 
@@ -541,12 +541,17 @@ def from_config(cfg: dict) -> ModelSpec:
     names its field under ``model.``, such as ``model.triple.dimension_cap``;
     the triple, grid, marks, constants and regime check their own ranges,
     and a range error names the record it was read from (``model.triple``,
-    ``model.marks``, ``model.constants``, ``model.regime``).
+    ``model.marks``, ``model.constants``, ``model.regime``).  A key that the
+    record (or its ``type``) does not read is a ``ConfigError`` on that key.
     """
+    known(cfg, "model", "name", "triple", "reaction", "drift", "marks", "diffusion", "jump", "x0",
+          "local_bound_const", "rho_const", "eta_const", "constants", "regime")
     name = read(cfg, "name", "model", str, "custom")
     tcfg = read(cfg, "triple", "model", dict)
     cap = read(tcfg, "dimension_cap", "model.triple", int)
     grid_size = read(tcfg, "grid_size", "model.triple", int, None)
+    weight_rule = () if grid_size else ("weights", "rule", "scale")  # a grid brings its own weights
+    known(tcfg, "model.triple", "dimension_cap", "grid_size", *weight_rule)
     reaction = read(cfg, "reaction", "model", np.ndarray, None)
 
     grid = None
@@ -562,8 +567,10 @@ def from_config(cfg: dict) -> ModelSpec:
     dcfg = read(cfg, "drift", "model", dict, {"type": "diagonal"})
     dtype = read(dcfg, "type", "model.drift", str)
     if dtype == "diagonal":
+        known(dcfg, "model.drift", "type", "scale")
         spectrum = read(dcfg, "scale", "model.drift", float, 1.0) * triple.v_weights
     elif dtype == "diagonal_spectrum":
+        known(dcfg, "model.drift", "type", "values")
         spectrum = read(dcfg, "values", "model.drift", np.ndarray)
         if spectrum.shape != (cap,):
             raise ConfigError("model.drift.values", f"expected length {cap}")
@@ -587,7 +594,7 @@ def from_config(cfg: dict) -> ModelSpec:
             phi = grid.phi[:, :m]
             return linear_jac[:m, :m] + grid.h * (phi.T * dpoly(vals)[..., None, :]) @ phi
 
-    mcfg = read(cfg, "marks", "model", dict, {})
+    mcfg = known(read(cfg, "marks", "model", dict, {}), "model.marks", "points", "weights")
     points = read(mcfg, "points", "model.marks", np.ndarray, None)
     marks = (
         MarkSpace.zero() if points is None
@@ -601,8 +608,10 @@ def from_config(cfg: dict) -> ModelSpec:
     btype = read(bcfg, "type", "model.diffusion", str)
     if btype == "zero":
         diffusion = _zero_diffusion
+        known(bcfg, "model.diffusion", "type")
     elif btype in ("multiplicative_h", "multiplicative_v"):
         scale = sqrt_w if btype == "multiplicative_v" else None
+        known(bcfg, "model.diffusion", "type", "c")
         diffusion = _multiplicative_noise(scale, c=read(bcfg, "c", "model.diffusion", float))["diffusion"]
     else:
         raise ConfigError("model.diffusion.type", f"unknown diffusion type {btype!r}")
@@ -611,14 +620,16 @@ def from_config(cfg: dict) -> ModelSpec:
     jtype = read(jcfg, "type", "model.jump", str)
     if jtype == "zero":
         jump = _zero_jump
+        known(jcfg, "model.jump", "type")
     elif jtype in ("multiplicative_mark", "multiplicative_v_mark"):
         scale = sqrt_w if jtype == "multiplicative_v_mark" else None
+        known(jcfg, "model.jump", "type", "sigma")
         sigma = read(jcfg, "sigma", "model.jump", float)
         jump = _multiplicative_noise(scale, sigma=sigma, marks=marks)["jump"]
     else:
         raise ConfigError("model.jump.type", f"unknown jump type {jtype!r}")
 
-    x0 = read(cfg, "x0", "model", np.ndarray, None)
+    x0 = _built("model.x0", triple.fits, read(cfg, "x0", "model", np.ndarray, None))
     local_bound = read(cfg, "local_bound_const", "model", float, 0.0)
     bundle = CoefficientBundle(
         drift=drift,
@@ -653,9 +664,7 @@ _SCALAR_CONSTANTS = {f.name: f.default for f in dataclasses.fields(HypothesisCon
 def _constants_from_config(ccfg: dict) -> HypothesisConstants:
     """``model.constants``: finite numbers, and ``h_p_integrals`` an object
     from moment orders (keys such as "2" or "4.0") to finite numbers."""
-    for key in ccfg:
-        if key not in _SCALAR_CONSTANTS and key != "h_p_integrals":
-            raise ConfigError(f"model.constants.{key}", "unknown constant")
+    known(ccfg, "model.constants", *_SCALAR_CONSTANTS, "h_p_integrals")
     where = "model.constants.h_p_integrals"
     h_p = read(ccfg, "h_p_integrals", "model.constants", dict, {})
     try:

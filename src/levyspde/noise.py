@@ -201,13 +201,13 @@ def _event_sum(
     jumps,
     mark_space: MarkSpace,
     T: float,
-):
-    total = None
+) -> np.ndarray:
+    """Σ ζ(τ_i, z_i) over the events of ``jumps`` up to T, from zero."""
+    total = np.zeros(())
     for ev in jumps:
         if ev.time > T:
             break
-        term = np.asarray(integrand(ev.time, float(mark_space.marks[ev.mark_index])), dtype=float)
-        total = term if total is None else total + term
+        total = total + np.asarray(integrand(ev.time, float(mark_space.marks[ev.mark_index])), dtype=float)
     return total
 
 
@@ -216,18 +216,14 @@ def _compensator_grid(
     mark_space: MarkSpace,
     dt: float,
     T: float,
-):
-    """Left-endpoint quadrature of ∫_0^T Σ_i lam_i ζ(t, z_i) dt; dt must divide T."""
-    n = grid_steps(T, dt)
-    if mark_space.is_zero:
-        return None
-    comp = None
-    for k in range(n):
+) -> np.ndarray:
+    """Left-endpoint quadrature of ∫_0^T Σ_i lam_i ζ(t, z_i) dt, from zero; dt must divide T."""
+    comp = np.zeros(())
+    for k in range(grid_steps(T, dt)):
         t = k * dt
         for z, lam in zip(mark_space.marks, mark_space.weights):
-            term = lam * np.asarray(integrand(t, float(z)), dtype=float)
-            comp = term if comp is None else comp + term
-    return None if comp is None else dt * comp
+            comp = comp + lam * np.asarray(integrand(t, float(z)), dtype=float)
+    return dt * comp
 
 
 def compensated_integral(
@@ -247,19 +243,7 @@ def compensated_integral(
     if T > realization.T:
         raise ValueError(f"T={T} lies past the realization's horizon {realization.T}")
     comp = _compensator_grid(integrand, mark_space, realization.dt, T)
-    return _compensated(integrand, realization.jumps, mark_space, T, comp)
-
-
-def _compensated(integrand, jumps, mark_space: MarkSpace, T: float, comp) -> np.ndarray:
-    """The events of ``jumps`` up to T minus the precomputed compensator ``comp``."""
-    events = _event_sum(integrand, jumps, mark_space, T)
-    if events is None and comp is None:
-        return np.zeros(())
-    if events is None:
-        return -comp
-    if comp is None:
-        return events
-    return events - comp
+    return _event_sum(integrand, realization.jumps, mark_space, T) - comp
 
 
 def ito_isometry_check(
@@ -283,7 +267,7 @@ def ito_isometry_check(
     sq_norms = np.empty(n_paths)
     for i in range(n_paths):
         jumps = sample_jumps(T, mark_space, path_seed(seed, i))
-        value = np.atleast_1d(_compensated(integrand, jumps, mark_space, T, comp))
+        value = np.atleast_1d(_event_sum(integrand, jumps, mark_space, T) - comp)
         sq_norms[i] = float(np.dot(value, value))
     lhs = float(sq_norms.mean())
 

@@ -32,7 +32,7 @@ path's record does not depend on the batch it ran in.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,6 +150,28 @@ class PathRecord:
     @property
     def n_jump_entries(self) -> int:
         return int(self.is_jump_post.sum())
+
+    def prefix(self, rows: int, **changes) -> PathRecord:
+        """A copy of the first ``rows`` entries, with ``changes`` to the other
+        fields: the one cut that ends a record early (``truncated_at``,
+        ``stopped_at``)."""
+        cut = {name: None if (a := getattr(self, name)) is None else a[:rows].copy()
+               for name in ("times", "states", "is_jump_post", "is_grid", "norm_h", "norm_v")}
+        return replace(self, **cut, **changes)
+
+
+def _lost_paths(records, n_paths: int) -> np.ndarray:
+    """Whether each of ``n_paths`` paths has a truncated record; ``records``
+    holds one block of ``n_paths`` records, in path order, per solver row of
+    a path (a pair's two members, a depend path's starts, a level)."""
+    return np.array([rec.truncated_at is not None for rec in records]).reshape(-1, n_paths).any(axis=0)
+
+
+def _truncated_rows(rows) -> int:
+    """The paths that truncation lost among ``rows``, one row (or entry) per
+    path as ``parallel.path_rows`` returns them: every path study makes a
+    path with a truncated record a row with NaN, and only such a path."""
+    return int(np.isnan(rows.reshape(len(rows), -1)).any(axis=1).sum())
 
 
 def _shared_step_grid(records) -> np.ndarray:
@@ -442,27 +464,14 @@ def _record(bundle, triple, config, seed, grid, grid_h, grid_v, grid_states, ent
         states[at_grid] = grid_states[:rows]
         states[at_jump] = jump_states
 
-    truncated_at = float(grid[steps_done]) if steps_done < config.n_steps else None
+    record = PathRecord(times=times, states=states, is_jump_post=is_jump_post, is_grid=is_grid, norm_h=norm_h,
+                        norm_v=norm_v, level=config.level, dt=config.dt, T=config.T, seed=seed,
+                        truncated_at=float(grid[steps_done]) if steps_done < config.n_steps else None)
     finite = np.isfinite(norm_h) & np.isfinite(norm_v)
-    if not finite.all():
-        cut = int(np.argmin(finite))
-        truncated_at = float(times[cut])
-        times, norm_h, norm_v = times[:cut], norm_h[:cut], norm_v[:cut]
-        is_grid, is_jump_post = is_grid[:cut], is_jump_post[:cut]
-        states = None if states is None else states[:cut]
-    return PathRecord(
-        times=times,
-        states=states,
-        is_jump_post=is_jump_post,
-        norm_h=norm_h,
-        norm_v=norm_v,
-        level=config.level,
-        dt=config.dt,
-        T=config.T,
-        seed=seed,
-        truncated_at=truncated_at,
-        is_grid=is_grid,
-    )
+    if finite.all():
+        return record
+    cut = int(np.argmin(finite))
+    return record.prefix(cut, truncated_at=float(times[cut]))
 
 
 def solve_path(
@@ -534,7 +543,8 @@ def solve_paths(
 def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0):
     """Truncate at tau = first recorded time where ‖Y‖_H² > N or the
     left-Riemann accumulation of ‖Y‖_V^beta exceeds N; tau = T when the
-    thresholds are never crossed (void-set convention).
+    thresholds are never crossed (void-set convention), and None for a
+    record truncated at t = 0, which holds no time.
     """
     n = record.times.size
     cum = 0.0
@@ -546,21 +556,6 @@ def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0
         if k + 1 < n:
             cum += record.norm_v[k] ** beta * (record.times[k + 1] - record.times[k])
     if cut is None:
-        return record, float(record.times[-1])
+        return record, float(record.times[-1]) if n else None
     tau = float(record.times[cut])
-    sl = slice(0, cut + 1)
-    truncated = PathRecord(
-        times=record.times[sl].copy(),
-        states=record.states[sl].copy(),
-        is_jump_post=record.is_jump_post[sl].copy(),
-        is_grid=record.is_grid[sl].copy(),
-        norm_h=record.norm_h[sl].copy(),
-        norm_v=record.norm_v[sl].copy(),
-        level=record.level,
-        dt=record.dt,
-        T=record.T,
-        seed=record.seed,
-        stopped_at=tau,
-        truncated_at=record.truncated_at,
-    )
-    return truncated, tau
+    return record.prefix(cut + 1, stopped_at=tau), tau

@@ -88,6 +88,13 @@ class GelfandTriple:
         coeffs[:k] = u[:k]
         return GalerkinState(level=m, coeffs=coeffs)
 
+    def fits(self, u: np.ndarray | None) -> np.ndarray | None:
+        """``u`` itself (None too), if it has at most ``dimension_cap`` entries;
+        a longer state has modes that no level solves, so it is a ValueError."""
+        if u is not None and u.size > self.dimension_cap:
+            raise ValueError(f"expected at most {self.dimension_cap} entries (dimension_cap), got {u.size}")
+        return u
+
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of (..., m) arrays, each with ``np.dot``'s bits.
@@ -169,6 +176,16 @@ def read(record: dict, name: str, where: str, kind, default=_MISSING):
     elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
     raise ConfigError(field_name, f"expected {_EXPECTED[kind]}, got {value!r:.40}")
+
+
+def known(record: dict, where: str, *names: str) -> dict:
+    """``record`` itself, if each of its keys is one of ``names``, the keys
+    its reader reads; any other key is a ConfigError naming ``where.<key>``."""
+    for key in record:
+        if key not in names:
+            raise ConfigError(f"{where}.{key}" if where else key,
+                              f"unknown key; this record reads {', '.join(names)}")
+    return record
 
 
 def _finite(value) -> float | None:

@@ -14,8 +14,9 @@ Uniqueness and stability compare grid states alone and reduce each finished
 chunk inside the solve (``on_grid``); dependence and convergence read the
 jump rows too and keep whole records.  A pair shares a seed, and an
 explicit coupling passes the realizations in through its ``noise=``
-argument.  A path whose record was truncated yields NaN, so the study fails
-instead of comparing a prefix.
+argument.  A path with a truncated record, any of its rows
+(``solver._lost_paths``), is a NaN row, so the study counts it
+(``solver._truncated_rows``) instead of comparing a prefix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .coefficients import CoefficientBundle, HypothesisConstants, _batched
 from .noise import JumpEvent, NoiseRealization, ci99, grid_times, sample_noise, step_index
 from .parallel import path_rows
-from .solver import SolverConfig, solve_paths
+from .solver import SolverConfig, _lost_paths, _truncated_rows, solve_paths
 from .spaces import GelfandTriple, dot_rows
 
 __all__ = [
@@ -127,8 +128,7 @@ def uniqueness_sups(
             np.maximum(sups, norms.max(axis=0), out=sups)
 
         records = solve_paths(bundle, triple, x0, config, seeds + seeds, noise=noise, on_grid=reduce)
-        truncated = np.array([rec.truncated_at is not None for rec in records]).reshape(2, n).any(axis=0)
-        sups[truncated] = np.nan
+        sups[_lost_paths(records, n)] = np.nan
         return sups
 
     return path_rows(pair_sups, seed, n_paths, 2, workers)[:, 0]  # each pair solves two rows
@@ -160,7 +160,7 @@ class StabilityResult:
     times: np.ndarray
     lhs_curve: np.ndarray  # E[φ(t) ‖Y_a(t) − Y_b(t)‖_H²] on the step grid
     ci99: np.ndarray
-    bound: float  # ‖x0_a − x0_b‖_H²
+    bound: float  # ‖P_m x0_a − P_m x0_b‖_H² at the solver level m
     eps_scheme: float  # declared discretization slack, 10·dt
     passed: bool
     worst_t: float
@@ -197,7 +197,7 @@ def weighted_stability_mc(
     def pair_curves(seeds):
         # rows [x0_a] * n + [x0_b] * n: path i's pair shares its seed's noise;
         # each finished chunk of grid states is reduced to the pair curves'
-        # terms; a pair's row is its truncation flag, then its curve
+        # terms; a pair's row is its curve
         n = len(seeds)
         sq, rates = np.empty((times.size, n)), np.empty((times.size, n))
 
@@ -215,26 +215,21 @@ def weighted_stability_mc(
 
         records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds,
                               on_grid=reduce)
-        # a pair is truncated when either member is; the norms-only records
-        # go before the weights are formed
-        truncated = np.array([rec.truncated_at is not None for rec in records]).reshape(2, n).any(axis=0)
+        # the norms-only records go before the weights are formed
+        lost = _lost_paths(records, n)
         del records
-        rates[:, truncated] = np.nan  # so no weight is taken of a truncated pair's rows
+        rates[:, lost] = np.nan  # so no weight is taken of a truncated pair's rows
         curves = sq  # weighted in place
         curves[1:] *= _stability_weights(rates[:-1], times)
-        curves[:, truncated] = np.nan
-        return np.column_stack([truncated, curves.T])
+        curves[:, lost] = np.nan
+        return curves.T
 
     # one C-ordered row per pair, so the mean adds the pairs in seed order
-    rows = path_rows(pair_curves, seed, n_paths, 2, workers)  # each pair solves two rows
-    truncated, curves = rows[:, 0], rows[:, 1:]
+    curves = path_rows(pair_curves, seed, n_paths, 2, workers)  # each pair solves two rows
     lhs = curves.mean(axis=0)
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
-    pad = max(x0_a.size, x0_b.size)
-    da = np.zeros(pad)
-    da[: x0_a.size] = x0_a
-    da[: x0_b.size] -= x0_b
-    bound = float(np.dot(da, da))
+    # the bound of the starts the pairs solve: no mode above the level loosens it
+    bound = float(np.dot(x0[0] - x0[1], x0[0] - x0[1]))
     eps = 10.0 * config.dt
     margins = bound * (1.0 + eps) - lhs
     worst = int(np.argmin(margins))
@@ -247,7 +242,7 @@ def weighted_stability_mc(
         passed=bool(np.all(margins >= 0.0)),
         worst_t=float(times[worst]),
         worst_margin=float(margins[worst]),
-        truncated_paths=int(truncated.sum()),
+        truncated_paths=_truncated_rows(curves),
     )
 
 
@@ -292,25 +287,21 @@ def continuous_dependence_study(
     direction = np.zeros_like(x0)
     direction[0] = 1.0
     starts = [x0] + [x0 + d * direction for d in deltas if d != 0.0]
-    # per path: the base row, then one row per nonzero delta, all on its seed
-    starts = [triple.project(u, config.level).coeffs for u in starts]
+    starts = np.stack([triple.project(u, config.level).coeffs for u in starts])
+    nonzero = [j for j, d in enumerate(deltas) if d != 0.0]
 
     def perturbation_sups(seeds):
-        records = solve_paths(bundle, triple, np.stack(starts * len(seeds)), config,
-                              [s for s in seeds for _ in starts])
-        out = np.zeros((len(seeds), len(deltas)))
-        for i in range(len(seeds)):
-            base, *perts = records[i * len(starts) : (i + 1) * len(starts)]
-            perts = iter(perts)
-            for j, d in enumerate(deltas):
-                if d == 0.0:
-                    continue
-                pert = next(perts)
-                if base.truncated_at is not None or pert.truncated_at is not None:
-                    out[i, j] = np.nan
-                    continue
-                diff = pert.states - base.states
+        # one block of the batch's paths per start: the base, then each
+        # nonzero delta, every row on its path's seed
+        n = len(seeds)
+        records = solve_paths(bundle, triple, np.repeat(starts, n, axis=0), config, seeds * len(starts))
+        lost = _lost_paths(records, n)
+        out = np.zeros((n, len(deltas)))
+        for i in np.flatnonzero(~lost):
+            for r, j in enumerate(nonzero, start=1):
+                diff = records[r * n + i].states - records[i].states
                 out[i, j] = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()) ** p
+        out[lost] = np.nan
         return out
 
     rows = path_rows(perturbation_sups, seed, n_paths, len(starts), workers)
@@ -319,7 +310,7 @@ def continuous_dependence_study(
         values=rows.mean(axis=0),
         ci99=np.array([ci99(rows[:, j]) for j in range(rows.shape[1])]),
         p=p,
-        truncated_paths=int(np.isnan(rows).any(axis=1).sum()),
+        truncated_paths=_truncated_rows(rows),
     )
 
 
@@ -369,11 +360,10 @@ def galerkin_convergence(
             solve_paths(bundle, triple, x0, replace(config, level=m), seeds, noise=noise)
             for m in levels
         ]
+        lost = _lost_paths([rec for by_level in records for rec in by_level], len(seeds))
         out = np.full((len(seeds), len(levels)), np.nan)
-        for i in range(len(seeds)):
+        for i in np.flatnonzero(~lost):
             recs = [by_level[i] for by_level in records]
-            if any(rec.truncated_at is not None for rec in recs):
-                continue
             ref = recs[-1]
             dts = np.diff(ref.times)
             for j, (m, rec) in enumerate(zip(levels, recs)):
@@ -391,5 +381,5 @@ def galerkin_convergence(
         ci99=np.array([ci99(rows[:, j]) for j in range(rows.shape[1])]),
         beta=beta,
         reference_level=levels[-1],
-        truncated_paths=int(np.isnan(rows).any(axis=1).sum()),
+        truncated_paths=_truncated_rows(rows),
     )

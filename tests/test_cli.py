@@ -1,5 +1,6 @@
 """Runner behavior: exit codes, artifact determinism, output content."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyspde import parallel
+from levyspde import parallel, wellposedness
 from levyspde.coefficients import admissible_p_range
 from levyspde.models import builtin
 from levyspde.rng import path_seed
@@ -218,8 +219,9 @@ def test_seed_override_changes_artifacts(tmp_path):
 def test_json_format_artifact(tmp_path):
     path = _write_config(tmp_path)
     assert main(["uniqueness", "--config", str(path), "--format", "json"]) == 0
-    payload = json.loads((tmp_path / "out" / "uniqueness.csv").read_text())
+    payload = json.loads((tmp_path / "out" / "uniqueness.json").read_text())
     assert payload["verifies"].startswith("Theorem")
+    assert not (tmp_path / "out" / "uniqueness.csv").exists()
 
 
 def test_simulate_writes_cadlag_columns(tmp_path):
@@ -439,6 +441,15 @@ def test_non_finite_initial_norm_fails(tmp_path, command):
         assert "inf" not in body and "nan" not in body
 
 
+def test_stopping_a_path_truncated_at_the_start_fails(tmp_path, capsys):
+    # ‖x0‖_H overflows, so the record holds no time to stop at
+    path = _write_config(tmp_path, x0=[1e308, 1e308], study={"stopping_N": 1.0})
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "0 entries, 0 jumps" in capsys.readouterr().out
+    meta = json.loads((tmp_path / "out" / "path_meta.json").read_text())
+    assert meta["pass"] is False and meta["stopped_at"] is None
+
+
 def test_stability_times_end_at_the_horizon(tmp_path):
     # 3 * 0.1 rounds to 0.30000000000000004; the solver's last node is T
     path = _write_config(tmp_path, solver={"dt": 0.1, "T": 0.3, "level": 2},
@@ -532,6 +543,13 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("uniqueness", {"n_paths": 4, "stres": True}, "study.stres"),
         ("converge", {"n_paths": 4, "m_lsit": [2, 4]}, "study.m_lsit"),
         ("check", {"n_paths": 4, "smaples": 8}, "study.smaples"),
+        ("uniqueness", {"study": {"n_paths": 4}, "master_sed": 5}, "'master_sed'"),
+        ("uniqueness", {"study": {"n_paths": 4},
+                        "solver": {"dt": 0.01, "T": 0.2, "level": 4, "newton_tool": 1e-9}},
+         "solver.newton_tool"),
+        ("check", {"study": {"samples": 64},
+                   "model": dict(_custom_model({"L_B": 0.0, "L_gamma": 0.0}), regmie="part2")},
+         "model.regmie"),
     ],
     ids=["energy", "converge", "modulus", "residual", "residual-dt-not-dividing-T",
          "check-zero-samples", "check-bool-samples", "residual-no-paths", "modulus-no-paths",
@@ -548,7 +566,8 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
          "depend-repeated-perturbation", "energy-repeated-level", "residual-repeated-dt",
          "energy-p-below-2", "depend-p-zero", "modulus-zero-beta_exp", "modulus-negative-beta_exp",
          "prange-negative-c_tilde_base", "prange-zero-c_tilde_base", "uniqueness-misspelled-stress",
-         "converge-misspelled-m_list", "check-misspelled-samples"],
+         "converge-misspelled-m_list", "check-misspelled-samples", "misspelled-master_seed",
+         "misspelled-solver-newton_tol", "misspelled-model-regime"],
 )
 def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study, field):
     # a level above the cap, an off-grid shift or step, a one-point slope
@@ -556,8 +575,10 @@ def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study
     # 2, an audit without samples, a study without paths, a CI99 of one
     # path, a field that is not a number, a list of numbers, a boolean or a
     # list of names, a stopping threshold, modulus exponent or imported
-    # constant base out of range, and a misspelled key that no subcommand reads
-    path = _write_config(tmp_path, study=study)
+    # constant base out of range, and a misspelled key that no subcommand
+    # reads; a case whose dict holds "study" overrides the top-level fields,
+    # so a misspelled key of the top level, the solver or the model fails too
+    path = _write_config(tmp_path, **(study if "study" in study else {"study": study}))
     assert main([command, "--config", str(path)]) == 1
     assert field in capsys.readouterr().err
 
@@ -574,6 +595,45 @@ def test_failing_study_sidecar_is_strict_json(tmp_path, command, field):
     text = (tmp_path / "out" / f"{command}_meta.json").read_text()
     meta = json.loads(text, parse_constant=_reject_constant)
     assert meta["pass"] is False and meta[field] is None
+
+
+def test_a_truncated_path_fails_a_passing_study(tmp_path, capsys, monkeypatch):
+    # the CLI alone turns a truncated path into FAIL: a study result that
+    # passes on its own still fails, and its line ends with the count
+    path = _write_config(tmp_path, study={"n_paths": 4})
+    assert main(["stability", "--config", str(path)]) == 0
+    capsys.readouterr()
+    real = wellposedness.weighted_stability_mc
+    monkeypatch.setattr(wellposedness, "weighted_stability_mc", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), truncated_paths=1))
+    assert main(["stability", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "stability [heat] FAIL" in out and out.rstrip().endswith("; 1 of 4 paths truncated")
+    meta = json.loads((tmp_path / "out" / "stability_meta.json").read_text())
+    assert meta["pass"] is False and meta["truncated_paths"] == 1
+
+
+def test_initial_states_longer_than_the_model_fail_closed(tmp_path, capsys):
+    # heat's dimension_cap is 48: no level solves a 49th mode, so a longer
+    # x0, custom-model x0 or x0_b is a config error naming its field
+    study = {"n_paths": 4, "m_list": [4]}
+    for command in ("energy", "stability"):
+        path = _write_config(tmp_path, x0=[0.1] * 60, study=study)
+        assert main([command, "--config", str(path)]) == 1
+        assert "config field 'x0'" in capsys.readouterr().err
+    path = _write_config(tmp_path, study={"n_paths": 4, "x0_b": [0.1] * 50}, master_seed=0)
+    assert main(["stability", "--config", str(path)]) == 1
+    assert "config field 'study.x0_b'" in capsys.readouterr().err
+    model = dict(_custom_model({}), x0=[0.1] * 9)
+    path = _write_config(tmp_path, model=model, study=study)
+    assert main(["stability", "--config", str(path)]) == 1
+    assert "config field 'model.x0'" in capsys.readouterr().err
+    # the bound is read off the level-4 starts: modes 5..48 of x0 - x0_b
+    # add 0.2009 to it, which no solved mode sees
+    path = _write_config(tmp_path, study={"n_paths": 4, "x0_b": [1.0]}, master_seed=0)
+    assert main(["stability", "--config", str(path)]) in (0, 2)
+    meta = json.loads((tmp_path / "out" / "stability_meta.json").read_text())
+    assert meta["bound"] == pytest.approx(1 / 4 + 1 / 9 + 1 / 16, rel=1e-12)
 
 
 def test_residual_sidecar_counts_truncated_paths(tmp_path, capsys):

@@ -393,16 +393,24 @@ _FIELD_MODEL = {"name": "fields", "triple": {"dimension_cap": 8},
      ("triple", "grid_size", 8, "model.triple"),
      ("marks", "weights", [0.5], "model.marks"),
      ("constants", "beta", 1.0, "model.constants"),
-     ("regime", None, "part3", "model.regime")],
+     ("regime", None, "part3", "model.regime"),
+     ("triple", "weigths", [1.0] * 8, "model.triple.weigths"),
+     ("triple", None, {"dimension_cap": 8, "grid_size": 32, "rule": "affine"}, "model.triple.rule"),
+     ("drift", "values", [1.0] * 8, "model.drift.values"),
+     ("diffusion", "sigma", 0.1, "model.diffusion.sigma"),
+     ("jump", "c", 0.1, "model.jump.c"),
+     ("marks", "point", [1.0], "model.marks.point")],
     ids=["fractional-cap", "text-cap", "fractional-grid_size", "text-c", "text-sigma",
          "text-scale", "text-beta", "unknown-constant", "zero-cap", "zero-cap-on-a-grid",
          "negative-cap-on-a-grid", "grid-too-coarse", "short-weights", "beta-one",
-         "unknown-regime"],
+         "unknown-regime", "misspelled-weights", "weight-rule-on-a-grid", "values-of-a-scaled-drift",
+         "sigma-of-a-diffusion", "c-of-a-jump", "misspelled-points"],
 )
 def test_custom_model_field_names_its_field(part, key, value, field):
     # every model value follows the one type rule: a fraction is not an
     # integer, text is not a number, and no constant is made up; a range
-    # error names the record it was read from (key None replaces the record)
+    # error names the record it was read from (key None replaces the record);
+    # a key that the record or its type does not read names itself
     record = value if key is None else dict(_FIELD_MODEL[part], **{key: value})
     model = dict(_FIELD_MODEL, **{part: record})
     with pytest.raises(ConfigError) as err:

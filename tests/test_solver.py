@@ -283,6 +283,20 @@ def test_jump_count_conserved_after_stopping(heat_spec):
     assert out.n_jump_entries == sum(1 for ev in real.jumps if ev.time <= tau)
 
 
+def test_stopping_cuts_a_norms_only_record_as_the_full_one():
+    # constant jumps lift ‖Y‖_H past N mid-path; one prefix cut serves both
+    # records, and the norms-only one keeps no states
+    triple, bundle, _ = make_pure_jump([0.5, 0.5])
+    args = (bundle, triple, np.zeros(2), SolverConfig(dt=0.1, T=4.0, level=2), [3])
+    full, norms_only = solve_paths(*args)[0], solve_paths(*args, keep_states=False)[0]
+    rule = StoppingTimeRule(N=1.0)
+    (want, tau_want), (got, tau) = apply_stopping(full, rule), apply_stopping(norms_only, rule)
+    assert tau == tau_want and 1 < got.times.size < full.times.size and got.states is None
+    assert want.states.shape == (want.times.size, 2) and got.stopped_at == tau
+    for name in ("times", "is_jump_post", "is_grid", "norm_h", "norm_v"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
 def test_step_failure_annotates_truncation():
     # drift explodes in finite time and the Newton iteration caps out
     from levyspde.coefficients import CoefficientBundle
