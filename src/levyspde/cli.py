@@ -152,11 +152,12 @@ def _cmd_energy(run: _Run):
     rows = []
     ratios = {p: [] for p in p_list}
     truncated = []
-    for m in m_list:
-        stats = estimates.energy_table(
-            exp.model.bundle, exp.model.triple, exp.initial_state(), p_list, replace(exp.solver, level=m),
-            n_paths, exp.master_seed, beta=exp.model.constants.beta, workers=run.workers,
-        )
+    tables = estimates.energy_table(
+        exp.model.bundle, exp.model.triple, exp.initial_state(), p_list,
+        [replace(exp.solver, level=m) for m in m_list],
+        n_paths, exp.master_seed, beta=exp.model.constants.beta, workers=run.workers,
+    )
+    for stats in tables:
         for st in stats:
             for qty, est, ci in (
                 ("sup_H_p", st.sup_h_p, st.ci99["sup_h_p"]),
@@ -164,7 +165,7 @@ def _cmd_energy(run: _Run):
                 ("mixed", st.mixed, st.ci99["mixed"]),
                 ("ratio", st.ratio, float("nan")),
             ):
-                rows.append((qty, st.p, m, st.dt, n_paths, est, ci, exp.master_seed))
+                rows.append((qty, st.p, st.m, st.dt, n_paths, est, ci, exp.master_seed))
             ratios[st.p].append(st.ratio)
         truncated.append(stats[0].truncated_paths)
     ok = all(np.isfinite(v) for vals in ratios.values() for v in vals)
@@ -217,7 +218,8 @@ def _cmd_uniqueness(run: _Run):
         n_paths, exp.master_seed, stress=stress, workers=run.workers,
     )
     sup = float(np.max(sups))
-    scale = float(np.linalg.norm(exp.initial_state()))
+    with np.errstate(over="ignore"):  # an overflowing x0 is the truncation that FAILs the run
+        scale = float(np.linalg.norm(exp.initial_state()))
     ok = sup == 0.0 if not stress else sup <= 1e-9 * max(scale, 1.0)
     return run.write("uniqueness", ("mode", "n_paths", "max_sup_difference", "seed"),
                      [("stress" if stress else "replay", n_paths, sup, exp.master_seed)], ok,

@@ -68,38 +68,56 @@ def energy_table(
     triple: GelfandTriple,
     x0,
     p_list,
-    config: SolverConfig,
+    configs,
     n_paths: int,
     seed: int,
     beta: float = 2.0,
     workers: int = 1,
-) -> list[EnergyStats]:
-    """Ensemble estimates of the energy functionals, one ``EnergyStats`` per
-    moment order of ``p_list``; every order reads the same ``n_paths`` paths.
+) -> list[list[EnergyStats]]:
+    """Ensemble estimates of the energy functionals: for each solver config
+    (one per Galerkin level, say), one ``EnergyStats`` per moment order of
+    ``p_list``.  Every config and order reads the same ``n_paths`` paths;
+    every batch of ``path_rows`` is one task, which solves its paths at each
+    config in turn.
 
     Per path these are sup_t ‖Y‖_H^p, (∫‖Y‖_V^β dt)^{p/2} and
     ∫‖Y‖_V^β ‖Y‖_H^{p-2} dt; a truncated path makes every figure NaN.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    configs = list(configs)
     p_list = [float(p) for p in p_list]
     if any(p < 2.0 for p in p_list):
         raise ValueError("moment orders must satisfy p >= 2")
     x0 = np.asarray(x0, dtype=float)
+    width = 2 + len(p_list)
 
     def moment_rows(seeds):
         # a truncated path has no estimate of its own: it turns the ensemble's
-        # figures into NaN, so the study fails instead of averaging a prefix
-        records = solve_paths(bundle, triple, x0, config, seeds, keep_states=False)
-        nan = (float("nan"),) * (2 + len(p_list))
-        return [_energy_parts(rec, p_list, beta) if rec.truncated_at is None else nan
-                for rec in records]
+        # figures into NaN, so the study fails instead of averaging a prefix;
+        # a config's records go before the next is solved
+        out = np.full((len(seeds), len(configs), width), np.nan)
+        for j, config in enumerate(configs):
+            records = solve_paths(bundle, triple, x0, config, seeds, keep_states=False)
+            for p, rec in enumerate(records):
+                if rec.truncated_at is None:
+                    out[p, j] = _energy_parts(rec, p_list, beta)
+            del records
+        return out
 
-    rows = path_rows(moment_rows, seed, n_paths, 1, workers)
+    rows = path_rows(moment_rows, seed, n_paths, 1, workers).reshape(n_paths, len(configs), width)
+    with np.errstate(over="ignore"):  # an overflowing x0 has truncated every path
+        x0_h = float(np.linalg.norm(x0))
+    return [_energy_stats(rows[:, j], p_list, config, n_paths, seed, x0_h)
+            for j, config in enumerate(configs)]
+
+
+def _energy_stats(rows: np.ndarray, p_list, config: SolverConfig, n_paths: int, seed: int,
+                  x0_h: float) -> list[EnergyStats]:
+    """One config's ``EnergyStats`` per moment order from its (n_paths, 2 +
+    len(p_list)) rows of ``_energy_parts``."""
     sup_h, int_v, mixed = rows[:, 0], rows[:, 1], rows[:, 2:]  # mixed: (n_paths, len(p_list))
     truncated = _truncated_rows(rows)
-
-    x0_h = float(np.linalg.norm(x0))
     out = []
     for j, p in enumerate(p_list):
         sup_pow = sup_h**p

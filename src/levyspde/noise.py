@@ -164,18 +164,23 @@ def sample_noise(m: int, T: float, dt: float, mark_space: MarkSpace, seed: int) 
 
 
 def sample_jumps(T: float, mark_space: MarkSpace, seed: int) -> tuple[JumpEvent, ...]:
-    """The jump events on [0, T] of ``sample_noise(..., seed)``, alone."""
+    """The jump events on [0, T] of ``sample_noise(..., seed)``, alone.
+
+    Each mark index is the inverse-CDF draw ``rng.choice(n, p=weights / lam)``
+    makes, with the cumulative weights built once per stream.
+    """
     jumps: list[JumpEvent] = []
     lam = mark_space.total_intensity
     if not mark_space.is_zero and lam > 0:
         rng_j = derive_rng(seed, "jumps")
-        probs = mark_space.weights / lam
+        cdf = np.cumsum(mark_space.weights / lam)
+        cdf /= cdf[-1]
         t = 0.0
         while True:
             t += rng_j.exponential(1.0 / lam)
             if t > T:
                 break
-            idx = int(rng_j.choice(mark_space.marks.size, p=probs))
+            idx = int(cdf.searchsorted(rng_j.random(), side="right"))
             jumps.append(JumpEvent(time=t, mark_index=idx))
     return tuple(jumps)
 
@@ -183,17 +188,25 @@ def sample_jumps(T: float, mark_space: MarkSpace, seed: int) -> tuple[JumpEvent,
 def wiener_chunks(seeds, m: int, n_steps: int, dt: float, chunk: int) -> Iterator[np.ndarray]:
     """Wiener increments of several paths, ``chunk`` steps at a time.
 
-    Yields arrays of shape (steps, len(seeds), m) covering ``n_steps`` steps.
-    Column p continues the ``"wiener"`` stream of ``seeds[p]``, so stacking
-    the chunks reproduces ``sample_noise(m, ..., seeds[p]).wiener`` bit for
-    bit while holding only ``chunk`` rows of it at a time.
+    Yields fresh C-contiguous arrays of shape (steps, len(seeds), m) covering
+    ``n_steps`` steps.  Column p continues the ``"wiener"`` stream of
+    ``seeds[p]``, so stacking the chunks reproduces ``sample_noise(m, ...,
+    seeds[p]).wiener`` bit for bit while holding only ``chunk`` rows of it at
+    a time.  Each distinct seed draws its standard normals straight into its
+    slice of one buffer, which is scaled by √dt into the chunk; a repeated
+    seed draws once and fills each of its columns.
     """
-    rngs = {s: derive_rng(s, "wiener") for s in dict.fromkeys(seeds)}  # a repeated seed draws once
+    distinct = {s: i for i, s in enumerate(dict.fromkeys(seeds))}
+    rngs = [derive_rng(s, "wiener") for s in distinct]
+    columns = [distinct[s] for s in seeds]
     scale = np.sqrt(dt)
+    buffer = np.empty((len(rngs), min(chunk, n_steps), m))
     for k0 in range(0, n_steps, chunk):
         rows = min(chunk, n_steps - k0)
-        draws = {s: r.normal(0.0, scale, size=(rows, m)) for s, r in rngs.items()}
-        yield np.stack([draws[s] for s in seeds], axis=1)
+        draws = buffer[:, :rows]
+        for rng, out in zip(rngs, draws):
+            rng.standard_normal(out=out)
+        yield np.multiply(draws[columns].transpose(1, 0, 2), scale, order="C")
 
 
 def _event_sum(

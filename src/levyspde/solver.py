@@ -356,15 +356,18 @@ def _step_rows(x, t, dt, bundle, triple, dw, events, config, dead=frozenset()):
 
 
 def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray):
-    """(‖u‖_H, ‖u‖_V) of each row of ``states`` (..., m)."""
+    """(‖u‖_H, ‖u‖_V) of each row of ``states`` (..., m).  A norm that
+    overflows is inf, which truncates the record, so the overflow is not
+    also warned about."""
     shape, m = states.shape[:-1], states.shape[-1]
     flat = states.reshape(-1, m)
-    norm_h = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    if bundle.v_norm is None:
-        w = triple.v_weights[:m]
-        norm_v = np.sqrt(np.einsum("ij,ij->i", flat * w, flat))
-    else:
-        norm_v = np.asarray(bundle.v_norm(flat), dtype=float)
+    with np.errstate(over="ignore"):
+        norm_h = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        if bundle.v_norm is None:
+            w = triple.v_weights[:m]
+            norm_v = np.sqrt(np.einsum("ij,ij->i", flat * w, flat))
+        else:
+            norm_v = np.asarray(bundle.v_norm(flat), dtype=float)
     return norm_h.reshape(shape), norm_v.reshape(shape)
 
 

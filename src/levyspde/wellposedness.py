@@ -228,8 +228,10 @@ def weighted_stability_mc(
     curves = path_rows(pair_curves, seed, n_paths, 2, workers)  # each pair solves two rows
     lhs = curves.mean(axis=0)
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
-    # the bound of the starts the pairs solve: no mode above the level loosens it
-    bound = float(np.dot(x0[0] - x0[1], x0[0] - x0[1]))
+    # the bound of the starts the pairs solve: no mode above the level loosens
+    # it; it overflows only where a start's own norm does, truncating its pair
+    with np.errstate(over="ignore"):
+        bound = float(np.dot(x0[0] - x0[1], x0[0] - x0[1]))
     eps = 10.0 * config.dt
     margins = bound * (1.0 + eps) - lhs
     worst = int(np.argmin(margins))

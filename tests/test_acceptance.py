@@ -139,10 +139,10 @@ def test_criterion_04_energy_uniformity_in_level():
     ratios = {2.0: [], 4.0: []}
     cis = {2.0: [], 4.0: []}
     x0_h = float(np.linalg.norm(spec.default_x0))
-    for m in levels:
-        cfg = SolverConfig(dt=dt, T=T, level=m)
-        for st in energy_table(spec.bundle, spec.triple, spec.default_x0, [2.0, 4.0],
-                               cfg, n_paths, seed=0, beta=2.0, workers=WORKERS):
+    configs = [SolverConfig(dt=dt, T=T, level=m) for m in levels]
+    for stats in energy_table(spec.bundle, spec.triple, spec.default_x0, [2.0, 4.0],
+                              configs, n_paths, seed=0, beta=2.0, workers=WORKERS):
+        for st in stats:
             ratios[st.p].append(st.ratio)
             cis[st.p].append(
                 (st.ci99["sup_h_p"] + st.ci99["int_v_beta_p2"]) / (1.0 + x0_h**st.p)

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -431,11 +432,16 @@ def test_check_detects_broken_model(tmp_path, capsys):
     "command",
     ["simulate", "energy", "residual", "modulus", "stability", "converge", "uniqueness", "depend"],
 )
-def test_non_finite_initial_norm_fails(tmp_path, command):
-    # ‖x0‖_H overflows to inf: every path is truncated and the study fails
+def test_non_finite_initial_norm_fails(tmp_path, capsys, command):
+    # ‖x0‖_H overflows to inf: every path is truncated and the study fails,
+    # and the overflow that defines the truncation warns about nothing
     study = {"n_paths": 4, "p_list": [2.0], "m_list": [2, 4], "delta_list": [0.02, 0.04]}
     path = _write_config(tmp_path, x0=[1e308, 1e308], study=study)
-    assert main([command, "--config", str(path)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
     if command == "simulate":
         body = (tmp_path / "out" / "path.csv").read_text()
         assert "inf" not in body and "nan" not in body

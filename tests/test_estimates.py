@@ -55,7 +55,7 @@ def test_zero_model_energy_is_exact(quiet_heat_spec):
     bundle = _zero_bundle(3)
     x0 = quiet_heat_spec.default_x0
     cfg = SolverConfig(dt=0.1, T=2.0, level=3)
-    stats = energy_table(bundle, triple, x0, [2.0], cfg, n_paths=4, seed=0)[0]
+    stats = energy_table(bundle, triple, x0, [2.0], [cfg], n_paths=4, seed=0)[0][0]
     pm = triple.project(x0, 3).coeffs
     h = float(np.linalg.norm(pm))
     v = quiet_heat_spec.bundle.v_norm_of(triple, pm)
@@ -67,8 +67,8 @@ def test_zero_model_energy_is_exact(quiet_heat_spec):
 def test_deterministic_heat_sup_is_initial_norm(quiet_heat_spec):
     spec = quiet_heat_spec
     cfg = SolverConfig(dt=1e-3, T=0.5, level=4)
-    stats = energy_table(spec.bundle, spec.triple, spec.default_x0, [2.0], cfg,
-                         n_paths=2, seed=0)[0]
+    stats = energy_table(spec.bundle, spec.triple, spec.default_x0, [2.0], [cfg],
+                         n_paths=2, seed=0)[0][0]
     pm = spec.triple.project(spec.default_x0, 4).coeffs
     assert stats.sup_h_p == pytest.approx(float(np.dot(pm, pm)), rel=1e-12)
 
@@ -77,38 +77,36 @@ def test_energy_requires_two_paths(heat_spec):
     cfg = SolverConfig(dt=0.1, T=1.0, level=2)
     with pytest.raises(ValueError):
         energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                     [2.0], cfg, n_paths=1, seed=0)
+                     [2.0], [cfg], n_paths=1, seed=0)
     with pytest.raises(ValueError):
         energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                     [1.5], cfg, n_paths=4, seed=0)
+                     [1.5], [cfg], n_paths=4, seed=0)
 
 
 def test_ratio_bounded_across_levels(heat_spec):
     # small-scale uniformity check; the full-size study is in acceptance
-    ratios = []
-    for m in (4, 8):
-        cfg = SolverConfig(dt=5e-3, T=0.5, level=m)
-        stats = energy_table(heat_spec.bundle, heat_spec.triple,
-                             heat_spec.default_x0, [2.0], cfg, n_paths=200, seed=0)[0]
-        ratios.append(stats.ratio)
+    configs = [SolverConfig(dt=5e-3, T=0.5, level=m) for m in (4, 8)]
+    tables = energy_table(heat_spec.bundle, heat_spec.triple,
+                          heat_spec.default_x0, [2.0], configs, n_paths=200, seed=0)
+    ratios = [stats.ratio for stats, in tables]
     assert max(ratios) / min(ratios) <= 2.0
 
 
 def test_estimates_consistent_under_doubling(heat_spec):
     cfg = SolverConfig(dt=5e-3, T=0.5, level=4)
     a = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                     [2.0], cfg, n_paths=150, seed=0)[0]
+                     [2.0], [cfg], n_paths=150, seed=0)[0][0]
     b = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                     [2.0], cfg, n_paths=300, seed=90001)[0]
+                     [2.0], [cfg], n_paths=300, seed=90001)[0][0]
     assert abs(a.sup_h_p - b.sup_h_p) <= a.ci99["sup_h_p"] + b.ci99["sup_h_p"]
 
 
 def test_ci_scales_inverse_sqrt_n(heat_spec):
     cfg = SolverConfig(dt=5e-3, T=0.5, level=4)
     small = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                         [2.0], cfg, n_paths=100, seed=1)[0]
+                         [2.0], [cfg], n_paths=100, seed=1)[0][0]
     large = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                         [2.0], cfg, n_paths=400, seed=1)[0]
+                         [2.0], [cfg], n_paths=400, seed=1)[0][0]
     ratio = small.ci99["sup_h_p"] / large.ci99["sup_h_p"]
     assert 1.4 <= ratio <= 2.9  # expected factor 2 up to sampling noise
 
@@ -122,16 +120,21 @@ def test_sup_dominates_endpoint_per_path(heat_spec):
 
 
 def test_energy_table_independent_of_workers_and_batches(heat_spec, monkeypatch):
-    cfg = SolverConfig(dt=0.01, T=0.5, level=4)
+    # two levels in one call: every batch solves its paths at both, and each
+    # level's table has the bits of its own one-level call
+    configs = [SolverConfig(dt=0.01, T=0.5, level=m) for m in (4, 8)]
 
-    def run(workers):
-        stats = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
-                             [2.0, 4.0], cfg, n_paths=30, seed=4, workers=workers)
-        return [dataclasses.asdict(st) for st in stats]
+    def run(workers, configs=configs):
+        tables = energy_table(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                              [2.0, 4.0], configs, n_paths=30, seed=4, workers=workers)
+        assert len(tables) == len(configs)
+        return [[dataclasses.asdict(st) for st in stats] for stats in tables]
 
     reference = run(1)
-    assert run(2) == reference
-    assert run(4) == reference
+    assert [st["m"] for stats in reference for st in stats] == [4, 4, 8, 8]
+    for workers in (1, 2, 4):
+        assert run(workers) == reference
+        assert [run(workers, [cfg])[0] for cfg in configs] == reference
     monkeypatch.setattr(parallel, "split_by_rows",
                         lambda seed, n_paths, rows, workers: [[s] for s in _seeds(seed, n_paths)])
     assert run(1) == reference

@@ -327,7 +327,7 @@ def test_bench_tracer_wraps_names_that_exist(monkeypatch):
     cfg = SolverConfig(dt=0.05, T=0.2, level=2)
     x0_b = spec.default_x0 + 0.1
     for module, study in (
-        (estimates, lambda: estimates.energy_table(*args, [2.0], cfg, 2, 0)),
+        (estimates, lambda: estimates.energy_table(*args, [2.0], [cfg], 2, 0)),
         (estimates, lambda: estimates.residual_totals(
             *args, [cfg, dataclasses.replace(cfg, dt=0.025)], 2, 0)),
         (estimates, lambda: estimates.modulus_study(*args, cfg, [0.05, 0.1], 2.0, 2, 0)),

@@ -218,12 +218,38 @@ def test_derive_rngs_count_is_checked_before_allocating():
 
 def test_chunked_draws_match_one_shot_realization():
     # ensemble solves draw each path's increments a chunk at a time from its
-    # own stream; stacked, they are sample_noise's one-shot draw bit for bit
-    seeds = [3, 17, 2**63 + 5]
-    chunks = list(wiener_chunks(seeds, 4, 150, 0.01, 64))
-    assert [c.shape for c in chunks] == [(64, 3, 4), (64, 3, 4), (22, 3, 4)]
-    stacked = np.concatenate(chunks)
-    for p, seed in enumerate(seeds):
-        real = sample_noise(4, 1.5, 0.01, TWO_MARKS, seed)
-        np.testing.assert_array_equal(stacked[:, p], real.wiener)
-        assert sample_jumps(1.5, TWO_MARKS, seed) == real.jumps
+    # own stream; stacked, they are sample_noise's one-shot draw bit for bit,
+    # a repeated seed fills each of its columns, and each chunk is C-contiguous
+    for seeds, chunk in (
+        ([3, 17, 2**63 + 5], 64),
+        ([3, 17, 3, 2**63 + 5, 17], 64),
+        ([3, 17, 3], 1),
+        ([5, 8], 150),
+        ([5, 8, 5], 1000),  # one chunk, wider than the horizon
+    ):
+        chunks = list(wiener_chunks(seeds, 4, 150, 0.01, chunk))
+        sizes = [min(chunk, 150 - k0) for k0 in range(0, 150, chunk)]
+        assert [c.shape for c in chunks] == [(n, len(seeds), 4) for n in sizes]
+        assert all(c.flags.c_contiguous for c in chunks)
+        stacked = np.concatenate(chunks)
+        for p, seed in enumerate(seeds):
+            real = sample_noise(4, 1.5, 0.01, TWO_MARKS, seed)
+            np.testing.assert_array_equal(stacked[:, p], real.wiener)
+            assert sample_jumps(1.5, TWO_MARKS, seed) == real.jumps
+
+
+@pytest.mark.parametrize("mark_space", [
+    TWO_MARKS,
+    UNIT_MARK,
+    MarkSpace(marks=np.linspace(-1.0, 1.0, 7), weights=np.array([0.1, 0.3, 1e-3, 5.0, 0.7, 0.7, 2.2])),
+])
+def test_jump_marks_are_the_draws_of_rng_choice(mark_space):
+    # the inverse-CDF draw of sample_jumps against numpy's weighted choice on
+    # the same stream: identical event tuples, seed by seed
+    lam = mark_space.total_intensity
+    for seed in range(120):
+        rng = derive_rng(seed, "jumps")
+        events, t = [], 0.0
+        while (t := t + rng.exponential(1.0 / lam)) <= 2.0:
+            events.append(JumpEvent(t, int(rng.choice(mark_space.marks.size, p=mark_space.weights / lam))))
+        assert sample_jumps(2.0, mark_space, seed) == tuple(events)

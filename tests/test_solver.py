@@ -257,12 +257,16 @@ def test_stopping_threshold_crossing_detected():
 
 
 def test_stopping_running_integral_crossing_oracle(heat_spec):
-    # independent left-Riemann accumulation locates the first grid crossing
+    # independent left-Riemann accumulation locates the first grid crossing;
+    # ‖x0‖_H² starts below N and the V-integral (β = 4) crosses it first
     cfg = SolverConfig(dt=0.05, T=1.0, level=4)
-    rec = solve_path(heat_spec.bundle, heat_spec.triple, 5.0 * heat_spec.default_x0, cfg, seed=4)
-    beta = 2.0
-    n_threshold = 0.5 * float(np.dot(rec.norm_v[:-1] ** beta, np.diff(rec.times)))
+    rec = solve_path(heat_spec.bundle, heat_spec.triple, 2.0 * heat_spec.default_x0, cfg, seed=4)
+    beta = 4.0
+    n_threshold = 0.9 * float(np.dot(rec.norm_v[:-1] ** beta, np.diff(rec.times)))
+    assert rec.norm_h[0] ** 2 < n_threshold
     out, tau = apply_stopping(rec, StoppingTimeRule(N=n_threshold), beta=beta)
+    # at the cut ‖Y‖_H² <= N, so the stop came from the integral
+    assert out.times.size > 2 and np.all(out.norm_h ** 2 <= n_threshold)
 
     cum, expected = 0.0, rec.times[-1]
     for k in range(rec.times.size):
