@@ -141,14 +141,13 @@ def _cmd_simulate(run: _Run):
 def _cmd_energy(run: _Run):
     exp, s = run.exp, run.study
     p_list, m_list, n_paths = s["p_list"], s["m_list"], s["n_paths"]
-    if not s["skip_audit"]:
-        # warn-only precondition: the estimate is still computed when the
-        # declared hypothesis constants fail their quick audit
-        quick = models.validate(exp.model, samples=64, seed=exp.master_seed)
-        if not quick.passed():
-            bad = [e.name for e in quick.entries if not e.passed]
-            print(f"levyspde energy: warning: model {exp.model.id!r} fails its hypothesis audit "
-                  f"({', '.join(bad)}); estimates may not be bounded", file=sys.stderr)
+    # warn-only precondition: the estimate is still computed when the
+    # declared hypothesis constants fail their quick audit
+    quick = models.validate(exp.model, samples=64, seed=exp.master_seed)
+    if not quick.passed():
+        bad = [e.name for e in quick.entries if not e.passed]
+        print(f"levyspde energy: warning: model {exp.model.id!r} fails its hypothesis audit "
+              f"({', '.join(bad)}); estimates may not be bounded", file=sys.stderr)
     rows = []
     ratios = {p: [] for p in p_list}
     truncated = []
@@ -192,9 +191,13 @@ def _cmd_residual(run: _Run):
     means = [abs(row.mean()) for row in totals]
     rows = [(cfg.dt, row.mean(), np.abs(row).mean(), n_paths, exp.master_seed)
             for cfg, row in zip(levels, totals)]
-    slope = float(np.polyfit(np.log2(dt_levels), np.log2(means), 1)[0])
+    # an exact balance has no log to fit: the slope is NaN and the level is named
+    exact = [f"{cfg.dt:g}" for cfg, mean in zip(levels, means) if mean == 0.0]
+    slope = float("nan") if exact else float(np.polyfit(np.log2(dt_levels), np.log2(means), 1)[0])
+    why = f"; mean total is 0 at dt {', '.join(exact)}" if exact else ""
     return run.write("residual", ("dt", "mean_total", "mean_abs_total", "n_paths", "seed"), rows,
-                     0.7 <= slope <= 1.3, f"summed-residual refinement slope {slope:.3f} (target [0.7, 1.3])",
+                     0.7 <= slope <= 1.3,
+                     f"summed-residual refinement slope {slope:.3f} (target [0.7, 1.3]){why}",
                      slope=slope, dt_levels=[cfg.dt for cfg in levels],
                      truncated_paths=[_truncated_rows(row) for row in totals])
 
@@ -410,8 +413,7 @@ COMMANDS = {
         Field("p_list", list, [2.0], "each at least 2; in part II at most p_max", _moment_orders),
         Field("m_list", list, lambda exp: [exp.solver.level], "distinct whole levels in [1, dimension_cap]",
               _levels, "[solver.level]"),
-        _paths(200, least=2),
-        Field("skip_audit", bool, False, "true skips the warn-only quick audit"))),
+        _paths(200, least=2))),
     "residual": Subcommand(_cmd_residual, "Eq. (3.19) squared-norm balance", (
         Field("dt_levels", list, [4e-3, 2e-3, 1e-3], "two distinct steps, each dividing T",
               lambda exp, dts: [replace(exp.solver, dt=dt).dt for dt in _distinct()(exp, dts)]),

@@ -768,13 +768,18 @@ def audit_coercivity_growth(bundle, constants, triple, part, samples, seed,
 # ---------------------------------------------------------------------------
 
 
+#: the continuity audit compares its sequences at k = 0 and at this k
+CONTINUITY_DEPTH = 10
+
+
 def audit_sequential_continuity(bundle, constants, triple, samples, seed,
-                                level: int | None = None, depth: int = 10) -> list:
+                                level: int | None = None) -> list:
     """Check B and the jump integrand along u_k = u + 2^{-k} d, d random.
 
     Genuine sequential continuity over all H-convergent sequences is not
     numerically decidable; this audits the constructed test sequences only
-    and passes when the distance at depth k has collapsed relative to k=0.
+    and passes when the distance at k = ``CONTINUITY_DEPTH`` has collapsed
+    relative to k = 0.
     """
     level = _audit_level(triple, level)
     n_seq = max(1, samples // 16)
@@ -786,8 +791,9 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
     row_times = _row_times(constants, n_seq)
 
     def sequence(t, u, d):
-        # the limit u, then the sequence at k = 0 and k = depth, (3, ..., m), with their times
-        seq = np.stack([u] + [u + 2.0**-k * d for k in (0, depth)])
+        # the limit u, then the sequence at k = 0 and k = CONTINUITY_DEPTH, (3, ..., m),
+        # with their times
+        seq = np.stack([u] + [u + 2.0**-k * d for k in (0, CONTINUITY_DEPTH)])
         return _stacked_time(t, seq), seq
 
     def b_dists(b, t, u, d):
@@ -870,15 +876,15 @@ class PRangeResult:
     empty: bool
     rows: list
 
-    def row_at(self, p: float) -> dict:
-        return min(self.rows, key=lambda r: abs(r["p"] - p))
+
+#: the part-II scan runs over p = 2, 2 + P_STEP, ... up to P_CAP
+P_CAP = 64.0
+P_STEP = 1.0 / 64.0
 
 
 def admissible_p_range(
     constants: HypothesisConstants,
     c_tilde: Callable[[float], float] | None = None,
-    p_cap: float = 64.0,
-    p_step: float = 1.0 / 64.0,
 ) -> PRangeResult:
     """Scan the admissible moment orders p of the part-II regime.
 
@@ -900,7 +906,7 @@ def admissible_p_range(
 
     rows = []
     p_max = -np.inf
-    grid = np.arange(2.0, p_cap + 1e-12, p_step)
+    grid = np.arange(2.0, P_CAP + 1e-12, P_STEP)
     for p in grid:
         p = float(p)
         c1 = c1_of(p)

@@ -13,7 +13,6 @@ Confidence intervals are normal-approximation 99% half-widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .spaces import GelfandTriple, dot_rows, sum_squares
 __all__ = [
     "EnergyStats",
     "energy_table",
-    "ResidualSeries",
     "discrete_energy_residuals",
     "residual_totals",
     "ModulusResult",
@@ -151,31 +149,6 @@ def _energy_stats(rows: np.ndarray, p_list, config: SolverConfig, n_paths: int, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ResidualSeries:
-    """Per-step and per-jump residuals of the squared-norm balance.
-
-    Per jump entry the balance is the polarization identity
-    ‖y+γ‖² − ‖y‖² = 2(γ, y) + ‖γ‖² with γ the applied jump; evaluated in
-    exact rational arithmetic it vanishes identically, so any nonzero value
-    flags a corrupted record.  Per step the residual collects the drift,
-    Wiener-compensator and jump-compensator mismatches and is O(dt).
-    """
-
-    per_step: np.ndarray
-    per_jump: np.ndarray
-    total: float
-
-
-def _jump_identity_residual(pre: np.ndarray, post: np.ndarray) -> float:
-    acc = Fraction(0)
-    for a, b in zip(pre, post):
-        fa, fb = Fraction(float(a)), Fraction(float(b))
-        g = fb - fa
-        acc += fb * fb - fa * fa - 2 * g * fa - g * g
-    return float(acc)
-
-
 def _ito_terms(bundle: CoefficientBundle, t: np.ndarray, x: np.ndarray, dw: np.ndarray,
                dt: float, config: SolverConfig):
     """The Itô terms of one step's squared-norm balance for each row of x (R, m).
@@ -228,14 +201,16 @@ def discrete_energy_residuals(
     bundle: CoefficientBundle,
     realizations,
     config: SolverConfig,
-) -> list[ResidualSeries]:
-    """Replay the squared-H-norm balance along recorded paths, one series each.
+) -> np.ndarray:
+    """Replay the squared-H-norm balance along recorded paths: a C-ordered
+    (paths, steps) array whose row p holds path p's per-step residuals.
 
     Each step compares Δ‖Y‖² against 2⟨A, Y⟩ dt + ‖B‖_{L2}² dt + 2(B ΔW, Y)
     plus the jump quadratic-variation and compensated-martingale terms; the
     drift pairing is evaluated at the same point the scheme of ``config``,
     the one the records were solved with, used (implicit endpoint or tamed
     start, and both halved substeps where the solver's retry took them).
+    The residual is O(dt) per step.
     The records must share one step grid (``solver._shared_step_grid``), and
     each realization must cover it (``NoiseRealization.check_covers``), as
     in ``solve_paths``.  Time is a batch axis: a chunk of C steps stacks the
@@ -245,7 +220,7 @@ def discrete_energy_residuals(
     for the compensator.  A chunk holds at most ``AUDIT_BATCH_ROWS`` rows
     (128 steps of one path, 2 steps of a 64-path batch, one step of a wider
     one).  Pairings go through ``dot_rows`` and Hilbert-Schmidt sums through
-    ``sum_squares``, so a path's series has the bits of its replay alone,
+    ``sum_squares``, so a path's row has the bits of its replay alone,
     step by step at scalar times.  Recorded jumps are checked one by one,
     before the chunks: each must reproduce bit-exactly from ``bundle.jump``.
     Marks and compensator weights come from ``bundle.mark_space``, the
@@ -258,13 +233,14 @@ def discrete_energy_residuals(
     if len(records) != len(realizations):
         raise ValueError("need one realization per record")
     if not records:
-        return []
+        return np.empty((0, 0))
     first = records[0]
     m, dt, T = first.level, first.dt, first.T
     n_steps = grid_steps(T, dt)
     grid_t = _shared_step_grid(records)
+    n_paths = len(records)
     grid_states = []
-    jumps_at: dict[int, list] = {}  # step -> (path, pre, post, event), in time order per path
+    jump_terms = np.zeros((n_steps, n_paths))
     for p, (record, realization) in enumerate(zip(records, realizations)):
         realization.check_covers(m, dt, T)
         if record.seed is not None and realization.seed != record.seed:
@@ -283,26 +259,18 @@ def discrete_energy_residuals(
         if len(evs) != record.n_jump_entries or not np.array_equal(rows, np.flatnonzero(record.is_grid)):
             raise ValueError("record jump entries do not match the realization")
         grid_states.append(states[rows])
-        # the path's jump i, in step k, has its pre row at k + 1 + 2i
+        # the path's jump i, in step k, has its pre row at k + 1 + 2i; bit-exact
+        # replay: each recorded jump must reproduce from the bundle
         for i, (k, ev) in enumerate(zip(ks.tolist(), evs)):
-            jumps_at.setdefault(k, []).append((p, states[k + 1 + 2 * i], states[k + 2 + 2 * i], ev))
-
-    n_paths = len(records)
-    wiener = [real.wiener[:n_steps, :m] for real in realizations]
-
-    jump_terms = np.zeros((n_steps, n_paths))
-    per_jump = [[] for _ in range(n_paths)]
-    for k in sorted(jumps_at):
-        for p, pre, post, ev in jumps_at[k]:
-            # bit-exact replay: the recorded jump must reproduce from the bundle
-            z = float(mark_space.marks[ev.mark_index])
-            g_check = np.asarray(bundle.jump(ev.time, pre, z), dtype=float)
+            pre, post = states[k + 1 + 2 * i], states[k + 2 + 2 * i]
+            g_check = np.asarray(bundle.jump(ev.time, pre, float(mark_space.marks[ev.mark_index])),
+                                 dtype=float)
             if not np.array_equal(pre + g_check, post):
                 raise ValueError(f"jump at t={ev.time} does not replay bit-exactly")
             g = post - pre
             jump_terms[k, p] += float(np.dot(g, g)) + 2.0 * float(np.dot(g, pre))
-            per_jump[p].append(_jump_identity_residual(pre, post))
 
+    wiener = [real.wiener[:n_steps, :m] for real in realizations]
     # chunk rows are k * P + p; at most AUDIT_BATCH_ROWS of them (one step
     # when the batch is wider) keep the temporaries small, and stacking per
     # chunk never holds the whole record twice
@@ -318,13 +286,7 @@ def discrete_energy_residuals(
         delta_sq = dot_rows(x_next, x_next) - dot_rows(x, x)
         per_step[k0:k1] = (delta_sq - (drift_term + wiener_terms + jump_terms[k0:k1].reshape(-1)
                                        - comp_term)).reshape(k1 - k0, n_paths)
-    per_step = per_step.T.copy()
-
-    out = []
-    for steps, pj in zip(per_step, per_jump):
-        pj = np.asarray(pj) if pj else np.zeros(0)
-        out.append(ResidualSeries(per_step=steps, per_jump=pj, total=float(steps.sum() + pj.sum())))
-    return out
+    return per_step.T.copy()
 
 
 def residual_totals(
@@ -354,7 +316,7 @@ def residual_totals(
             whole = [p for p, rec in enumerate(records) if rec.truncated_at is None]
             series = discrete_energy_residuals([records[p] for p in whole], bundle,
                                                [noise[p] for p in whole], config)
-            totals[whole, j] = [s.total for s in series]
+            totals[whole, j] = series.sum(axis=1)
             del noise, records, series
         return totals
 

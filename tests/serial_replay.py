@@ -3,15 +3,15 @@ state per coefficient call.
 
 This is the replay as it was before ``estimates.discrete_energy_residuals``
 evaluated each step of a whole batch in one coefficient call.
-``test_estimates`` runs it next to the batched replay and requires the same
-per-step and per-jump residuals and totals, bit for bit.
+``test_estimates`` runs it next to the batched replay and requires each
+path's per-step residuals, the batched replay's row for that path, bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from levyspde.estimates import ResidualSeries, _jump_identity_residual
 from levyspde.noise import step_index
 from levyspde.solver import SolverConfig, _newton_rows
 
@@ -26,8 +26,9 @@ def _implicit_update(bundle, x, t, dt, config):
     return y[0]
 
 
-def discrete_energy_residual(record, bundle, realization, config=None) -> ResidualSeries:
-    """Replay the squared-H-norm balance along one recorded path, step by step."""
+def discrete_energy_residual(record, bundle, realization, config=None) -> np.ndarray:
+    """Replay the squared-H-norm balance along one recorded path, step by step:
+    its (steps,) per-step residuals."""
     mark_space = bundle.mark_space
     if config is None:
         config = SolverConfig(dt=record.dt, T=record.T, level=record.level)
@@ -53,7 +54,6 @@ def discrete_energy_residual(record, bundle, realization, config=None) -> Residu
 
     dt = record.dt
     per_step = []
-    per_jump = []
     idx = 0
     j_ptr = 0
     for k, n_jumps in enumerate(jumps_per_step.tolist()):
@@ -84,7 +84,6 @@ def discrete_energy_residual(record, bundle, realization, config=None) -> Residu
                 raise ValueError(f"jump at t={ev.time} does not replay bit-exactly")
             g = post - pre
             jump_terms += float(np.dot(g, g)) + 2.0 * float(np.dot(g, pre))
-            per_jump.append(_jump_identity_residual(pre, post))
         j_ptr += n_jumps
         if not mark_space.is_zero:
             for z, lam in zip(mark_space.marks, mark_space.weights):
@@ -96,10 +95,4 @@ def discrete_energy_residual(record, bundle, realization, config=None) -> Residu
         per_step.append(delta_sq - (drift_term + wiener_terms + jump_terms - comp_term))
         idx = end_idx
 
-    per_step = np.asarray(per_step)
-    per_jump = np.asarray(per_jump) if per_jump else np.zeros(0)
-    return ResidualSeries(
-        per_step=per_step,
-        per_jump=per_jump,
-        total=float(per_step.sum() + per_jump.sum()),
-    )
+    return np.asarray(per_step)

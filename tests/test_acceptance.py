@@ -177,23 +177,24 @@ def test_criterion_05_discrete_energy_residual():
         for i in range(n_paths):
             real = sample_noise(1, T, dt, MarkSpace.zero(), seed=7000 + i)
             rec = solve_paths(bundle, triple, np.array([1.0]), cfg, [7000 + i], noise=[real])[0]
-            totals[i] = discrete_energy_residuals([rec], bundle, [real], cfg)[0].total
+            totals[i] = discrete_energy_residuals([rec], bundle, [real], cfg)[0].sum()
         means.append(abs(totals.mean()))
     slope = float(np.polyfit(np.log2(dts), np.log2(means), 1)[0])
 
-    # pure-jump algebraic residuals are exactly zero
+    # a pure-jump record replays each of its jumps bit-exactly (the replay
+    # raises otherwise)
     marks = MarkSpace(marks=np.array([1.0]), weights=np.array([2.0]))
     jtriple, jbundle, _ = make_pure_jump(np.array([0.5, -0.25]), marks=marks)
     cfg = SolverConfig(dt=0.05, T=2.0, level=2)
     real = sample_noise(2, 2.0, 0.05, marks, seed=5)
     rec = solve_paths(jbundle, jtriple, np.array([1.0, 0.0]), cfg, [5], noise=[real])[0]
-    series = discrete_energy_residuals([rec], jbundle, [real], cfg)[0]
-    jump_exact = series.per_jump.size > 0 and np.all(series.per_jump == 0.0)
+    discrete_energy_residuals([rec], jbundle, [real], cfg)
+    jumps_replayed = rec.n_jump_entries > 0
 
-    ok = 0.7 <= slope <= 1.3 and jump_exact
+    ok = 0.7 <= slope <= 1.3 and jumps_replayed
     _report(5, "squared-norm balance replay", ok,
             f"refinement slope {slope:.3f} in [0.7,1.3]; "
-            f"{series.per_jump.size} jump residuals all exactly 0: {jump_exact}")
+            f"{rec.n_jump_entries} recorded jumps replayed bit-exactly: {jumps_replayed}")
 
 
 # -- criterion 6 -------------------------------------------------------------

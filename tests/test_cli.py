@@ -520,7 +520,7 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
         ("simulate", {"stopping_N": 0}, "study.stopping_N"),
         ("prange", {"c_tilde_base": [4.0]}, "study.c_tilde_base"),
         ("uniqueness", {"n_paths": 4, "stress": "false"}, "study.stress"),
-        ("energy", {"n_paths": 4, "skip_audit": "false"}, "study.skip_audit"),
+        ("energy", {"n_paths": 4, "skip_audit": True}, "study.skip_audit"),
         ("isometry", {"n_paths": 100, "integrands": 5}, "study.integrands"),
         ("isometry", {"n_paths": 100, "integrands": "constant"}, "study.integrands"),
         ("stability", {"n_paths": 4, "x0_b": "abc"}, "study.x0_b"),
@@ -563,7 +563,7 @@ def test_seed_override_outside_64_bits_rejected(tmp_path, capsys, seed):
          "modulus-one-path", "converge-one-path", "depend-text-p", "energy-text-p_list",
          "energy-scalar-m_list", "converge-text-level", "modulus-text-beta_exp",
          "simulate-text-stopping_N", "simulate-zero-stopping_N", "prange-list-c_tilde_base",
-         "uniqueness-text-stress", "energy-text-skip_audit", "isometry-scalar-integrands",
+         "uniqueness-text-stress", "energy-removed-skip_audit", "isometry-scalar-integrands",
          "isometry-text-integrands", "stability-text-x0_b", "stability-inf-x0_b",
          "stability-huge-int-x0_b", "stability-nested-x0_b", "stability-empty-x0_b",
          "energy-fractional-m_list", "converge-fractional-m_list", "depend-huge-int-p",
@@ -581,9 +581,10 @@ def test_degenerate_study_input_names_its_field(tmp_path, capsys, command, study
     # 2, an audit without samples, a study without paths, a CI99 of one
     # path, a field that is not a number, a list of numbers, a boolean or a
     # list of names, a stopping threshold, modulus exponent or imported
-    # constant base out of range, and a misspelled key that no subcommand
-    # reads; a case whose dict holds "study" overrides the top-level fields,
-    # so a misspelled key of the top level, the solver or the model fails too
+    # constant base out of range, and a misspelled or removed key that no
+    # subcommand reads; a case whose dict holds "study" overrides the top-level
+    # fields, so a misspelled key of the top level, the solver or the model
+    # fails too
     path = _write_config(tmp_path, **(study if "study" in study else {"study": study}))
     assert main([command, "--config", str(path)]) == 1
     assert field in capsys.readouterr().err
@@ -658,6 +659,33 @@ def test_residual_sidecar_counts_truncated_paths(tmp_path, capsys):
     assert "truncated" not in capsys.readouterr().out
     meta = json.loads((tmp_path / "out" / "residual_meta.json").read_text())
     assert meta["truncated_paths"] == [0, 0]
+
+
+def test_residual_exact_balance_fails_and_names_its_levels(tmp_path, capsys):
+    # no drift and no noise: every step balances exactly, so a mean total is
+    # 0, no slope can be fitted to its log, and the study fails without a
+    # numpy warning on stderr
+    model = {
+        "name": "still",
+        "regime": "part1",
+        "triple": {"dimension_cap": 4},
+        "drift": {"type": "diagonal", "scale": 0.0},
+        "diffusion": {"type": "zero"},
+        "jump": {"type": "zero"},
+        "constants": {"beta": 2.0, "L_A": 1.0, "C_growth": 1.0},
+    }
+    path = _write_config(tmp_path, model=model, solver={"dt": 0.02, "T": 0.2, "level": 4},
+                         study={"n_paths": 4, "dt_levels": [0.02, 0.01]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["residual", "--config", str(path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.rstrip().endswith("slope nan (target [0.7, 1.3]); mean total is 0 at dt 0.02, 0.01")
+    meta = json.loads((tmp_path / "out" / "residual_meta.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert meta["pass"] is False and meta["slope"] is None
 
 
 def test_residual_replays_a_step_the_solver_retried_with_halved_drift(tmp_path, capsys):
@@ -820,7 +848,7 @@ def test_study_keys_are_declared_per_subcommand(tmp_path, capsys):
     path = _write_config(tmp_path, solver={"dt": 0.01, "T": 0.4, "level": 3}, study={"n_paths": 4})
     x0 = builtin("heat").default_x0.tolist()
     for command, inputs in (
-        ("energy", {"p_list": [2.0], "m_list": [3], "n_paths": 4, "skip_audit": False}),
+        ("energy", {"p_list": [2.0], "m_list": [3], "n_paths": 4}),
         ("modulus", {"delta_list": [0.04, 0.08, 0.16, 0.32], "n_paths": 4,
                      "beta_exp": builtin("heat").constants.beta}),
         ("stability", {"n_paths": 4, "x0_b": [x0[0] + 0.1, *x0[1:]]}),

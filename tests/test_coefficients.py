@@ -644,7 +644,8 @@ def test_prange_empty_interval_flagged():
 def test_moment_side_condition_reported():
     constants = HypothesisConstants(beta=2.0, L_A=1.0, L_B=0.01, L_gamma=1e-9)
     result = admissible_p_range(constants)
-    row = result.row_at(2.0)
+    row = result.rows[0]
+    assert row["p"] == 2.0
     # L_gamma^{p/2} < L_A^{p/2} / ((1 + sqrt(3) C2) C2^2 C~_p) at p = 2
     side = (1.0 + math.sqrt(3.0)) * 1.0 * 16.0
     assert row["moment_ok"] == (1e-9 < 1.0 / side)

@@ -154,9 +154,9 @@ def test_residual_identically_zero_for_zero_model():
     cfg = SolverConfig(dt=0.1, T=1.0, level=2)
     real = sample_noise(2, 1.0, 0.1, MarkSpace.zero(), seed=0)
     rec = solve_paths(bundle, triple, np.array([1.0, -1.0]), cfg, [0], noise=[real])[0]
-    series = discrete_energy_residuals([rec], bundle, [real], cfg)[0]
-    assert np.all(series.per_step == 0.0)
-    assert series.total == 0.0
+    series = discrete_energy_residuals([rec], bundle, [real], cfg)
+    assert series.shape == (1, 10)
+    assert np.all(series == 0.0)
 
 
 def test_residual_pure_jump_identity_exact():
@@ -167,11 +167,11 @@ def test_residual_pure_jump_identity_exact():
     real = sample_noise(2, 2.0, 0.05, marks, seed=8)
     assert len(real.jumps) > 0
     rec = solve_paths(bundle, triple, np.array([1.0, 1.0]), cfg, [8], noise=[real])[0]
+    assert rec.n_jump_entries == len(real.jumps)
+    # the replay raises unless every recorded jump reproduces bit-exactly
+    # from the bundle; the compensator cross terms leave an O(dt) per-step trace
     series = discrete_energy_residuals([rec], bundle, [real], cfg)[0]
-    assert series.per_jump.size == len(real.jumps)
-    assert np.all(series.per_jump == 0.0)
-    # the compensator cross terms leave an O(dt) per-step trace
-    assert np.abs(series.per_step).max() <= 10.0 * cfg.dt
+    assert np.abs(series).max() <= 10.0 * cfg.dt
 
 
 def test_residual_scalar_wiener_dyadic_slope():
@@ -187,8 +187,7 @@ def test_residual_scalar_wiener_dyadic_slope():
         for i in range(n_paths):
             real = sample_noise(1, T, dt, MarkSpace.zero(), seed=1000 + i)
             rec = solve_paths(bundle, triple, np.array([1.0]), cfg, [1000 + i], noise=[real])[0]
-            series = discrete_energy_residuals([rec], bundle, [real], cfg)[0]
-            totals[i] = series.total
+            totals[i] = discrete_energy_residuals([rec], bundle, [real], cfg)[0].sum()
         means.append(abs(totals.mean()))
     slope = np.polyfit(np.log2(dts), np.log2(means), 1)[0]
     assert 0.7 <= slope <= 1.3, f"residual slope {slope}"
@@ -224,14 +223,13 @@ def _replay_batch(spec, cfg, n_paths, seed, noise=None):
     return records, noise
 
 
-def _assert_matches_serial(spec, cfg, records, noise):
-    batched = discrete_energy_residuals(records, spec.bundle, noise, cfg)
-    assert len(batched) == len(records)
-    for rec, real, got in zip(records, noise, batched):
-        want = serial_replay.discrete_energy_residual(rec, spec.bundle, real, cfg)
-        np.testing.assert_array_equal(got.per_step, want.per_step)
-        np.testing.assert_array_equal(got.per_jump, want.per_jump)
-        assert got.total == want.total
+def _assert_matches_serial(bundle, cfg, records, noise):
+    """The batched replay, checked row by row against the serial replay."""
+    batched = discrete_energy_residuals(records, bundle, noise, cfg)
+    want = np.array([serial_replay.discrete_energy_residual(rec, bundle, real, cfg)
+                     for rec, real in zip(records, noise)])
+    np.testing.assert_array_equal(batched, want, strict=True)
+    assert batched.flags.c_contiguous
     return batched
 
 
@@ -247,10 +245,10 @@ def test_batched_replay_matches_serial_replay(model, scheme, n_paths):
     spec = builtin(model)
     cfg = SolverConfig(dt=0.01, T=0.3, level=6, scheme=scheme)
     records, noise = _replay_batch(spec, cfg, n_paths, seed=5)
-    batched = _assert_matches_serial(spec, cfg, records, noise)
-    assert sum(s.per_jump.size for s in batched) > 0
-    one = discrete_energy_residuals([records[-1]], spec.bundle, [noise[-1]], cfg)[0]
-    np.testing.assert_array_equal(one.per_step, batched[-1].per_step)
+    batched = _assert_matches_serial(spec.bundle, cfg, records, noise)
+    assert sum(rec.n_jump_entries for rec in records) > 0
+    one = discrete_energy_residuals([records[-1]], spec.bundle, [noise[-1]], cfg)
+    np.testing.assert_array_equal(one, batched[-1:])
 
 
 def _with_jumps(real, times, mark_index=0):
@@ -267,9 +265,7 @@ def test_batched_replay_paths_with_different_jump_counts_in_one_step(heat_spec):
              _with_jumps(base[1], [0.034], mark_index=1), _with_jumps(base[2], [])]
     records, noise = _replay_batch(heat_spec, cfg, 3, 3, noise=noise)
     assert [rec.n_jump_entries for rec in records] == [3, 1, 0]
-    batched = _assert_matches_serial(heat_spec, cfg, records, noise)
-    assert [s.per_jump.size for s in batched] == [3, 1, 0]
-    assert all(np.all(s.per_jump == 0.0) for s in batched)
+    _assert_matches_serial(heat_spec.bundle, cfg, records, noise)
 
 
 def test_batched_replay_rejects_a_corrupted_jump_in_a_later_path(heat_spec):
@@ -297,7 +293,7 @@ def test_batched_replay_rejects_a_wrong_seed_and_mixed_grids(heat_spec):
     with pytest.raises(ValueError, match="share one step grid"):
         discrete_energy_residuals(records[:1] + fine_records, heat_spec.bundle,
                                   noise[:1] + fine_noise, cfg)
-    assert discrete_energy_residuals([], heat_spec.bundle, [], cfg) == []
+    assert discrete_energy_residuals([], heat_spec.bundle, [], cfg).shape == (0, 0)
 
 
 def test_replay_rejects_a_realization_shorter_than_its_record(heat_spec):
@@ -333,13 +329,8 @@ def test_stacked_replay_of_a_time_dependent_bundle_matches_serial_replay(variant
     seeds = _seeds(21, n_paths)
     noise = [sample_noise(3, T, dt, bundle.mark_space, s) for s in seeds]
     records = solve_paths(bundle, triple, np.array([1.0, -0.5, 0.25]), cfg, seeds, noise=noise)
-    batched = discrete_energy_residuals(records, bundle, noise, cfg)
-    for rec, real, got in zip(records, noise, batched):
-        want = serial_replay.discrete_energy_residual(rec, bundle, real, cfg)
-        np.testing.assert_array_equal(got.per_step, want.per_step)
-        np.testing.assert_array_equal(got.per_jump, want.per_jump)
-        assert got.total == want.total
-    assert sum(s.per_jump.size for s in batched) > 0
+    _assert_matches_serial(bundle, cfg, records, noise)
+    assert sum(rec.n_jump_entries for rec in records) > 0
 
 
 def _recording(bundle):
@@ -365,7 +356,7 @@ def test_replay_calls_stay_within_the_row_cap(heat_spec, n_paths):
     records, noise = _replay_batch(heat_spec, cfg, n_paths, seed=2)
     bundle, calls = _recording(heat_spec.bundle)
     series = discrete_energy_residuals(records, bundle, noise, cfg)
-    assert [s.per_step.size for s in series] == [500] * n_paths
+    assert series.shape == (n_paths, 500)
     assert max(rows for _, rows in calls) <= AUDIT_BATCH_ROWS
     diffusion = [rows for name, rows in calls if name == "diffusion"]
     assert len(diffusion) == -(-500 * n_paths // AUDIT_BATCH_ROWS)
@@ -384,7 +375,7 @@ def test_replay_runs_the_solvers_halved_drift_retry():
     records = solve_paths(spec.bundle, spec.triple, x0, cfg, seeds, noise=noise)
     assert all(rec.truncated_at is None for rec in records)
     series = discrete_energy_residuals(records, spec.bundle, noise, cfg)
-    assert all(np.all(np.isfinite(s.per_step)) for s in series)
+    assert np.all(np.isfinite(series))
 
     # step 0 of path 0 by hand: the two substep pairings, each weighted dt/2
     bundle, dt = spec.bundle, cfg.dt
@@ -402,7 +393,22 @@ def test_replay_runs_the_solvers_halved_drift_retry():
                     for z, lam in zip(bundle.mark_space.marks, bundle.mark_space.weights))
     assert records[0].times[1] == t[1]  # no jump in step 0
     want = float(np.dot(x_next, x_next) - np.dot(x, x)) - (drift + wiener - comp)
-    assert series[0].per_step[0] == pytest.approx(want, rel=1e-12)
+    assert series[0, 0] == pytest.approx(want, rel=1e-12)
+
+
+def test_residual_totals_are_the_replays_row_sums(heat_spec):
+    # a study's total per path is its replayed row summed, as the serial
+    # replay's own per-step residuals sum, bit for bit
+    configs = [SolverConfig(dt=0.02, T=0.3, level=4), SolverConfig(dt=0.01, T=0.3, level=4)]
+    totals = estimates.residual_totals(heat_spec.bundle, heat_spec.triple, heat_spec.default_x0,
+                                       configs, 8, 5)
+    assert totals.shape == (2, 8)
+    for cfg, row in zip(configs, totals):
+        records, noise = _replay_batch(heat_spec, cfg, 8, 5)
+        assert sum(rec.n_jump_entries for rec in records) > 0
+        series = _assert_matches_serial(heat_spec.bundle, cfg, records, noise)
+        np.testing.assert_array_equal(row, series.sum(axis=1), strict=True)
+        np.testing.assert_array_equal(row, [steps.sum() for steps in series])
 
 
 # ---------------------------------------------------------------------------
