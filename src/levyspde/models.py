@@ -10,6 +10,15 @@ H1 norm exactly.  Nonlinear drifts evaluate pointwise on the grid and
 project back; the transforms are plain matrix products (n = 64 keeps this
 cheap and exactly invertible on the represented modes).
 
+A grid drift's Jacobian is its diagonal linear part plus a contraction
+``Σ_i w_i(v) T_i`` of pointwise weights w(v), v = ``to_grid(u)``, with a
+fixed (n, m, m) table of the grid: the Gram table φ_i φ_iᵀ of the basis
+rows (allen_cahn, the polynomial reaction, the p-Laplacian's reaction),
+the Gram table of their forward differences (the p-Laplacian's flux, whose
+contraction it adds to its reaction's), and Burgers' skew convection
+table.  ``SpectralGrid.contract`` builds each table once per level, at its
+first call, and caches it.
+
 Builtin ids: ``heat``, ``p_laplacian``, ``allen_cahn``, ``burgers1d``,
 ``grad_noise_linear``.  2-D incompressible-flow models are an extension
 point, deliberately not shipped.
@@ -78,9 +87,10 @@ class SpectralGrid:
         # them, which gives np.roll's values without its per-call slicing
         self._next = (np.arange(n) + 1) % n
         self._prev = (np.arange(n) - 1) % n
-        # the grid operators applied to each basis column, for the Jacobians
+        # the grid operators applied to each basis column, for the Jacobian tables
         self.dphi = self.d_centered(phi, axis=0)
         self.gphi = self.grad(phi, axis=0)
+        self._tables = {}  # (name, level) -> contiguous (n, m * m) table
 
     # Transforms act on the last axis, so leading axes hold a batch.  The
     # stacked product ``phi @ u[..., None]`` gives every row the same bits
@@ -103,6 +113,40 @@ class SpectralGrid:
     def d_centered(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
         return (np.take(values, self._next, axis=axis)
                 - np.take(values, self._prev, axis=axis)) / (2.0 * self.h)
+
+    # The Jacobian tables: T[i] is the (m, m) matrix that grid point i's
+    # weight multiplies.  The stacked product ``w[..., None, :] @ table``
+    # runs one vector-matrix product per row, so each row keeps the bits of
+    # its 1-D contraction in any batch, as in ``to_grid``.
+
+    def contract(self, weights: np.ndarray, table: str, m: int) -> np.ndarray:
+        """Σ_i weights[..., i] T[i] of the named table at level m: (..., m, m).
+
+        ``table`` is ``"gram"`` (φ_i φ_iᵀ), ``"grad_gram"`` (∇φ_i ∇φ_iᵀ) or
+        ``"convection"`` (the derivative of Burgers' skew convection
+        coefficients along grid value i).
+        """
+        flat = self._tables.get((table, m))
+        if flat is None:
+            flat = self._tables[(table, m)] = np.ascontiguousarray(
+                getattr(self, "_" + table)(m).reshape(self.n, m * m))
+        return (weights[..., None, :] @ flat).reshape(weights.shape[:-1] + (m, m))
+
+    def _gram(self, m: int) -> np.ndarray:
+        phi = self.phi[:, :m]
+        return phi[:, :, None] * phi[:, None, :]
+
+    def _grad_gram(self, m: int) -> np.ndarray:
+        gphi = self.gphi[:, :m]
+        return gphi[:, :, None] * gphi[:, None, :]
+
+    def _convection(self, m: int) -> np.ndarray:
+        # the coefficients h Φᵀ (v Dv + D(v²)) / 3 are bilinear in v; the
+        # adjoint h Σ a Db = -h Σ Da b moves D off v in two of the terms
+        phi, dphi = self.phi[:, :m], self.dphi[:, :m]
+        return self.h / 3.0 * (phi[:, :, None] * dphi[:, None, :]
+                               - self.d_centered(phi[:, :, None] * phi[:, None, :], axis=0)
+                               - 2.0 * dphi[:, :, None] * phi[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -143,6 +187,14 @@ def _diag(v: np.ndarray) -> np.ndarray:
     i = np.arange(v.shape[-1])
     out[..., i, i] = v
     return out
+
+
+def _plus_diagonal(jac: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """``jac`` (..., m, m) with ``diagonal`` (m,) added to each matrix's
+    diagonal, in place: ``np.diag(diagonal) + jac`` would copy the batch."""
+    i = np.arange(diagonal.size)
+    jac[..., i, i] += diagonal
+    return jac
 
 
 def _zero_functional(u) -> np.ndarray:
@@ -292,7 +344,6 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
     triple = _grid_triple("allen_cahn", grid)
     mu = grid.mu
     h = grid.h
-    linear_jac = np.diag(1.0 - mu)
 
     def drift(t, u):
         m = u.shape[-1]
@@ -303,10 +354,11 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
         return (1.0 - mu[:m]) * u - cubic
 
     def drift_jacobian(t, u):
+        # no name holds the grid values, so a batch keeps at most two
+        # (..., n) or (..., m, m) arrays alive at a time
         m = u.shape[-1]
-        vals = grid.to_grid(u)
-        phi = grid.phi[:, :m]
-        return linear_jac[:m, :m] - 3.0 * h * (phi.T * (vals**2)[..., None, :]) @ phi
+        jac = grid.contract(-3.0 * h * grid.to_grid(u) ** 2, "gram", m)
+        return _plus_diagonal(jac, 1.0 - mu[:m])
 
     def sup_norm_sq(u):
         return libm_pow(np.max(np.abs(grid.to_grid(u)), axis=-1), 2.0)
@@ -344,9 +396,7 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
     grid = SpectralGrid(n, cap)
     triple = _grid_triple("burgers1d", grid)
     mu = grid.mu
-    h = grid.h
     w = triple.v_weights
-    viscous_jac = -nu * np.diag(mu)
 
     def convection(vals):
         # skew form of u u_x: exactly energy free on the periodic grid
@@ -360,14 +410,7 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
 
     def drift_jacobian(t, u):
         m = u.shape[-1]
-        vals = grid.to_grid(u)
-        col = vals[..., :, None]
-        phi = grid.phi[:, :m]
-        # d/du of the skew form applied to phi columns
-        jac_grid = (col * grid.dphi[:, :m] + grid.d_centered(vals)[..., :, None] * phi) / 3.0
-        jac_grid += 2.0 * grid.d_centered(col * phi, axis=-2) / 3.0
-        conv_jac = h * phi.T @ jac_grid
-        return viscous_jac[:m, :m] - conv_jac
+        return _plus_diagonal(grid.contract(-grid.to_grid(u), "convection", m), -nu * mu[:m])
 
     k_mono = 8.0 * (1.0 + 1.0 / nu)
 
@@ -418,15 +461,13 @@ def _p_laplacian(n: int = 64, cap: int = 33, p: float = 4.0, c_wiener: float = 0
         return grid.to_coeffs(a_grid, m)
 
     def drift_jacobian(t, u):
+        # h Φᵀ div_back(s ∇Φ) = -h (∇Φ)ᵀ s ∇Φ: both parts are Gram contractions
         m = u.shape[-1]
         vals = grid.to_grid(u)
-        g = grid.grad(vals)
-        phi = grid.phi[:, :m]
-        flux_slope = (p - 1.0) * np.abs(g) ** (p - 2.0)
-        div_part = grid.div_back(flux_slope[..., :, None] * grid.gphi[:, :m], axis=-2)
+        flux_slope = (p - 1.0) * np.abs(grid.grad(vals)) ** (p - 2.0)
         react_slope = (p - 1.0) * np.abs(vals) ** (p - 2.0)
-        jac_grid = div_part - react_slope[..., :, None] * phi
-        return h * phi.T @ jac_grid
+        return (grid.contract(-h * flux_slope, "grad_gram", m)
+                + grid.contract(-h * react_slope, "gram", m))
 
     def v_norm(u):
         vals = grid.to_grid(u)
@@ -582,7 +623,6 @@ def from_config(cfg: dict) -> ModelSpec:
         poly = reaction[::-1]  # highest power first, as np.polyval takes it
         dpoly = np.polyder(np.poly1d(poly))
         implicit_solve = None
-        linear_jac = -np.diag(spectrum)
 
         def drift(t, u):
             m = u.shape[-1]
@@ -590,9 +630,8 @@ def from_config(cfg: dict) -> ModelSpec:
 
         def drift_jacobian(t, u):
             m = u.shape[-1]
-            vals = grid.to_grid(u)
-            phi = grid.phi[:, :m]
-            return linear_jac[:m, :m] + grid.h * (phi.T * dpoly(vals)[..., None, :]) @ phi
+            jac = grid.contract(grid.h * dpoly(grid.to_grid(u)), "gram", m)
+            return _plus_diagonal(jac, -spectrum[:m])
 
     mcfg = known(read(cfg, "marks", "model", dict, {}), "model.marks", "points", "weights")
     points = read(mcfg, "points", "model.marks", np.ndarray, None)

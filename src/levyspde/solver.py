@@ -218,39 +218,49 @@ def _newton_rows(bundle: CoefficientBundle, x: np.ndarray, t_next, dt: float,
     y = x.copy()
     f = residual(y, slice(None))
     nf = np.sqrt(dot_rows(f, f))
-    live = np.arange(x.shape[0])
+    n_rows = x.shape[0]
+    live = np.arange(n_rows)
     failed = {}
     eye = np.eye(m)
     for it in range(config.newton_max_iter):
         live = live[~(nf[live] < tol[live])]
         if live.size == 0:
             break
-        t_live = t_next[live] if per_row else t_next
+        # a slice while every row iterates, so no row is gathered
+        at = slice(None) if live.size == n_rows else live
+        t_live = t_next[at] if per_row else t_next
         if bundle.drift_jacobian is not None:
-            ja = np.asarray(bundle.drift_jacobian(t_live, y[live]), dtype=float)
+            ja = np.asarray(bundle.drift_jacobian(t_live, y[at]), dtype=float)
         else:
-            ja = _fd_jacobian(bundle, y[live], t_live)
-        delta = _solve_rows(eye - dt * ja, -f[live])
+            ja = _fd_jacobian(bundle, y[at], t_live)
+        delta = _solve_rows(eye - dt * ja, -f[at])
         # every row still searching has had its step halved the same number
         # of times, so one step length s serves them all
         s = 1.0
         search = np.arange(live.size)  # positions in ``live`` still searching
+        rows, step = at, delta
         for _ in range(30):
-            rows = live[search]
-            y_trial = y[rows] + s * delta[search]
+            y_trial = y[rows] + step if s == 1.0 else y[rows] + s * step  # 1.0 * step is step
             f_trial = residual(y_trial, rows)
             nf_trial = np.sqrt(dot_rows(f_trial, f_trial))
             ok = np.isfinite(nf_trial) & (nf_trial < nf[rows])
-            y[rows[ok]], f[rows[ok]], nf[rows[ok]] = y_trial[ok], f_trial[ok], nf_trial[ok]
-            search = search[~ok]
-            if search.size == 0:
+            if ok.all():
+                # every searching row accepts: take the step without masks
+                if isinstance(rows, slice):
+                    y, f, nf = y_trial, f_trial, nf_trial
+                else:
+                    y[rows], f[rows], nf[rows] = y_trial, f_trial, nf_trial
+                search = search[:0]
                 break
+            accepted = live[search[ok]]
+            y[accepted], f[accepted], nf[accepted] = y_trial[ok], f_trial[ok], nf_trial[ok]
+            search = search[~ok]
+            rows, step = live[search], delta[search]
             s *= 0.5
-        stuck = np.zeros(live.size, dtype=bool)
-        stuck[search] = True
-        for r in live[stuck].tolist():
-            failed[r] = failure(r, it + 1)
-        live = live[~stuck]
+        if search.size:
+            for r in live[search].tolist():
+                failed[r] = failure(r, it + 1)
+            live = np.delete(live, search)
     for r in live[~(nf[live] < tol[live])].tolist():
         failed[r] = failure(r, config.newton_max_iter)
     return y, failed
@@ -307,11 +317,12 @@ def _drift_rows(bundle, triple, x, t, dt, config, dead=frozenset()):
     if config.scheme == "drift_implicit" and bundle.drift_implicit_solve is not None:
         return np.asarray(bundle.drift_implicit_solve(t + dt, x, dt), dtype=float), {}, {}
     y = x.copy()
-    rows = np.array([p for p in range(x.shape[0]) if p not in dead], dtype=int)
+    rows = np.delete(np.arange(x.shape[0]), list(dead))
     if rows.size == 0:
         return y, {}, {}
     per_row = _per_row(t)
-    y[rows], stalled = _drift_update(bundle, triple, x[rows], t[rows] if per_row else t, dt, config)
+    at = rows if dead else slice(None)  # a slice while no row is dead: nothing gathered
+    y[at], stalled = _drift_update(bundle, triple, x[at], t[at] if per_row else t, dt, config)
     if not stalled:
         return y, {}, {}
     retry = rows[list(stalled)]

@@ -16,6 +16,8 @@ from levyspde.noise import MarkSpace
 from levyspde.solver import SolverConfig, solve_path
 from levyspde.spaces import GalerkinState
 
+import serial_jacobians
+
 
 def test_unknown_id_rejected():
     with pytest.raises(ValueError):
@@ -292,6 +294,73 @@ def test_fast_path_hooks_match_reference_forms(model_id):
                 a = np.asarray(bundle.drift(0.3, y[p]))
                 np.testing.assert_allclose(y[p] - dt * a, u[p], atol=1e-12, rtol=1e-12)
                 np.testing.assert_array_equal(y[p], bundle.drift_implicit_solve(0.3, u[p], dt))
+    # 96-row and 2-D batches keep each Jacobian row's bits too, at the
+    # smallest levels, an odd one and the grid models' cap
+    for m in (1, 2, 3, 9, 33):
+        if m <= spec.triple.dimension_cap:
+            u = rng.standard_normal((96, m)) * rng.choice([0.1, 1.0, 10.0], size=(96, 1))
+            for batch in (u, u[:12].reshape(3, 4, m)):
+                _assert_rows_are_single_calls(lambda x: bundle.drift_jacobian(0.3, x), batch, (m, m))
+
+
+#: a quartic reaction on the builtins' grid, so that its levels reach 33
+REACTION_CAP33 = {"name": "reaction_cap33", "triple": {"dimension_cap": 33, "grid_size": 64},
+                  "reaction": [0.5, 1.0, -0.3, -1.0, 0.2], "constants": {"beta": 2.0}}
+#: the grid models whose Jacobian is a table contraction: a builder, the
+#: reference broadcast form, and whether the Jacobian is a Gram form
+GRID_JACOBIANS = {
+    "allen_cahn": (lambda: builtin("allen_cahn"),
+                   lambda spec, u: serial_jacobians.allen_cahn(spec.grid, u), True),
+    "burgers1d": (lambda: builtin("burgers1d"),
+                  lambda spec, u: serial_jacobians.burgers1d(spec.grid, u, nu=0.1), False),
+    "p_laplacian": (lambda: builtin("p_laplacian"),
+                    lambda spec, u: serial_jacobians.p_laplacian(spec.grid, u, p=4.0), True),
+    "reaction": (lambda: from_config(REACTION_CAP33),
+                 lambda spec, u: serial_jacobians.reaction(
+                     spec.grid, spec.triple.v_weights, REACTION_CAP33["reaction"], u), True),
+}
+
+
+@pytest.mark.parametrize("model_id", GRID_JACOBIANS)
+def test_grid_jacobians_are_derivatives(model_id):
+    # the contraction is the drift's derivative (central differences), it
+    # equals the broadcast form to rounding, and a Gram form is symmetric
+    make, reference, gram = GRID_JACOBIANS[model_id]
+    spec = make()
+    drift = spec.bundle.drift
+    rng = np.random.default_rng(31)
+    for m in (1, 5, 8, 17, spec.triple.dimension_cap):
+        u = rng.standard_normal((4, m)) * np.array([[0.1], [0.5], [1.0], [3.0]])
+        jac = spec.bundle.drift_jacobian(0.3, u)
+        want = reference(spec, u)
+        assert np.max(np.abs(jac - want)) <= 1e-13 * np.max(np.abs(want))
+        if gram:
+            np.testing.assert_array_equal(jac, np.swapaxes(jac, -1, -2))
+        for row, jac_row in zip(u, jac):
+            step = 1e-6 * (1.0 + np.max(np.abs(row)))
+            moved = row + step * np.eye(m)[:, None, :] * np.array([1.0, -1.0])[:, None]
+            plus, minus = np.moveaxis(drift(0.3, moved), 1, 0)
+            central = ((plus - minus) / (2.0 * step)).T  # column j: the move along e_j
+            scale = np.max(np.abs(jac_row))
+            np.testing.assert_allclose(jac_row, central, rtol=1e-6, atol=1e-6 * scale)
+
+
+def test_allen_cahn_jacobian_holds_no_batch_temporary():
+    # a 96-row Jacobian at level 8 needs its (96, n) weights and its
+    # (96, m, m) result, 48 KiB each; the broadcast form's (96, m, n)
+    # product alone took 384 KiB
+    import tracemalloc
+
+    spec = builtin("allen_cahn")
+    u = np.random.default_rng(3).standard_normal((96, 8))
+    spec.bundle.drift_jacobian(0.3, u)  # the level's table is built once, here
+    tracemalloc.start()
+    try:
+        spec.bundle.drift_jacobian(0.3, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 1024
 
 
 def test_bench_tracer_wraps_names_that_exist(monkeypatch):

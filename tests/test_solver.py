@@ -508,11 +508,16 @@ def _oracle_newton(bundle, x, t_next, dt, config):
 def _newton_case(name):
     """(bundle, rows (R, m), dt, config) of one oracle case."""
     rng = np.random.default_rng(17)
-    if name in ("allen_cahn", "burgers1d"):
-        spec = builtin(name)
+    # full_steps: every row takes every full Newton step; split: a row halves
+    # its step while the others accept theirs
+    scales = {"allen_cahn": [0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+              "burgers1d": [0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+              "full_steps": [0.1, 0.3, 0.5, 1.0, 2.0], "split": [0.2, 1.0, 3.0, 6.0]}
+    if name in scales:
+        spec = builtin("burgers1d" if name == "split" else "allen_cahn" if name == "full_steps" else name)
         m = 8
-        scale = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])[:, None]
-        return spec.bundle, scale * rng.normal(size=(7, m)), 0.05, SolverConfig(dt=0.05, T=1.0, level=m)
+        scale = np.array(scales[name])[:, None]
+        return spec.bundle, scale * rng.normal(size=(scale.size, m)), 0.05, SolverConfig(dt=0.05, T=1.0, level=m)
     if name == "fd_jacobian":
         bundle = CoefficientBundle(
             drift=lambda t, u: -(u**3) + u[..., ::-1] - np.sin(t * u),
@@ -537,10 +542,44 @@ def _newton_case(name):
     return _stalling_bundle(), rows, 0.01, SolverConfig(dt=0.01, T=1.0, level=1, newton_max_iter=20)
 
 
-@pytest.mark.parametrize("name", ["allen_cahn", "burgers1d", "fd_jacobian", "singular", "stalling"])
+def _logged(bundle, log):
+    """``bundle`` whose drift and Jacobian calls append ("f" or "J", rows) to ``log``."""
+    jacobian = bundle.drift_jacobian
+    return dataclasses.replace(
+        bundle,
+        drift=lambda t, u: log.append(("f", len(u))) or bundle.drift(t, u),
+        drift_jacobian=None if jacobian is None else (
+            lambda t, u: log.append(("J", len(u))) or jacobian(t, u)),
+    )
+
+
+def _line_searches(log):
+    """The row counts of the drift calls that follow each Jacobian call of a
+    ``_logged`` Newton solve: one list per line search."""
+    searches = []
+    for kind, rows in log:
+        if kind == "J":
+            searches.append([])
+        elif searches:
+            searches[-1].append(rows)
+    return searches
+
+
+@pytest.mark.parametrize("name", ["allen_cahn", "burgers1d", "fd_jacobian", "singular", "stalling",
+                                  "full_steps", "split"])
 def test_batch_newton_matches_one_state_oracle(name):
     bundle, rows, dt, cfg = _newton_case(name)
-    y, failed = _newton_rows(bundle, rows, 0.3 + dt, dt, cfg)
+    log = []
+    y, failed = _newton_rows(_logged(bundle, log), rows, 0.3 + dt, dt, cfg)
+    searches = _line_searches(log)
+    if name == "full_steps":
+        # the whole batch iterates, and every search accepts its full step
+        assert searches[0] == [len(rows)]
+        assert all(len(calls) == 1 for calls in searches)
+    if name == "split":
+        # a search halves the step of some of its rows and accepts the rest
+        assert any(0 < calls[1] < calls[0] for calls in searches if len(calls) > 1)
+        assert not failed
     want_failed = {}
     for r, x in enumerate(rows):
         try:
