@@ -132,10 +132,12 @@ def _cmd_simulate(run: _Run):
     cols = ["time", "is_jump_post", *(f"coeff_{j + 1}" for j in range(record.level)), "norm_H", "norm_V"]
     rows = [[record.times[k], bool(record.is_jump_post[k]), *record.states[k],
              record.norm_h[k], record.norm_v[k]] for k in range(record.times.size)]
-    stopped = f", stopped at {tau:g}" if tau is not None and tau < exp.solver.T else ""
+    ends = f", stopped at {tau:g}" if tau is not None and tau < exp.solver.T else ""
+    if record.truncated_at is not None:
+        ends += f", truncated at {record.truncated_at:g}"
     return run.write("path", cols, rows, record.truncated_at is None,
-                     f"{record.times.size} entries, {record.n_jump_entries} jumps{stopped}",
-                     jump_entries=record.n_jump_entries, stopped_at=tau)
+                     f"{record.times.size} entries, {record.n_jump_entries} jumps{ends}",
+                     jump_entries=record.n_jump_entries, stopped_at=tau, truncated_at=record.truncated_at)
 
 
 def _cmd_energy(run: _Run):

@@ -19,7 +19,8 @@ import numpy as np
 from .coefficients import AUDIT_BATCH_ROWS, CoefficientBundle
 from .noise import ci99, grid_steps, sample_noise, step_index
 from .parallel import path_rows
-from .solver import PathRecord, SolverConfig, _drift_rows, _shared_step_grid, _truncated_rows, solve_paths
+from .solver import (PathRecord, SolverConfig, _drift_rows, _record_rows, _shared_step_grid, _truncated_rows,
+                     solve_paths)
 from .spaces import GelfandTriple, dot_rows, sum_squares
 
 __all__ = [
@@ -253,16 +254,13 @@ def discrete_energy_residuals(
             raise ValueError(f"record states must be finite with shape ({times.size}, {m})")
         evs = [ev for ev in realization.jumps if ev.time <= T]
         ks = step_index([ev.time for ev in evs], T, dt).astype(int)
-        # grid row k follows the (pre, post) rows of the jumps of earlier steps
-        counts = np.bincount(ks, minlength=n_steps)
-        rows = np.arange(n_steps + 1) + 2 * np.concatenate(([0], np.cumsum(counts)))
+        rows, at_pre = _record_rows(ks, n_steps + 1)
         if len(evs) != record.n_jump_entries or not np.array_equal(rows, np.flatnonzero(record.is_grid)):
             raise ValueError("record jump entries do not match the realization")
         grid_states.append(states[rows])
-        # the path's jump i, in step k, has its pre row at k + 1 + 2i; bit-exact
-        # replay: each recorded jump must reproduce from the bundle
-        for i, (k, ev) in enumerate(zip(ks.tolist(), evs)):
-            pre, post = states[k + 1 + 2 * i], states[k + 2 + 2 * i]
+        # bit-exact replay: each recorded jump must reproduce from the bundle
+        for k, row, ev in zip(ks.tolist(), at_pre.tolist(), evs):
+            pre, post = states[row], states[row + 1]
             g_check = np.asarray(bundle.jump(ev.time, pre, float(mark_space.marks[ev.mark_index])),
                                  dtype=float)
             if not np.array_equal(pre + g_check, post):

@@ -19,6 +19,11 @@ contraction it adds to its reaction's), and Burgers' skew convection
 table.  ``SpectralGrid.contract`` builds each table once per level, at its
 first call, and caches it.
 
+The diagonal models ``heat`` (part I) and ``grad_noise_linear`` (part II)
+are plain config records that ``from_config`` reads, as it reads a custom
+model: one builder serves both, so a config that declares the same
+coefficients steps exactly like the builtin.
+
 Builtin ids: ``heat``, ``p_laplacian``, ``allen_cahn``, ``burgers1d``,
 ``grad_noise_linear``.  2-D incompressible-flow models are an extension
 point, deliberately not shipped.
@@ -197,10 +202,6 @@ def _plus_diagonal(jac: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _zero_functional(u) -> np.ndarray:
-    return np.zeros(np.shape(u)[:-1])
-
-
 def _diagonal_drift(spectrum: np.ndarray):
     """A(u) = -spectrum u: (drift, drift_jacobian, drift_implicit_solve)."""
 
@@ -216,15 +217,16 @@ def _diagonal_drift(spectrum: np.ndarray):
     return drift, drift_jacobian, implicit_solve
 
 
-def _multiplicative_noise(sqrt_w: np.ndarray | None, c: float = 0.0, sigma: float = 0.0,
+def _multiplicative_noise(sqrt_w: np.ndarray | None, c: float | None = None, sigma: float = 0.0,
                           marks: MarkSpace | None = None) -> dict:
     """Bundle fields of B(u) = c diag(s u) and γ(u, z) = σ z s u for a mode scale s.
 
     ``sqrt_w`` is None for the H family (s = 1) and √w for the V family,
-    whose noise grows with the V-norm (part II).  Returns ``diffusion`` and
-    ``diffusion_matvec``, plus ``jump`` and ``jump_weighted_sum`` when
-    ``marks`` is given.  In the H family every factor of s is the float 1,
-    so c u and σ z u keep their bits and their scalar speed.
+    whose noise grows with the V-norm (part II).  Each family comes whole
+    with its closed form: ``diffusion`` and ``diffusion_matvec`` when ``c``
+    is given, ``jump`` and ``jump_weighted_sum`` when ``marks`` is given.
+    In the H family every factor of s is the float 1, so c u and σ z u keep
+    their bits and their scalar speed.
     """
 
     def times_s(factor: float):
@@ -234,15 +236,18 @@ def _multiplicative_noise(sqrt_w: np.ndarray | None, c: float = 0.0, sigma: floa
         scaled = factor * sqrt_w
         return lambda m: scaled[:m]
 
-    s, c_s = times_s(1.0), times_s(c)
+    s = times_s(1.0)
+    fields = {}
+    if c is not None:
+        c_s = times_s(c)
 
-    def diffusion(t, u):
-        return c * _diag(s(u.shape[-1]) * u)
+        def diffusion(t, u):
+            return c * _diag(s(u.shape[-1]) * u)
 
-    def diffusion_matvec(t, u, dw):
-        return c_s(u.shape[-1]) * u * dw
+        def diffusion_matvec(t, u, dw):
+            return c_s(u.shape[-1]) * u * dw
 
-    fields = {"diffusion": diffusion, "diffusion_matvec": diffusion_matvec}
+        fields.update(diffusion=diffusion, diffusion_matvec=diffusion_matvec)
     if marks is None:
         return fields
     density_s = times_s(sigma * float(np.sum(marks.weights * marks.marks)))
@@ -264,64 +269,41 @@ def _zero_jump(t, u, z):
     return np.zeros(u.shape)
 
 
-def _diagonal_bundle(triple: GelfandTriple, marks: MarkSpace, noise: dict) -> CoefficientBundle:
-    """A(u) = -w u on the triple's weights with the given noise fields, and
-    zero monotonicity functionals."""
-    drift, drift_jacobian, implicit_solve = _diagonal_drift(triple.v_weights)
-    return CoefficientBundle(
-        drift=drift,
-        mark_space=marks,
-        rho=_zero_functional,
-        eta=_zero_functional,
-        local_bound=lambda t, r: 0.0,
-        drift_jacobian=drift_jacobian,
-        drift_implicit_solve=implicit_solve,
-        **noise,
-    )
+def _jump_moments(sigma: float, marks: MarkSpace) -> dict:
+    """h_p integrals {2: σ² m₂, 4: σ⁴ m₄} of γ = σ z u, the H-family jump."""
+    return {2.0: sigma**2 * marks.moment(2.0), 4.0: sigma**4 * marks.moment(4.0)}
+
+
+def _marks_record(marks: MarkSpace) -> dict:
+    """``marks`` as a config ``marks`` record; the zero measure is the empty one."""
+    return {} if marks.is_zero else {"points": marks.marks.tolist(), "weights": marks.weights.tolist()}
 
 
 def _heat(cap: int = 48, c_wiener: float = 0.25, sigma_jump: float = 0.2,
           marks: MarkSpace = _DEFAULT_MARKS) -> ModelSpec:
-    triple = triple_from_config({"dimension_cap": cap, "name": "heat"})
-    bundle = _diagonal_bundle(triple, marks, _multiplicative_noise(None, c_wiener, sigma_jump, marks))
-    m2 = marks.moment(2.0)
-    constants = HypothesisConstants(
-        beta=2.0,
-        f_integral=0.0,
-        g_integral=c_wiener**2,
-        h_p_integrals={
-            2.0: sigma_jump**2 * m2,
-            4.0: sigma_jump**4 * marks.moment(4.0),
-        },
-        C_monotone=1.0,
-        C_growth=1.0,
-        zeta=0.0,
-        alpha=0.0,
-        L_A=1.0,
-    )
-    x0 = 1.0 / np.arange(1, cap + 1, dtype=float)
-    return ModelSpec(id="heat", triple=triple, bundle=bundle, constants=constants,
-                     regime="part1", default_x0=x0)
+    return from_config({
+        "name": "heat",
+        "triple": {"dimension_cap": cap},
+        "marks": _marks_record(marks),
+        "diffusion": {"type": "multiplicative_h", "c": c_wiener},
+        "jump": {"type": "multiplicative_mark", "sigma": sigma_jump},
+        "constants": {"g_integral": c_wiener**2, "h_p_integrals": _jump_moments(sigma_jump, marks),
+                      "C_monotone": 1.0, "C_growth": 1.0, "L_A": 1.0},
+    })
 
 
 def _grad_noise_linear(cap: int = 32, c_b: float = 0.1, c_gamma: float = 0.05,
                        marks: MarkSpace = _DEFAULT_MARKS) -> ModelSpec:
-    triple = triple_from_config({"dimension_cap": cap, "name": "grad_noise_linear"})
-    noise = _multiplicative_noise(np.sqrt(triple.v_weights), c_b, c_gamma, marks)
-    bundle = _diagonal_bundle(triple, marks, noise)
-    m2 = marks.moment(2.0)
-    constants = HypothesisConstants(
-        beta=2.0,
-        C_monotone=1.0,
-        C_growth=1.0,
-        L_A=1.0,
-        L_B=c_b**2,
-        L_gamma=c_gamma**2 * m2,
-        h_p_integrals={2.0: 0.0},
-    )
-    x0 = 1.0 / np.arange(1, cap + 1, dtype=float)
-    return ModelSpec(id="grad_noise_linear", triple=triple, bundle=bundle,
-                     constants=constants, regime="part2", default_x0=x0)
+    return from_config({
+        "name": "grad_noise_linear",
+        "triple": {"dimension_cap": cap},
+        "marks": _marks_record(marks),
+        "diffusion": {"type": "multiplicative_v", "c": c_b},
+        "jump": {"type": "multiplicative_v_mark", "sigma": c_gamma},
+        "constants": {"C_monotone": 1.0, "C_growth": 1.0, "L_A": 1.0, "L_B": c_b**2,
+                      "L_gamma": c_gamma**2 * marks.moment(2.0), "h_p_integrals": {2.0: 0.0}},
+        "regime": "part2",
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +345,6 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
     def sup_norm_sq(u):
         return libm_pow(np.max(np.abs(grid.to_grid(u)), axis=-1), 2.0)
 
-    m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
         drift=drift,
         mark_space=marks,
@@ -375,12 +356,9 @@ def _allen_cahn(n: int = 64, cap: int = 33, c_wiener: float = 0.2, sigma_jump: f
     )
     constants = HypothesisConstants(
         beta=2.0,
-        f_integral=2.0 + c_wiener**2 + sigma_jump**2 * m2,
+        f_integral=2.0 + c_wiener**2 + sigma_jump**2 * marks.moment(2.0),
         g_integral=c_wiener**2,
-        h_p_integrals={
-            2.0: sigma_jump**2 * m2,
-            4.0: sigma_jump**4 * marks.moment(4.0),
-        },
+        h_p_integrals=_jump_moments(sigma_jump, marks),
         C_monotone=12.0,
         C_growth=12.0,
         zeta=0.0,
@@ -418,7 +396,6 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
         vn = np.sqrt(dot_rows(w[: u.shape[-1]] * u, u))
         return k_mono * (1.0 + libm_pow(vn, 4.0 / 3.0))
 
-    m2 = marks.moment(2.0)
     bundle = CoefficientBundle(
         drift=drift,
         mark_space=marks,
@@ -430,12 +407,9 @@ def _burgers1d(n: int = 64, cap: int = 33, nu: float = 0.1, c_wiener: float = 0.
     )
     constants = HypothesisConstants(
         beta=2.0,
-        f_integral=2.0 * nu + c_wiener**2 + sigma_jump**2 * m2,
+        f_integral=2.0 * nu + c_wiener**2 + sigma_jump**2 * marks.moment(2.0),
         g_integral=c_wiener**2,
-        h_p_integrals={
-            2.0: sigma_jump**2 * m2,
-            4.0: sigma_jump**4 * marks.moment(4.0),
-        },
+        h_p_integrals=_jump_moments(sigma_jump, marks),
         C_monotone=4.0 * k_mono,
         C_growth=16.0 * (1.0 + nu**2),
         zeta=0.0,
@@ -479,8 +453,8 @@ def _p_laplacian(n: int = 64, cap: int = 33, p: float = 4.0, c_wiener: float = 0
         drift=drift,
         jump=_zero_jump,
         mark_space=marks,
-        rho=_zero_functional,
-        eta=_zero_functional,
+        rho=_const_functional(0.0),
+        eta=_const_functional(0.0),
         local_bound=lambda t, r: 0.0,
         v_norm=v_norm,
         drift_jacobian=drift_jacobian,
@@ -576,7 +550,11 @@ def from_config(cfg: dict) -> ModelSpec:
     evaluated on an attached grid.  Diffusion types: ``zero``,
     ``multiplicative_h`` (c u per mode), ``multiplicative_v`` (c sqrt(w) u).
     Jump types: ``zero``, ``multiplicative_mark`` (sigma z u),
-    ``multiplicative_v_mark`` (sigma z sqrt(w) u).
+    ``multiplicative_v_mark`` (sigma z sqrt(w) u).  Each multiplicative
+    family brings its closed form, ``diffusion_matvec`` or
+    ``jump_weighted_sum``, as the grid builtins do.  The builtins ``heat``
+    and ``grad_noise_linear`` are records read here, so a record that
+    declares their coefficients builds the same model.
 
     A value of the wrong kind raises ``ConfigError``, a ``ValueError`` that
     names its field under ``model.``, such as ``model.triple.dimension_cap``;
@@ -643,28 +621,27 @@ def from_config(cfg: dict) -> ModelSpec:
 
     # the H family scales every mode by 1 (None), the V family by sqrt(w_j)
     sqrt_w = np.sqrt(triple.v_weights)
+    noise = {"diffusion": _zero_diffusion, "jump": _zero_jump}
     bcfg = read(cfg, "diffusion", "model", dict, {"type": "zero"})
     btype = read(bcfg, "type", "model.diffusion", str)
     if btype == "zero":
-        diffusion = _zero_diffusion
         known(bcfg, "model.diffusion", "type")
     elif btype in ("multiplicative_h", "multiplicative_v"):
         scale = sqrt_w if btype == "multiplicative_v" else None
         known(bcfg, "model.diffusion", "type", "c")
-        diffusion = _multiplicative_noise(scale, c=read(bcfg, "c", "model.diffusion", float))["diffusion"]
+        noise.update(_multiplicative_noise(scale, c=read(bcfg, "c", "model.diffusion", float)))
     else:
         raise ConfigError("model.diffusion.type", f"unknown diffusion type {btype!r}")
 
     jcfg = read(cfg, "jump", "model", dict, {"type": "zero"})
     jtype = read(jcfg, "type", "model.jump", str)
     if jtype == "zero":
-        jump = _zero_jump
         known(jcfg, "model.jump", "type")
     elif jtype in ("multiplicative_mark", "multiplicative_v_mark"):
         scale = sqrt_w if jtype == "multiplicative_v_mark" else None
         known(jcfg, "model.jump", "type", "sigma")
         sigma = read(jcfg, "sigma", "model.jump", float)
-        jump = _multiplicative_noise(scale, sigma=sigma, marks=marks)["jump"]
+        noise.update(_multiplicative_noise(scale, sigma=sigma, marks=marks))
     else:
         raise ConfigError("model.jump.type", f"unknown jump type {jtype!r}")
 
@@ -672,14 +649,13 @@ def from_config(cfg: dict) -> ModelSpec:
     local_bound = read(cfg, "local_bound_const", "model", float, 0.0)
     bundle = CoefficientBundle(
         drift=drift,
-        diffusion=diffusion,
-        jump=jump,
         mark_space=marks,
         rho=_const_functional(read(cfg, "rho_const", "model", float, 0.0)),
         eta=_const_functional(read(cfg, "eta_const", "model", float, 0.0)),
         local_bound=lambda t, r: local_bound,
         drift_jacobian=drift_jacobian,
         drift_implicit_solve=implicit_solve,
+        **noise,
     )
     return _built(
         "model.regime",

@@ -444,6 +444,14 @@ def _solve(bundle, triple, x0, config, seeds, chunks, jumps, keep_states, on_gri
     ]
 
 
+def _record_rows(ks: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """A record's layout: the indices of its ``rows`` grid rows and of its
+    jumps' pre rows, for jumps in the (sorted) steps ``ks``.  Grid row r
+    follows the jumps of steps before r; step k's jumps follow grid row k,
+    each as a (pre, post) pair, so jump i's pre row is k + 1 + 2i."""
+    return np.arange(rows) + 2 * np.searchsorted(ks, np.arange(rows)), ks + 1 + 2 * np.arange(ks.size)
+
+
 def _record(bundle, triple, config, seed, grid, grid_h, grid_v, grid_states, entries, steps_done):
     """Interleave one path's grid rows and jump rows into its PathRecord."""
     rows = steps_done + 1
@@ -451,10 +459,7 @@ def _record(bundle, triple, config, seed, grid, grid_h, grid_v, grid_states, ent
     ks = np.array([e[0] for e in entries], dtype=int)
     taus = np.repeat([e[1] for e in entries], 2)
     jump_states = np.array([s for e in entries for s in e[2:]]).reshape(2 * n_jumps, config.level)
-    # grid row r follows the jumps of steps before r; step k's jumps follow
-    # grid row k, each as a (pre, post) pair
-    at_grid = np.arange(rows) + 2 * np.searchsorted(ks, np.arange(rows))
-    at_pre = ks + 1 + 2 * np.arange(n_jumps)
+    at_grid, at_pre = _record_rows(ks, rows)
     at_jump = np.stack([at_pre, at_pre + 1], axis=1).reshape(-1)
     n = rows + 2 * n_jumps
 
@@ -557,8 +562,9 @@ def solve_paths(
 def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0):
     """Truncate at tau = first recorded time where ‖Y‖_H² > N or the
     left-Riemann accumulation of ‖Y‖_V^beta exceeds N; tau = T when the
-    thresholds are never crossed (void-set convention), and None for a
-    record truncated at t = 0, which holds no time.
+    thresholds are never crossed on a whole record (void-set convention),
+    and None when they are never crossed on a truncated one, which ends
+    before T for another reason (at t = 0 it holds no time at all).
     """
     n = record.times.size
     cum = 0.0
@@ -570,6 +576,6 @@ def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0
         if k + 1 < n:
             cum += record.norm_v[k] ** beta * (record.times[k + 1] - record.times[k])
     if cut is None:
-        return record, float(record.times[-1]) if n else None
+        return record, None if record.truncated_at is not None else float(record.times[-1])
     tau = float(record.times[cut])
     return record.prefix(cut + 1, stopped_at=tau), tau

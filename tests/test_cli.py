@@ -447,13 +447,28 @@ def test_non_finite_initial_norm_fails(tmp_path, capsys, command):
         assert "inf" not in body and "nan" not in body
 
 
+#: u' = u² from u = 1: the drift solve fails at t = 0.94, where ‖Y‖_H is
+#: about 45.5, far below a stopping threshold of 1e12
+BLOWUP = {"name": "blowup", "triple": {"dimension_cap": 4, "grid_size": 16}, "reaction": [0, 0, 1],
+          "drift": {"type": "diagonal", "scale": 0.0}, "x0": [1.0, 0, 0, 0]}
+
+
 def test_stopping_a_path_truncated_at_the_start_fails(tmp_path, capsys):
-    # ‖x0‖_H overflows, so the record holds no time to stop at
-    path = _write_config(tmp_path, x0=[1e308, 1e308], study={"stopping_N": 1.0})
-    assert main(["simulate", "--config", str(path)]) == 2
-    assert "0 entries, 0 jumps" in capsys.readouterr().out
-    meta = json.loads((tmp_path / "out" / "path_meta.json").read_text())
-    assert meta["pass"] is False and meta["stopped_at"] is None
+    # a truncated record that crossed no threshold has no stopping time: at
+    # t = 0 (‖x0‖_H overflows) it holds no time, and a failed drift solve
+    # ends it before T for a reason that is not a threshold
+    cases = [
+        (dict(x0=[1e308, 1e308], study={"stopping_N": 1.0}), "0 entries, 0 jumps, truncated at 0", 0.0),
+        (dict(model=BLOWUP, solver={"dt": 0.01, "T": 1.0, "level": 4}, study={"stopping_N": 1e12}),
+         "95 entries, 0 jumps, truncated at 0.94", 0.94),
+    ]
+    for overrides, line, truncated_at in cases:
+        path = _write_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().out.strip().endswith(f"FAIL: {line}")
+        meta = json.loads((tmp_path / "out" / "path_meta.json").read_text())
+        assert meta["pass"] is False and meta["stopped_at"] is None
+        assert meta["truncated_at"] == pytest.approx(truncated_at, abs=1e-12)
 
 
 def test_stability_times_end_at_the_horizon(tmp_path):
@@ -878,3 +893,20 @@ def test_readme_field_table_matches_the_declarations():
     declared = [(cmd, f.name, f.shown or json.dumps(f.default), f.limits)
                 for cmd, spec in COMMANDS.items() for f in spec.fields]
     assert table == declared
+
+
+def test_artifact_hash_survey_runs_one_model_and_subcommand(tmp_path):
+    # each run is keyed by model, subcommand, seed and worker count, and its
+    # manifest entry hashes every artifact except the timed sidecar
+    import artifact_hashes
+
+    manifest = artifact_hashes.survey({"heat": ("heat", None)}, commands=["simulate"])
+    assert list(manifest) == [f"heat/simulate/seed{s}/workers{w}" for s in (0, 7) for w in (1, 2)]
+    runs = list(manifest.values())
+    assert all(run["exit"] == 0 and list(run["artifacts"]) == ["path.csv"] for run in runs)
+    assert all(run["stdout"].startswith("levyspde simulate [heat] PASS") for run in runs)
+    assert runs[0]["artifacts"] == runs[1]["artifacts"] != runs[2]["artifacts"] == runs[3]["artifacts"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert artifact_hashes._main(["--compare", str(path), str(path)]) == 0
+    assert artifact_hashes.changed(manifest, dict(manifest, extra={})) == ["extra"]

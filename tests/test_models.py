@@ -4,11 +4,13 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levyspde.cli import main
 from levyspde.coefficients import CoefficientBundle, admissible_p_range
 from levyspde.config import ConfigError, parse_config
 from levyspde.models import BUILTIN_IDS, SpectralGrid, builtin, from_config, resolve, validate
@@ -234,6 +236,49 @@ CUSTOM_MODELS = {
 }
 
 
+#: config records that declare the diagonal builtins' coefficients
+BUILTIN_RECORDS = {
+    "heat": {
+        "name": "heat_record",
+        "triple": {"dimension_cap": 48},
+        "marks": {"points": [1.0, -1.0], "weights": [0.5, 0.5]},
+        "diffusion": {"type": "multiplicative_h", "c": 0.25},
+        "jump": {"type": "multiplicative_mark", "sigma": 0.2},
+        "constants": {"g_integral": 0.25**2, "h_p_integrals": {"2": 0.2**2, "4": 0.2**4},
+                      "C_monotone": 1.0, "C_growth": 1.0, "L_A": 1.0},
+    },
+    "grad_noise_linear": {
+        "name": "grad_noise_linear_record",
+        "triple": {"dimension_cap": 32},
+        "marks": {"points": [1.0, -1.0], "weights": [0.5, 0.5]},
+        "diffusion": {"type": "multiplicative_v", "c": 0.1},
+        "jump": {"type": "multiplicative_v_mark", "sigma": 0.05},
+        "constants": {"C_monotone": 1.0, "C_growth": 1.0, "L_A": 1.0, "L_B": 0.1**2,
+                      "L_gamma": 0.05**2, "h_p_integrals": {"2": 0.0}},
+        "regime": "part2",
+    },
+}
+
+
+@pytest.mark.parametrize("model_id", tuple(BUILTIN_RECORDS))
+def test_a_record_is_its_builtin(tmp_path, model_id):
+    # a record that declares a diagonal builtin's coefficients is read by the
+    # builtin's own builder, so its path and energy tables keep their bytes
+    record = BUILTIN_RECORDS[model_id]
+    assert from_config(record).constants == builtin(model_id).constants
+    tables = []
+    for model in (model_id, record):
+        out = tmp_path / ("record" if isinstance(model, dict) else "builtin")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "model": model, "solver": {"dt": 1e-3, "T": 0.5, "level": 16},
+            "study": {"n_paths": 32}, "master_seed": 4, "output_dir": str(out)}))
+        for command in ("simulate", "energy"):
+            assert main([command, "--config", str(path), "--workers", "1"]) == 0
+        tables.append([(out / name).read_bytes() for name in ("path.csv", "energy.csv")])
+    assert tables[0] == tables[1]
+
+
 def _model(model_id):
     return from_config(CUSTOM_MODELS[model_id]) if model_id in CUSTOM_MODELS else builtin(model_id)
 
@@ -256,6 +301,9 @@ def test_fast_path_hooks_match_reference_forms(model_id):
     spec = _model(model_id)
     bundle = spec.bundle
     marks = bundle.mark_space
+    if model_id in CUSTOM_MODELS:
+        # a record's multiplicative families bring their closed forms
+        assert bundle.diffusion_matvec is not None and bundle.jump_weighted_sum is not None
     rng = np.random.default_rng(77)
     m = 6
     for _ in range(10):
