@@ -9,6 +9,7 @@ declares each subcommand once: its run function, anchor and study fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -460,6 +461,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levyspde",

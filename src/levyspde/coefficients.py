@@ -94,6 +94,9 @@ class AuditFailure(RuntimeError):
         super().__init__(message)
         self.witness = witness
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.witness)
+
 
 @dataclass(frozen=True)
 class CoefficientBundle:

@@ -67,6 +67,9 @@ class StepFailure(RuntimeError):
         self.residual = residual
         self.iterations = iterations
 
+    def __reduce__(self):
+        return type(self), (self.time, self.residual, self.iterations)
+
 
 class SolverFieldError(ValueError):
     """A ``SolverConfig`` value outside its range; ``field`` names the field."""
@@ -74,6 +77,9 @@ class SolverFieldError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+    def __reduce__(self):
+        return type(self), (self.field, self.args[0])
 
 
 @dataclass(frozen=True)
@@ -564,7 +570,8 @@ def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0
     left-Riemann accumulation of ‖Y‖_V^beta exceeds N; tau = T when the
     thresholds are never crossed on a whole record (void-set convention),
     and None when they are never crossed on a truncated one, which ends
-    before T for another reason (at t = 0 it holds no time at all).
+    before T for another reason (at t = 0 it holds no time at all).  The
+    stopped prefix ends at tau, so it keeps no ``truncated_at``.
     """
     n = record.times.size
     cum = 0.0
@@ -578,4 +585,4 @@ def apply_stopping(record: PathRecord, rule: StoppingTimeRule, beta: float = 2.0
     if cut is None:
         return record, None if record.truncated_at is not None else float(record.times[-1])
     tau = float(record.times[cut])
-    return record.prefix(cut + 1, stopped_at=tau), tau
+    return record.prefix(cut + 1, stopped_at=tau, truncated_at=None), tau

@@ -143,6 +143,9 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field_name!r}: {message}")
         self.field_name = field_name
 
+    def __reduce__(self):
+        return type(self), (self.field_name, self.args[0].removeprefix(f"config field {self.field_name!r}: "))
+
 
 #: what each kind of ``read`` expects, as its errors say it
 _EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import warnings
 from pathlib import Path
@@ -172,13 +171,9 @@ def test_fork_workers_start_on_distinct_cpus_without_a_pin(monkeypatch):
     # the k-th worker is moved to cpus[k % n] and then given back the whole set
     calls = []
     monkeypatch.setattr(parallel.os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus)))
-    started = multiprocessing.get_context("fork").SimpleQueue()
     for k in range(3):
-        started.put(k)
-    for _ in range(3):
-        parallel._place([0, 3], started)
+        parallel._start_on([0, 3], k)
     assert calls == [{0}, {0, 3}, {3}, {0, 3}, {0}, {0, 3}]
-    assert started.empty()
     monkeypatch.undo()
 
     if len(os.sched_getaffinity(0)) < 2:
@@ -469,6 +464,18 @@ def test_stopping_a_path_truncated_at_the_start_fails(tmp_path, capsys):
         meta = json.loads((tmp_path / "out" / "path_meta.json").read_text())
         assert meta["pass"] is False and meta["stopped_at"] is None
         assert meta["truncated_at"] == pytest.approx(truncated_at, abs=1e-12)
+
+
+def test_a_path_stopped_before_its_truncation_passes(tmp_path, capsys):
+    # the blowup path crosses N = 100 at 0.88, before its drift solve fails
+    # at 0.94: the stopped prefix ends at tau and holds no truncation
+    path = _write_config(tmp_path, model=BLOWUP, solver={"dt": 0.01, "T": 1.0, "level": 4},
+                         study={"stopping_N": 100.0})
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS: 89 entries, 0 jumps, stopped at 0.88")
+    meta = json.loads((tmp_path / "out" / "path_meta.json").read_text())
+    assert meta["pass"] is True and meta["truncated_at"] is None
+    assert meta["stopped_at"] == pytest.approx(0.88, abs=1e-12)
 
 
 def test_stability_times_end_at_the_horizon(tmp_path):
