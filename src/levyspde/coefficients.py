@@ -21,9 +21,12 @@ window of the round's remaining trials from the current point, the first
 one below the best margin is accepted, and the rest of the window is
 evaluated again from there, which gives the serial accept sequence bit for
 bit.  Each sample stream comes from one vectorised derivation per scan
-(``rng.derive_rngs``).  A non-finite coefficient row
-ends its entry's scan, and the entry fails with margin NaN and the
-coefficient, the row's own t and its u as its witness; no audit raises for
+(``rng.derive_rngs``).  Each scan sees a copy of the bundle
+that counts the rows it evaluates and checks every result where it counts
+it; the term functions hold only their inequality's arithmetic.  A
+non-finite coefficient row ends its entry's scan, and the entry fails with
+margin NaN and the coefficient, the row's own t (None for rho, eta and
+v_norm, which take no time) and its u as its witness; no audit raises for
 it, and the other entries still run.
 
 Inequality catalogue, by entry name:
@@ -311,8 +314,9 @@ def _stacked_time(t, u: np.ndarray):
     return t if np.ndim(t) == 0 else np.broadcast_to(t, u.shape[:-1] + (1,))
 
 
-def _v_norm(bundle, triple, t, u):
-    return _finite_or_raise(bundle.v_norm_of(triple, u), "v_norm", t, u)
+def _v_norm(bundle, triple, u):
+    """‖u‖_V per row; the diagonal norm is no bundle callable, so it is checked here."""
+    return _finite_or_raise(bundle.v_norm_of(triple, u), "v_norm", None, u)
 
 
 #: bundle callables the audits evaluate, with the position of ``u`` in their arguments
@@ -320,18 +324,21 @@ _STATE_CALLABLES = {"drift": 1, "diffusion": 1, "jump": 1, "rho": 0, "eta": 0, "
 
 
 def _counting(bundle: CoefficientBundle):
-    """A copy of ``bundle`` whose state callables add their row counts to ``rows[0]``."""
+    """A copy of ``bundle`` whose state callables add their row counts to
+    ``rows[0]`` and pass each result through ``_finite_or_raise``; rho, eta
+    and v_norm take no time, so their witness's ``t`` is None."""
     rows = [0]
 
-    def counted(fn, pos):
+    def counted(name, fn, pos):
         def call(*args):
-            rows[0] += math.prod(np.shape(args[pos])[:-1])
-            return fn(*args)
+            u = args[pos]
+            rows[0] += math.prod(np.shape(u)[:-1])
+            return _finite_or_raise(fn(*args), name, args[0] if pos else None, u)
 
         return call
 
     hooks = {
-        name: counted(getattr(bundle, name), pos)
+        name: counted(name, getattr(bundle, name), pos)
         for name, pos in _STATE_CALLABLES.items()
         if getattr(bundle, name) is not None
     }
@@ -541,8 +548,7 @@ def hemicontinuity_jump_estimate(bundle, triple, t, u, v, w):
     """
 
     def segment(points):
-        a = _finite_or_raise(bundle.drift(t, points), "drift", t, points)
-        return (dot_rows(a, w),)
+        return (dot_rows(bundle.drift(t, points), w),)
 
     grid = np.linspace(-1.0, 1.5, 1025)
     (vals_fine,) = _batched(segment, u + grid[:, None] * v)
@@ -589,12 +595,12 @@ def audit_hemicontinuity(bundle, triple, samples: int, seed: int, level: int | N
 
 def _noise_difference_terms(bundle, t, uv):
     """‖B(t,u)−B(t,v)‖_{L2}² + Σ lam_i ‖γ(t,u,z_i)−γ(t,v,z_i)‖² per row; ``uv`` is (2, ..., m)."""
-    b = _finite_or_raise(bundle.diffusion(t, uv), "diffusion", t, uv)
+    b = bundle.diffusion(t, uv)
     total = sum_squares(b[0] - b[1])
     ms = bundle.mark_space
     if not ms.is_zero:
         for z, lam in zip(ms.marks, ms.weights):
-            g = _finite_or_raise(bundle.jump(t, uv, float(z)), "jump", t, uv)
+            g = bundle.jump(t, uv, float(z))
             dg = g[0] - g[1]
             total = total + lam * dot_rows(dg, dg)
     return total
@@ -609,22 +615,20 @@ def local_monotonicity_terms(bundle, constants, triple, mode, t, u, v):
         raise ValueError(f"mode {mode} requires the bundle to declare rho and eta")
     uv = np.stack([u, v])
     t_uv = _stacked_time(t, uv)
-    a = _finite_or_raise(bundle.drift(t_uv, uv), "drift", t_uv, uv)
+    a = bundle.drift(t_uv, uv)
     diff = u - v
     pair = dot_rows(a[0] - a[1], diff)
     h2 = dot_rows(diff, diff)
 
     if mode == "H2prime":
-        vn = _v_norm(bundle, triple, t_uv, uv)
+        vn = _v_norm(bundle, triple, uv)
         r = np.where(vn[1] > vn[0], vn[1], vn[0])
         ts = np.broadcast_to(t, r.shape + (1,)).reshape(-1).tolist()
         bound = [float(bundle.local_bound(s, x)) for s, x in zip(ts, r.reshape(-1).tolist())]
         return pair, np.reshape(bound, r.shape) * h2
 
     lhs = 2.0 * pair + _noise_difference_terms(bundle, t_uv, uv)
-    rho = _finite_or_raise(bundle.rho(u), "rho", t, u)
-    eta = _finite_or_raise(bundle.eta(v), "eta", t, v)
-    rhs = (constants.f_at(t) + rho + eta) * h2
+    rhs = (constants.f_at(t) + bundle.rho(u) + bundle.eta(v)) * h2
     return lhs, rhs
 
 
@@ -633,9 +637,9 @@ def envelope_terms(bundle, constants, triple, mode, u):
     if mode not in ("H2", "H2star"):
         raise ValueError(f"no envelope in mode {mode}")
     h = np.sqrt(dot_rows(u, u))
-    vn = _v_norm(bundle, triple, None, u)
-    rho = np.abs(_finite_or_raise(bundle.rho(u), "rho", None, u))
-    eta = np.abs(_finite_or_raise(bundle.eta(u), "eta", None, u))
+    vn = _v_norm(bundle, triple, u)
+    rho = np.abs(bundle.rho(u))
+    eta = np.abs(bundle.eta(u))
     c = constants.C_monotone
     if mode == "H2":
         rhs = c * (1.0 + libm_pow(vn, constants.beta)) * (1.0 + libm_pow(h, constants.zeta))
@@ -692,22 +696,21 @@ def coercivity_terms(bundle, constants, triple, t, u):
     gives exactly this form with L_A = C/2 and f/2, so one margin serves
     both hypothesis sets.
     """
-    a = _finite_or_raise(bundle.drift(t, u), "drift", t, u)
-    lhs = dot_rows(a, u)
+    lhs = dot_rows(bundle.drift(t, u), u)
     h2 = dot_rows(u, u)
-    vn = _v_norm(bundle, triple, t, u)
+    vn = _v_norm(bundle, triple, u)
     rhs = constants.f_at(t) * (1.0 + h2) - constants.L_A * libm_pow(vn, constants.beta)
     return lhs, rhs
 
 
 def drift_growth_terms(bundle, constants, triple, part, t, u):
     """(LHS, RHS) of the dual-norm drift growth bound (part "I" or "II"), per row."""
-    a = _finite_or_raise(bundle.drift(t, u), "drift", t, u)
+    a = bundle.drift(t, u)
     beta = constants.beta
     norm_vstar = np.sqrt(dot_rows(a / triple.v_weights[: a.shape[-1]], a))
     lhs = libm_pow(norm_vstar, beta / (beta - 1.0))
     h = np.sqrt(dot_rows(u, u))
-    vn_beta = libm_pow(_v_norm(bundle, triple, t, u), beta)
+    vn_beta = libm_pow(_v_norm(bundle, triple, u), beta)
     if part == "I":
         rhs = (constants.f_at(t) + constants.C_growth * vn_beta) * (1.0 + libm_pow(h, constants.alpha))
     else:
@@ -719,12 +722,11 @@ def drift_growth_terms(bundle, constants, triple, part, t, u):
 
 def diffusion_growth_terms(bundle, constants, triple, part, t, u):
     """(LHS, RHS) of ‖B(t,u)‖_{L2}² ≤ g(t)(1+‖u‖_H²) [+ L_B ‖u‖_V^β], per row."""
-    b = _finite_or_raise(bundle.diffusion(t, u), "diffusion", t, u)
-    lhs = sum_squares(b)
+    lhs = sum_squares(bundle.diffusion(t, u))
     h2 = dot_rows(u, u)
     rhs = constants.g_at(t) * (1.0 + h2)
     if part == "II":
-        rhs = rhs + constants.L_B * libm_pow(_v_norm(bundle, triple, t, u), constants.beta)
+        rhs = rhs + constants.L_B * libm_pow(_v_norm(bundle, triple, u), constants.beta)
     return lhs, rhs
 
 
@@ -733,12 +735,12 @@ def jump_growth_terms(bundle, constants, triple, part, p, t, u):
     ms = bundle.mark_space
     lhs = np.zeros(u.shape[:-1])
     for z, lam in zip(ms.marks, ms.weights):
-        g = _finite_or_raise(bundle.jump(t, u, float(z)), "jump", t, u)
+        g = bundle.jump(t, u, float(z))
         lhs = lhs + lam * libm_pow(dot_rows(g, g), p / 2.0)
     h = np.sqrt(dot_rows(u, u))
     rhs = constants.h_p_at(p, t) * (1.0 + libm_pow(h, p))
     if part == "II":
-        vn_beta = libm_pow(_v_norm(bundle, triple, t, u), constants.beta)
+        vn_beta = libm_pow(_v_norm(bundle, triple, u), constants.beta)
         rhs = rhs + constants.L_gamma * libm_pow(h, p - 2.0) * vn_beta
     return lhs, rhs
 
@@ -801,14 +803,14 @@ def audit_sequential_continuity(bundle, constants, triple, samples, seed,
 
     def b_dists(b, t, u, d):
         t, seq = sequence(t, u, d)
-        bs = _finite_or_raise(b.diffusion(t, seq), "diffusion", t, seq)
+        bs = b.diffusion(t, seq)
         return np.sqrt(sum_squares(bs[1:] - bs[0]))
 
     def g_dists(b, t, u, d):
         t, seq = sequence(t, u, d)
         total = np.zeros(seq.shape[:-1])[1:]
         for z, lam in zip(b.mark_space.marks, b.mark_space.weights):
-            g = _finite_or_raise(b.jump(t, seq, float(z)), "jump", t, seq)
+            g = b.jump(t, seq, float(z))
             dg = g[1:] - g[0]
             total = total + lam * dot_rows(dg, dg)
         return np.sqrt(total)

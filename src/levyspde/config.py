@@ -69,21 +69,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     model_ref = raw.get("model")
     if not isinstance(model_ref, (str, dict)):
         raise ConfigError("model", "expected a builtin id or a custom model record")
-    try:
-        model = resolve(model_ref)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from None
+    model = _built("model", resolve, model_ref)
 
     scfg = read(raw, "solver", "", dict)
     fields = {
         "dt": read(scfg, "dt", "solver", float),
         "T": read(scfg, "T", "solver", float),
         "level": read(scfg, "level", "solver", int),
-        "scheme": read(scfg, "scheme", "solver", str, "drift_implicit"),
-        "newton_tol": read(scfg, "newton_tol", "solver", float, 1e-10),
-        "newton_max_iter": read(scfg, "newton_max_iter", "solver", int, 50),
+        "scheme": read(scfg, "scheme", "solver", str, SolverConfig.scheme),
+        "newton_tol": read(scfg, "newton_tol", "solver", float, SolverConfig.newton_tol),
+        "newton_max_iter": read(scfg, "newton_max_iter", "solver", int, SolverConfig.newton_max_iter),
     }
     known(scfg, "solver", *fields)
     try:

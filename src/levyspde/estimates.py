@@ -105,8 +105,7 @@ def energy_table(
         return out
 
     rows = path_rows(moment_rows, seed, n_paths, 1, workers).reshape(n_paths, len(configs), width)
-    with np.errstate(over="ignore"):  # an overflowing x0 has truncated every path
-        x0_h = float(np.linalg.norm(x0))
+    x0_h = float(np.linalg.norm(x0))  # an overflowing x0 has truncated every path
     return [_energy_stats(rows[:, j], p_list, config, n_paths, seed, x0_h)
             for j, config in enumerate(configs)]
 
@@ -401,6 +400,9 @@ def _modulus_result(deltas, rows: np.ndarray, beta_exp: float) -> ModulusResult:
             if ok
             else "not consistent with a vanishing modulus (diagnostic, not a proof)"
         )
+        if not np.isfinite(values).all():
+            # an overflowing increment makes its estimate inf, which no comparison fails
+            ok, label = False, "undefined: an estimate is not finite (diagnostic, not a proof)"
     return ModulusResult(deltas=deltas, values=values, ci99=ci, beta=beta_exp,
                          consistent_with_tightness=ok, label=label,
                          truncated_paths=_truncated_rows(rows.T))

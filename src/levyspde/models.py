@@ -564,7 +564,7 @@ def from_config(cfg: dict) -> ModelSpec:
     record (or its ``type``) does not read is a ``ConfigError`` on that key.
     """
     known(cfg, "model", "name", "triple", "reaction", "drift", "marks", "diffusion", "jump", "x0",
-          "local_bound_const", "rho_const", "eta_const", "constants", "regime")
+          "rho_const", "eta_const", "constants", "regime")
     name = read(cfg, "name", "model", str, "custom")
     tcfg = read(cfg, "triple", "model", dict)
     cap = read(tcfg, "dimension_cap", "model.triple", int)
@@ -646,13 +646,11 @@ def from_config(cfg: dict) -> ModelSpec:
         raise ConfigError("model.jump.type", f"unknown jump type {jtype!r}")
 
     x0 = _built("model.x0", triple.fits, read(cfg, "x0", "model", np.ndarray, None))
-    local_bound = read(cfg, "local_bound_const", "model", float, 0.0)
     bundle = CoefficientBundle(
         drift=drift,
         mark_space=marks,
         rho=_const_functional(read(cfg, "rho_const", "model", float, 0.0)),
         eta=_const_functional(read(cfg, "eta_const", "model", float, 0.0)),
-        local_bound=lambda t, r: local_bound,
         drift_jacobian=drift_jacobian,
         drift_implicit_solve=implicit_solve,
         **noise,

@@ -374,17 +374,17 @@ def _step_rows(x, t, dt, bundle, triple, dw, events, config, dead=frozenset()):
 
 def _norms(bundle: CoefficientBundle, triple: GelfandTriple, states: np.ndarray):
     """(‖u‖_H, ‖u‖_V) of each row of ``states`` (..., m).  A norm that
-    overflows is inf, which truncates the record, so the overflow is not
-    also warned about."""
+    overflows is inf, which truncates the record; numpy warns about the
+    overflow under its default error state, and the CLI, which reports the
+    truncation itself, runs with those warnings off."""
     shape, m = states.shape[:-1], states.shape[-1]
     flat = states.reshape(-1, m)
-    with np.errstate(over="ignore"):
-        norm_h = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-        if bundle.v_norm is None:
-            w = triple.v_weights[:m]
-            norm_v = np.sqrt(np.einsum("ij,ij->i", flat * w, flat))
-        else:
-            norm_v = np.asarray(bundle.v_norm(flat), dtype=float)
+    norm_h = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    if bundle.v_norm is None:
+        w = triple.v_weights[:m]
+        norm_v = np.sqrt(np.einsum("ij,ij->i", flat * w, flat))
+    else:
+        norm_v = np.asarray(bundle.v_norm(flat), dtype=float)
     return norm_h.reshape(shape), norm_v.reshape(shape)
 
 

@@ -122,9 +122,8 @@ def uniqueness_sups(
             # compare on the step grid: within-step jump sequencing is an artifact
             # of the splitting, the path itself is its end-of-step skeleton; a
             # truncated pair's rows are meaningless, and its sup is NaN below
-            with np.errstate(all="ignore"):
-                diff = (block[:, :n] - block[:, n:]).reshape(-1, m)
-                norms = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(block), n)
+            diff = (block[:, :n] - block[:, n:]).reshape(-1, m)
+            norms = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(block), n)
             np.maximum(sups, norms.max(axis=0), out=sups)
 
         records = solve_paths(bundle, triple, x0, config, seeds + seeds, noise=noise, on_grid=reduce)
@@ -205,13 +204,12 @@ def weighted_stability_mc(
             a, b = block[:, :n], block[:, n:]
             rows = slice(k, k + len(block))
             # a truncated pair's rows are meaningless; its curve is NaN below
-            with np.errstate(all="ignore"):
-                d = a - b
-                sq[rows] = dot_rows(d, d)
-                rho_a, eta_b = _batched(lambda u, v: (bundle.rho(u), bundle.eta(v)),
-                                        a.reshape(-1, m), b.reshape(-1, m))
-                rates[rows] = f[rows] + rho_a.reshape(len(block), n)
-                rates[rows] += eta_b.reshape(len(block), n)
+            d = a - b
+            sq[rows] = dot_rows(d, d)
+            rho_a, eta_b = _batched(lambda u, v: (bundle.rho(u), bundle.eta(v)),
+                                    a.reshape(-1, m), b.reshape(-1, m))
+            rates[rows] = f[rows] + rho_a.reshape(len(block), n)
+            rates[rows] += eta_b.reshape(len(block), n)
 
         records = solve_paths(bundle, triple, np.repeat(x0, n, axis=0), config, seeds + seeds,
                               on_grid=reduce)
@@ -230,8 +228,7 @@ def weighted_stability_mc(
     ci = np.array([ci99(curves[:, k]) for k in range(curves.shape[1])])
     # the bound of the starts the pairs solve: no mode above the level loosens
     # it; it overflows only where a start's own norm does, truncating its pair
-    with np.errstate(over="ignore"):
-        bound = float(np.dot(x0[0] - x0[1], x0[0] - x0[1]))
+    bound = float(np.dot(x0[0] - x0[1], x0[0] - x0[1]))
     eps = 10.0 * config.dt
     margins = bound * (1.0 + eps) - lhs
     worst = int(np.argmin(margins))

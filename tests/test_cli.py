@@ -1,9 +1,11 @@
 """Runner behavior: exit codes, artifact determinism, output content."""
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -47,11 +49,13 @@ def _custom_model(constants):
     "model, field",
     [("mystery", "model"),
      (_custom_model({"f_profile": 1.0}), "model.constants.f_profile"),
-     (_custom_model({"g_profile": 1.0}), "model.constants.g_profile")],
-    ids=["unknown-builtin", "f_profile-constant", "g_profile-constant"],
+     (_custom_model({"g_profile": 1.0}), "model.constants.g_profile"),
+     (dict(_custom_model({}), local_bound_const=1.0), "model.local_bound_const")],
+    ids=["unknown-builtin", "f_profile-constant", "g_profile-constant", "local_bound_const"],
 )
 def test_unknown_model_exits_usage_error(tmp_path, capsys, model, field):
-    # a constant the hypothesis system does not declare is a config error
+    # a constant the hypothesis system does not declare is a config error, as
+    # is M_t(r): a config model declares rho and eta, so H2prime never reads it
     path = _write_config(tmp_path, model=model)
     assert main(["check", "--config", str(path)]) == 1
     assert f"config field '{field}'" in capsys.readouterr().err
@@ -626,6 +630,23 @@ def test_failing_study_sidecar_is_strict_json(tmp_path, command, field):
     assert meta["pass"] is False and meta[field] is None
 
 
+@pytest.mark.parametrize("command, x0, study, summary", [
+    ("modulus", [1e80], {"beta_exp": 4.0, "delta_list": [0.02, 0.04]},
+     "FAIL: undefined: an estimate is not finite"),
+    ("depend", None, {"perturbations": [1e154, 1e153, 1e152]},
+     "FAIL: table log-log slope 2.000 at p=2; an estimate is inf"),
+], ids=["modulus", "depend"])
+def test_an_infinite_estimate_fails_its_study(tmp_path, capsys, command, x0, study, summary):
+    # every path runs to T, but an increment or a difference overflows its
+    # moment: the table keeps the inf, and the verdict fails on it
+    extra = {} if x0 is None else {"x0": x0}
+    path = _write_config(tmp_path, study={"n_paths": 4, **study}, master_seed=0, **extra)
+    assert main([command, "--config", str(path)]) == 2
+    assert summary in capsys.readouterr().out
+    assert ",inf," in (tmp_path / "out" / f"{command}.csv").read_text()
+    assert json.loads((tmp_path / "out" / f"{command}_meta.json").read_text())["truncated_paths"] == 0
+
+
 def test_a_truncated_path_fails_a_passing_study(tmp_path, capsys, monkeypatch):
     # the CLI alone turns a truncated path into FAIL: a study result that
     # passes on its own still fails, and its line ends with the count
@@ -776,11 +797,24 @@ BLOWUP_MODEL = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@contextlib.contextmanager
+def _warnings_printed():
+    """Every warning printed to ``sys.stderr``, as outside pytest, here and in fork children."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        yield
+
+
 def test_non_finite_coefficient_fails_the_audit(tmp_path, capsys):
     path = _write_config(tmp_path, model=BLOWUP_MODEL, study={"samples": 64, "n_paths": 4})
-    assert main(["check", "--config", str(path)]) == 2
-    out = capsys.readouterr().out
+    with _warnings_printed():
+        assert main(["check", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "RuntimeWarning" not in err
     assert "FAIL" in out and "H2: drift evaluated to a non-finite value" in out
     text = (tmp_path / "out" / "check_report.json").read_text()
     report = json.loads(text, parse_constant=_reject_constant)
@@ -789,24 +823,26 @@ def test_non_finite_coefficient_fails_the_audit(tmp_path, capsys):
     assert h2["witness_coeffs"]["coefficient"] == "drift"
 
     # the energy study's quick audit only warns, and the study runs on
-    main(["energy", "--config", str(path)])
-    assert "fails its hypothesis audit (H2, H3, H4, H5)" in capsys.readouterr().err
+    with _warnings_printed():
+        main(["energy", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert "fails its hypothesis audit (H2, H3, H4, H5)" in err and "RuntimeWarning" not in err
     assert (tmp_path / "out" / "energy.csv").read_text().startswith("# verifies:")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_one_failing_entry_keeps_the_rest_of_its_audit_group(tmp_path):
+def test_one_failing_entry_keeps_the_rest_of_its_audit_group(tmp_path, capsys):
     # H3 meets the non-finite drift first; H4 and H5 still get their rows
     path = _write_config(tmp_path, model=BLOWUP_MODEL, study={"samples": 64})
-    assert main(["check", "--config", str(path)]) == 2
+    with _warnings_printed():
+        assert main(["check", "--config", str(path)]) == 2
+    assert "RuntimeWarning" not in capsys.readouterr().err
     rows = (tmp_path / "out" / "check.csv").read_text().splitlines()[2:]
     verdicts = dict(row.split(",")[:2] for row in rows)
     assert list(verdicts) == ["H1", "H2", "H3", "H4", "H5", "H5-continuity"]
     assert verdicts["H3"] == verdicts["H4"] == "fail"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_diffusion_keeps_the_jump_continuity_entry(tmp_path):
+def test_overflowing_diffusion_keeps_the_jump_continuity_entry(tmp_path, capsys):
     # B = c u overflows on the audit's larger states, so H5-continuity fails
     # on a non-finite diffusion; H6-continuity still gets its own row
     model = {
@@ -820,7 +856,9 @@ def test_overflowing_diffusion_keeps_the_jump_continuity_entry(tmp_path):
         "constants": {"beta": 2.0, "L_A": 1.0, "C_growth": 1.0},
     }
     path = _write_config(tmp_path, model=model, study={"samples": 64})
-    assert main(["check", "--config", str(path)]) == 2
+    with _warnings_printed():
+        assert main(["check", "--config", str(path)]) == 2
+    assert "RuntimeWarning" not in capsys.readouterr().err
     rows = (tmp_path / "out" / "check.csv").read_text().splitlines()[2:]
     verdicts = dict(row.split(",")[:2] for row in rows)
     assert verdicts["H5-continuity"] == "fail"
@@ -831,7 +869,6 @@ def test_overflowing_diffusion_keeps_the_jump_continuity_entry(tmp_path):
     assert h5["worst_margin"] is None and h5["witness_coeffs"]["coefficient"] == "diffusion"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_audit_term_fails_closed(tmp_path, capsys):
     # ‖u‖_V^β overflows a float's ** on the affine weights of scale 1e200;
     # the terms it enters turn NaN, and each such entry fails on its NaN row
@@ -839,17 +876,37 @@ def test_overflowing_audit_term_fails_closed(tmp_path, capsys):
     model = {"triple": {"dimension_cap": 8, "rule": "affine", "scale": 1e200},
              "constants": {"beta": 4.0}}
     path = _write_config(tmp_path, model=model, study={"samples": 64, "n_paths": 4})
-    assert main(["check", "--config", str(path)]) == 2
-    out = capsys.readouterr().out
+    with _warnings_printed():
+        assert main(["check", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
     assert "FAIL" in out and out.rstrip().endswith("worst margin nan (H2)")
+    assert "RuntimeWarning" not in err
     report = json.loads((tmp_path / "out" / "check_report.json").read_text(),
                         parse_constant=_reject_constant)
     failing = {e["hypothesis"]: e["worst_margin"] for e in report if e["verdict"] == "fail"}
     assert failing == {"H2": None, "H3": None, "H4": None}
 
     # the energy study's quick audit warns instead of raising
-    main(["energy", "--config", str(path)])
-    assert "fails its hypothesis audit (H2, H3, H4)" in capsys.readouterr().err
+    with _warnings_printed():
+        main(["energy", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert "fails its hypothesis audit (H2, H3, H4)" in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "command",
+    ["check", "energy", "simulate", "stability", "depend", "residual", "uniqueness", "modulus", "converge"],
+)
+def test_an_overflowing_model_leaks_no_numpy_warning(tmp_path, capfd, command, workers):
+    # the study reports the overflow by its verdict; numpy's warnings about it
+    # stay off stderr, the fork children's fd 2 included
+    study = {"n_paths": 4, "samples": 64, "p_list": [2.0], "m_list": [2, 4], "delta_list": [0.02, 0.04]}
+    path = _write_config(tmp_path, model=BLOWUP_MODEL, study=study)
+    with _warnings_printed():
+        assert main([command, "--config", str(path), "--workers", str(workers)]) == 2
+    leaked = [line for line in capfd.readouterr().err.splitlines() if not line.startswith("levyspde ")]
+    assert not leaked, leaked[:2]
 
 
 def test_study_keys_are_declared_per_subcommand(tmp_path, capsys):

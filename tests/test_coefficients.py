@@ -178,8 +178,11 @@ def test_monotonicity_audit_passes_zoo_pair(heat_spec, allen_cahn_spec):
 
 
 def test_monotonicity_h2prime_audit_passes(heat_spec, allen_cahn_spec):
-    # the ball-radius form with the models' declared M_t(r)
-    for spec in (heat_spec, allen_cahn_spec):
+    # the ball-radius form with allen_cahn's declared M_t(r); a config model
+    # such as heat declares rho and eta instead, and its monotone linear
+    # drift holds M_t(r) = 0
+    heat_bundle = dataclasses.replace(heat_spec.bundle, local_bound=lambda t, r: 0.0)
+    for spec in (dataclasses.replace(heat_spec, bundle=heat_bundle), allen_cahn_spec):
         entry = audit_local_monotonicity(
             spec.bundle, spec.constants, spec.triple, "H2prime", samples=300, seed=0
         )
@@ -444,7 +447,7 @@ def test_nonfinite_drift_fails_local_monotonicity(heat_spec, mode):
     # validate audits H2prime when the model declares no rho and eta
     bundle = dataclasses.replace(heat_spec.bundle, drift=lambda t, u: np.full(u.shape, np.nan))
     if mode == "H2prime":
-        bundle = dataclasses.replace(bundle, rho=None, eta=None)
+        bundle = dataclasses.replace(bundle, rho=None, eta=None, local_bound=lambda t, r: 0.0)
     entry = audit_local_monotonicity(bundle, heat_spec.constants, heat_spec.triple, mode, 64, 0)
     first = _sample_states(heat_spec.triple, 8, 0, mode, 64)[0]
     assert entry.name == mode and not entry.passed and math.isnan(entry.worst_margin)
@@ -473,6 +476,20 @@ def test_nonfinite_rho_fails_the_h2_envelope(heat_spec):
     report = validate(dataclasses.replace(heat_spec, bundle=bundle), samples=64, seed=0)
     assert [e.name for e in report.entries] == HEAT_ENTRIES
     assert [e.name for e in report.entries if not e.passed] == ["H2"]
+
+
+@pytest.mark.parametrize("functional", ["rho", "v_norm"])
+def test_a_nonfinite_functional_fails_with_a_null_time(heat_spec, functional):
+    # rho, eta and v_norm take no time, so their witness's t is None, also
+    # where the inequality part (H2) or a growth bound (H3) evaluates them
+    bundle = dataclasses.replace(heat_spec.bundle, **{functional: lambda u: np.full(u.shape[:-1], np.nan)})
+    if functional == "rho":
+        entry = audit_local_monotonicity(bundle, heat_spec.constants, heat_spec.triple, "H2", 64, 0)
+    else:
+        entry = audit_coercivity_growth(bundle, heat_spec.constants, heat_spec.triple, "I", 64, 0)[0]
+    first = _sample_states(heat_spec.triple, 8, 0, entry.name, 64)[0]
+    assert entry.name == ("H2" if functional == "rho" else "H3") and math.isnan(entry.worst_margin)
+    assert entry.witness == {"coefficient": functional, "t": None, "u": first.tolist()}
 
 
 def test_nonfinite_jump_fails_its_entries_and_keeps_the_rest(heat_spec):

@@ -439,6 +439,20 @@ def test_modulus_lipschitz_fixture_closed_form():
         assert v == pytest.approx(d**2 * (T - d), abs=1e-12)
 
 
+def test_modulus_with_an_infinite_estimate_is_not_consistent_with_tightness():
+    # Y(t) = 1e80 t e1: each increment's 4th power overflows to inf, a table
+    # no comparison of neighbours can fail
+    dt, T = 0.01, 0.2
+    times = np.arange(0.0, T + dt / 2, dt)
+    states = np.zeros((times.size, 2))
+    states[:, 0] = 1e80 * times
+    paths = [_record_from_states(times, states, dt, T)] * 2
+    with pytest.warns(RuntimeWarning):  # the overflow, then inf - inf in the CI99's spread
+        result = modulus_of_continuity(paths, [2 * dt, 4 * dt], 4.0)
+    assert np.all(np.isinf(result.values)) and result.truncated_paths == 0
+    assert not result.consistent_with_tightness and result.label.startswith("undefined")
+
+
 def test_modulus_wiener_rooted_slope_matches_brownian_exponent(heat_spec):
     # fine-grid ensemble: the beta-rooted increments follow the square-root
     # modulus, the raw values the beta/2 power
